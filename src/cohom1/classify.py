@@ -30,6 +30,7 @@ import numpy as np
 
 from . import actions, ode
 from .actions import ActionDescriptor, Space, Tangential
+from .errors import CohomError
 
 
 def is_linear_solution(G: int, M0: int, M1: int, k: int) -> bool:
@@ -121,9 +122,15 @@ def is_harmonic_k_map(action: ActionDescriptor, j: int) -> HarmonicityVerdict:
     # which the tables omit; any other mismatch means the encoded data is
     # wrong.
     untabulated = action.space is Space.SPHERE and action.g == 1 and k == -1
-    assert harmonic == (
+    if harmonic != (
         linear and tangential is not Tangential.UNRESOLVED and not untabulated
-    ), (action, j, k)
+    ):
+        raise CohomError(
+            f"classification tables and linear-solution route disagree for "
+            f"{action.ambient} (g={g}, m0={m0}, m1={m1}), j={j}, k={k}: "
+            f"tables say harmonic={harmonic}, linear solution={linear}, "
+            f"tangential={tangential.value}"
+        )
 
     if harmonic:
         reason = "identity-map" if k == 1 else "linear-solution"

@@ -113,7 +113,7 @@ def _resolve_threads(args) -> int:
     env = os.environ.get("COHOM1_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _base_params(args, names) -> dict:
@@ -305,7 +305,10 @@ def _add_solver_flags(parser, sweep: bool) -> None:
     if sweep:
         parser.add_argument("--bracket", help="slope range LO,HI")
         parser.add_argument("--sweep-points", dest="sweep_points", type=int)
-        parser.add_argument("--threads", type=int, help="defaults to COHOM1_THREADS or CPU count")
+        parser.add_argument(
+            "--threads", type=int,
+            help="lane batches run in parallel (default: COHOM1_THREADS or 1)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

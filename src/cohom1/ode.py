@@ -125,27 +125,48 @@ def _tension_parts(G, M0, M1, t, r, rdot):
     return A, N
 
 
-def _tension_parts_np(G, M0, M1, t, r, rdot):
-    """Vectorised twin of :func:`_tension_parts`."""
+def _tension_parts_np(G, M0, M1, t, r, rdot, rem=np.remainder):
+    """Vectorised twin of :func:`_tension_parts`; t and r share one shape.
+
+    ``rem(x, TAU)`` reduces the trigonometric arguments.  The default
+    ``np.remainder`` is the cheaper; :func:`_remainder_exact` makes every
+    element equal the scalar path bit for bit.
+    """
     s = M0 + M1
     d = M0 - M1
     t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
     Gt = G * t
-    sg = np.sin(np.remainder(Gt, TAU))
-    cg = np.cos(np.remainder(Gt, TAU))
-    s2g = np.sin(np.remainder(2.0 * Gt, TAU))
-    u = 2.0 * (r - t)
-    su = np.sin(np.remainder(u, TAU))
-    sug = np.sin(np.remainder(u + Gt, TAU))
+    u = 2.0 * (np.asarray(r, dtype=float) - t)
+    # One reduction and one sine over the four stacked arguments.
+    reduced = rem(np.array([Gt, 2.0 * Gt, u, u + Gt]), TAU)
+    sg, s2g, su, sug = np.sin(reduced)
+    cg = np.cos(reduced[0])
     A = 4.0 * sg * sg
     N = (
-        (G * s * s2g + 2.0 * G * d * sg) * rdot
+        (G * s * s2g + 2.0 * G * d * sg) * np.asarray(rdot, dtype=float)
         - G * (G - 2.0) * su * (s + d * cg)
         - 2.0 * G * sug * (s * cg + d)
     )
     return A, N
+
+
+def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
+    """Elementwise ``math.remainder(x, period)``, bit for bit.
+
+    ``np.fmod`` is exact, and folding a result beyond period/2 back by one
+    period is exact by Sterbenz's lemma.  Elements where the even-quotient
+    tie rule decides (|f| == period/2) or where x is not finite take the
+    scalar function, which also raises on infinities as the scalar path does.
+    numpy warns on those inputs, so callers run it under ``np.errstate``.
+    """
+    half = 0.5 * period
+    f = np.fmod(x, period)
+    np.subtract(f, period, out=f, where=f > half)
+    np.add(f, period, out=f, where=f < -half)
+    if not np.abs(f).max(initial=0.0) < half:
+        odd = ~(np.abs(f) < half)
+        f[odd] = [math.remainder(v, period) for v in x[odd].tolist()]
+    return f
 
 
 def closed_tension(
@@ -290,6 +311,30 @@ def rhs(
             - f2 * sug * (s * cg + d)
         )
         return -N / (4.0 * sg * sg)
+
+    return accel
+
+
+def _rhs_lanes(
+    spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Lane twin of :func:`rhs`: 1-d arrays (t, r, r') -> r''.
+
+    Every lane performs the scalar closure's operations in the same order,
+    with the exact remainder, so it equals the scalar value bit for bit.
+    The pole check covers every lane of every call.  Where the scalar
+    floats overflow silently numpy warns, so callers run it under
+    ``np.errstate``.
+    """
+    G, M0, M1 = spec.G, spec.M0, spec.M1
+    step = math.pi / G
+
+    def accel(t: np.ndarray, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
+        near = np.abs(t - np.round(t / step) * step) < margin
+        if near.any():
+            _require_regular(float(t[near][0]), G, margin)
+        A, N = _tension_parts_np(G, M0, M1, t, r, rdot, _remainder_exact)
+        return -N / A
 
     return accel
 

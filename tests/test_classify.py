@@ -135,6 +135,15 @@ class TestIsHarmonicKMap:
         with pytest.raises(InadmissibleJ):
             classify.is_harmonic_k_map(a, 1)
 
+    def test_route_disagreement_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so the check survives python -O
+        from cohom1.errors import CohomError
+
+        monkeypatch.setattr(classify, "is_linear_solution", lambda G, M0, M1, k: False)
+        a = actions.make_action("so", 3, 2, 2)
+        with pytest.raises(CohomError, match="disagree"):
+            classify.is_harmonic_k_map(a, 0)
+
     def test_g1_reflection_follows_tables_with_documented_reason(self):
         # r = -t is a linear solution (the reflection isometry) but the
         # classification tables omit it; the verdict records both facts

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -162,6 +163,13 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "a,sign_change,gap"
         assert len(lines) == 10
+
+    def test_threads_default_to_one_batch(self, monkeypatch):
+        monkeypatch.delenv("COHOM1_THREADS", raising=False)
+        assert cli._resolve_threads(argparse.Namespace(threads=None)) == 1
+        monkeypatch.setenv("COHOM1_THREADS", "3")
+        assert cli._resolve_threads(argparse.Namespace(threads=None)) == 3
+        assert cli._resolve_threads(argparse.Namespace(threads=2)) == 2
 
     def test_threads_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("COHOM1_THREADS", "3")

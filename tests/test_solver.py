@@ -1,12 +1,18 @@
 """Series starts, shooting, sweeps and the profiles they produce."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from cohom1 import ode, solver
-from cohom1.errors import IntegratorStall, NoConvergence, TrajectoryEscaped
+from cohom1.errors import (
+    IntegratorStall,
+    NoConvergence,
+    PoleProximity,
+    TrajectoryEscaped,
+)
 from cohom1.ode import BvpSpec
 from cohom1.solver import Endpoint, ShootingConfig
 
@@ -85,6 +91,21 @@ class TestIntegrator:
             )
             assert r_node == pytest.approx(r_direct, abs=5e-9)
             assert v_node == pytest.approx(v_direct, abs=5e-8)
+
+    @pytest.mark.parametrize("pause", [1, 7, 100, 400])
+    def test_paused_run_resumes_bit_for_bit(self, pause):
+        # a full run to the right pole (424 steps), paused and resumed
+        spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
+        accel = ode.rhs(spec)
+        t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, -3.0, 1e-5)
+        t_end = spec.length - 1e-5
+        start = solver._dp_start(accel, t0, r0, v0, t_end)
+        whole = solver._dp_run(accel, start, t_end, 1e-10, 1e-12, 1e6)
+        paused = solver._dp_run(accel, start, t_end, 1e-10, 1e-12, 1e6, pause_at=pause)
+        assert paused[5] == pause < whole[5]
+        resumed = solver._dp_run(accel, paused, t_end, 1e-10, 1e-12, 1e6)
+        assert resumed == whole
+        assert whole[1:3] == solver._integrate(accel, t0, r0, v0, t_end, 1e-10, 1e-12, 1e6)
 
 
 class TestShoot:
@@ -243,6 +264,113 @@ class TestSweep:
         assert any(math.isinf(p.gap) for p in points)
 
 
+def scalar_sweep(spec, config):
+    """Per-point reference: series start, scalar _integrate, linearised gap."""
+    accel = ode.rhs(spec)
+    grid = np.linspace(*config.resolved_bracket(spec), config.sweep_points)
+    t_end = spec.length - config.eps1
+    gaps = []
+    for a in grid:
+        t, r, v = solver.series_start(spec, Endpoint.LEFT, float(a), config.eps0)
+        try:
+            r_end, v_end = solver._integrate(
+                accel, t, r, v, t_end, config.rel_tol, config.abs_tol, config.blowup_cap
+            )
+        except TrajectoryEscaped as esc:
+            gaps.append(math.copysign(math.inf, esc.r if esc.r != 0.0 else 1.0))
+        except IntegratorStall:
+            gaps.append(math.nan)
+        else:
+            gaps.append(r_end - (spec.k * spec.length - v_end * config.eps1))
+    return [
+        solver.SweepPoint(a=float(a), sign_change=i > 0 and gaps[i - 1] * g < 0.0, gap=g)
+        for i, (a, g) in enumerate(zip(grid, gaps))
+    ]
+
+
+def bits(points):
+    """Sweep points with the floats as their IEEE bit patterns."""
+    return [
+        (struct.pack("<d", p.a), p.sign_change, struct.pack("<d", p.gap)) for p in points
+    ]
+
+
+class TestLaneSweep:
+    @pytest.mark.parametrize(
+        "spec, options",
+        [
+            # below the drain threshold: every lane on the scalar loop
+            (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=17)),
+            # escapes of both signs and the identity root
+            (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=65)),
+            # every lane reaches the right pole (a looser rel_tol keeps the
+            # scalar reference cheap)
+            (
+                BvpSpec(G=6, M0=1, M1=1, k=-5),
+                dict(bracket=(-60.0, 60.0), sweep_points=512, rel_tol=1e-7),
+            ),
+            # a low blow-up cap: escapes early and on both sides
+            (
+                BvpSpec(G=1, M0=2, M1=2, k=1),
+                dict(bracket=(0.0, 20.0), sweep_points=65, blowup_cap=1e3),
+            ),
+        ],
+    )
+    def test_equals_scalar_reference(self, spec, options):
+        config = ShootingConfig(**options)
+        lanes = solver.sweep(spec, config)
+        reference = scalar_sweep(spec, config)
+        assert lanes == reference
+        assert bits(lanes) == bits(reference)
+
+    def test_lane_batches_in_threads_match_one_batch(self):
+        # 4 contiguous batches of 32-33 lanes, each above the drain threshold
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=130, blowup_cap=1e3)
+        one = solver.sweep(spec, config, threads=1)
+        four = solver.sweep(spec, config, threads=4)
+        assert bits(one) == bits(four)
+        assert any(math.isinf(p.gap) for p in one)
+        assert any(math.isfinite(p.gap) for p in one)
+
+    def test_pole_check_covers_every_lane(self):
+        spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
+        accel = ode._rhs_lanes(spec)
+        t = np.linspace(0.1, 0.5, 40)
+        ones = np.ones(40)
+        accel(t, ones, ones)
+        t[17] = spec.length - 1e-9
+        with pytest.raises(PoleProximity):
+            accel(t, ones, ones)
+
+    def test_remainder_exact_matches_math_remainder(self):
+        rng = np.random.default_rng(7)
+        pi = math.pi
+        x = np.concatenate([
+            rng.uniform(-1e3, 1e3, 5000),
+            rng.uniform(-10.0, 10.0, 5000),
+            [0.0, -0.0, pi, -pi, 3.0 * pi, -3.0 * pi, 5.0 * pi, ode.TAU, -ode.TAU],
+        ])
+        got = ode._remainder_exact(x, ode.TAU)
+        want = [math.remainder(v, ode.TAU) for v in x.tolist()]
+        assert [struct.pack("<d", v) for v in got.tolist()] == [
+            struct.pack("<d", v) for v in want
+        ]
+        # an infinity raises as math.remainder does
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            ode._remainder_exact(np.array([1.0, math.inf]), ode.TAU)
+
+    def test_lane_rhs_matches_scalar_rhs(self):
+        rng = np.random.default_rng(11)
+        for spec in (BvpSpec(G=1, M0=2, M1=2, k=1), BvpSpec(G=4, M0=1, M1=3, k=-3)):
+            t = rng.uniform(1e-6, spec.length - 1e-6, 2000)
+            r = rng.uniform(-50.0, 50.0, 2000)
+            v = rng.uniform(-1e4, 1e4, 2000)
+            accel = ode.rhs(spec)
+            got = ode._rhs_lanes(spec)(t, r, v)
+            assert got.tolist() == [accel(*x) for x in zip(t.tolist(), r.tolist(), v.tolist())]
+
+
 class TestRefineBrackets:
     def test_refines_identity_root(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -267,6 +395,24 @@ class TestRefineBrackets:
         assert prof.slope0 == pytest.approx(12.1254021, abs=1e-5)
         assert prof.slope1 == pytest.approx(prof.slope0, abs=1e-6)
         assert prof.max_linear_deviation() > 1.0  # genuinely nonlinear
+
+
+    def test_criterion_grid_keeps_one_profile_per_root(self):
+        # the (0, 0.039) bracket converges to the identity and the near-miss
+        # of the k=0 bump near 3.54 to 12.1254; both leave their brackets
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=512)
+        points = solver.sweep(spec, config)
+        brackets = [
+            (points[i - 1].a, p.a) for i, p in enumerate(points) if p.sign_change
+        ]
+        assert len(brackets) == 4
+        profiles = solver.refine_brackets(spec, config, points)
+        assert [p.slope0 for p in profiles] == [
+            pytest.approx(1.0, abs=1e-6), pytest.approx(12.1254021, abs=1e-6)
+        ]
+        for prof in profiles:
+            assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
 
 
 class TestNonlinearSolutions:
