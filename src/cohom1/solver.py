@@ -25,6 +25,7 @@ bit.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,8 @@ GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
 MIN_PROFILE_POINTS = 257
 DUPLICATE_SLOPE_TOL = 1e-6     # refined profiles this close in both slopes are one
 _MAX_STEPS = 5_000_000
+
+_log = logging.getLogger("cohom1")
 
 
 class Endpoint(enum.Enum):
@@ -732,7 +735,11 @@ def _right_slope_estimate(spec, config, accel, a: float) -> float | None:
     branch amplifies integrator noise by 1/eps1^2 there.  On the smooth
     branch v(s) = b + 3*c3*s^2 + O(s^4) in the distance s from the
     endpoint, so sampling at s and s/2 and eliminating the s^2 term gives b
-    with only O(s^4) bias and no pole amplification.
+    with no pole amplification.  The samples sit at s = pi/(4G) and half
+    that, which is not small on the scale of a strongly nonlinear profile:
+    the O(s^4) remainder can then swamp the estimate (it reads 0.714 at the
+    (1,2,2,1) root whose slopes are both 12.1254), so the result is only a
+    seed, and :func:`refine_brackets` ranks it against the other seeds.
     """
     s1 = spec.length / 4.0
     tl, rl, vl = series_start(spec, Endpoint.LEFT, a, config.eps0)
@@ -750,6 +757,33 @@ def _right_slope_estimate(spec, config, accel, a: float) -> float | None:
     return (4.0 * v2 - v1) / 3.0
 
 
+def _ranked_seeds(spec, config, accel, a: float) -> list[float]:
+    """Right-slope seeds for a Newton run from left slope a, best first.
+
+    The candidates are the pole-clear extrapolation, the symmetric guess
+    b = a and the linear guess b = k, in that order.  Each is shot once at
+    a and ranked by its initial gap norm (a stable sort).  A seed whose
+    shot escapes or stalls is left out: ``solve`` would raise the same on
+    its first shot.
+    """
+    candidates = []
+    b_extrap = _right_slope_estimate(spec, config, accel, a)
+    if b_extrap is not None and math.isfinite(b_extrap):
+        candidates.append(b_extrap)
+    candidates.extend([a, float(spec.k)])
+    ranked = []
+    for b in candidates:
+        try:
+            norm = _gap_norm(shoot(spec, config, a, b))
+        except (TrajectoryEscaped, IntegratorStall) as exc:
+            _log.debug("refine: seed b=%r dropped, first shot failed: %s", b, exc)
+            continue
+        ranked.append((norm, b))
+    ranked.sort(key=lambda item: item[0])
+    _log.debug("refine: a=%r seeds by gap norm: %s", a, ranked)
+    return [b for _norm, b in ranked]
+
+
 def refine_brackets(
     spec: BvpSpec,
     config: ShootingConfig | None = None,
@@ -758,14 +792,18 @@ def refine_brackets(
 ) -> list[SolutionProfile]:
     """Refine every sweep bracket with bisection, then full double shooting.
 
-    The bisected left slope seeds a; the right slope is seeded from the
-    pole-clear extrapolation of that trajectory, falling back to the
-    symmetric guess b = a and to the linear guess b = k.  Brackets whose
-    refinement fails to converge are dropped, and so is a profile whose
-    slope0 leaves its bracket (Newton jumped to another root, as from a
-    near-miss of another boundary target) or whose slopes are within
-    DUPLICATE_SLOPE_TOL of a profile already kept.  Profiles are reported
-    ordered by |slope0 - k|.
+    Bisection on the terminal gap runs for at most ``bisect_steps`` steps
+    and stops early once no float lies strictly between the bracket ends
+    (every later step would repeat an end).  The bisected left slope seeds
+    a; the right-slope seeds (:func:`_ranked_seeds`) are tried in
+    increasing order of their initial gap norm, and the first whose Newton
+    run converges settles the bracket.  Brackets whose bisection meets a
+    stall (a NaN gap) or whose refinement converges from no seed are
+    dropped, and so is a profile whose slope0 leaves its bracket (Newton
+    jumped to another root, as from a near-miss of another boundary
+    target) or whose slopes are within DUPLICATE_SLOPE_TOL of a profile
+    already kept.  Profiles are reported ordered by |slope0 - k|.  Each
+    decision is logged at DEBUG level on the ``cohom1`` logger.
     """
     config = config or ShootingConfig()
     points = points if points is not None else sweep(spec, config)
@@ -774,10 +812,12 @@ def refine_brackets(
     for i, pt in enumerate(points):
         if not pt.sign_change:
             continue
-        lo, hi = points[i - 1].a, pt.a
+        lo, hi = bracket = (points[i - 1].a, pt.a)
         glo = _terminal_gap(spec, config, accel, lo)
         for _ in range(bisect_steps):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # no float left between lo and hi
+                break
             gmid = _terminal_gap(spec, config, accel, mid)
             if gmid != gmid:  # NaN: give up on this bracket
                 lo = hi = math.nan
@@ -787,26 +827,32 @@ def refine_brackets(
             else:
                 hi = mid
         if lo != lo:
+            _log.debug("refine: bracket %r dropped: NaN gap in bisection", bracket)
             continue
         a_root = 0.5 * (lo + hi)
-        b_guesses = []
-        b_extrap = _right_slope_estimate(spec, config, accel, a_root)
-        if b_extrap is not None and math.isfinite(b_extrap):
-            b_guesses.append(b_extrap)
-        b_guesses.extend([a_root, float(spec.k)])
-        for b_init in b_guesses:
+        _log.debug("refine: bracket %r bisected to a=%r", bracket, a_root)
+        for b_init in _ranked_seeds(spec, config, accel, a_root):
             try:
                 profile = solve(spec, config, init=(a_root, b_init))
-            except (NoConvergence, TrajectoryEscaped, IntegratorStall):
+            except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
+                _log.debug("refine: seed b=%r failed: %s", b_init, exc)
                 continue
-            inside = points[i - 1].a <= profile.slope0 <= pt.a
-            duplicate = any(
+            _log.debug(
+                "refine: seed b=%r converged to (%r, %r)",
+                b_init, profile.slope0, profile.slope1,
+            )
+            if not bracket[0] <= profile.slope0 <= bracket[1]:
+                _log.debug("refine: bracket %r dropped: slope0 outside it", bracket)
+            elif any(
                 abs(p.slope0 - profile.slope0) <= DUPLICATE_SLOPE_TOL
                 and abs(p.slope1 - profile.slope1) <= DUPLICATE_SLOPE_TOL
                 for p in profiles
-            )
-            if inside and not duplicate:
+            ):
+                _log.debug("refine: bracket %r dropped: duplicate profile", bracket)
+            else:
                 profiles.append(profile)
             break
+        else:
+            _log.debug("refine: bracket %r dropped: no seed converged", bracket)
     profiles.sort(key=lambda p: abs(p.slope0 - spec.k))
     return profiles

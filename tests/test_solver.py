@@ -1,5 +1,6 @@
 """Series starts, shooting, sweeps and the profiles they produce."""
 
+import logging
 import math
 import struct
 
@@ -381,13 +382,32 @@ class TestRefineBrackets:
         assert abs(best.slope0 - 1.0) < 1e-6
         assert best.max_linear_deviation() < 1e-6
 
-    def test_refines_nonlinear_degree_one_solution(self):
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        return counts
+
+    def test_refines_nonlinear_degree_one_solution(self, monkeypatch):
         # first excited degree-1 solution on (1,2,2): symmetric, initial
         # slope 12.1254021...; the value is frozen from a converged run and
         # is validated here by the match gap, not by the frozen digits
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
-        profiles = solver.refine_brackets(spec, config)
+        points = solver.sweep(spec, config)
+        counts = self.count_calls(monkeypatch, "solve", "shoot")
+        profiles = solver.refine_brackets(spec, config, points)
+        # the seed b = a has the smallest initial gap and converges at once;
+        # the extrapolated seed (b ~ 0.7 here) would wander and fail
+        assert counts["solve"] == 1
+        assert counts["shoot"] <= 20
         assert profiles
         prof = profiles[0]
         tol = solver.GAP_TOL_FACTOR * (1 + abs(spec.k))
@@ -397,7 +417,49 @@ class TestRefineBrackets:
         assert prof.max_linear_deviation() > 1.0  # genuinely nonlinear
 
 
-    def test_criterion_grid_keeps_one_profile_per_root(self):
+    def test_bisection_stops_when_the_float_interval_is_exhausted(self, monkeypatch):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
+        points = solver.sweep(spec, config)
+        (i,) = [i for i, p in enumerate(points) if p.sign_change]
+        # the full 60-step loop, whose late steps repeat an end of the bracket
+        accel = ode.rhs(spec)
+        lo, hi = points[i - 1].a, points[i].a
+        glo = solver._terminal_gap(spec, config, accel, lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gmid = solver._terminal_gap(spec, config, accel, mid)
+            if (gmid < 0.0) == (glo < 0.0):
+                lo, glo = mid, gmid
+            else:
+                hi = mid
+        a_root = 0.5 * (lo + hi)
+        counts = self.count_calls(monkeypatch, "_terminal_gap")
+        (prof,) = solver.refine_brackets(spec, config, points)
+        assert counts["_terminal_gap"] <= 48
+        # Newton converges on its first shot here, so slope0 is a_root itself
+        assert struct.pack("<d", prof.slope0) == struct.pack("<d", a_root)
+
+    def test_debug_log_reports_seeds_and_drops(self, caplog):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
+        points = solver.sweep(spec, config)
+        quiet = solver.refine_brackets(spec, config, points)
+        # the same bracket twice: the second refinement is a duplicate
+        (i,) = [i for i, p in enumerate(points) if p.sign_change]
+        twice = points[i - 1:i + 1] * 2
+        caplog.set_level(logging.DEBUG, logger="cohom1")
+        logged = solver.refine_brackets(spec, config, twice)
+        assert [(p.slope0, p.slope1) for p in logged] == [
+            (p.slope0, p.slope1) for p in quiet
+        ]
+        assert not logging.getLogger("cohom1").handlers
+        messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
+        assert sum("seeds by gap norm" in m for m in messages) == 2
+        assert sum(" converged to " in m for m in messages) == 2
+        assert sum("dropped: duplicate profile" in m for m in messages) == 1
+
+    def test_criterion_grid_keeps_one_profile_per_root(self, caplog):
         # the (0, 0.039) bracket converges to the identity and the near-miss
         # of the k=0 bump near 3.54 to 12.1254; both leave their brackets
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -407,7 +469,10 @@ class TestRefineBrackets:
             (points[i - 1].a, p.a) for i, p in enumerate(points) if p.sign_change
         ]
         assert len(brackets) == 4
+        caplog.set_level(logging.DEBUG, logger="cohom1")
         profiles = solver.refine_brackets(spec, config, points)
+        messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
+        assert sum("dropped: slope0 outside it" in m for m in messages) == 2
         assert [p.slope0 for p in profiles] == [
             pytest.approx(1.0, abs=1e-6), pytest.approx(12.1254021, abs=1e-6)
         ]
@@ -416,6 +481,17 @@ class TestRefineBrackets:
 
 
 class TestNonlinearSolutions:
+    def test_degree_one_residual_is_second_order_in_the_grid(self):
+        # the residual of the 12.1254 profile (1.23e-3 at 513 points) is the
+        # O(h^2) error of the finite-difference r'' in ode.residual_norm,
+        # not a solver defect: doubling the points cuts it about fourfold
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        init = (12.125402108661788, 12.125402108661788)
+        coarse = solver.solve(spec, init=init, profile_points=513)
+        fine = solver.solve(spec, init=init, profile_points=1025)
+        assert (coarse.slope0, coarse.slope1) == (fine.slope0, fine.slope1)
+        assert coarse.residual / fine.residual >= 3.5
+
     def test_degree_zero_bump(self):
         # the first nontrivial degree-0 solution on (1,2,2): a positive
         # bump, mirror-symmetric, slopes +/-3.53770354 (frozen from a
