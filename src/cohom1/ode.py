@@ -299,8 +299,9 @@ def rhs(
                 f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
             )
         Gt = G * t
-        sg = sin(rem(Gt, TAU))
-        cg = cos(rem(Gt, TAU))
+        g = rem(Gt, TAU)
+        sg = sin(g)
+        cg = cos(g)
         s2g = sin(rem(2.0 * Gt, TAU))
         u = 2.0 * (r - t)
         su = sin(rem(u, TAU))

@@ -233,14 +233,21 @@ def _integrate(
     ``nodes`` must be sorted in the direction of integration and lie in
     (t0, t_end]; they are evaluated from the dense-output interpolant of
     each accepted step, so recorded samples stay smooth at node spacing
-    regardless of the step sequence.  Returns the final (r, v).
+    regardless of the step sequence.  ``record`` (a list) then gains one
+    (t, r, v) per node passed, in node order, also when the run raises.
+    Returns the final (r, v).
     """
     if abs(t_end - t0) == 0.0:
         return r0, v0
-    state = _dp_run(
-        accel, _dp_start(accel, t0, r0, v0, t_end), t_end,
-        rel_tol, abs_tol, blowup_cap, nodes, record,
-    )
+    raw = [] if record is not None else None
+    try:
+        state = _dp_run(
+            accel, _dp_start(accel, t0, r0, v0, t_end), t_end,
+            rel_tol, abs_tol, blowup_cap, nodes, raw,
+        )
+    finally:
+        if raw:
+            record.extend(_dense_states(raw))
     return state[1], state[2]
 
 
@@ -267,6 +274,9 @@ def _dp_run(
     Returns the state at t_end, or once the run has taken ``pause_at``
     steps; passing that state back in resumes the run bit for bit.  The
     first-same-as-last derivative k1r is always v, so it is not stored.
+    For each node an accepted step passes, ``record`` gains the raw row
+    that :func:`_dense_states` turns into the node's state: (node, theta,
+    h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) of that step.
     """
     t, r, v, h, k1v, steps = state
     k1r = v
@@ -307,25 +317,11 @@ def _dp_run(
 
         if err <= 1.0:
             while next_node is not None and (t_new - next_node) * direction >= 0.0:
-                th = (next_node - t) / h
-                th2 = th * th
-                th3 = th2 * th
-                th4 = th3 * th
-                ur = r
-                uv = v
-                for ks_r, ks_v, row in (
-                    (k1r, k1v, _P[0]),
-                    (k3r, k3v, _P[2]),
-                    (k4r, k4v, _P[3]),
-                    (k5r, k5v, _P[4]),
-                    (k6r, k6v, _P[5]),
-                    (k7r, k7v, _P[6]),
-                ):
-                    w = row[0] * th + row[1] * th2 + row[2] * th3 + row[3] * th4
-                    ur += h * w * ks_r
-                    uv += h * w * ks_v
                 if record is not None:
-                    record.append((next_node, ur, uv))
+                    record.append((
+                        next_node, (next_node - t) / h, h, r, v, k1r, k1v,
+                        k3r, k3v, k4r, k4v, k5r, k5v, k6r, k6v, k7r, k7v,
+                    ))
                 next_node = next(node_iter, None)
             t, r, v = t_new, r_new, v_new
             k1r, k1v = k7r, k7v
@@ -344,6 +340,28 @@ def _dp_run(
         if steps > _MAX_STEPS:
             raise IntegratorStall(t, detail="step budget exhausted")
     return t, r, v, h, k1v, steps
+
+
+def _dense_states(raw: list) -> list:
+    """(t, r, v) at each node from the raw rows of :func:`_dp_run`.
+
+    The quartic interpolant u = y + h * sum_s w_s(theta) k_s is evaluated
+    for all nodes at once, with the operations and order of a per-node
+    scalar loop (theta powers, then w_s and u += h * w_s * k_s stage by
+    stage); elementwise IEEE arithmetic makes it equal that loop bit for
+    bit.
+    """
+    rows = np.array(raw, dtype=float)
+    th, h = rows[:, 1], rows[:, 2]
+    th2 = th * th
+    th3 = th2 * th
+    th4 = th3 * th
+    ur, uv = rows[:, 3], rows[:, 4]
+    for col, p in zip(range(5, 17, 2), (_P[0], *_P[2:])):
+        w = p[0] * th + p[1] * th2 + p[2] * th3 + p[3] * th4
+        ur = ur + h * w * rows[:, col]
+        uv = uv + h * w * rows[:, col + 1]
+    return list(zip(rows[:, 0].tolist(), ur.tolist(), uv.tolist()))
 
 
 def _lane_outcome(accel, state: tuple, t_end, rel_tol, abs_tol, blowup_cap):
@@ -500,22 +518,44 @@ def series_start(
 
 
 def shoot(
-    spec: BvpSpec, config: ShootingConfig, a: float, b: float
+    spec: BvpSpec,
+    config: ShootingConfig,
+    a: float,
+    b: float,
+    halves: dict | None = None,
 ) -> tuple[float, float]:
     """Mismatch (value, derivative) at the match point between the trajectory
-    started from the left with slope a and from the right with slope b."""
+    started from the left with slope a and from the right with slope b.
+
+    ``halves`` is an optional memo, for one (spec, config), from
+    (endpoint, slope) to the match-point state (r, v) of that half: a half
+    found in it is not integrated again, and every half that reaches the
+    match point is stored.  The left half runs before the right one and a
+    half that escapes or stalls is not stored, so a shot raises what it
+    would raise without the memo.
+    """
     config.validate(spec)
     accel = ode.rhs(spec)
-    match = config.resolved_match(spec)
-    tl, rl, vl = series_start(spec, Endpoint.LEFT, a, config.eps0)
-    rl, vl = _integrate(
-        accel, tl, rl, vl, match, config.rel_tol, config.abs_tol, config.blowup_cap
-    )
-    tr, rr, vr = series_start(spec, Endpoint.RIGHT, b, config.eps1)
-    rr, vr = _integrate(
-        accel, tr, rr, vr, match, config.rel_tol, config.abs_tol, config.blowup_cap
-    )
+    rl, vl = _half(spec, config, accel, Endpoint.LEFT, a, halves)
+    rr, vr = _half(spec, config, accel, Endpoint.RIGHT, b, halves)
     return rl - rr, vl - vr
+
+
+def _half(spec, config, accel, endpoint: Endpoint, slope: float, halves):
+    """Match-point state (r, v) of the half shot from ``endpoint``."""
+    # 0.0 and -0.0 are one dict key, but their starts may differ in a bit
+    key = (endpoint, slope, math.copysign(1.0, slope))
+    if halves is not None and key in halves:
+        return halves[key]
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    t, r, v = series_start(spec, endpoint, slope, eps)
+    state = _integrate(
+        accel, t, r, v, config.resolved_match(spec),
+        config.rel_tol, config.abs_tol, config.blowup_cap,
+    )
+    if halves is not None:
+        halves[key] = state
+    return state
 
 
 def _gap_norm(gap: tuple[float, float]) -> float:
@@ -532,22 +572,27 @@ def solve(
 
     Starts from ``init`` or from the linear candidate (k, k).  The Jacobian
     is a forward finite difference; steps are halved up to 20 times until
-    the gap norm decreases.  An escape during a probe or a damped trial is
-    treated as a failed trial; only an escape of the very first shot
-    surfaces as TrajectoryEscaped.  On convergence the solution is
-    re-integrated once over a dense output grid and the interior residual
-    is measured by finite-difference reconstruction of r''.
+    the gap norm decreases, and an escape or stall of a damped trial counts
+    as a trial that did not decrease it.  An escape or stall of a Jacobian
+    probe raises NoConvergence ('jacobian probe failed ...'); one of the
+    very first shot surfaces as TrajectoryEscaped or IntegratorStall.
+    Every shot of one call shares a memo of shooting halves (see
+    :func:`shoot`), so a probe or trial integrates only the half whose
+    slope changed.  On convergence the solution is re-integrated once over
+    a dense output grid and the interior residual is measured by
+    finite-difference reconstruction of r''.
 
-    Raises NoConvergence (with the final gaps and iterate) or
-    TrajectoryEscaped.
+    Raises NoConvergence (with the final gaps and iterate),
+    TrajectoryEscaped or IntegratorStall.
     """
     config = config or ShootingConfig()
     config.validate(spec)
     k = spec.k
     a, b = (float(init[0]), float(init[1])) if init is not None else (float(k), float(k))
     tol = GAP_TOL_FACTOR * (1.0 + abs(k))
+    halves: dict = {}
 
-    gap = shoot(spec, config, a, b)
+    gap = shoot(spec, config, a, b, halves)
     norm = _gap_norm(gap)
     iterations = 0
     while norm > tol:
@@ -556,8 +601,8 @@ def solve(
         ha = 1e-7 * (1.0 + abs(a))
         hb = 1e-7 * (1.0 + abs(b))
         try:
-            gap_a = shoot(spec, config, a + ha, b)
-            gap_b = shoot(spec, config, a, b + hb)
+            gap_a = shoot(spec, config, a + ha, b, halves)
+            gap_b = shoot(spec, config, a, b + hb, halves)
         except (TrajectoryEscaped, IntegratorStall) as exc:
             raise NoConvergence(
                 gap, (a, b), iterations, f"jacobian probe failed ({exc})"
@@ -576,7 +621,7 @@ def solve(
         for _ in range(20):
             trial = (a - lam * da, b - lam * db)
             try:
-                trial_gap = shoot(spec, config, *trial)
+                trial_gap = shoot(spec, config, *trial, halves)
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
@@ -762,9 +807,9 @@ def _ranked_seeds(spec, config, accel, a: float) -> list[float]:
 
     The candidates are the pole-clear extrapolation, the symmetric guess
     b = a and the linear guess b = k, in that order.  Each is shot once at
-    a and ranked by its initial gap norm (a stable sort).  A seed whose
-    shot escapes or stalls is left out: ``solve`` would raise the same on
-    its first shot.
+    a and ranked by its initial gap norm (a stable sort); the shots share
+    their left half.  A seed whose shot escapes or stalls is left out:
+    ``solve`` would raise the same on its first shot.
     """
     candidates = []
     b_extrap = _right_slope_estimate(spec, config, accel, a)
@@ -772,9 +817,10 @@ def _ranked_seeds(spec, config, accel, a: float) -> list[float]:
         candidates.append(b_extrap)
     candidates.extend([a, float(spec.k)])
     ranked = []
+    halves: dict = {}
     for b in candidates:
         try:
-            norm = _gap_norm(shoot(spec, config, a, b))
+            norm = _gap_norm(shoot(spec, config, a, b, halves))
         except (TrajectoryEscaped, IntegratorStall) as exc:
             _log.debug("refine: seed b=%r dropped, first shot failed: %s", b, exc)
             continue

@@ -2,13 +2,15 @@
 
 import logging
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
-from cohom1 import ode, solver
+from cohom1 import classify, ode, solver
 from cohom1.errors import (
+    CohomError,
     IntegratorStall,
     NoConvergence,
     PoleProximity,
@@ -125,6 +127,229 @@ class TestShoot:
         gaps = solver.shoot(spec, ShootingConfig(), 3.0, 3.0)
         assert all(math.isfinite(x) for x in gaps)
         assert abs(gaps[0]) > 1e-4
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(t0, t_end) of every solver._integrate call made in the test."""
+    calls = []
+    original = solver._integrate
+
+    def counted(accel, t0, r0, v0, t_end, *args, **kwargs):
+        calls.append((t0, t_end))
+        return original(accel, t0, r0, v0, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_integrate", counted)
+    return calls
+
+
+def scalar_dense_states(raw):
+    """Per-node scalar quartic interpolation of _dp_run's raw rows."""
+    out = []
+    for node, th, h, r, v, *ks in raw:
+        th2 = th * th
+        th3 = th2 * th
+        th4 = th3 * th
+        ur, uv = r, v
+        for s, row in enumerate((solver._P[0], *solver._P[2:])):
+            w = row[0] * th + row[1] * th2 + row[2] * th3 + row[3] * th4
+            ur += h * w * ks[2 * s]
+            uv += h * w * ks[2 * s + 1]
+        out.append((node, ur, uv))
+    return out
+
+
+class TestDenseOutput:
+    # (1,2,2,1) at slope 3 is nonlinear, so every stage weight matters
+    SPEC = BvpSpec(G=1, M0=2, M1=2, k=1)
+
+    @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
+    def test_nodes_equal_scalar_interpolation_bit_for_bit(self, endpoint):
+        accel = ode.rhs(self.SPEC)
+        t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
+        nodes = [float(x) for x in np.linspace(0.2, 2.9, 301)]
+        if endpoint is Endpoint.RIGHT:
+            nodes.reverse()
+        rec, raw = [], []
+        solver._integrate(
+            accel, t0, r0, v0, nodes[-1], 1e-10, 1e-12, 1e6, nodes=nodes, record=rec
+        )
+        solver._dp_run(
+            accel, solver._dp_start(accel, t0, r0, v0, nodes[-1]), nodes[-1],
+            1e-10, 1e-12, 1e6, nodes, raw,
+        )
+        assert [x[0] for x in rec] == nodes
+        assert rec == scalar_dense_states(raw)
+
+    def test_profile_samples_equal_scalar_interpolation(self, monkeypatch):
+        # both halves of a profile, the right one integrated backwards
+        config = ShootingConfig()
+        fast = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
+        monkeypatch.setattr(solver, "_dense_states", scalar_dense_states)
+        slow = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
+        assert fast.samples.tobytes() == slow.samples.tobytes()
+        assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
+
+    def test_record_keeps_nodes_passed_before_an_escape(self):
+        accel = ode.rhs(self.SPEC)
+        t0, r0, v0 = solver.series_start(self.SPEC, Endpoint.LEFT, 10.0, 1e-5)
+        nodes = [float(x) for x in np.linspace(0.1, math.pi - 1e-5, 40)]
+        rec = []
+        with pytest.raises(TrajectoryEscaped) as info:
+            solver._integrate(
+                accel, t0, r0, v0, nodes[-1], 1e-10, 1e-12, 100.0, nodes=nodes, record=rec
+            )
+        assert rec and [x[0] for x in rec] == nodes[: len(rec)]
+        assert rec[-1][0] <= info.value.t
+
+
+class TestShootMemo:
+    SPEC = BvpSpec(G=1, M0=2, M1=2, k=1)
+
+    def test_memo_gives_the_same_gap(self):
+        config = ShootingConfig()
+        halves = {}
+        for a, b in ((1.3, 0.8), (1.3, 0.9), (1.2, 0.9), (1.3, 0.8)):
+            assert solver.shoot(self.SPEC, config, a, b, halves) == solver.shoot(
+                self.SPEC, config, a, b
+            )
+        assert len(halves) == 4
+
+    def test_shared_left_half_is_integrated_once(self, integrations):
+        config = ShootingConfig()
+        halves = {}
+        solver.shoot(self.SPEC, config, 1.3, 0.8, halves)
+        solver.shoot(self.SPEC, config, 1.3, 0.9, halves)
+        assert len(integrations) == 3
+        assert [t0 for t0, _t_end in integrations].count(config.eps0) == 1
+
+    def test_ranked_seeds_share_the_left_half(self, integrations):
+        config = ShootingConfig()
+        seeds = solver._ranked_seeds(self.SPEC, config, ode.rhs(self.SPEC), 12.1)
+        assert len(seeds) == 3
+        match = config.resolved_match(self.SPEC)
+        to_match = [t0 for t0, t_end in integrations if t_end == match]
+        assert sorted(to_match) == [config.eps0] + [self.SPEC.length - config.eps1] * 3
+
+    def test_escaping_half_is_not_stored(self):
+        # with the cap at 10 a start slope of 10.5 escapes on the first step
+        config = ShootingConfig(blowup_cap=10.0)
+        halves = {}
+        for _ in range(2):
+            with pytest.raises(TrajectoryEscaped):
+                solver.shoot(self.SPEC, config, 10.5, 1.0, halves)
+        assert halves == {}
+        # a right half that escapes leaves the left one stored
+        for _ in range(2):
+            with pytest.raises(TrajectoryEscaped):
+                solver.shoot(self.SPEC, config, 1.0, 10.5, halves)
+        assert [key[0] for key in halves] == [Endpoint.LEFT]
+
+
+def reference_solve(spec, config, init):
+    """solve's damped Newton loop with plain shots, no memo of halves."""
+    a, b = float(init[0]), float(init[1])
+    tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
+    gap = solver.shoot(spec, config, a, b)
+    norm = math.hypot(*gap)
+    iterations = 0
+    while norm > tol:
+        if iterations >= config.max_newton:
+            raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
+        ha = 1e-7 * (1.0 + abs(a))
+        hb = 1e-7 * (1.0 + abs(b))
+        try:
+            gap_a = solver.shoot(spec, config, a + ha, b)
+            gap_b = solver.shoot(spec, config, a, b + hb)
+        except (TrajectoryEscaped, IntegratorStall) as exc:
+            raise NoConvergence(
+                gap, (a, b), iterations, f"jacobian probe failed ({exc})"
+            ) from exc
+        j00 = (gap_a[0] - gap[0]) / ha
+        j10 = (gap_a[1] - gap[1]) / ha
+        j01 = (gap_b[0] - gap[0]) / hb
+        j11 = (gap_b[1] - gap[1]) / hb
+        det = j00 * j11 - j01 * j10
+        if det == 0.0 or not math.isfinite(det):
+            raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
+        da = (j11 * gap[0] - j01 * gap[1]) / det
+        db = (j00 * gap[1] - j10 * gap[0]) / det
+        lam = 1.0
+        for _ in range(20):
+            trial = (a - lam * da, b - lam * db)
+            try:
+                trial_gap = solver.shoot(spec, config, *trial)
+            except (TrajectoryEscaped, IntegratorStall):
+                lam *= 0.5
+                continue
+            trial_norm = math.hypot(*trial_gap)
+            if trial_norm < norm:
+                a, b = trial
+                gap, norm = trial_gap, trial_norm
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
+        iterations += 1
+    return solver._dense_profile(spec, config, a, b, gap, 513)
+
+
+def solve_outcome(fn, spec, config, init):
+    try:
+        p = fn(spec, config, init)
+    except CohomError as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "iterate", None)
+    floats = (p.slope0, p.slope1, *p.match_gap, p.residual)
+    return "converged", struct.pack("<5d", *floats), p.samples.tobytes()
+
+
+def newton_cases():
+    """(spec, config, init, part of the expected message or None if it
+    converges): perturbed table rows, then one case per way out of solve."""
+    rng = random.Random(4)
+    cases = []
+    for v in classify.examples_table()[::4]:
+        spec = BvpSpec(G=v.action.bvp_g, M0=v.action.m0, M1=v.action.m1, k=v.k)
+        w = 0.05 * (1.0 + abs(v.k))
+        init = (v.k + rng.uniform(-w, w), v.k + rng.uniform(-w, w))
+        cases.append((spec, ShootingConfig(), init, None))
+    nonlinear = BvpSpec(G=1, M0=2, M1=2, k=1)
+    capped = ShootingConfig(blowup_cap=10.0)
+    return cases + [
+        (BvpSpec(G=1, M0=1, M1=1, k=1), ShootingConfig(),
+         (0.9939276939480615, 0.9430737289260273), "damping failed to reduce gap"),
+        (nonlinear, ShootingConfig(max_newton=2), (1.4, 0.7), "iteration cap reached"),
+        (nonlinear, capped, (10.0, 1.0), "jacobian probe failed"),
+        (nonlinear, capped, (10.5, 1.0), "trajectory escaped"),
+        (nonlinear, ShootingConfig(), (12.1, 12.2), None),
+    ]
+
+
+class TestSharedHalves:
+    @pytest.mark.parametrize("spec, config, init, expected", newton_cases())
+    def test_solve_is_bit_identical_to_memo_free_newton(self, spec, config, init, expected):
+        got = solve_outcome(solver.solve, spec, config, init)
+        assert got == solve_outcome(reference_solve, spec, config, init)
+        if expected is None:
+            assert got[0] == "converged"
+        else:
+            assert expected in got[2]
+
+    def test_integrates_each_distinct_half_once(self, monkeypatch, integrations):
+        spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
+        shots = []
+        shoot = solver.shoot
+
+        def counted_shoot(*args, **kwargs):
+            shots.append(args[2:4])
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "shoot", counted_shoot)
+        solver.solve(spec, init=(-0.97, -1.04))
+        distinct = {("left", a) for a, _b in shots} | {("right", b) for _a, b in shots}
+        assert len(shots) > 3
+        assert len(integrations) == len(distinct) + 2
+        assert len(integrations) < 2 * len(shots) + 2
 
 
 class TestConfigValidation:
