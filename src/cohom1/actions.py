@@ -216,33 +216,22 @@ def degree_of_k_map(action: ActionDescriptor, j: int) -> int:
     return 1
 
 
-# Families for which the tangential component is not settled: all have g=4.
-def _tangential_unresolved(g: int, m0: int, m1: int) -> bool:
-    if g != 4:
-        return False
-    a, b = sorted((m0, m1))
-    if a == 2 and b % 2 == 1 and b >= 3:
-        return True                          # (4,2,2l+1), l >= 1
-    if (a == 4 and b % 4 == 3) or (b == 4 and a % 4 == 3):
-        return True                          # (4,4,4l+3)
-    return (a, b) in ((4, 5), (6, 9))
-
-
 def tangential_vanishes(action: ActionDescriptor) -> Tangential:
     """Whether the orbit-tangent tension component vanishes for every
     equivariant map of this action.
 
-    Resolved for every classified triple except four g=4 families; (4,2,1)
-    falls under the settled (4,m0,1) computation, so its l=0 overlap with
-    (4,2,2l+1) does not make it exceptional.  The Sp(2) lift vanishes: the
-    principal isotropy group fixes only the normal geodesic.
+    Resolved for every classified triple except four g=4 families:
+    (4,2,2l+1) with l >= 1, (4,4,4l+3), (4,5) and (6,9).  Among classified
+    g=4 pairs those are exactly the ones other than (4,m,1) and (4,2,2);
+    (4,2,1) falls under the settled (4,m0,1) computation, so its l=0
+    overlap with (4,2,2l+1) does not make it exceptional.  The Sp(2) lift
+    vanishes: the principal isotropy group fixes only the normal geodesic.
     """
     violation = _classification_violation(action.g, action.m0, action.m1)
     if violation is not None:
         raise InvalidTriple(violation)
-    if action.space is Space.SP2_LIFT:
-        return Tangential.VANISHES
-    if _tangential_unresolved(action.g, action.m0, action.m1):
+    a, b = sorted((action.m0, action.m1))
+    if action.g == 4 and a != 1 and (a, b) != (2, 2):
         return Tangential.UNRESOLVED
     return Tangential.VANISHES
 

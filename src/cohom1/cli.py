@@ -24,51 +24,45 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, actions, classify, identities, ode, solver
-from .errors import (
-    CohomError,
-    InadmissibleJ,
-    IntegratorStall,
-    InvalidSpace,
-    InvalidTriple,
-    NoConvergence,
-    OddG,
-    PoleProximity,
-    ProfileTooCoarse,
-    TrajectoryEscaped,
-    UnequalMultiplicities,
-)
+from .errors import CohomError, IntegratorStall, NoConvergence, TrajectoryEscaped
 
-_INPUT_ERRORS = (
-    InvalidTriple,
-    InvalidSpace,
-    InadmissibleJ,
-    OddG,
-    PoleProximity,
-    ProfileTooCoarse,
-    UnequalMultiplicities,
-    ValueError,
+#: Exit code of each failure, first match wins; the rest is invalid input.
+_EXIT_CODES = (
+    ((NoConvergence, IntegratorStall), 3),
+    (TrajectoryEscaped, 4),
+    ((CohomError, ValueError), 2),
 )
 
 
-def _manifest(subcommand: str, parameters: dict, outputs: list[str]) -> dict:
-    return {
-        "subcommand": subcommand,
-        "parameters": parameters,
+def _exit_code(exc: Exception) -> int:
+    return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+
+
+def _payload_json(args, params: dict, outputs: list[str], body: dict) -> str:
+    """``body`` under the run manifest of this invocation, as JSON text."""
+    manifest = {
+        "subcommand": args.command,
+        "parameters": params,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
     }
+    return json.dumps({"manifest": manifest, **body}, indent=2)
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+def _report(args, params: dict, body: dict, forms=None) -> int:
+    """Emit ``body`` as JSON under the run manifest, or, when ``--format``
+    names one of ``forms``, the text that form's callable renders."""
+    render = (forms or {}).get(getattr(args, "format", "json"))
+    if render is not None:
+        text = render()
+    else:
+        text = _payload_json(args, params, [args.out] if args.out else [], body)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+    return 0
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -89,19 +83,13 @@ def _spec_from_args(args) -> ode.BvpSpec:
 
 def _config_from_args(args) -> solver.ShootingConfig:
     kwargs = {}
-    for attr, flag in (
-        ("eps0", "eps0"),
-        ("eps1", "eps1"),
-        ("rel_tol", "rel_tol"),
-        ("abs_tol", "abs_tol"),
-        ("match_point", "match_point"),
-        ("sweep_points", "sweep_points"),
-        ("max_newton", "max_newton"),
-        ("blowup_cap", "blowup_cap"),
+    for name in (
+        "eps0", "eps1", "rel_tol", "abs_tol", "match_point", "sweep_points",
+        "max_newton", "blowup_cap",
     ):
-        value = getattr(args, flag, None)
+        value = getattr(args, name, None)
         if value is not None:
-            kwargs[attr] = value
+            kwargs[name] = value
     if getattr(args, "bracket", None) is not None:
         kwargs["bracket"] = _parse_pair(args.bracket, "--bracket")
     return solver.ShootingConfig(**kwargs)
@@ -124,15 +112,10 @@ def cmd_classify(args) -> int:
     action = _action_from_args(args, strict=True)
     verdicts = classify.classify_range(action, args.jmin, args.jmax)
     params = _base_params(args, ("space", "g", "m0", "m1", "jmin", "jmax"))
-    payload = {
-        "manifest": _manifest("classify", params, [args.out] if args.out else []),
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
-    if args.format == "text":
-        _emit(classify.format_table(verdicts), args.out)
-    else:
-        _emit(_dump(payload), args.out)
-    return 0
+    return _report(
+        args, params, {"verdicts": [v.to_dict() for v in verdicts]},
+        {"text": lambda: classify.format_table(verdicts)},
+    )
 
 
 def cmd_degree(args) -> int:
@@ -140,39 +123,37 @@ def cmd_degree(args) -> int:
     k = actions.admissible_k(action, args.j)
     degree = actions.degree_of_k_map(action, args.j)
     params = _base_params(args, ("space", "g", "m0", "m1", "j"))
-    payload = {
-        "manifest": _manifest("degree", params, [args.out] if args.out else []),
-        "ambient": action.ambient,
-        "j": args.j,
-        "k": k,
-        "degree": degree,
-    }
-    if args.format == "text":
-        _emit(str(degree), args.out)
-    else:
-        _emit(_dump(payload), args.out)
-    return 0
+    body = {"ambient": action.ambient, "j": args.j, "k": k, "degree": degree}
+    return _report(args, params, body, {"text": lambda: str(degree)})
 
 
 def cmd_table(args) -> int:
     verdicts = classify.examples_table()
-    payload = {
-        "manifest": _manifest("table", {}, [args.out] if args.out else []),
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
-    if args.format == "text":
-        _emit(classify.format_table(verdicts), args.out)
-    elif args.format == "csv":
-        lines = ["ambient,g,m0,m1,k,harmonic,degree"]
-        for v in verdicts:
-            lines.append(
-                f"{v.action.ambient},{v.action.g},{v.action.m0},{v.action.m1},"
-                f"{v.k},{int(v.harmonic)},{v.degree}"
-            )
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_dump(payload), args.out)
-    return 0
+
+    def csv() -> str:
+        rows = (
+            f"{v.action.ambient},{v.action.g},{v.action.m0},{v.action.m1},"
+            f"{v.k},{int(v.harmonic)},{v.degree}"
+            for v in verdicts
+        )
+        return "\n".join(["ambient,g,m0,m1,k,harmonic,degree", *rows])
+
+    return _report(
+        args, {}, {"verdicts": [v.to_dict() for v in verdicts]},
+        {"text": lambda: classify.format_table(verdicts), "csv": csv},
+    )
+
+
+def _failure(exc: CohomError) -> dict:
+    if isinstance(exc, NoConvergence):
+        return {
+            "error": "no-convergence",
+            "final_gaps": list(exc.gaps),
+            "final_iterate": list(exc.iterate),
+            "iterations": exc.iterations,
+        }
+    kind = "trajectory-escaped" if isinstance(exc, TrajectoryEscaped) else "integrator-stall"
+    return {"error": kind, "detail": str(exc)}
 
 
 def cmd_solve(args) -> int:
@@ -187,47 +168,29 @@ def cmd_solve(args) -> int:
     params["init"] = list(init) if init else None
 
     def write_metadata(body: dict, outputs: list[str]) -> None:
-        payload = {"manifest": _manifest("solve", params, outputs), **body}
-        json_path.write_text(_dump(payload) + "\n", encoding="utf-8")
-        print(_dump(payload))
+        text = _payload_json(args, params, outputs, body)
+        json_path.write_text(text + "\n", encoding="utf-8")
+        print(text)
 
     try:
         profile = solver.solve(
             spec, config, init=init, profile_points=args.profile_points
         )
-    except NoConvergence as exc:
+    except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
+        # Write the metadata, then let main report the failure and exit code.
         write_metadata(
             {
                 "converged": False,
-                "error": "no-convergence",
-                "final_gaps": list(exc.gaps),
-                "final_iterate": list(exc.iterate),
-                "iterations": exc.iterations,
+                **_failure(exc),
                 "spec": spec.to_dict(),
                 "config": config.to_dict(spec),
             },
             [str(json_path)],
         )
-        print(f"cohom1 solve: {exc}", file=sys.stderr)
-        return 3
-    except (TrajectoryEscaped, IntegratorStall) as exc:
-        code = 4 if isinstance(exc, TrajectoryEscaped) else 3
-        write_metadata(
-            {
-                "converged": False,
-                "error": "trajectory-escaped" if code == 4 else "integrator-stall",
-                "detail": str(exc),
-                "spec": spec.to_dict(),
-                "config": config.to_dict(spec),
-            },
-            [str(json_path)],
-        )
-        print(f"cohom1 solve: {exc}", file=sys.stderr)
-        return code
+        raise
 
     profile.write_csv(csv_path)
-    body = {"converged": True, **profile.metadata(config)}
-    body["profile_csv"] = str(csv_path)
+    body = {"converged": True, **profile.metadata(config), "profile_csv": str(csv_path)}
     write_metadata(body, [str(csv_path), str(json_path)])
     return 0
 
@@ -239,21 +202,19 @@ def cmd_sweep(args) -> int:
     params = _base_params(args, ("space", "g", "m0", "m1", "k"))
     params["sweep_points"] = config.sweep_points
     params["bracket"] = list(config.resolved_bracket(spec))
-    payload = {
-        "manifest": _manifest("sweep", params, [args.out] if args.out else []),
+    body = {
         "spec": spec.to_dict(),
         "config": config.to_dict(spec),
         "points": [
             {"a": p.a, "sign_change": p.sign_change, "gap": p.gap} for p in points
         ],
     }
-    if args.format == "csv":
-        lines = ["a,sign_change,gap"]
-        lines.extend(f"{p.a:.17g},{int(p.sign_change)},{p.gap:.17g}" for p in points)
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_dump(payload), args.out)
-    return 0
+
+    def csv() -> str:
+        rows = (f"{p.a:.17g},{int(p.sign_change)},{p.gap:.17g}" for p in points)
+        return "\n".join(["a,sign_change,gap", *rows])
+
+    return _report(args, params, body, {"csv": csv})
 
 
 def cmd_residual(args) -> int:
@@ -261,15 +222,13 @@ def cmd_residual(args) -> int:
     data = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
     max_abs, boundary = ode.residual_norm(spec, data)
     params = _base_params(args, ("space", "g", "m0", "m1", "k", "profile"))
-    payload = {
-        "manifest": _manifest("residual", params, [args.out] if args.out else []),
+    body = {
         "spec": spec.to_dict(),
         "max_abs": max_abs,
         "boundary_err": list(boundary),
         "samples": int(data.shape[0]),
     }
-    _emit(_dump(payload), args.out)
-    return 0
+    return _report(args, params, body)
 
 
 def cmd_identity_check(args) -> int:
@@ -277,12 +236,7 @@ def cmd_identity_check(args) -> int:
         g_max=args.g_max, samples=args.samples, seed=args.seed, margin=args.margin
     )
     params = _base_params(args, ("g_max", "samples", "seed", "margin"))
-    payload = {
-        "manifest": _manifest("identity-check", params, [args.out] if args.out else []),
-        "identities": report,
-    }
-    _emit(_dump(payload), args.out)
-    return 0
+    return _report(args, params, {"identities": report})
 
 
 def _add_triple_flags(parser, with_k: bool) -> None:
@@ -377,21 +331,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (CohomError, ValueError) as exc:
         print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergence as exc:
-        print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except IntegratorStall as exc:
-        print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except TrajectoryEscaped as exc:
-        print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
-        return 4
-    except CohomError as exc:  # pragma: no cover - safety net
-        print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OddG, PoleProximity
+from .errors import OddG
+from .ode import pole_distance, require_regular
 
 TAU = 2.0 * math.pi
 
@@ -50,12 +51,7 @@ def _check_g(g: int) -> int:
 
 def _check_regular(g: int, t, margin: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    step = math.pi / g
-    dist = np.abs(t - np.round(t / step) * step)
-    if np.any(dist < margin):
-        raise PoleProximity(
-            f"t within {margin:g} of the pole set (pi/{g})*Z"
-        )
+    require_regular(t, g, margin)
     return t
 
 
@@ -68,46 +64,36 @@ def _unpack(g, r, t):
     return g, r, t
 
 
-def lemma_sin_sq(g, r=None, t=None, margin: float = 1e-8):
-    """Both sides of the sin-square summation identity."""
+def _shifted_sum(g: int, t, term):
+    """sum_i term(i, x_i) over i = 0..g-1, x_i = t - i pi/g reduced mod 2 pi."""
+    total = 0.0
+    for i in range(g):
+        total = total + term(i, np.remainder(t - i * math.pi / g, TAU))
+    return total
+
+
+def _sin_lemma(g, r, t, margin, num):
+    """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
+    = g ((g-1) num(r-t) + num(r + (g-1) t))."""
     g, r, t = _unpack(g, r, t)
     g = _check_g(g)
     t = _check_regular(g, t, margin)
     r = np.asarray(r, dtype=float)
-    sin_gt_sq = np.sin(np.remainder(g * t, TAU)) ** 2
-    lhs = np.zeros(np.broadcast(r, t).shape)
-    for i in range(g):
-        off = i * math.pi / g
-        lhs = lhs + np.sin(np.remainder(r - off, TAU)) ** 2 / np.sin(
-            np.remainder(t - off, TAU)
-        ) ** 2
-    lhs = lhs * sin_gt_sq
-    rhs = g * (
-        (g - 1) * np.sin(np.remainder(r - t, TAU)) ** 2
-        + np.sin(np.remainder(r + (g - 1) * t, TAU)) ** 2
-    )
+    lhs = _shifted_sum(
+        g, t, lambda i, x: num(r - i * math.pi / g) / np.sin(x) ** 2
+    ) * np.sin(np.remainder(g * t, TAU)) ** 2
+    rhs = g * ((g - 1) * num(r - t) + num(r + (g - 1) * t))
     return lhs, rhs
+
+
+def lemma_sin_sq(g, r=None, t=None, margin: float = 1e-8):
+    """Both sides of the sin-square summation identity."""
+    return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(y, TAU)) ** 2)
 
 
 def lemma_sin_2r(g, r=None, t=None, margin: float = 1e-8):
     """Both sides of the sin-double-angle summation identity."""
-    g, r, t = _unpack(g, r, t)
-    g = _check_g(g)
-    t = _check_regular(g, t, margin)
-    r = np.asarray(r, dtype=float)
-    sin_gt_sq = np.sin(np.remainder(g * t, TAU)) ** 2
-    lhs = np.zeros(np.broadcast(r, t).shape)
-    for i in range(g):
-        off = i * math.pi / g
-        lhs = lhs + np.sin(np.remainder(2.0 * (r - off), TAU)) / np.sin(
-            np.remainder(t - off, TAU)
-        ) ** 2
-    lhs = lhs * sin_gt_sq
-    rhs = g * (
-        (g - 1) * np.sin(np.remainder(2.0 * (r - t), TAU))
-        + np.sin(np.remainder(2.0 * (r + (g - 1) * t), TAU))
-    )
-    return lhs, rhs
+    return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(2.0 * y, TAU)))
 
 
 def cotangent_identity(g, t, margin: float = 1e-8):
@@ -115,11 +101,7 @@ def cotangent_identity(g, t, margin: float = 1e-8):
     g = _check_g(g)
     t = _check_regular(g, t, margin)
     lhs = g * np.cos(np.remainder(g * t, TAU)) / np.sin(np.remainder(g * t, TAU))
-    rhs = np.zeros(np.shape(t))
-    for i in range(g):
-        x = np.remainder(t - i * math.pi / g, TAU)
-        rhs = rhs + np.cos(x) / np.sin(x)
-    return lhs, rhs
+    return lhs, _shifted_sum(g, t, lambda i, x: np.cos(x) / np.sin(x))
 
 
 def half_sum_split(g, m0, m1, t, margin: float = 1e-8):
@@ -130,12 +112,10 @@ def half_sum_split(g, m0, m1, t, margin: float = 1e-8):
     t = _check_regular(g, t, margin)
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
-    direct = np.zeros(np.broadcast(np.asarray(t), m0, m1).shape)
-    for i in range(g):
-        x = np.remainder(t - i * math.pi / g, TAU)
-        mi = m0 if i % 2 == 0 else m1
-        direct = direct + mi * np.cos(x) / np.sin(x)
-    gt = np.remainder(g * np.asarray(t, dtype=float), TAU)
+    direct = _shifted_sum(
+        g, t, lambda i, x: (m0 if i % 2 == 0 else m1) * np.cos(x) / np.sin(x)
+    )
+    gt = np.remainder(g * t, TAU)
     split = 0.5 * g * ((m0 + m1) * np.cos(gt) / np.sin(gt) + (m0 - m1) / np.sin(gt))
     return direct, split
 
@@ -147,15 +127,28 @@ def mixed_deviation(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 
+def _check_margin(g: int, margin: float) -> None:
+    # Poles are pi/g apart, so no point clears them by pi/(2g) or more.
+    bound = math.pi / (2 * g)
+    if not 0.0 < margin < bound:
+        raise ValueError(
+            f"margin (--margin) must lie in (0, pi/(2g)) = (0, {bound:.6g}) "
+            f"for g = {g}, got {margin!r}"
+        )
+
+
 def sample_regular_t(
     g: int, n: int, rng: np.random.Generator, margin: float
 ) -> np.ndarray:
-    """n points uniform in (0, pi), rejected until clear of the pole set."""
-    step = math.pi / g
+    """n points uniform in (0, pi), rejected until clear of the pole set.
+
+    Raises ValueError unless 0 < margin < pi/(2g), the only margins that
+    leave room between the poles.
+    """
+    _check_margin(g, margin)
     t = rng.uniform(0.0, math.pi, size=n)
     while True:
-        dist = np.abs(t - np.round(t / step) * step)
-        bad = dist < margin
+        bad = pole_distance(t, g) < margin
         if not np.any(bad):
             return t
         t[bad] = rng.uniform(0.0, math.pi, size=int(np.count_nonzero(bad)))
@@ -171,12 +164,21 @@ def identity_suite(
 
     Each identity receives at least ``samples`` points spread over
     g = 1..g_max (even g only for the half-sum split).  Returns the maximum
-    mixed deviation and sample count per identity.
+    mixed deviation and sample count per identity.  Raises ValueError
+    unless g_max >= 1, samples >= 1 and 0 < margin < pi/(2 g_max).
     """
+    for name, value in (("g_max (--g-max)", g_max), ("samples (--samples)", samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    _check_margin(g_max, margin)
     rng = np.random.default_rng(seed)
     names = ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity", "half_sum_split")
     dev = {name: 0.0 for name in names}
     count = {name: 0 for name in names}
+
+    def record(name, sides, n):
+        dev[name] = max(dev[name], mixed_deviation(*sides))
+        count[name] += n
 
     per_g = -(-samples // g_max)  # ceil
     even_gs = [g for g in range(1, g_max + 1) if g % 2 == 0]
@@ -184,21 +186,14 @@ def identity_suite(
     for g in range(1, g_max + 1):
         t = sample_regular_t(g, per_g, rng, margin)
         r = rng.uniform(0.0, math.pi, size=per_g)
-        dev["lemma_sin_sq"] = max(dev["lemma_sin_sq"], mixed_deviation(*lemma_sin_sq(g, r, t)))
-        dev["lemma_sin_2r"] = max(dev["lemma_sin_2r"], mixed_deviation(*lemma_sin_2r(g, r, t)))
-        dev["cotangent_identity"] = max(
-            dev["cotangent_identity"], mixed_deviation(*cotangent_identity(g, t))
-        )
-        for name in ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity"):
-            count[name] += per_g
+        record("lemma_sin_sq", lemma_sin_sq(g, r, t), per_g)
+        record("lemma_sin_2r", lemma_sin_2r(g, r, t), per_g)
+        record("cotangent_identity", cotangent_identity(g, t), per_g)
         if g % 2 == 0:
             th = sample_regular_t(g, per_even, rng, margin)
             m0 = rng.integers(1, 10, size=per_even)
             m1 = rng.integers(1, 10, size=per_even)
-            dev["half_sum_split"] = max(
-                dev["half_sum_split"], mixed_deviation(*half_sum_split(g, m0, m1, th))
-            )
-            count["half_sum_split"] += per_even
+            record("half_sum_split", half_sum_split(g, m0, m1, th), per_even)
 
     return {
         name: {"max_mixed_deviation": dev[name], "samples": count[name]}

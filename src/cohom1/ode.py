@@ -39,17 +39,25 @@ def _reduce(x: float) -> float:
     return math.remainder(x, TAU)
 
 
-def pole_distance(t: float, G: int) -> float:
-    """Distance from t to the pole set (pi/G) * Z."""
+def pole_distance(t, G: int):
+    """Distance from t, a float or an array, to the pole set (pi/G) * Z."""
     step = math.pi / G
-    return abs(t - round(t / step) * step)
+    return abs(t - np.rint(t / step) * step)
 
 
-def _require_regular(t: float, G: int, margin: float) -> None:
-    if pole_distance(t, G) < margin:
-        raise PoleProximity(
-            f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
-        )
+def require_regular(t, G: int, margin: float) -> None:
+    """Raise :class:`PoleProximity` if t, a float or an array, comes within
+    ``margin`` of the pole set; an array names its first such point."""
+    near = pole_distance(t, G) < margin
+    if isinstance(t, np.ndarray):
+        if not near.any():
+            return
+        t = float(t[near][0])
+    elif not near:
+        return
+    raise PoleProximity(
+        f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def closed_tension(
 
     Zero means the normal component of the tension field vanishes there.
     """
-    _require_regular(sample.t, spec.G, margin)
+    require_regular(sample.t, spec.G, margin)
     A, N = _tension_parts(spec.G, spec.M0, spec.M1, sample.t, sample.r, sample.rdot)
     return A * sample.rddot + N
 
@@ -186,10 +194,7 @@ def closed_tension_grid(
 ) -> np.ndarray:
     """Vectorised closed tension over sample arrays."""
     t = np.asarray(t, dtype=float)
-    step = math.pi / spec.G
-    dist = np.abs(t - np.round(t / step) * step)
-    if np.any(dist < margin):
-        raise PoleProximity(f"grid contains points within {margin:g} of a pole")
+    require_regular(t, spec.G, margin)
     A, N = _tension_parts_np(spec.G, spec.M0, spec.M1, t, r, rdot)
     return A * np.asarray(rddot, dtype=float) + N
 
@@ -205,7 +210,7 @@ def closed_tension_equal_m(
         raise UnequalMultiplicities(
             f"equal-multiplicity form needs M0 == M1, got ({spec.M0},{spec.M1})"
         )
-    _require_regular(sample.t, spec.G, margin)
+    require_regular(sample.t, spec.G, margin)
     G, m = spec.G, spec.M0
     t, r = sample.t, sample.r
     sg = math.sin(_reduce(G * t))
@@ -237,7 +242,7 @@ def raw_tension_sphere(
     4 sin^2(gt) recovers :func:`closed_tension` (for odd g this requires
     m0 == m1, the only case in which the alternating sum is geometric).
     """
-    _require_regular(sample.t, g, margin)
+    require_regular(sample.t, g, margin)
     t, r = sample.t, sample.r
     total = sample.rddot
     forcing = 0.0
@@ -274,8 +279,8 @@ def rhs(
 
     Solves closed_tension == 0 for r''.  The body repeats the
     :func:`_tension_parts` arithmetic with bound locals because this is the
-    integrator's innermost call; the round-trip test pins the two paths
-    together.
+    integrator's innermost call; a test pins the two paths together bit
+    for bit.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
     step = math.pi / G
@@ -294,10 +299,9 @@ def rhs(
         cos=math.cos,
         rem=math.remainder,
     ) -> float:
+        # Inline copy of pole_distance: the scalar hot path's pole test.
         if abs(t - round(t / step) * step) < margin:
-            raise PoleProximity(
-                f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
-            )
+            require_regular(t, G, margin)
         Gt = G * t
         g = rem(Gt, TAU)
         sg = sin(g)
@@ -328,12 +332,9 @@ def _rhs_lanes(
     ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
-    step = math.pi / G
 
     def accel(t: np.ndarray, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
-        near = np.abs(t - np.round(t / step) * step) < margin
-        if near.any():
-            _require_regular(float(t[near][0]), G, margin)
+        require_regular(t, G, margin)
         A, N = _tension_parts_np(G, M0, M1, t, r, rdot, _remainder_exact)
         return -N / A
 

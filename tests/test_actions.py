@@ -176,6 +176,23 @@ class TestTangential:
         a = actions.make_action("sphere", *triple)
         assert actions.tangential_vanishes(a) is Tangential.UNRESOLVED
 
+    def test_unresolved_exactly_on_the_four_g4_families(self):
+        # the families written out, against every classified g=4 pair < 60
+        def listed(a, b):
+            return (
+                (a == 2 and b % 2 == 1 and b >= 3)
+                or (a == 4 and b % 4 == 3)
+                or (b == 4 and a % 4 == 3)
+                or (a, b) in ((4, 5), (6, 9))
+            )
+
+        pairs = [(m0, m1) for g, m0, m1 in actions.strict_triples(59, 29) if g == 4]
+        assert len(pairs) > 80
+        for m0, m1 in pairs + [(m1, m0) for m0, m1 in pairs]:
+            a = actions.make_action("sphere", 4, m0, m1)
+            expected = Tangential.UNRESOLVED if listed(*sorted((m0, m1))) else Tangential.VANISHES
+            assert actions.tangential_vanishes(a) is expected, (m0, m1)
+
     def test_requires_classified_triple(self):
         a = actions.make_action("sphere", 4, 3, 3, strict=False)
         with pytest.raises(InvalidTriple):

@@ -101,6 +101,19 @@ class TestSolve:
         assert meta["error"] == "no-convergence"
         assert len(meta["final_gaps"]) == 2
 
+    def test_escape_exits_4_with_metadata(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "solve", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--init", "3,3", "--blowup-cap", "1.5",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 4
+        assert err.startswith("cohom1 solve: trajectory escaped at t=")
+        meta = json.loads((tmp_path / "solve.json").read_text())
+        assert json.loads(out) == meta
+        assert meta["error"] == "trajectory-escaped"
+        assert meta["manifest"]["outputs"] == [str(tmp_path / "solve.json")]
+
     def test_no_linear_solution_case(self, capsys, tmp_path):
         # k=5 on (4,1,1) has no linear solution; the iteration either gives
         # up or lands on a nonlinear solution, never on the linear ray
@@ -196,6 +209,19 @@ class TestIdentityCheck:
         assert code == 0 and out == ""
         payload = json.loads(out_path.read_text())
         assert payload["manifest"]["outputs"] == [str(out_path)]
+
+
+    def test_margin_without_room_between_poles_exits_2(self, capsys):
+        # pi/(2*12) < 0.2, so no sample could clear the g = 12 poles
+        code, out, err = run(capsys, "identity-check", "--margin", "0.2")
+        assert code == 2 and out == ""
+        assert "--margin" in err
+
+    @pytest.mark.parametrize("flag", ["--g-max", "--samples"])
+    def test_zero_count_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "identity-check", flag, "0")
+        assert code == 2 and out == ""
+        assert flag in err
 
 
 class TestDegree:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from cohom1 import identities
+from cohom1 import identities, ode
 from cohom1.errors import OddG, PoleProximity
 
 RNG = np.random.default_rng(20240311)
@@ -195,3 +195,59 @@ class TestSuite:
         a = identities.identity_suite(samples=500, seed=7)
         b = identities.identity_suite(samples=500, seed=8)
         assert a != b
+
+
+def reference_sums(g, r, t, m0, m1):
+    """The shifted sums written out as one loop each, as a test-local copy."""
+    sq = np.zeros(np.broadcast(r, t).shape)
+    s2 = np.zeros(np.broadcast(r, t).shape)
+    cot = np.zeros(np.shape(t))
+    half = np.zeros(np.shape(t))
+    for i in range(g):
+        off = i * math.pi / g
+        x = np.remainder(t - off, identities.TAU)
+        sq = sq + np.sin(np.remainder(r - off, identities.TAU)) ** 2 / np.sin(x) ** 2
+        s2 = s2 + np.sin(np.remainder(2.0 * (r - off), identities.TAU)) / np.sin(x) ** 2
+        cot = cot + np.cos(x) / np.sin(x)
+        half = half + (m0 if i % 2 == 0 else m1) * np.cos(x) / np.sin(x)
+    sin_gt_sq = np.sin(np.remainder(g * t, identities.TAU)) ** 2
+    return sq * sin_gt_sq, s2 * sin_gt_sq, cot, half
+
+
+class TestShiftedSum:
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_oracles_equal_the_written_out_loops_bit_for_bit(self, g):
+        rng = np.random.default_rng(g)
+        t = identities.sample_regular_t(g, 200, rng, 1e-3)
+        r = rng.uniform(0.0, math.pi, 200)
+        m0 = rng.integers(1, 10, 200).astype(float)
+        m1 = rng.integers(1, 10, 200).astype(float)
+        sq, s2, cot, half = reference_sums(g, r, t, m0, m1)
+        assert identities.lemma_sin_sq(g, r, t)[0].tobytes() == sq.tobytes()
+        assert identities.lemma_sin_2r(g, r, t)[0].tobytes() == s2.tobytes()
+        assert identities.cotangent_identity(g, t)[1].tobytes() == cot.tobytes()
+        if g % 2 == 0:
+            direct = identities.half_sum_split(g, m0, m1, t)[0]
+            assert direct.tobytes() == half.tobytes()
+
+
+class TestSamplingBounds:
+    @pytest.mark.parametrize("g", [1, 4, 12])
+    def test_margin_must_leave_room_between_poles(self, g):
+        rng = np.random.default_rng(3)
+        half_gap = math.pi / (2 * g)
+        for margin in (0.0, -1e-3, half_gap, 2.0 * half_gap, math.nan):
+            with pytest.raises(ValueError, match="--margin"):
+                identities.sample_regular_t(g, 10, rng, margin)
+        t = identities.sample_regular_t(g, 10, rng, 0.9 * half_gap)
+        assert np.all(ode.pole_distance(t, g) >= 0.9 * half_gap)
+
+    def test_suite_rejects_inputs_it_cannot_sample(self):
+        with pytest.raises(ValueError, match="--g-max"):
+            identities.identity_suite(g_max=0)
+        with pytest.raises(ValueError, match="--samples"):
+            identities.identity_suite(samples=0)
+        with pytest.raises(ValueError, match="--margin"):
+            identities.identity_suite(g_max=12, margin=0.2)
+        # the bound is pi/(2 g_max): 0.2 still fits g_max = 7
+        identities.identity_suite(g_max=7, samples=70, margin=0.2)

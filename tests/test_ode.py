@@ -1,6 +1,7 @@
 """Closed-form, simplified and raw-sum tension evaluations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,58 @@ class TestRhs:
         spec = BvpSpec(G=2, M0=1, M1=1, k=1)
         with pytest.raises(PoleProximity):
             ode.rhs(spec)(math.pi / 2, 0.3, 1.0)
+
+    def test_closure_equals_tension_parts_bit_for_bit(self):
+        # the closure's inline arithmetic is the one of _tension_parts
+        rng = np.random.default_rng(4411)
+        for _ in range(2000):
+            G = int(rng.integers(1, 13))
+            M0, M1 = random_multiplicities(G, rng)
+            t = float(rng.uniform(-7.0, 7.0))
+            if ode.pole_distance(t, G) < 1e-6:
+                continue
+            r, v = float(rng.uniform(-20, 20)), float(rng.uniform(-50, 50))
+            A, N = ode._tension_parts(G, M0, M1, t, r, v)
+            got = ode.rhs(BvpSpec(G=G, M0=M0, M1=M1, k=1))(t, r, v)
+            assert got.hex() == (-N / A).hex()
+
+    @pytest.mark.parametrize("G", [1, 2, 5, 12])
+    def test_closure_pole_check_is_pole_distance(self, G):
+        # points straddling the margin around several poles: the closure's
+        # inline test raises exactly where pole_distance is below the margin
+        margin = 1e-8
+        accel = ode.rhs(BvpSpec(G=G, M0=2, M1=2, k=1), margin)
+        offsets = []
+        for d in (margin, 2.0 * margin, 0.5 * margin):
+            offsets += [d, np.nextafter(d, 0.0), np.nextafter(d, 1.0)]
+        raised = kept = 0
+        for n in range(-2, 3 * G):
+            for d in offsets:
+                for t in (n * math.pi / G + d, n * math.pi / G - d):
+                    near = ode.pole_distance(t, G) < margin
+                    if near:
+                        with pytest.raises(PoleProximity):
+                            accel(t, 0.3, 1.0)
+                        raised += 1
+                    else:
+                        accel(t, 0.3, 1.0)
+                        kept += 1
+        assert raised and kept
+
+    def test_pole_distance_of_array_equals_scalar(self):
+        t = RNG.uniform(-10.0, 10.0, 500)
+        for G in (1, 3, 12):
+            dist = ode.pole_distance(t, G)
+            assert [float(d).hex() for d in dist] == [
+                float(ode.pole_distance(float(x), G)).hex() for x in t
+            ]
+
+    def test_array_check_names_the_first_near_point(self):
+        t = np.linspace(0.1, 1.0, 10)
+        ode.require_regular(t, 3, 1e-8)
+        t[[4, 7]] = [math.pi / 3 + 1e-9, 2 * math.pi / 3]
+        with pytest.raises(PoleProximity, match=re.escape(f"t={float(t[4])!r} ")):
+            ode.require_regular(t, 3, 1e-8)
 
 
 def linear_profile(spec, n=257):
