@@ -26,12 +26,14 @@ import numpy as np
 from . import __version__, actions, classify, identities, ode, solver
 from .errors import CohomError, IntegratorStall, NoConvergence, TrajectoryEscaped
 
-#: Exit code of each failure, first match wins; the rest is invalid input.
+#: Exit code of each failure, first match wins; ``main`` catches exactly
+#: these.  The last row is invalid input, an unreadable file included.
 _EXIT_CODES = (
     ((NoConvergence, IntegratorStall), 3),
-    (TrajectoryEscaped, 4),
-    ((CohomError, ValueError), 2),
+    ((TrajectoryEscaped,), 4),
+    ((CohomError, ValueError, OSError), 2),
 )
+_FAILURES = tuple(kind for kinds, _code in _EXIT_CODES for kind in kinds)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CohomError, ValueError) as exc:
+    except _FAILURES as exc:
         print(f"cohom1 {args.command}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -34,6 +34,11 @@ DEFAULT_SEED = 375011
 
 DEFAULT_SAMPLE_MARGIN = 1e-3
 
+# Redraw rounds of sample_regular_t.  A point clear of the poles with chance
+# q >= 1e-3 per draw stays rejected through all of them with chance below
+# 1e-43; at about 10 us a round, a hopeless margin fails within about 1 s.
+_MAX_ROUNDS = 100_000
+
 
 @dataclass(frozen=True)
 class IdentitySample:
@@ -143,15 +148,20 @@ def sample_regular_t(
     """n points uniform in (0, pi), rejected until clear of the pole set.
 
     Raises ValueError unless 0 < margin < pi/(2g), the only margins that
-    leave room between the poles.
+    leave room between the poles, and when _MAX_ROUNDS of redraws leave a
+    point within the margin.
     """
     _check_margin(g, margin)
     t = rng.uniform(0.0, math.pi, size=n)
-    while True:
+    for _round in range(_MAX_ROUNDS):
         bad = pole_distance(t, g) < margin
         if not np.any(bad):
             return t
         t[bad] = rng.uniform(0.0, math.pi, size=int(np.count_nonzero(bad)))
+    raise ValueError(
+        f"margin (--margin) {margin!r} leaves too little room between the "
+        f"poles of g = {g}: {_MAX_ROUNDS} redraws did not clear them"
+    )
 
 
 def identity_suite(

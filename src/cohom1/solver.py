@@ -558,10 +558,6 @@ def _half(spec, config, accel, endpoint: Endpoint, slope: float, halves):
     return state
 
 
-def _gap_norm(gap: tuple[float, float]) -> float:
-    return math.hypot(gap[0], gap[1])
-
-
 def solve(
     spec: BvpSpec,
     config: ShootingConfig | None = None,
@@ -593,7 +589,7 @@ def solve(
     halves: dict = {}
 
     gap = shoot(spec, config, a, b, halves)
-    norm = _gap_norm(gap)
+    norm = math.hypot(*gap)
     iterations = 0
     while norm > tol:
         if iterations >= config.max_newton:
@@ -625,7 +621,7 @@ def solve(
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
-            trial_norm = _gap_norm(trial_gap)
+            trial_norm = math.hypot(*trial_gap)
             if trial_norm < norm:
                 a, b = trial
                 gap, norm = trial_gap, trial_norm
@@ -708,6 +704,19 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
     )
 
 
+def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -> list:
+    """Outcomes (see :func:`_integrate_lanes`) of the halves series-started
+    from ``endpoint`` with each of ``slopes`` and run to t_end as one lane
+    batch."""
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    starts = [series_start(spec, endpoint, float(s), eps) for s in slopes]
+    return _integrate_lanes(
+        accel, ode._rhs_lanes(spec), starts[0][0],
+        [s[1] for s in starts], [s[2] for s in starts], t_end,
+        config.rel_tol, config.abs_tol, config.blowup_cap,
+    )
+
+
 def _terminal_gaps(spec, config, accel, slopes) -> list[float]:
     """Single-ended mismatch at pi/G - eps1 for each left slope, as one lane
     batch.
@@ -715,12 +724,8 @@ def _terminal_gaps(spec, config, accel, slopes) -> list[float]:
     The boundary target is linearised with the trajectory's own terminal
     slope.  An escape gives +/-inf by the sign of r at escape, a stall NaN.
     """
-    t_end = spec.length - config.eps1
-    starts = [series_start(spec, Endpoint.LEFT, float(a), config.eps0) for a in slopes]
-    outcomes = _integrate_lanes(
-        accel, ode._rhs_lanes(spec), config.eps0,
-        [s[1] for s in starts], [s[2] for s in starts], t_end,
-        config.rel_tol, config.abs_tol, config.blowup_cap,
+    outcomes = _half_lanes(
+        spec, config, accel, Endpoint.LEFT, slopes, spec.length - config.eps1
     )
     gaps = []
     for outcome in outcomes:
@@ -732,11 +737,6 @@ def _terminal_gaps(spec, config, accel, slopes) -> list[float]:
             r_end, v_end = outcome
             gaps.append(r_end - (spec.k * spec.length - v_end * config.eps1))
     return gaps
-
-
-def _terminal_gap(spec, config, accel, a: float) -> float:
-    """The one-lane case of :func:`_terminal_gaps`; runs on the scalar loop."""
-    return _terminal_gaps(spec, config, accel, [a])[0]
 
 
 def sweep(
@@ -772,123 +772,109 @@ def sweep(
     return points
 
 
-def _right_slope_estimate(spec, config, accel, a: float) -> float | None:
-    """Boundary slope of the trajectory with left slope a, extrapolated from
-    states clear of the right pole.
-
-    Terminal derivatives at pi/G - eps1 are useless for this: the singular
-    branch amplifies integrator noise by 1/eps1^2 there.  On the smooth
-    branch v(s) = b + 3*c3*s^2 + O(s^4) in the distance s from the
-    endpoint, so sampling at s and s/2 and eliminating the s^2 term gives b
-    with no pole amplification.  The samples sit at s = pi/(4G) and half
-    that, which is not small on the scale of a strongly nonlinear profile:
-    the O(s^4) remainder can then swamp the estimate (it reads 0.714 at the
-    (1,2,2,1) root whose slopes are both 12.1254), so the result is only a
-    seed, and :func:`refine_brackets` ranks it against the other seeds.
-    """
-    s1 = spec.length / 4.0
-    tl, rl, vl = series_start(spec, Endpoint.LEFT, a, config.eps0)
-    try:
-        r1, v1 = _integrate(
-            accel, tl, rl, vl, spec.length - s1,
-            config.rel_tol, config.abs_tol, config.blowup_cap,
-        )
-        _r2, v2 = _integrate(
-            accel, spec.length - s1, r1, v1, spec.length - s1 / 2.0,
-            config.rel_tol, config.abs_tol, config.blowup_cap,
-        )
-    except (TrajectoryEscaped, IntegratorStall):
-        return None
-    return (4.0 * v2 - v1) / 3.0
+# Right slopes of the seed search: twice the sweep's points, over 2.5 times
+# the widest slope of the sweep's bracket.  A solution's right slope can lie
+# beyond every left slope of the grid that brackets it: (2,1,3,1) has
+# b = 13.0473 on the default [-8, 8] and the (1,2,2,0) bump b = -3.5377 on
+# [0, 8].  Right slopes beyond this reach are not searched.
+_RIGHT_DENSITY = 2
+_RIGHT_REACH = 2.5
 
 
-def _ranked_seeds(spec, config, accel, a: float) -> list[float]:
-    """Right-slope seeds for a Newton run from left slope a, best first.
+def _match_states(spec, config, accel, endpoint: Endpoint, slopes) -> np.ndarray:
+    """(r, v) rows at the match point of the halves from ``endpoint``; a
+    half that escapes or stalls gives a row of NaN."""
+    outcomes = _half_lanes(
+        spec, config, accel, endpoint, slopes, config.resolved_match(spec)
+    )
+    return np.array(
+        [(math.nan, math.nan) if isinstance(o, Exception) else o for o in outcomes]
+    )
 
-    The candidates are the pole-clear extrapolation, the symmetric guess
-    b = a and the linear guess b = k, in that order.  Each is shot once at
-    a and ranked by its initial gap norm (a stable sort); the shots share
-    their left half.  A seed whose shot escapes or stalls is left out:
-    ``solve`` would raise the same on its first shot.
-    """
-    candidates = []
-    b_extrap = _right_slope_estimate(spec, config, accel, a)
-    if b_extrap is not None and math.isfinite(b_extrap):
-        candidates.append(b_extrap)
-    candidates.extend([a, float(spec.k)])
-    ranked = []
-    halves: dict = {}
-    for b in candidates:
-        try:
-            norm = _gap_norm(shoot(spec, config, a, b, halves))
-        except (TrajectoryEscaped, IntegratorStall) as exc:
-            _log.debug("refine: seed b=%r dropped, first shot failed: %s", b, exc)
-            continue
-        ranked.append((norm, b))
-    ranked.sort(key=lambda item: item[0])
-    _log.debug("refine: a=%r seeds by gap norm: %s", a, ranked)
-    return [b for _norm, b in ranked]
+
+def _crossings(a, left, b, right) -> list[tuple[float, float]]:
+    """Seeds (a, b) where the left polyline (slope array a, match states
+    left) crosses the right one, both slopes interpolated linearly along
+    their segments.  A segment with a NaN end crosses nothing."""
+    p, dp = left[:-1, None], np.diff(left, axis=0)[:, None]
+    q, dq = right[None, :-1], np.diff(right, axis=0)[None, :]
+    w = q - p
+
+    def cross(x, y):
+        return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+    with np.errstate(all="ignore"):
+        den = cross(dp, dq)
+        s = cross(w, dq) / den
+        u = cross(w, dp) / den
+    hit = (s >= 0.0) & (s <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    j, m = np.nonzero(hit)
+    seed_a = a[j] + s[j, m] * (a[j + 1] - a[j])
+    seed_b = b[m] + u[j, m] * (b[m + 1] - b[m])
+    return list(zip(seed_a.tolist(), seed_b.tolist()))
 
 
 def refine_brackets(
     spec: BvpSpec,
     config: ShootingConfig | None = None,
     points: list[SweepPoint] | None = None,
-    bisect_steps: int = 60,
 ) -> list[SolutionProfile]:
-    """Refine every sweep bracket with bisection, then full double shooting.
+    """Refine each sweep bracket by shooting to the match point.
 
-    Bisection on the terminal gap runs for at most ``bisect_steps`` steps
-    and stops early once no float lies strictly between the bracket ends
-    (every later step would repeat an end).  The bisected left slope seeds
-    a; the right-slope seeds (:func:`_ranked_seeds`) are tried in
-    increasing order of their initial gap norm, and the first whose Newton
-    run converges settles the bracket.  Brackets whose bisection meets a
-    stall (a NaN gap) or whose refinement converges from no seed are
-    dropped, and so is a profile whose slope0 leaves its bracket (Newton
-    jumped to another root, as from a near-miss of another boundary
-    target) or whose slopes are within DUPLICATE_SLOPE_TOL of a profile
-    already kept.  Profiles are reported ordered by |slope0 - k|.  Each
-    decision is logged at DEBUG level on the ``cohom1`` logger.
+    A solution is a point where the left and the right shooting halves meet
+    at the match point.  The right halves run once, as one lane batch, over
+    _RIGHT_DENSITY * config.sweep_points slopes spanning +/-_RIGHT_REACH
+    times the widest slope of config's bracket (independent of ``points``; a
+    right slope beyond that reach is not searched).  They and the left
+    halves at a bracket's ends and at one grid point beyond each end trace
+    two polylines of match states (r, v).  Each crossing seeds ``solve``
+    with both slopes, interpolated linearly along the crossing segments.
+    Seeds nearest the bracket go first, and the first that converges
+    settles the bracket.  Its profile is kept if slope0 lies within the
+    bracket widened by one grid step (a root on a grid point is an end of
+    its bracket up to rounding) and its slopes are not within
+    DUPLICATE_SLOPE_TOL of a profile already kept.  A bracket with no
+    crossing, or with no seed that converges, is dropped.  Profiles are
+    ordered by |slope0 - k|; each decision is logged at DEBUG level on the
+    ``cohom1`` logger.
     """
     config = config or ShootingConfig()
     points = points if points is not None else sweep(spec, config)
+    brackets = [i for i, p in enumerate(points) if p.sign_change]
+    if not brackets:
+        return []
     accel = ode.rhs(spec)
+    reach = _RIGHT_REACH * max(map(abs, config.resolved_bracket(spec)))
+    b_grid = np.linspace(-reach, reach, _RIGHT_DENSITY * config.sweep_points)
+    right = _match_states(spec, config, accel, Endpoint.RIGHT, b_grid)
     profiles: list[SolutionProfile] = []
-    for i, pt in enumerate(points):
-        if not pt.sign_change:
+    for i in brackets:
+        lo, hi = bracket = (points[i - 1].a, points[i].a)
+        step = hi - lo
+        a_grid = np.array([p.a for p in points[max(i - 2, 0):i + 2]])
+        left = _match_states(spec, config, accel, Endpoint.LEFT, a_grid)
+        seeds = sorted(
+            _crossings(a_grid, left, b_grid, right),
+            key=lambda seed: max(lo - seed[0], seed[0] - hi, 0.0),
+        )
+        if not seeds:
+            _log.debug("refine: bracket %r dropped: no crossing", bracket)
             continue
-        lo, hi = bracket = (points[i - 1].a, pt.a)
-        glo = _terminal_gap(spec, config, accel, lo)
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # no float left between lo and hi
-                break
-            gmid = _terminal_gap(spec, config, accel, mid)
-            if gmid != gmid:  # NaN: give up on this bracket
-                lo = hi = math.nan
-                break
-            if (gmid < 0.0) == (glo < 0.0):
-                lo, glo = mid, gmid
-            else:
-                hi = mid
-        if lo != lo:
-            _log.debug("refine: bracket %r dropped: NaN gap in bisection", bracket)
-            continue
-        a_root = 0.5 * (lo + hi)
-        _log.debug("refine: bracket %r bisected to a=%r", bracket, a_root)
-        for b_init in _ranked_seeds(spec, config, accel, a_root):
+        _log.debug("refine: bracket %r seeds from crossings: %s", bracket, seeds)
+        for seed in seeds:
             try:
-                profile = solve(spec, config, init=(a_root, b_init))
+                profile = solve(spec, config, init=seed)
             except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
-                _log.debug("refine: seed b=%r failed: %s", b_init, exc)
+                _log.debug("refine: seed %r failed: %s", seed, exc)
                 continue
             _log.debug(
-                "refine: seed b=%r converged to (%r, %r)",
-                b_init, profile.slope0, profile.slope1,
+                "refine: seed %r converged to (%r, %r)", seed, profile.slope0, profile.slope1
             )
-            if not bracket[0] <= profile.slope0 <= bracket[1]:
-                _log.debug("refine: bracket %r dropped: slope0 outside it", bracket)
+            if not lo - step <= profile.slope0 <= hi + step:
+                _log.debug(
+                    "refine: bracket %r dropped: slope0 more than a grid step outside it",
+                    bracket,
+                )
             elif any(
                 abs(p.slope0 - profile.slope0) <= DUPLICATE_SLOPE_TOL
                 and abs(p.slope1 - profile.slope1) <= DUPLICATE_SLOPE_TOL

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ class TestSolve:
         )
         assert payload["max_abs"] == pytest.approx(reported, abs=1e-9)
         assert payload["boundary_err"][0] < 1e-9
+
+    def test_missing_profile_exits_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "residual", "--space", "so", "--g", "3", "--m0", "2",
+            "--m1", "2", "--k", "-5", "--profile", str(tmp_path / "missing.csv"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 residual: ") and "missing.csv" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_no_convergence_exits_3_with_metadata(self, capsys, tmp_path):
         code, _out, err = run(
@@ -216,6 +226,18 @@ class TestIdentityCheck:
         code, out, err = run(capsys, "identity-check", "--margin", "0.2")
         assert code == 2 and out == ""
         assert "--margin" in err
+
+    def test_margin_just_inside_its_bound_exits_2_promptly(self, capsys):
+        # pi/24 = 0.13089969389957: a uniform point clears the g = 12 poles
+        # with chance below 1e-9, so sampling gives up after its round cap
+        # (about 1 s; the bound only catches a cap lost or grown far too big)
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "identity-check", "--margin", "0.1308996938", "--samples", "100"
+        )
+        assert time.perf_counter() - t0 < 60.0
+        assert code == 2 and out == ""
+        assert "--margin" in err and "g = 12" in err
 
     @pytest.mark.parametrize("flag", ["--g-max", "--samples"])
     def test_zero_count_exits_2(self, capsys, flag):

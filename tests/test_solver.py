@@ -223,14 +223,6 @@ class TestShootMemo:
         assert len(integrations) == 3
         assert [t0 for t0, _t_end in integrations].count(config.eps0) == 1
 
-    def test_ranked_seeds_share_the_left_half(self, integrations):
-        config = ShootingConfig()
-        seeds = solver._ranked_seeds(self.SPEC, config, ode.rhs(self.SPEC), 12.1)
-        assert len(seeds) == 3
-        match = config.resolved_match(self.SPEC)
-        to_match = [t0 for t0, t_end in integrations if t_end == match]
-        assert sorted(to_match) == [config.eps0] + [self.SPEC.length - config.eps1] * 3
-
     def test_escaping_half_is_not_stored(self):
         # with the cap at 10 a start slope of 10.5 escapes on the first step
         config = ShootingConfig(blowup_cap=10.0)
@@ -629,8 +621,8 @@ class TestRefineBrackets:
         points = solver.sweep(spec, config)
         counts = self.count_calls(monkeypatch, "solve", "shoot")
         profiles = solver.refine_brackets(spec, config, points)
-        # the seed b = a has the smallest initial gap and converges at once;
-        # the extrapolated seed (b ~ 0.7 here) would wander and fail
+        # the one crossing of the two half-curves seeds both slopes, and
+        # Newton converges from it
         assert counts["solve"] == 1
         assert counts["shoot"] <= 20
         assert profiles
@@ -640,30 +632,6 @@ class TestRefineBrackets:
         assert prof.slope0 == pytest.approx(12.1254021, abs=1e-5)
         assert prof.slope1 == pytest.approx(prof.slope0, abs=1e-6)
         assert prof.max_linear_deviation() > 1.0  # genuinely nonlinear
-
-
-    def test_bisection_stops_when_the_float_interval_is_exhausted(self, monkeypatch):
-        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
-        points = solver.sweep(spec, config)
-        (i,) = [i for i, p in enumerate(points) if p.sign_change]
-        # the full 60-step loop, whose late steps repeat an end of the bracket
-        accel = ode.rhs(spec)
-        lo, hi = points[i - 1].a, points[i].a
-        glo = solver._terminal_gap(spec, config, accel, lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gmid = solver._terminal_gap(spec, config, accel, mid)
-            if (gmid < 0.0) == (glo < 0.0):
-                lo, glo = mid, gmid
-            else:
-                hi = mid
-        a_root = 0.5 * (lo + hi)
-        counts = self.count_calls(monkeypatch, "_terminal_gap")
-        (prof,) = solver.refine_brackets(spec, config, points)
-        assert counts["_terminal_gap"] <= 48
-        # Newton converges on its first shot here, so slope0 is a_root itself
-        assert struct.pack("<d", prof.slope0) == struct.pack("<d", a_root)
 
     def test_debug_log_reports_seeds_and_drops(self, caplog):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -680,13 +648,13 @@ class TestRefineBrackets:
         ]
         assert not logging.getLogger("cohom1").handlers
         messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
-        assert sum("seeds by gap norm" in m for m in messages) == 2
+        assert sum("seeds from crossings" in m for m in messages) == 2
         assert sum(" converged to " in m for m in messages) == 2
         assert sum("dropped: duplicate profile" in m for m in messages) == 1
 
-    def test_criterion_grid_keeps_one_profile_per_root(self, caplog):
-        # the (0, 0.039) bracket converges to the identity and the near-miss
-        # of the k=0 bump near 3.54 to 12.1254; both leave their brackets
+    def test_criterion_grid_keeps_one_profile_per_root(self, caplog, monkeypatch):
+        # the (0, 0.039) bracket and the near-miss of the k=0 bump near 3.54
+        # are escape-direction flips: no half-curve crossing lies in them
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=512)
         points = solver.sweep(spec, config)
@@ -695,14 +663,58 @@ class TestRefineBrackets:
         ]
         assert len(brackets) == 4
         caplog.set_level(logging.DEBUG, logger="cohom1")
+        counts = self.count_calls(monkeypatch, "solve", "shoot")
         profiles = solver.refine_brackets(spec, config, points)
+        # one solve per root, none failing (the bisection search took 599 shots)
+        assert counts["solve"] == 2 and counts["shoot"] <= 20
         messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
-        assert sum("dropped: slope0 outside it" in m for m in messages) == 2
+        assert sum("dropped: no crossing" in m for m in messages) == 2
+        assert sum(" converged to " in m for m in messages) == 2
+        assert not any("failed" in m or "outside" in m for m in messages)
         assert [p.slope0 for p in profiles] == [
             pytest.approx(1.0, abs=1e-6), pytest.approx(12.1254021, abs=1e-6)
         ]
         for prof in profiles:
             assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
+
+    def test_right_slope_beyond_the_grid(self):
+        # (2,1,3,1): the nonlinear solution's right slope 13.0473 lies
+        # outside the default grid [-8, 8]
+        spec = BvpSpec(G=2, M0=1, M1=3, k=1)
+        profiles = solver.refine_brackets(spec, ShootingConfig())
+        assert [(p.slope0, p.slope1) for p in profiles] == [
+            (pytest.approx(1.0, abs=1e-6), pytest.approx(1.0, abs=1e-6)),
+            (pytest.approx(-0.0953945, abs=1e-6), pytest.approx(13.0473017, abs=1e-6)),
+        ]
+
+    def test_degree_zero_bump_from_a_half_line_grid(self):
+        # the bump's right slope -3.5377 has the other sign from every grid slope
+        spec = BvpSpec(G=1, M0=2, M1=2, k=0)
+        profiles = solver.refine_brackets(spec, ShootingConfig(bracket=(0.0, 8.0)))
+        assert [(p.slope0, p.slope1) for p in profiles] == [
+            (pytest.approx(3.5377035, abs=1e-6), pytest.approx(-3.5377035, abs=1e-6))
+        ]
+
+    def test_bracket_without_a_solution_makes_no_solve(self, monkeypatch):
+        # (1,2,2,-1) has no solution with slope0 in (0.5, 1.5), but its sweep
+        # there flips escape direction once
+        spec = BvpSpec(G=1, M0=2, M1=2, k=-1)
+        config = ShootingConfig(bracket=(0.5, 1.5), sweep_points=17)
+        points = solver.sweep(spec, config)
+        assert sum(p.sign_change for p in points) == 1
+        counts = self.count_calls(monkeypatch, "solve", "shoot")
+        assert solver.refine_brackets(spec, config, points) == []
+        assert counts == {"solve": 0, "shoot": 0}
+
+    def test_solution_family_members_are_reported(self):
+        # (1,1,1,1) has the family tan(r/2) = lam tan(t/2), slopes (lam, 1/lam)
+        spec = BvpSpec(G=1, M0=1, M1=1, k=1)
+        profiles = solver.refine_brackets(spec, ShootingConfig())
+        assert profiles
+        tol = solver.GAP_TOL_FACTOR * (1 + abs(spec.k))
+        for prof in profiles:
+            assert max(abs(g) for g in prof.match_gap) <= tol
+            assert abs(prof.slope0 * prof.slope1 - 1.0) <= 1e-6
 
 
 class TestNonlinearSolutions:
