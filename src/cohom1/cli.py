@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,11 +68,17 @@ def _report(args, params: dict, body: dict, forms=None) -> int:
     return 0
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{flag} expects two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _finite(float(parts[0]), flag), _finite(float(parts[1]), flag)
 
 
 def _action_from_args(args, strict: bool) -> actions.ActionDescriptor:
@@ -90,6 +97,8 @@ def _config_from_args(args) -> solver.ShootingConfig:
         "max_newton", "blowup_cap",
     ):
         value = getattr(args, name, None)
+        if isinstance(value, float):
+            _finite(value, "--" + name.replace("_", "-"))
         if value is not None:
             kwargs[name] = value
     if getattr(args, "bracket", None) is not None:

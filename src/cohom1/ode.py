@@ -133,6 +133,33 @@ def _tension_parts(G, M0, M1, t, r, rdot):
     return A, N
 
 
+def _time_parts(G, M0, M1, t, rem):
+    """The t-only half of :func:`_tension_parts_np`: the tuple
+    (t, Gt, A, P, Q, R), elementwise, with
+
+        A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
+
+    u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments.
+    """
+    s = M0 + M1
+    d = M0 - M1
+    Gt = G * t
+    g = rem(Gt, TAU)
+    sg = np.sin(g)
+    cg = np.cos(g)
+    s2g = np.sin(rem(2.0 * Gt, TAU))
+    return t, Gt, 4.0 * sg * sg, G * s * s2g + 2.0 * G * d * sg, s + d * cg, s * cg + d
+
+
+def _state_parts(G, parts, r, rdot, rem):
+    """(A, N) from the :func:`_time_parts` at t and the state (r, r')."""
+    t, Gt, A, P, Q, R = parts
+    u = 2.0 * (r - t)
+    # One reduction and one sine over the two stacked arguments.
+    su, sug = np.sin(rem(np.array([u, u + Gt]), TAU))
+    return A, P * rdot - G * (G - 2.0) * su * Q - 2.0 * G * sug * R
+
+
 def _tension_parts_np(G, M0, M1, t, r, rdot, rem=np.remainder):
     """Vectorised twin of :func:`_tension_parts`; t and r share one shape.
 
@@ -140,38 +167,34 @@ def _tension_parts_np(G, M0, M1, t, r, rdot, rem=np.remainder):
     ``np.remainder`` is the cheaper; :func:`_remainder_exact` makes every
     element equal the scalar path bit for bit.
     """
-    s = M0 + M1
-    d = M0 - M1
-    t = np.asarray(t, dtype=float)
-    Gt = G * t
-    u = 2.0 * (np.asarray(r, dtype=float) - t)
-    # One reduction and one sine over the four stacked arguments.
-    reduced = rem(np.array([Gt, 2.0 * Gt, u, u + Gt]), TAU)
-    sg, s2g, su, sug = np.sin(reduced)
-    cg = np.cos(reduced[0])
-    A = 4.0 * sg * sg
-    N = (
-        (G * s * s2g + 2.0 * G * d * sg) * np.asarray(rdot, dtype=float)
-        - G * (G - 2.0) * su * (s + d * cg)
-        - 2.0 * G * sug * (s * cg + d)
+    parts = _time_parts(G, M0, M1, np.asarray(t, dtype=float), rem)
+    return _state_parts(
+        G, parts, np.asarray(r, dtype=float), np.asarray(rdot, dtype=float), rem
     )
-    return A, N
 
 
 def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
     """Elementwise ``math.remainder(x, period)``, bit for bit.
 
-    ``np.fmod`` is exact, and folding a result beyond period/2 back by one
-    period is exact by Sterbenz's lemma.  Elements where the even-quotient
-    tie rule decides (|f| == period/2) or where x is not finite take the
-    scalar function, which also raises on infinities as the scalar path does.
-    numpy warns on those inputs, so callers run it under ``np.errstate``.
+    When every |x| <= period/2 each quotient rounds to 0 (a tie to the even
+    0), so x itself is returned.  Otherwise ``np.fmod`` reduces x exactly;
+    it is the identity, and skipped, when every |x| < period.  Folding a
+    result beyond period/2 back by one period is exact by Sterbenz's lemma.
+    Without ``np.fmod`` a tie keeps the even quotient 0; after it, elements
+    where the tie rule decides (|f| == period/2) or where x is not finite
+    take the scalar function, which also raises on infinities as the scalar
+    path does.  numpy warns on those inputs, so callers run it under
+    ``np.errstate``.
     """
     half = 0.5 * period
-    f = np.fmod(x, period)
-    np.subtract(f, period, out=f, where=f > half)
-    np.add(f, period, out=f, where=f < -half)
-    if not np.abs(f).max(initial=0.0) < half:
+    top = np.abs(x).max(initial=0.0)
+    if top <= half:
+        return x
+    near = top < period
+    f = x if near else np.fmod(x, period)
+    # Subtracting +0.0 keeps a -0.0 unfolded.
+    f = f - period * np.subtract(f > half, f < -half, dtype=float)
+    if not near and not np.abs(f).max(initial=0.0) < half:
         odd = ~(np.abs(f) < half)
         f[odd] = [math.remainder(v, period) for v in x[odd].tolist()]
     return f
@@ -320,25 +343,28 @@ def rhs(
     return accel
 
 
-def _rhs_lanes(
-    spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Lane twin of :func:`rhs`: 1-d arrays (t, r, r') -> r''.
+def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
+    """Lane twin of :func:`rhs` as a pair (time, state):
+    ``state(time(t), r, rdot)`` is r'' for 1-d arrays, and ``time`` may
+    take all the stage times of a step at once, as rows.
 
-    Every lane performs the scalar closure's operations in the same order,
-    with the exact remainder, so it equals the scalar value bit for bit.
-    The pole check covers every lane of every call.  Where the scalar
-    floats overflow silently numpy warns, so callers run it under
-    ``np.errstate``.
+    ``time`` pole-checks every time passed, naming the first near one in
+    row-major order.  Every lane performs the scalar closure's operations
+    in the same order, with the exact remainder, so it equals the scalar
+    value bit for bit.  Where the scalar floats overflow silently numpy
+    warns, so callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
 
-    def accel(t: np.ndarray, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
+    def time(t: np.ndarray) -> tuple:
         require_regular(t, G, margin)
-        A, N = _tension_parts_np(G, M0, M1, t, r, rdot, _remainder_exact)
+        return _time_parts(G, M0, M1, t, _remainder_exact)
+
+    def state(parts, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
+        A, N = _state_parts(G, parts, r, rdot, _remainder_exact)
         return -N / A
 
-    return accel
+    return time, state
 
 
 def _as_sample_array(profile) -> np.ndarray:

@@ -145,6 +145,18 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rel-tol", "nan"), ("--init", "nan,1"), ("--init", "1,-inf"), ("--eps0", "inf")],
+    )
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, flag, value):
+        code, out, err = run(
+            capsys, "solve", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", flag, value, "--outdir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 solve: ") and flag in err
+
     def test_deterministic_data(self, capsys, tmp_path):
         argv = [
             "solve", "--space", "sphere", "--g", "2", "--m0", "1", "--m1", "3",
@@ -186,6 +198,26 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "a,sign_change,gap"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rel-tol", "nan"),
+            ("--abs-tol", "inf"),
+            ("--blowup-cap", "nan"),
+            ("--bracket", "0,inf"),
+            ("--bracket", "nan,1"),
+            ("--match-point", "nan"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, capsys, flag, value):
+        # pyproject turns warnings into errors, so a leaked numpy warning fails
+        code, out, err = run(
+            capsys, "sweep", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--sweep-points", "40", flag, value,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 sweep: ") and flag in err
 
     def test_threads_default_to_one_batch(self, monkeypatch):
         monkeypatch.delenv("COHOM1_THREADS", raising=False)

@@ -360,6 +360,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ShootingConfig(match_point=2.0).validate(spec)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "blowup_cap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, name, value):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        with pytest.raises(ValueError, match=name):
+            ShootingConfig(**{name: value}).validate(spec)
+
+    @pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_bracket_rejected(self, bracket):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        with pytest.raises(ValueError, match="bracket"):
+            ShootingConfig(bracket=bracket).validate(spec)
+
     def test_bracket_nonempty(self):
         spec = BvpSpec(G=1, M0=1, M1=1, k=1)
         with pytest.raises(ValueError):
@@ -417,6 +430,11 @@ class TestSolve:
         p2 = solver.solve(spec)
         assert np.array_equal(p1.samples, p2.samples)
         assert p1.slope0 == p2.slope0 and p1.residual == p2.residual
+
+    @pytest.mark.parametrize("init", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_init_rejected(self, init):
+        with pytest.raises(ValueError, match="init"):
+            solver.solve(BvpSpec(G=1, M0=2, M1=2, k=1), init=init)
 
     def test_profile_floor_enforced(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -553,27 +571,76 @@ class TestLaneSweep:
 
     def test_pole_check_covers_every_lane(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
-        accel = ode._rhs_lanes(spec)
+        time_part, _state = ode._rhs_lanes(spec)
         t = np.linspace(0.1, 0.5, 40)
-        ones = np.ones(40)
-        accel(t, ones, ones)
+        time_part(t)
         t[17] = spec.length - 1e-9
         with pytest.raises(PoleProximity):
-            accel(t, ones, ones)
+            time_part(t)
+
+    def test_near_pole_stage_time_is_named_as_per_stage(self):
+        # near points in the rows of stages 4 and 3 (lanes 2 and 7): the
+        # stacked check names the one a stage-by-stage check meets first
+        spec = BvpSpec(G=3, M0=1, M1=2, k=1)
+        time_part, _state = ode._rhs_lanes(spec)
+        stage_t = np.linspace(0.2, 0.8, 10) + np.array([0.0, 1e-3, 2e-3, 3e-3, 4e-3])[:, None]
+        stage_t[2, 2] = spec.length - 5e-9
+        stage_t[1, 7] = spec.length + 3e-9
+        with pytest.raises(PoleProximity) as per_stage:
+            for row in stage_t:
+                ode.require_regular(row, spec.G, ode.DEFAULT_POLE_MARGIN)
+        with pytest.raises(PoleProximity) as stacked:
+            time_part(stage_t)
+        assert str(stacked.value) == str(per_stage.value)
+        assert repr(float(stage_t[1, 7])) in str(stacked.value)
+
+    def test_time_part_once_per_batch_step(self, monkeypatch):
+        # one time part for the first k1, then one per batch step over its
+        # five distinct stage times; the state part once per stage
+        calls = {"time": [], "state": 0}
+        time_parts, state_parts = ode._time_parts, ode._state_parts
+
+        def counted_time(G, M0, M1, t, rem):
+            calls["time"].append(t.shape)
+            return time_parts(G, M0, M1, t, rem)
+
+        def counted_state(*args):
+            calls["state"] += 1
+            return state_parts(*args)
+
+        monkeypatch.setattr(ode, "_time_parts", counted_time)
+        monkeypatch.setattr(ode, "_state_parts", counted_state)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        solver.sweep(spec, ShootingConfig(bracket=(0.0, 20.0), sweep_points=65))
+        first, *steps = calls["time"]
+        assert first == (65,)
+        assert len(steps) > 10
+        assert all(shape[0] == 5 and shape[1] >= solver._DRAIN_LANES for shape in steps)
+        assert calls["state"] == 1 + 6 * len(steps)
 
     def test_remainder_exact_matches_math_remainder(self):
+        def check(x):
+            got = ode._remainder_exact(x, ode.TAU)
+            want = [math.remainder(v, ode.TAU) for v in x.tolist()]
+            assert [struct.pack("<d", v) for v in got.tolist()] == [
+                struct.pack("<d", v) for v in want
+            ]
+
         rng = np.random.default_rng(7)
         pi = math.pi
-        x = np.concatenate([
+        check(np.concatenate([
             rng.uniform(-1e3, 1e3, 5000),
             rng.uniform(-10.0, 10.0, 5000),
             [0.0, -0.0, pi, -pi, 3.0 * pi, -3.0 * pi, 5.0 * pi, ode.TAU, -ode.TAU],
-        ])
-        got = ode._remainder_exact(x, ode.TAU)
-        want = [math.remainder(v, ode.TAU) for v in x.tolist()]
-        assert [struct.pack("<d", v) for v in got.tolist()] == [
-            struct.pack("<d", v) for v in want
-        ]
+        ]))
+        # the ends of the identity (|x| <= pi), the single fold (|x| < 2 pi)
+        # and the fmod path, their neighbours and -0.0, each in batches
+        # whose largest |x| takes each path
+        for end in (0.0, pi, 2.0 * pi, 3.0 * pi):
+            for v in (end, -end):
+                for x in (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)):
+                    for spread in (0.0, 3.0, 6.0, 7.0):
+                        check(np.array([x, 0.5 * spread, -0.25 * spread]))
         # an infinity raises as math.remainder does
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             ode._remainder_exact(np.array([1.0, math.inf]), ode.TAU)
@@ -585,8 +652,38 @@ class TestLaneSweep:
             r = rng.uniform(-50.0, 50.0, 2000)
             v = rng.uniform(-1e4, 1e4, 2000)
             accel = ode.rhs(spec)
-            got = ode._rhs_lanes(spec)(t, r, v)
+            time_part, state_part = ode._rhs_lanes(spec)
+            got = state_part(time_part(t), r, v)
             assert got.tolist() == [accel(*x) for x in zip(t.tolist(), r.tolist(), v.tolist())]
+
+    @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
+    def test_lane_parts_match_scalar_rhs_at_domain_ends(self, G):
+        # with no pole margin: t one float inside and outside pi/G and at
+        # +/-1e-150 (nearer 0, A = 4 sin^2(Gt) underflows and the scalar
+        # closure divides by zero), where Gt meets the end of the identity
+        # reduction; 2Gt meets the fold ends at pi/(2G) and 3pi/(2G).  Each
+        # time alone and all as one batch (5 rows, as an integrator step
+        # stacks them)
+        spec = BvpSpec(G=G, M0=2, M1=3, k=1)
+        L = spec.length
+        ends = [math.nextafter(L, 0.0), math.nextafter(L, math.inf), 1e-150, -1e-150,
+                math.nextafter(1.5 * L, 0.0), math.nextafter(1.5 * L, math.inf), 0.5 * L]
+        rng = np.random.default_rng(G)
+        t = np.array(ends + rng.uniform(0.0, 2.0 * L, 4).tolist())
+        r = rng.uniform(-30.0, 30.0, t.size)
+        v = rng.uniform(-100.0, 100.0, t.size)
+        accel = ode.rhs(spec, margin=0.0)
+        want = [accel(*x).hex() for x in zip(t.tolist(), r.tolist(), v.tolist())]
+        time_part, state_part = ode._rhs_lanes(spec, margin=0.0)
+        with np.errstate(all="ignore"):
+            alone = [
+                state_part(time_part(t[i:i + 1]), r[i:i + 1], v[i:i + 1])[0]
+                for i in range(t.size)
+            ]
+            rows = list(zip(*time_part(np.resize(t, (5, t.size)))))
+            batch = state_part(rows[3], r, v)
+        assert [x.hex() for x in alone] == want
+        assert [x.hex() for x in batch.tolist()] == want
 
 
 class TestRefineBrackets:
