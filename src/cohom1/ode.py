@@ -134,12 +134,14 @@ def _tension_parts(G, M0, M1, t, r, rdot):
 
 
 def _time_parts(G, M0, M1, t, rem):
-    """The t-only half of :func:`_tension_parts_np`: the tuple
+    """The t-only half of a vectorised :func:`_tension_parts`: the tuple
     (t, Gt, A, P, Q, R), elementwise, with
 
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
-    u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments.
+    u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments:
+    ``np.remainder`` is the cheaper, and :func:`_remainder_exact` makes
+    every element equal the scalar path bit for bit.
     """
     s = M0 + M1
     d = M0 - M1
@@ -160,41 +162,20 @@ def _state_parts(G, parts, r, rdot, rem):
     return A, P * rdot - G * (G - 2.0) * su * Q - 2.0 * G * sug * R
 
 
-def _tension_parts_np(G, M0, M1, t, r, rdot, rem=np.remainder):
-    """Vectorised twin of :func:`_tension_parts`; t and r share one shape.
-
-    ``rem(x, TAU)`` reduces the trigonometric arguments.  The default
-    ``np.remainder`` is the cheaper; :func:`_remainder_exact` makes every
-    element equal the scalar path bit for bit.
-    """
-    parts = _time_parts(G, M0, M1, np.asarray(t, dtype=float), rem)
-    return _state_parts(
-        G, parts, np.asarray(r, dtype=float), np.asarray(rdot, dtype=float), rem
-    )
-
-
 def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
     """Elementwise ``math.remainder(x, period)``, bit for bit.
 
-    When every |x| <= period/2 each quotient rounds to 0 (a tie to the even
-    0), so x itself is returned.  Otherwise ``np.fmod`` reduces x exactly;
-    it is the identity, and skipped, when every |x| < period.  Folding a
-    result beyond period/2 back by one period is exact by Sterbenz's lemma.
-    Without ``np.fmod`` a tie keeps the even quotient 0; after it, elements
-    where the tie rule decides (|f| == period/2) or where x is not finite
-    take the scalar function, which also raises on infinities as the scalar
-    path does.  numpy warns on those inputs, so callers run it under
-    ``np.errstate``.
+    ``np.fmod`` is exact, and folding a result beyond period/2 back by one
+    period is exact by Sterbenz's lemma.  Elements where the even-quotient
+    tie rule decides (|f| == period/2) or where x is not finite take the
+    scalar function, which also raises on infinities as the scalar path does.
+    numpy warns on those inputs, so callers run it under ``np.errstate``.
     """
     half = 0.5 * period
-    top = np.abs(x).max(initial=0.0)
-    if top <= half:
-        return x
-    near = top < period
-    f = x if near else np.fmod(x, period)
-    # Subtracting +0.0 keeps a -0.0 unfolded.
-    f = f - period * np.subtract(f > half, f < -half, dtype=float)
-    if not near and not np.abs(f).max(initial=0.0) < half:
+    f = np.fmod(x, period)
+    np.subtract(f, period, out=f, where=f > half)
+    np.add(f, period, out=f, where=f < -half)
+    if not np.abs(f).max(initial=0.0) < half:
         odd = ~(np.abs(f) < half)
         f[odd] = [math.remainder(v, period) for v in x[odd].tolist()]
     return f
@@ -218,7 +199,9 @@ def closed_tension_grid(
     """Vectorised closed tension over sample arrays."""
     t = np.asarray(t, dtype=float)
     require_regular(t, spec.G, margin)
-    A, N = _tension_parts_np(spec.G, spec.M0, spec.M1, t, r, rdot)
+    parts = _time_parts(spec.G, spec.M0, spec.M1, t, np.remainder)
+    r, rdot = np.asarray(r, dtype=float), np.asarray(rdot, dtype=float)
+    A, N = _state_parts(spec.G, parts, r, rdot, np.remainder)
     return A * np.asarray(rddot, dtype=float) + N
 
 

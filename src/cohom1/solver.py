@@ -216,9 +216,9 @@ _P = (
 
 _MIN_STEP = 1e-14
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
-# Below this many lanes a batch step (0.3-0.6 ms for 64 to 512 lanes on a
-# 2-core x86-64 host) costs more than the scalar steps it replaces (about
-# 9 us each).
+# Below this many lanes a batch step (0.3-0.65 ms for 64 to 512 lanes on a
+# 2-core x86-64 host) costs more than the scalar steps it replaces (8-14 us
+# each).
 _DRAIN_LANES = 32
 # Stage-time nodes of a lane batch step, as a column: t + _STAGE_C * h.
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
