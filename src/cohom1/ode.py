@@ -60,6 +60,25 @@ def require_regular(t, G: int, margin: float) -> None:
     )
 
 
+def regular_window(G: int, margin: float) -> tuple[float, float]:
+    """The open interval (lo, hi) = (2m, pi/G - 2m), m = |margin|, in which
+    :func:`require_regular` cannot raise: the hot paths run the pole test
+    only for times outside it.
+
+    Proof, for a float lo < t < hi.  Then 0 < t < step = pi/G, so the
+    rounded t/step lies in [0, 1] and rounds to 0 or 1 (0.5 rounds to 0).
+    At 0 the distance is t > lo = 2m, and lo is exact.  At 1 the rounded
+    quotient exceeds 0.5, a float, so t >= step/2 and t - step is exact by
+    Sterbenz's lemma: the distance is step - t.  No float lies strictly between step - 2m and
+    its rounding hi, so t < hi gives t <= step - 2m, and the distance is at
+    least 2m.  Either way it is not below m, nor below a negative margin.
+    A NaN or infinite margin, like a NaN t, fails both compares with the
+    window, so those take the full test.
+    """
+    m = abs(margin)
+    return 2.0 * m, math.pi / G - 2.0 * m
+
+
 @dataclass(frozen=True)
 class BvpSpec:
     """A concrete (G, M0, M1, k) boundary value problem on [0, pi/G].
@@ -286,10 +305,13 @@ def rhs(
     Solves closed_tension == 0 for r''.  The body repeats the
     :func:`_tension_parts` arithmetic with bound locals because this is the
     integrator's innermost call; a test pins the two paths together bit
-    for bit.
+    for bit.  The pole test is one window compare (see
+    :func:`regular_window`) unless t lies within 2 margin of a domain end
+    or outside the domain.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
     step = math.pi / G
+    lo, hi = regular_window(G, margin)
     cs = G * (M0 + M1)          # rdot coefficient scale, sin(2Gt) part
     cd = 2.0 * G * (M0 - M1)    # rdot coefficient scale, sin(Gt) part
     f1 = G * (G - 2.0)
@@ -305,8 +327,8 @@ def rhs(
         cos=math.cos,
         rem=math.remainder,
     ) -> float:
-        # Inline copy of pole_distance: the scalar hot path's pole test.
-        if abs(t - round(t / step) * step) < margin:
+        # Outside the regular window, an inline copy of pole_distance.
+        if not lo < t < hi and abs(t - round(t / step) * step) < margin:
             require_regular(t, G, margin)
         Gt = G * t
         g = rem(Gt, TAU)
@@ -332,15 +354,19 @@ def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
     take all the stage times of a step at once, as rows.
 
     ``time`` pole-checks every time passed, naming the first near one in
-    row-major order.  Every lane performs the scalar closure's operations
-    in the same order, with the exact remainder, so it equals the scalar
-    value bit for bit.  Where the scalar floats overflow silently numpy
+    row-major order; it runs the full test only when some time lies outside
+    the :func:`regular_window`.  Every lane performs the scalar closure's
+    operations in the same order, with the exact remainder, so it equals
+    the scalar value bit for bit.  Where the scalar floats overflow silently numpy
     warns, so callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
+    lo, hi = regular_window(G, margin)
 
     def time(t: np.ndarray) -> tuple:
-        require_regular(t, G, margin)
+        # NaN propagates through min and max and fails both compares.
+        if not (lo < t.min(initial=math.inf) and t.max(initial=-math.inf) < hi):
+            require_regular(t, G, margin)
         return _time_parts(G, M0, M1, t, _remainder_exact)
 
     def state(parts, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:

@@ -216,9 +216,11 @@ _P = (
 
 _MIN_STEP = 1e-14
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
-# Below this many lanes a batch step (0.3-0.65 ms for 64 to 512 lanes on a
-# 2-core x86-64 host) costs more than the scalar steps it replaces (8-14 us
-# each).
+# Lanes left below which a batch finishes on the scalar loop.  On a 2-core
+# x86-64 host a batch step took 0.37-0.40 ms at 16-32 lanes and 0.73-0.78 ms
+# at 512, a scalar step 19-20 us, so a batch breaks even near 20 lanes; the
+# 512-point sweep with a drain at 16, 20 or 24 lanes was not measurably
+# faster than at 32.
 _DRAIN_LANES = 32
 # Stage-time nodes of a lane batch step, as a column: t + _STAGE_C * h.
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
@@ -288,6 +290,7 @@ def _dp_run(
     """
     t, r, v, h, k1v, steps = state
     k1r = v
+    sqrt = math.sqrt
     direction = 1.0 if t_end >= t else -1.0
     node_iter = iter(nodes) if nodes is not None else None
     next_node = next(node_iter, None) if node_iter is not None else None
@@ -318,10 +321,14 @@ def _dp_run(
 
         err_r = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
         err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-        sc_r = abs_tol + rel_tol * max(abs(r), abs(r_new))
-        sc_v = abs_tol + rel_tol * max(abs(v), abs(v_new))
+        # max(a, b) and min(a, b) as the builtins compute them, without the
+        # calls: b if b > a else a, and b if b < a else a.
+        a, b = abs(r), abs(r_new)
+        sc_r = abs_tol + rel_tol * (b if b > a else a)
+        a, b = abs(v), abs(v_new)
+        sc_v = abs_tol + rel_tol * (b if b > a else a)
         e0, e1 = err_r / sc_r, err_v / sc_v
-        err = math.sqrt(0.5 * (e0 * e0 + e1 * e1))
+        err = sqrt(0.5 * (e0 * e0 + e1 * e1))
 
         if err <= 1.0:
             while next_node is not None and (t_new - next_node) * direction >= 0.0:
@@ -341,7 +348,8 @@ def _dp_run(
                 factor = _MIN_FACTOR
             else:
                 factor = _SAFETY * err ** -0.2
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+        h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
         if abs(h) < _MIN_STEP:
             raise IntegratorStall(t)
         steps += 1
@@ -447,11 +455,12 @@ def _integrate_lanes(
             y = np.where(ok, y_new, y)
             k1 = np.where(ok, k7, k1)
             escaped = ok & (np.abs(y) > blowup_cap).any(axis=0)
-            # err == 0 can only be accepted and NaN only rejected; numpy's
-            # SIMD power is not libm's, so err ** -0.2 is the scalar pow.
+            # err == 0 can only be accepted and NaN only rejected.  np.power
+            # is SIMD and not libm; np.float_power calls libm pow, as the
+            # scalar err ** -0.2 does.
             pos = err > 0.0
             factor = np.where(err == 0.0, _MAX_FACTOR, _MIN_FACTOR)
-            factor[pos] = _SAFETY * np.array([x ** -0.2 for x in err[pos].tolist()])
+            factor[pos] = _SAFETY * np.float_power(err[pos], -0.2)
             h = h * np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
             stalled = np.abs(h) < _MIN_STEP
             steps += 1
@@ -668,8 +677,9 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
     )
     lo, hi = match - half_w, match + half_w
     nodes = np.linspace(config.eps0, L - config.eps1, n_points)
-    left_nodes = [float(x) for x in nodes if x <= hi]
-    right_nodes = [float(x) for x in nodes if x >= lo]
+    nodes = nodes.tolist()
+    left_nodes = [x for x in nodes if x <= hi]
+    right_nodes = [x for x in nodes if x >= lo]
     n_overlap = len(left_nodes) + len(right_nodes) - n_points
 
     tl, rl, vl = series_start(spec, Endpoint.LEFT, a, config.eps0)

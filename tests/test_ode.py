@@ -206,7 +206,7 @@ class TestRhs:
             got = ode.rhs(BvpSpec(G=G, M0=M0, M1=M1, k=1))(t, r, v)
             assert got.hex() == (-N / A).hex()
 
-    @pytest.mark.parametrize("G", [1, 2, 5, 12])
+    @pytest.mark.parametrize("G", [1, 2, 3, 4, 5, 6, 12])
     def test_closure_pole_check_is_pole_distance(self, G):
         # points straddling the margin around several poles: the closure's
         # inline test raises exactly where pole_distance is below the margin
@@ -243,6 +243,86 @@ class TestRhs:
         t[[4, 7]] = [math.pi / 3 + 1e-9, 2 * math.pi / 3]
         with pytest.raises(PoleProximity, match=re.escape(f"t={float(t[4])!r} ")):
             ode.require_regular(t, 3, 1e-8)
+
+    @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
+    @pytest.mark.parametrize("margin", [0.0, 1e-8, 1e-3])
+    def test_window_changes_no_pole_decision(self, margin, G):
+        # inside, outside and on the edges of the window, the closure raises
+        # PoleProximity exactly where pole_distance is below the margin; the
+        # lane time part raises on the same times, each alone and all at
+        # once, and names the same first near time, in row-major order when
+        # stacked as (5, n) stage rows
+        L = math.pi / G
+        spec = BvpSpec(G=G, M0=2, M1=3, k=1)
+        accel = ode.rhs(spec, margin)
+        time_part, _state = ode._rhs_lanes(spec, margin)
+        lo, hi = ode.regular_window(G, margin)
+        times = window_edge_times(G, margin)
+        assert any(lo < t < hi for t in times) and not all(lo < t < hi for t in times)
+
+        def message(t):
+            return f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
+
+        def named(t):
+            with np.errstate(all="ignore"):
+                try:
+                    time_part(np.asarray(t))
+                except PoleProximity as exc:
+                    return str(exc)
+            return None
+
+        for t in times:
+            near = ode.pole_distance(t, G) < margin
+            assert named([t]) == (message(t) if near else None)
+            if near:
+                with pytest.raises(PoleProximity, match=re.escape(message(t))):
+                    accel(t, 0.3, 1.0)
+            elif margin == 0.0 and abs(t) < 1e-300:
+                # 4 sin^2(Gt) underflows to 0 and no pole test guards it
+                with pytest.raises(ZeroDivisionError):
+                    accel(t, 0.3, 1.0)
+            else:
+                accel(t, 0.3, 1.0)
+        # round(nan) raises in the closure's full test, as before the window
+        with pytest.raises(ValueError):
+            accel(math.nan, 0.3, 1.0)
+        assert named([math.nan]) is None
+
+        times.append(math.nan)
+        stacked = np.full((5, len(times)), 0.5 * L)
+        for i, t in enumerate(times):
+            stacked[4 - i % 5, i] = t
+        for batch in (times, stacked):
+            first = [t for t in np.ravel(batch).tolist() if ode.pole_distance(t, G) < margin]
+            assert named(batch) == (message(first[0]) if first else None)
+            assert bool(first) == (margin > 0.0)
+        assert named(np.empty(0)) is None and named(np.empty((5, 0))) is None
+
+    def test_non_finite_margin_takes_the_full_test(self):
+        # an infinite margin rejects every finite time, a NaN margin none
+        spec = BvpSpec(G=3, M0=1, M1=1, k=1)
+        t = 0.5 * spec.length
+        for margin in (math.inf, math.nan):
+            accel = ode.rhs(spec, margin)
+            time_part, _state = ode._rhs_lanes(spec, margin)
+            if margin == math.inf:
+                with pytest.raises(PoleProximity):
+                    accel(t, 0.3, 1.0)
+                with pytest.raises(PoleProximity):
+                    time_part(np.array([t]))
+            else:
+                assert math.isfinite(accel(t, 0.3, 1.0))
+                time_part(np.array([t]))
+
+
+def window_edge_times(G, margin):
+    """Times at and next to the edges of the regular window, the poles 0
+    and pi/G, and points beyond the domain on both sides."""
+    L = math.pi / G
+    base = [0.0, -0.0, margin, 2.0 * margin, L - 2.0 * margin, L - margin, L, 1.5 * L, -0.3 * L]
+    return [
+        x for b in base for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+    ]
 
 
 def linear_profile(spec, n=257):

@@ -578,6 +578,17 @@ class TestLaneSweep:
         with pytest.raises(PoleProximity):
             time_part(t)
 
+    def test_vector_step_factor_is_libm_pow(self):
+        # the lane step factor takes np.float_power for the scalar loop's
+        # err ** -0.2: bit for bit on this numpy build (SIMD np.power need not be)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 300.0, 20000),
+            [1.0, 5e-324, math.nextafter(1.0, 0.0)],
+        ])
+        got = np.float_power(x, -0.2).tolist()
+        assert [v.hex() for v in got] == [(v ** -0.2).hex() for v in x.tolist()]
+
     def test_near_pole_stage_time_is_named_as_per_stage(self):
         # near points in the rows of stages 4 and 3 (lanes 2 and 7): the
         # stacked check names the one a stage-by-stage check meets first
