@@ -46,14 +46,18 @@ def pole_distance(t, G: int):
 
 
 def require_regular(t, G: int, margin: float) -> None:
-    """Raise :class:`PoleProximity` if t, a float or an array, comes within
-    ``margin`` of the pole set; an array names its first such point."""
-    near = pole_distance(t, G) < margin
+    """Raise :class:`PoleProximity` unless t, a float or an array, stays at
+    least ``margin`` from the pole set; an array names its first such point.
+
+    A NaN or infinite t has a NaN distance, which no margin admits, and a
+    NaN margin admits no distance; numpy warns on an infinite t.
+    """
+    far = pole_distance(t, G) >= margin
     if isinstance(t, np.ndarray):
-        if not near.any():
+        if far.all():
             return
-        t = float(t[near][0])
-    elif not near:
+        t = float(t[~far][0])
+    elif far:
         return
     raise PoleProximity(
         f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
@@ -72,8 +76,8 @@ def regular_window(G: int, margin: float) -> tuple[float, float]:
     Sterbenz's lemma: the distance is step - t.  No float lies strictly between step - 2m and
     its rounding hi, so t < hi gives t <= step - 2m, and the distance is at
     least 2m.  Either way it is not below m, nor below a negative margin.
-    A NaN or infinite margin, like a NaN t, fails both compares with the
-    window, so those take the full test.
+    A NaN or infinite margin, like a NaN or infinite t, fails a compare
+    with the window, so those take the full test.
     """
     m = abs(margin)
     return 2.0 * m, math.pi / G - 2.0 * m
@@ -305,12 +309,10 @@ def rhs(
     Solves closed_tension == 0 for r''.  The body repeats the
     :func:`_tension_parts` arithmetic with bound locals because this is the
     integrator's innermost call; a test pins the two paths together bit
-    for bit.  The pole test is one window compare (see
-    :func:`regular_window`) unless t lies within 2 margin of a domain end
-    or outside the domain.
+    for bit.  Only a time outside the :func:`regular_window` takes the
+    pole test, :func:`require_regular`.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
-    step = math.pi / G
     lo, hi = regular_window(G, margin)
     cs = G * (M0 + M1)          # rdot coefficient scale, sin(2Gt) part
     cd = 2.0 * G * (M0 - M1)    # rdot coefficient scale, sin(Gt) part
@@ -327,8 +329,7 @@ def rhs(
         cos=math.cos,
         rem=math.remainder,
     ) -> float:
-        # Outside the regular window, an inline copy of pole_distance.
-        if not lo < t < hi and abs(t - round(t / step) * step) < margin:
+        if not lo < t < hi:
             require_regular(t, G, margin)
         Gt = G * t
         g = rem(Gt, TAU)
@@ -354,8 +355,8 @@ def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
     take all the stage times of a step at once, as rows.
 
     ``time`` pole-checks every time passed, naming the first near one in
-    row-major order; it runs the full test only when some time lies outside
-    the :func:`regular_window`.  Every lane performs the scalar closure's
+    row-major order; it runs :func:`require_regular`, the test :func:`rhs`
+    runs, only when some time lies outside the :func:`regular_window`.  Every lane performs the scalar closure's
     operations in the same order, with the exact remainder, so it equals
     the scalar value bit for bit.  Where the scalar floats overflow silently numpy
     warns, so callers run it under ``np.errstate``.

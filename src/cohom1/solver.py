@@ -10,11 +10,12 @@ the two trajectories are matched in the interior, where the problem is as
 well-conditioned as it gets.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI-free step
-control, first-same-as-last reuse, optional exact landing on output nodes,
-a blow-up cap that converts runaway trajectories into TrajectoryEscaped,
-and a step-underflow guard that raises IntegratorStall.  Everything is
-plain-float arithmetic in a fixed order, so identical inputs give
-bit-identical results on a fixed platform.
+control, first-same-as-last reuse, quartic dense output at given nodes
+(one (n, 3) array of states per profile half), a blow-up cap that
+converts runaway trajectories into TrajectoryEscaped, and a step-underflow
+guard that raises IntegratorStall.  Everything is plain-float arithmetic
+in a fixed order, so identical inputs give bit-identical results on a
+fixed platform.
 
 A sweep runs the same integrator on all its grid points at once as numpy
 lanes (:func:`_integrate_lanes`), in the same operations and order per
@@ -22,7 +23,8 @@ lane, so each sweep gap equals its one-point scalar integration bit for
 bit.  A lane batch step evaluates the t-only part of the right-hand side
 (pole check, sines and cosines of Gt and 2Gt) once for its five distinct
 stage times, and each of its six stages only the part that depends on
-(r, r').
+(r, r').  The lanes left when a batch thins out, or all of a small batch
+after its first derivative, finish on the scalar loop from their state.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import logging
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,20 +101,12 @@ class ShootingConfig:
         return (float(self.bracket[0]), float(self.bracket[1]))
 
     def to_dict(self, spec: BvpSpec | None = None) -> dict:
-        d = {
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "match_point": self.match_point,
-            "bracket": list(self.bracket) if self.bracket is not None else None,
-            "sweep_points": self.sweep_points,
-            "max_newton": self.max_newton,
-            "blowup_cap": self.blowup_cap,
-        }
+        d = asdict(self)
         if spec is not None:
             d["match_point"] = self.resolved_match(spec)
-            d["bracket"] = list(self.resolved_bracket(spec))
+            d["bracket"] = self.resolved_bracket(spec)
+        if d["bracket"] is not None:
+            d["bracket"] = list(d["bracket"])
         return d
 
 
@@ -235,30 +229,13 @@ def _integrate(
     rel_tol: float,
     abs_tol: float,
     blowup_cap: float,
-    nodes=None,
-    record=None,
 ):
-    """Advance (r, v) from t0 to t_end; optionally record states at nodes.
-
-    ``nodes`` must be sorted in the direction of integration and lie in
-    (t0, t_end]; they are evaluated from the dense-output interpolant of
-    each accepted step, so recorded samples stay smooth at node spacing
-    regardless of the step sequence.  ``record`` (a list) then gains one
-    (t, r, v) per node passed, in node order, also when the run raises.
-    Returns the final (r, v).
-    """
+    """Advance (r, v) from t0 to t_end and return the final (r, v)."""
     if abs(t_end - t0) == 0.0:
         return r0, v0
-    raw = [] if record is not None else None
-    try:
-        state = _dp_run(
-            accel, _dp_start(accel, t0, r0, v0, t_end), t_end,
-            rel_tol, abs_tol, blowup_cap, nodes, raw,
-        )
-    finally:
-        if raw:
-            record.extend(_dense_states(raw))
-    return state[1], state[2]
+    return _dp_run(
+        accel, _dp_start(accel, t0, r0, v0, t_end), t_end, rel_tol, abs_tol, blowup_cap
+    )[1:3]
 
 
 def _dp_start(accel, t0: float, r0: float, v0: float, t_end: float) -> tuple:
@@ -277,16 +254,16 @@ def _dp_run(
     blowup_cap: float,
     nodes=None,
     record=None,
-    pause_at: float = math.inf,
 ) -> tuple:
-    """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps).
+    """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps), to
+    the state at t_end.
 
-    Returns the state at t_end, or once the run has taken ``pause_at``
-    steps; passing that state back in resumes the run bit for bit.  The
-    first-same-as-last derivative k1r is always v, so it is not stored.
-    For each node an accepted step passes, ``record`` gains the raw row
-    that :func:`_dense_states` turns into the node's state: (node, theta,
-    h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) of that step.
+    The first-same-as-last derivative k1r is always v, so it is not
+    stored.  ``nodes`` must be sorted in the direction of integration and
+    lie in (t, t_end].  For each node an accepted step passes, ``record``
+    gains the raw row that :func:`_dense_states` turns into the node's
+    state: (node, theta, h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) of
+    that step.
     """
     t, r, v, h, k1v, steps = state
     k1r = v
@@ -295,7 +272,7 @@ def _dp_run(
     node_iter = iter(nodes) if nodes is not None else None
     next_node = next(node_iter, None) if node_iter is not None else None
 
-    while (t_end - t) * direction > 0.0 and steps < pause_at:
+    while (t_end - t) * direction > 0.0:
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
 
@@ -358,8 +335,9 @@ def _dp_run(
     return t, r, v, h, k1v, steps
 
 
-def _dense_states(raw: list) -> list:
-    """(t, r, v) at each node from the raw rows of :func:`_dp_run`.
+def _dense_states(raw: list) -> np.ndarray:
+    """(n, 3) array of (t, r, v) at each node from the raw rows of
+    :func:`_dp_run`.
 
     The quartic interpolant u = y + h * sum_s w_s(theta) k_s is evaluated
     for all nodes at once, with the operations and order of a per-node
@@ -377,7 +355,7 @@ def _dense_states(raw: list) -> list:
         w = p[0] * th + p[1] * th2 + p[2] * th3 + p[3] * th4
         ur = ur + h * w * rows[:, col]
         uv = uv + h * w * rows[:, col + 1]
-    return list(zip(rows[:, 0].tolist(), ur.tolist(), uv.tolist()))
+    return np.column_stack((rows[:, 0], ur, uv))
 
 
 def _lane_outcome(accel, state: tuple, t_end, rel_tol, abs_tol, blowup_cap):
@@ -403,19 +381,13 @@ def _integrate_lanes(
     1), and each of its six stages the state part; the last stage reuses
     the row of t + h.  A lane leaves the batch where the scalar loop would
     raise or return.  Once fewer than _DRAIN_LANES are left, the rest
-    finish on the scalar loop from their current state.  Returns one
-    outcome per lane, as :func:`_lane_outcome` does, identical to the
-    scalar run's.
+    finish on the scalar loop from their current state, so a smaller batch
+    takes only its first derivative on lanes.  Returns one outcome per
+    lane, as :func:`_lane_outcome` does, identical to the scalar run's.
     """
     n = len(r0)
     if abs(t_end - t0) == 0.0:
         return list(zip(r0, v0))
-    tol = (rel_tol, abs_tol, blowup_cap)
-    if n < _DRAIN_LANES:
-        return [
-            _lane_outcome(accel, _dp_start(accel, t0, r, v, t_end), t_end, *tol)
-            for r, v in zip(r0, v0)
-        ]
     time_part, state_part = lane_rhs
     out: list = [None] * n
     direction = 1.0 if t_end >= t0 else -1.0
@@ -487,7 +459,7 @@ def _integrate_lanes(
             float(t[j]), float(y[0, j]), float(y[1, j]),
             float(h[j]), float(k1[1, j]), int(steps[j]),
         )
-        out[i] = _lane_outcome(accel, state, t_end, *tol)
+        out[i] = _lane_outcome(accel, state, t_end, rel_tol, abs_tol, blowup_cap)
     return out
 
 
@@ -682,24 +654,8 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
     right_nodes = [x for x in nodes if x >= lo]
     n_overlap = len(left_nodes) + len(right_nodes) - n_points
 
-    tl, rl, vl = series_start(spec, Endpoint.LEFT, a, config.eps0)
-    left_rec: list[tuple[float, float, float]] = [(tl, rl, vl)]
-    if len(left_nodes) > 1:
-        _integrate(
-            accel, tl, rl, vl, left_nodes[-1],
-            config.rel_tol, config.abs_tol, config.blowup_cap,
-            nodes=left_nodes[1:], record=left_rec,
-        )
-    tr, rr, vr = series_start(spec, Endpoint.RIGHT, b, config.eps1)
-    right_rec: list[tuple[float, float, float]] = [(tr, rr, vr)]
-    if len(right_nodes) > 1:
-        _integrate(
-            accel, tr, rr, vr, right_nodes[0],
-            config.rel_tol, config.abs_tol, config.blowup_cap,
-            nodes=right_nodes[-2::-1], record=right_rec,
-        )
-    left = np.array(left_rec, dtype=float)
-    right = np.array(right_rec[::-1], dtype=float)
+    left = _dense_half(spec, config, accel, Endpoint.LEFT, a, left_nodes[1:])
+    right = _dense_half(spec, config, accel, Endpoint.RIGHT, b, right_nodes[-2::-1])[::-1]
 
     samples = np.empty((n_points, 3))
     n_left_only = len(left_nodes) - n_overlap
@@ -728,6 +684,23 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
         match_gap=(gap[0], gap[1]),
         residual=residual,
     )
+
+
+def _dense_half(spec, config, accel, endpoint: Endpoint, slope: float, nodes) -> np.ndarray:
+    """(t, r, v) rows of the half shot from ``endpoint``: its series start,
+    then its states at ``nodes``, which run away from it.  The states come
+    from the interpolant of each accepted step, so they stay smooth at node
+    spacing whatever the step sequence."""
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    start = series_start(spec, endpoint, slope, eps)
+    if not nodes:
+        return np.array([start])
+    raw: list = []
+    _dp_run(
+        accel, _dp_start(accel, *start, nodes[-1]), nodes[-1],
+        config.rel_tol, config.abs_tol, config.blowup_cap, nodes, raw,
+    )
+    return np.vstack((start, _dense_states(raw)))
 
 
 def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -> list:

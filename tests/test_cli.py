@@ -177,6 +177,23 @@ class TestSolve:
         assert meta_a == meta_b
 
 
+class TestResidual:
+    def test_nan_interior_time_exits_2(self, capsys, tmp_path):
+        t = np.linspace(0.1, 1.0, 20)
+        t[7] = np.nan
+        path = tmp_path / "p.csv"
+        np.savetxt(
+            path, np.column_stack([t, t, np.ones_like(t)]),
+            delimiter=",", header="t,r,rdot", comments="",
+        )
+        code, out, err = run(
+            capsys, "residual", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--profile", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 residual: t=nan is within ")
+
+
 class TestSweep:
     def test_brackets_reported(self, capsys):
         payload = run_json(

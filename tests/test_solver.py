@@ -1,5 +1,6 @@
 """Series starts, shooting, sweeps and the profiles they produce."""
 
+import json
 import logging
 import math
 import random
@@ -81,34 +82,16 @@ class TestIntegrator:
         spec = BvpSpec(G=2, M0=1, M1=3, k=3)
         accel = ode.rhs(spec)
         t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, 2.0, 1e-5)
-        nodes = np.linspace(0.3, 1.2, 7)
-        rec = []
-        solver._integrate(
-            accel, t0, r0, v0, float(nodes[-1]), 1e-10, 1e-12, 1e6,
-            nodes=[float(x) for x in nodes], record=rec,
-        )
-        assert len(rec) == 7
-        for t_node, r_node, v_node in rec:
+        nodes = [float(x) for x in np.linspace(0.3, 1.2, 7)]
+        rows = solver._dense_half(spec, ShootingConfig(), accel, Endpoint.LEFT, 2.0, nodes)
+        assert rows.shape == (8, 3) and rows[0].tolist() == [t0, r0, v0]
+        assert rows[1:, 0].tolist() == nodes
+        for t_node, r_node, v_node in rows[1:].tolist():
             r_direct, v_direct = solver._integrate(
                 accel, t0, r0, v0, t_node, 1e-12, 1e-14, 1e6
             )
             assert r_node == pytest.approx(r_direct, abs=5e-9)
             assert v_node == pytest.approx(v_direct, abs=5e-8)
-
-    @pytest.mark.parametrize("pause", [1, 7, 100, 400])
-    def test_paused_run_resumes_bit_for_bit(self, pause):
-        # a full run to the right pole (424 steps), paused and resumed
-        spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
-        accel = ode.rhs(spec)
-        t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, -3.0, 1e-5)
-        t_end = spec.length - 1e-5
-        start = solver._dp_start(accel, t0, r0, v0, t_end)
-        whole = solver._dp_run(accel, start, t_end, 1e-10, 1e-12, 1e6)
-        paused = solver._dp_run(accel, start, t_end, 1e-10, 1e-12, 1e6, pause_at=pause)
-        assert paused[5] == pause < whole[5]
-        resumed = solver._dp_run(accel, paused, t_end, 1e-10, 1e-12, 1e6)
-        assert resumed == whole
-        assert whole[1:3] == solver._integrate(accel, t0, r0, v0, t_end, 1e-10, 1e-12, 1e6)
 
 
 class TestShoot:
@@ -170,16 +153,14 @@ class TestDenseOutput:
         nodes = [float(x) for x in np.linspace(0.2, 2.9, 301)]
         if endpoint is Endpoint.RIGHT:
             nodes.reverse()
-        rec, raw = [], []
-        solver._integrate(
-            accel, t0, r0, v0, nodes[-1], 1e-10, 1e-12, 1e6, nodes=nodes, record=rec
-        )
+        raw = []
         solver._dp_run(
             accel, solver._dp_start(accel, t0, r0, v0, nodes[-1]), nodes[-1],
             1e-10, 1e-12, 1e6, nodes, raw,
         )
-        assert [x[0] for x in rec] == nodes
-        assert rec == scalar_dense_states(raw)
+        states = solver._dense_states(raw)
+        assert states.shape == (len(nodes), 3) and states[:, 0].tolist() == nodes
+        assert states.tobytes() == np.array(scalar_dense_states(raw)).tobytes()
 
     def test_profile_samples_equal_scalar_interpolation(self, monkeypatch):
         # both halves of a profile, the right one integrated backwards
@@ -189,18 +170,6 @@ class TestDenseOutput:
         slow = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
         assert fast.samples.tobytes() == slow.samples.tobytes()
         assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
-
-    def test_record_keeps_nodes_passed_before_an_escape(self):
-        accel = ode.rhs(self.SPEC)
-        t0, r0, v0 = solver.series_start(self.SPEC, Endpoint.LEFT, 10.0, 1e-5)
-        nodes = [float(x) for x in np.linspace(0.1, math.pi - 1e-5, 40)]
-        rec = []
-        with pytest.raises(TrajectoryEscaped) as info:
-            solver._integrate(
-                accel, t0, r0, v0, nodes[-1], 1e-10, 1e-12, 100.0, nodes=nodes, record=rec
-            )
-        assert rec and [x[0] for x in rec] == nodes[: len(rec)]
-        assert rec[-1][0] <= info.value.t
 
 
 class TestShootMemo:
@@ -340,8 +309,26 @@ class TestSharedHalves:
         solver.solve(spec, init=(-0.97, -1.04))
         distinct = {("left", a) for a, _b in shots} | {("right", b) for _a, b in shots}
         assert len(shots) > 3
-        assert len(integrations) == len(distinct) + 2
-        assert len(integrations) < 2 * len(shots) + 2
+        assert len(integrations) == len(distinct)
+        assert len(integrations) < 2 * len(shots)
+
+
+class TestConfigDict:
+    def test_every_field_in_order_with_bracket_as_list(self):
+        spec = BvpSpec(G=2, M0=1, M1=3, k=1)
+        config = ShootingConfig(bracket=(2, 5.5), match_point=0.7)
+        assert json.dumps(config.to_dict()) == (
+            '{"eps0": 1e-05, "eps1": 1e-05, "rel_tol": 1e-10, "abs_tol": 1e-12, '
+            '"match_point": 0.7, "bracket": [2, 5.5], "sweep_points": 512, '
+            '"max_newton": 50, "blowup_cap": 1000000.0}'
+        )
+        assert config.to_dict(spec)["bracket"] == [2.0, 5.5]
+        default = ShootingConfig()
+        assert default.to_dict()["bracket"] is None
+        assert default.to_dict()["match_point"] is None
+        resolved = default.to_dict(spec)
+        assert resolved["bracket"] == [-8.0, 8.0]
+        assert resolved["match_point"] == spec.length / 2.0
 
 
 class TestConfigValidation:
@@ -535,7 +522,8 @@ class TestLaneSweep:
     @pytest.mark.parametrize(
         "spec, options",
         [
-            # below the drain threshold: every lane on the scalar loop
+            # below the drain threshold: every lane drains to the scalar
+            # loop after its first derivative
             (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=17)),
             # escapes of both signs and the identity root
             (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=65)),
@@ -628,6 +616,10 @@ class TestLaneSweep:
         assert len(steps) > 10
         assert all(shape[0] == 5 and shape[1] >= solver._DRAIN_LANES for shape in steps)
         assert calls["state"] == 1 + 6 * len(steps)
+        # below the drain threshold only the first k1 runs on lanes
+        calls["time"], calls["state"] = [], 0
+        solver.sweep(spec, ShootingConfig(bracket=(0.0, 20.0), sweep_points=17))
+        assert calls == {"time": [(17,)], "state": 1}
 
     def test_remainder_exact_matches_math_remainder(self):
         def check(x):
