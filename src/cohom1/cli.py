@@ -18,7 +18,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -106,12 +105,9 @@ def _config_from_args(args) -> solver.ShootingConfig:
     return solver.ShootingConfig(**kwargs)
 
 
+# Every sweep is one lane batch.  bench/run.py, the only caller, records
+# this as the CLI's sweep batch count; the next benchmark change drops it.
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("COHOM1_THREADS")
-    if env:
-        return max(1, int(env))
     return 1
 
 
@@ -209,7 +205,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     config = _config_from_args(args)
-    points = solver.sweep(spec, config, threads=_resolve_threads(args))
+    points = solver.sweep(spec, config)
     params = _base_params(args, ("space", "g", "m0", "m1", "k"))
     params["sweep_points"] = config.sweep_points
     params["bracket"] = list(config.resolved_bracket(spec))
@@ -270,10 +266,6 @@ def _add_solver_flags(parser, sweep: bool) -> None:
     if sweep:
         parser.add_argument("--bracket", help="slope range LO,HI")
         parser.add_argument("--sweep-points", dest="sweep_points", type=int)
-        parser.add_argument(
-            "--threads", type=int,
-            help="lane batches run in parallel (default: COHOM1_THREADS or 1)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,15 +49,16 @@ def require_regular(t, G: int, margin: float) -> None:
     """Raise :class:`PoleProximity` unless t, a float or an array, stays at
     least ``margin`` from the pole set; an array names its first such point.
 
-    A NaN or infinite t has a NaN distance, which no margin admits, and a
-    NaN margin admits no distance; numpy warns on an infinite t.
+    A NaN or infinite t is never regular, and a NaN margin admits no
+    distance.  A scalar t is checked for finiteness first; an array with an
+    infinite element makes numpy warn before the raise.
     """
-    far = pole_distance(t, G) >= margin
     if isinstance(t, np.ndarray):
+        far = pole_distance(t, G) >= margin
         if far.all():
             return
         t = float(t[~far][0])
-    elif far:
+    elif math.isfinite(t) and pole_distance(t, G) >= margin:
         return
     raise PoleProximity(
         f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
@@ -395,7 +396,9 @@ def residual_norm(
     samples.  Boundary errors compare the first/last samples against the
     boundary targets under the endpoint linearisations r ~ a*t and
     r ~ k*pi/G - b*(pi/G - t), with slopes estimated from the adjacent
-    sample pair.
+    sample pair.  Times that do not increase strictly inside (0, pi/G), a
+    NaN time included, and non-finite r or r' samples raise ValueError; an
+    interior time near a pole raises PoleProximity.
     """
     arr = _as_sample_array(profile)
     t, r, v = arr[:, 0], arr[:, 1], arr[:, 2]
@@ -406,8 +409,13 @@ def residual_norm(
     if np.any(np.diff(t) <= 0):
         raise ValueError("profile samples must be strictly increasing in t")
     L = spec.length
-    if t[0] <= 0.0 or t[-1] >= L:
+    if not (0.0 < t[0] and t[-1] < L):
         raise ValueError("profile must be sampled strictly inside (0, pi/G)")
+    # The interior pole test runs before the sample check, so a NaN time is
+    # reported as a time even where its r is NaN too.
+    require_regular(t[1:-1], spec.G, margin)
+    if not np.isfinite(arr[:, 1:]).all():
+        raise ValueError("profile r and rdot samples must be finite")
 
     hm = t[1:-1] - t[:-2]
     hp = t[2:] - t[1:-1]

@@ -33,7 +33,6 @@ import enum
 import logging
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -716,15 +715,20 @@ def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -
     )
 
 
-def _terminal_gaps(spec, config, accel, slopes) -> list[float]:
-    """Single-ended mismatch at pi/G - eps1 for each left slope, as one lane
-    batch.
+def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:
+    """Single-ended slope sweep over the bracket grid, as one lane batch.
 
-    The boundary target is linearised with the trajectory's own terminal
-    slope.  An escape gives +/-inf by the sign of r at escape, a stall NaN.
+    Each gap is the mismatch at pi/G - eps1, with the boundary target
+    linearised by the trajectory's own terminal slope, and equals the scalar
+    one-point integration bit for bit.  An escape gives +/-inf by the sign
+    of r at escape, a stall NaN.
     """
+    config = config or ShootingConfig()
+    config.validate(spec)
+    lo, hi = config.resolved_bracket(spec)
+    grid = np.linspace(lo, hi, config.sweep_points)
     outcomes = _half_lanes(
-        spec, config, accel, Endpoint.LEFT, slopes, spec.length - config.eps1
+        spec, config, ode.rhs(spec), Endpoint.LEFT, grid, spec.length - config.eps1
     )
     gaps = []
     for outcome in outcomes:
@@ -735,34 +739,6 @@ def _terminal_gaps(spec, config, accel, slopes) -> list[float]:
         else:
             r_end, v_end = outcome
             gaps.append(r_end - (spec.k * spec.length - v_end * config.eps1))
-    return gaps
-
-
-def sweep(
-    spec: BvpSpec, config: ShootingConfig | None = None, threads: int = 1
-) -> list[SweepPoint]:
-    """Single-ended slope sweep over the bracket grid.
-
-    The grid is integrated as lane batches: ``threads`` contiguous batches,
-    run in a thread pool when there is more than one.  Every gap equals the
-    scalar per-point result bit for bit, so the output does not depend on
-    ``threads``.
-    """
-    config = config or ShootingConfig()
-    config.validate(spec)
-    accel = ode.rhs(spec)
-    lo, hi = config.resolved_bracket(spec)
-    grid = np.linspace(lo, hi, config.sweep_points)
-    batches = np.array_split(grid, max(1, min(threads, len(grid))))
-
-    def gaps_of(batch) -> list[float]:
-        return _terminal_gaps(spec, config, accel, batch)
-
-    if len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-            gaps = [g for part in pool.map(gaps_of, batches) for g in part]
-    else:
-        gaps = gaps_of(grid)
 
     points = []
     for i, (a, gap) in enumerate(zip(grid, gaps)):

@@ -1,6 +1,5 @@
 """End-to-end runs of the command-line interface."""
 
-import argparse
 import json
 import time
 
@@ -193,13 +192,27 @@ class TestResidual:
         assert code == 2 and out == ""
         assert err.startswith("cohom1 residual: t=nan is within ")
 
+    @pytest.mark.parametrize("row, col", [(0, 0), (-1, 0), (7, 1)])
+    def test_nan_end_time_or_sample_exits_2(self, capsys, tmp_path, row, col):
+        t = np.linspace(0.1, 1.0, 20)
+        profile = np.column_stack([t, t, np.ones_like(t)])
+        profile[row, col] = np.nan
+        path = tmp_path / "p.csv"
+        np.savetxt(path, profile, delimiter=",", header="t,r,rdot", comments="")
+        code, out, err = run(
+            capsys, "residual", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--profile", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 residual: profile ")
+
 
 class TestSweep:
     def test_brackets_reported(self, capsys):
         payload = run_json(
             capsys, "sweep", "--space", "sphere", "--g", "1", "--m0", "2",
             "--m1", "2", "--k", "1", "--bracket", "0.5,1.5",
-            "--sweep-points", "17", "--threads", "2",
+            "--sweep-points", "17",
         )
         points = payload["points"]
         assert len(points) == 17
@@ -235,21 +248,6 @@ class TestSweep:
         )
         assert code == 2 and out == ""
         assert err.startswith("cohom1 sweep: ") and flag in err
-
-    def test_threads_default_to_one_batch(self, monkeypatch):
-        monkeypatch.delenv("COHOM1_THREADS", raising=False)
-        assert cli._resolve_threads(argparse.Namespace(threads=None)) == 1
-        monkeypatch.setenv("COHOM1_THREADS", "3")
-        assert cli._resolve_threads(argparse.Namespace(threads=None)) == 3
-        assert cli._resolve_threads(argparse.Namespace(threads=2)) == 2
-
-    def test_threads_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("COHOM1_THREADS", "3")
-        payload = run_json(
-            capsys, "sweep", "--space", "sphere", "--g", "1", "--m0", "2",
-            "--m1", "2", "--k", "1", "--bracket", "0.8,1.2", "--sweep-points", "9",
-        )
-        assert len(payload["points"]) == 9
 
 
 class TestIdentityCheck:

@@ -287,10 +287,7 @@ class TestRhs:
         for t in times:
             assert named([t]) == (message(t) if near(t) else None)
             if near(t):
-                # numpy warns on the infinite distance before the raise
-                with np.errstate(invalid="ignore"), pytest.raises(
-                    PoleProximity, match=re.escape(message(t))
-                ):
+                with pytest.raises(PoleProximity, match=re.escape(message(t))):
                     accel(t, 0.3, 1.0)
             elif margin == 0.0 and abs(t) < 1e-300:
                 # 4 sin^2(Gt) underflows to 0 and no pole test guards it
@@ -368,6 +365,23 @@ class TestResidualNorm:
         t = np.linspace(0.01, spec.length + 0.3, 64)
         with pytest.raises(ValueError):
             ode.residual_norm(spec, np.column_stack([t, t, np.ones_like(t)]))
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_nan_end_time_rejected(self, row):
+        spec = BvpSpec(G=2, M0=1, M1=1, k=1)
+        profile = linear_profile(spec)
+        profile[row, 0] = np.nan
+        with pytest.raises(ValueError, match="strictly inside"):
+            ode.residual_norm(spec, profile)
+
+    @pytest.mark.parametrize("row, col", [(0, 1), (100, 1), (-1, 1), (100, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, row, col, value):
+        spec = BvpSpec(G=2, M0=1, M1=1, k=1)
+        profile = linear_profile(spec)
+        profile[row, col] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ode.residual_norm(spec, profile)
 
 
 class TestBvpSpec:

@@ -458,13 +458,13 @@ class TestSweep:
                    for i, p in enumerate(points) if p.sign_change)
         assert len(hits) >= 1
 
-    def test_ordered_and_deterministic_under_threads(self):
+    def test_ordered_and_deterministic(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 6.0), sweep_points=17)
-        serial = solver.sweep(spec, config, threads=1)
-        threaded = solver.sweep(spec, config, threads=4)
-        assert serial == threaded
-        assert [p.a for p in serial] == sorted(p.a for p in serial)
+        first = solver.sweep(spec, config)
+        second = solver.sweep(spec, config)
+        assert bits(first) == bits(second)
+        assert [p.a for p in first] == sorted(p.a for p in first)
 
     def test_grid_refinement_keeps_brackets(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -546,16 +546,6 @@ class TestLaneSweep:
         reference = scalar_sweep(spec, config)
         assert lanes == reference
         assert bits(lanes) == bits(reference)
-
-    def test_lane_batches_in_threads_match_one_batch(self):
-        # 4 contiguous batches of 32-33 lanes, each above the drain threshold
-        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=130, blowup_cap=1e3)
-        one = solver.sweep(spec, config, threads=1)
-        four = solver.sweep(spec, config, threads=4)
-        assert bits(one) == bits(four)
-        assert any(math.isinf(p.gap) for p in one)
-        assert any(math.isfinite(p.gap) for p in one)
 
     def test_pole_check_covers_every_lane(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
