@@ -20,7 +20,6 @@ values near the (excluded) poles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +39,6 @@ DEFAULT_SAMPLE_MARGIN = 1e-3
 _MAX_ROUNDS = 100_000
 
 
-@dataclass(frozen=True)
-class IdentitySample:
-    g: int
-    r: float
-    t: float
-
-
 def _check_g(g: int) -> int:
     # Sums over i = 0..g-1 only make sense for positive g.
     if not isinstance(g, int) or g < 1:
@@ -60,15 +52,6 @@ def _check_regular(g: int, t, margin: float) -> np.ndarray:
     return t
 
 
-def _unpack(g, r, t):
-    # the single-sample form passes an IdentitySample as the only argument
-    if isinstance(g, IdentitySample):
-        if r is not None or t is not None:
-            raise TypeError("pass either an IdentitySample or explicit (g, r, t)")
-        return g.g, g.r, g.t
-    return g, r, t
-
-
 def _shifted_sum(g: int, t, term):
     """sum_i term(i, x_i) over i = 0..g-1, x_i = t - i pi/g reduced mod 2 pi."""
     total = 0.0
@@ -80,7 +63,6 @@ def _shifted_sum(g: int, t, term):
 def _sin_lemma(g, r, t, margin, num):
     """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
     = g ((g-1) num(r-t) + num(r + (g-1) t))."""
-    g, r, t = _unpack(g, r, t)
     g = _check_g(g)
     t = _check_regular(g, t, margin)
     r = np.asarray(r, dtype=float)
@@ -91,12 +73,12 @@ def _sin_lemma(g, r, t, margin, num):
     return lhs, rhs
 
 
-def lemma_sin_sq(g, r=None, t=None, margin: float = 1e-8):
+def lemma_sin_sq(g, r, t, margin: float = 1e-8):
     """Both sides of the sin-square summation identity."""
     return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(y, TAU)) ** 2)
 
 
-def lemma_sin_2r(g, r=None, t=None, margin: float = 1e-8):
+def lemma_sin_2r(g, r, t, margin: float = 1e-8):
     """Both sides of the sin-double-angle summation identity."""
     return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(2.0 * y, TAU)))
 

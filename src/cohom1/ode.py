@@ -60,9 +60,11 @@ def require_regular(t, G: int, margin: float) -> None:
         t = float(t[~far][0])
     elif math.isfinite(t) and pole_distance(t, G) >= margin:
         return
-    raise PoleProximity(
-        f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
-    )
+    raise _pole_error(t, G, margin)
+
+
+def _pole_error(t: float, G: int, margin: float) -> PoleProximity:
+    return PoleProximity(f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem")
 
 
 def regular_window(G: int, margin: float) -> tuple[float, float]:
@@ -311,7 +313,9 @@ def rhs(
     :func:`_tension_parts` arithmetic with bound locals because this is the
     integrator's innermost call; a test pins the two paths together bit
     for bit.  Only a time outside the :func:`regular_window` takes the
-    pole test, :func:`require_regular`.
+    pole test, :func:`require_regular`.  A time the test lets through where
+    4 sin^2(Gt) underflows to 0 (|Gt| below about 1e-162, so only with a
+    margin below that) raises PoleProximity too.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
     lo, hi = regular_window(G, margin)
@@ -345,7 +349,10 @@ def rhs(
             - f1 * su * (s + d * cg)
             - f2 * sug * (s * cg + d)
         )
-        return -N / (4.0 * sg * sg)
+        try:
+            return -N / (4.0 * sg * sg)
+        except ZeroDivisionError:
+            raise _pole_error(t, G, margin) from None
 
     return accel
 
@@ -357,10 +364,12 @@ def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
 
     ``time`` pole-checks every time passed, naming the first near one in
     row-major order; it runs :func:`require_regular`, the test :func:`rhs`
-    runs, only when some time lies outside the :func:`regular_window`.  Every lane performs the scalar closure's
-    operations in the same order, with the exact remainder, so it equals
-    the scalar value bit for bit.  Where the scalar floats overflow silently numpy
-    warns, so callers run it under ``np.errstate``.
+    runs, only when some time lies outside the :func:`regular_window`.
+    Failing none, it names the first time where A = 4 sin^2(Gt) underflows
+    to 0, where :func:`rhs` raises too.  Every lane performs the scalar
+    closure's operations in the same order, with the exact remainder, so it
+    equals the scalar value bit for bit.  Where the scalar floats overflow
+    silently numpy warns, so callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
     lo, hi = regular_window(G, margin)
@@ -369,7 +378,11 @@ def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
         # NaN propagates through min and max and fails both compares.
         if not (lo < t.min(initial=math.inf) and t.max(initial=-math.inf) < hi):
             require_regular(t, G, margin)
-        return _time_parts(G, M0, M1, t, _remainder_exact)
+        parts = _time_parts(G, M0, M1, t, _remainder_exact)
+        A = parts[2]
+        if not A.all():
+            raise _pole_error(float(t[A == 0.0][0]), G, margin)
+        return parts
 
     def state(parts, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
         A, N = _state_parts(G, parts, r, rdot, _remainder_exact)

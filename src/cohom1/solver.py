@@ -9,22 +9,22 @@ small offset eps away from each endpoint on a numerically fitted cubic and
 the two trajectories are matched in the interior, where the problem is as
 well-conditioned as it gets.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI-free step
-control, first-same-as-last reuse, quartic dense output at given nodes
-(one (n, 3) array of states per profile half), a blow-up cap that
-converts runaway trajectories into TrajectoryEscaped, and a step-underflow
-guard that raises IntegratorStall.  Everything is plain-float arithmetic
-in a fixed order, so identical inputs give bit-identical results on a
-fixed platform.
-
-A sweep runs the same integrator on all its grid points at once as numpy
+Every solve, sweep and refinement does one thing per half: series-start
+it at its endpoint (:func:`_start`) and run an embedded Dormand-Prince
+5(4) pair on it, with PI-free step control, first-same-as-last reuse, a
+blow-up cap that converts runaway trajectories into TrajectoryEscaped and
+a step-underflow guard that raises IntegratorStall.  A half runs either
+alone (:func:`_dp_run`, which also gives quartic dense output at given
+nodes) or with the other halves of a sweep or crossing search as numpy
 lanes (:func:`_integrate_lanes`), in the same operations and order per
-lane, so each sweep gap equals its one-point scalar integration bit for
-bit.  A lane batch step evaluates the t-only part of the right-hand side
-(pole check, sines and cosines of Gt and 2Gt) once for its five distinct
-stage times, and each of its six stages only the part that depends on
-(r, r').  The lanes left when a batch thins out, or all of a small batch
-after its first derivative, finish on the scalar loop from their state.
+lane, so each lane ends exactly as its scalar run would.  A lane batch
+step evaluates the t-only part of the right-hand side (pole check, sines
+and cosines of Gt and 2Gt) once for its five distinct stage times, and
+each of its six stages only the part that depends on (r, r').  The lanes
+left when a batch thins out, or all of a small batch after its first
+derivative, finish on the scalar loop from their state.  Everything is
+plain-float arithmetic in a fixed order, so identical inputs give
+bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -219,43 +219,17 @@ _DRAIN_LANES = 32
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 
-def _integrate(
-    accel,
-    t0: float,
-    r0: float,
-    v0: float,
-    t_end: float,
-    rel_tol: float,
-    abs_tol: float,
-    blowup_cap: float,
-):
-    """Advance (r, v) from t0 to t_end and return the final (r, v)."""
-    if abs(t_end - t0) == 0.0:
-        return r0, v0
-    return _dp_run(
-        accel, _dp_start(accel, t0, r0, v0, t_end), t_end, rel_tol, abs_tol, blowup_cap
-    )[1:3]
-
-
-def _dp_start(accel, t0: float, r0: float, v0: float, t_end: float) -> tuple:
-    """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end."""
+def _dp_start(accel, t0: float, r0, v0, t_end: float) -> tuple:
+    """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end;
+    r0, v0 and k1v are arrays with a scalar t0 for :func:`_integrate_lanes`."""
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
     return (t0, r0, v0, h, accel(t0, r0, v0), 0)
 
 
-def _dp_run(
-    accel,
-    state: tuple,
-    t_end: float,
-    rel_tol: float,
-    abs_tol: float,
-    blowup_cap: float,
-    nodes=None,
-    record=None,
-) -> tuple:
+def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) -> tuple:
     """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps), to
-    the state at t_end.
+    the state at t_end, with the tolerances and blow-up cap of ``config``.
 
     The first-same-as-last derivative k1r is always v, so it is not
     stored.  ``nodes`` must be sorted in the direction of integration and
@@ -265,6 +239,7 @@ def _dp_run(
     that step.
     """
     t, r, v, h, k1v, steps = state
+    rel_tol, abs_tol, blowup_cap = config.rel_tol, config.abs_tol, config.blowup_cap
     k1r = v
     sqrt = math.sqrt
     direction = 1.0 if t_end >= t else -1.0
@@ -357,20 +332,9 @@ def _dense_states(raw: list) -> np.ndarray:
     return np.column_stack((rows[:, 0], ur, uv))
 
 
-def _lane_outcome(accel, state: tuple, t_end, rel_tol, abs_tol, blowup_cap):
-    """Finish one run on the scalar loop: its final (r, v), or the
-    TrajectoryEscaped or IntegratorStall the loop raised."""
-    try:
-        return _dp_run(accel, state, t_end, rel_tol, abs_tol, blowup_cap)[1:3]
-    except (TrajectoryEscaped, IntegratorStall) as exc:
-        return exc
-
-
-def _integrate_lanes(
-    accel, lane_rhs, t0: float, r0, v0, t_end: float,
-    rel_tol: float, abs_tol: float, blowup_cap: float,
-) -> list:
-    """Run one :func:`_integrate` per lane (r0[i], v0[i]) from a common t0.
+def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -> list:
+    """Run :func:`_dp_run` from :func:`_dp_start` for each lane (r0[i],
+    v0[i]) from a common t0 to t_end != t0.
 
     The lanes advance together as numpy arrays, each with its own t, h,
     accept/reject decision and step count, through the scalar loop's
@@ -382,18 +346,15 @@ def _integrate_lanes(
     raise or return.  Once fewer than _DRAIN_LANES are left, the rest
     finish on the scalar loop from their current state, so a smaller batch
     takes only its first derivative on lanes.  Returns one outcome per
-    lane, as :func:`_lane_outcome` does, identical to the scalar run's.
+    lane, identical to the scalar run's: its final (r, v), or the
+    TrajectoryEscaped or IntegratorStall the run raised.
     """
     n = len(r0)
-    if abs(t_end - t0) == 0.0:
-        return list(zip(r0, v0))
     time_part, state_part = lane_rhs
     out: list = [None] * n
     direction = 1.0 if t_end >= t0 else -1.0
     lane = np.arange(n)
     t = np.full(n, t0)
-    y = np.array([r0, v0], dtype=float)         # rows r, v
-    h = np.full(n, direction * min(abs(t_end - t0) * 1e-3, 1e-3))
     steps = np.zeros(n, dtype=np.int64)
     # Escaping lanes overflow and produce NaN as the scalar floats do, silently.
     with np.errstate(all="ignore"):
@@ -401,7 +362,10 @@ def _integrate_lanes(
         def stage(parts, ty):
             return np.array([ty[1], state_part(parts, ty[0], ty[1])])
 
-        k1 = stage(time_part(t), y)
+        _, r, v, h, k1v, _ = _dp_start(
+            lambda _t, r, v: state_part(time_part(t), r, v), t0, r0, v0, t_end
+        )
+        y, k1, h = np.array([r, v]), np.array([v, k1v]), np.full(n, h)  # rows r, v
         while len(lane) >= _DRAIN_LANES:
             h = np.where((t + h - t_end) * direction > 0.0, t_end - t, h)
             stage_t = t + _STAGE_C * h
@@ -418,14 +382,14 @@ def _integrate_lanes(
             k7 = stage(p6, y_new)
 
             e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-            e /= abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            e /= config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = np.sqrt(0.5 * (e[0] * e[0] + e[1] * e[1]))
 
             ok = err <= 1.0
             t = np.where(ok, t_new, t)
             y = np.where(ok, y_new, y)
             k1 = np.where(ok, k7, k1)
-            escaped = ok & (np.abs(y) > blowup_cap).any(axis=0)
+            escaped = ok & (np.abs(y) > config.blowup_cap).any(axis=0)
             # err == 0 can only be accepted and NaN only rejected.  np.power
             # is SIMD and not libm; np.float_power calls libm pow, as the
             # scalar err ** -0.2 does.
@@ -458,7 +422,10 @@ def _integrate_lanes(
             float(t[j]), float(y[0, j]), float(y[1, j]),
             float(h[j]), float(k1[1, j]), int(steps[j]),
         )
-        out[i] = _lane_outcome(accel, state, t_end, rel_tol, abs_tol, blowup_cap)
+        try:
+            out[i] = _dp_run(accel, state, t_end, config)[1:3]
+        except (TrajectoryEscaped, IntegratorStall) as exc:
+            out[i] = exc
     return out
 
 
@@ -474,27 +441,21 @@ def series_start(
     the starts is asserted by the test suite instead of by algebra.
     """
     accel = ode.rhs(spec)
+    # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
+    # is x for every x, signed zeros included, where 0.0 + x is not.
     if endpoint is Endpoint.LEFT:
-        tp = 2.0 * eps
-        c3 = accel(tp, slope * tp, slope) / (6.0 * tp)
-        c3 = accel(tp, slope * tp + c3 * tp**3, slope + 3.0 * c3 * tp * tp) / (6.0 * tp)
-        t = eps
-        r = slope * eps + c3 * eps**3
-        v = slope + 3.0 * c3 * eps * eps
-        rdd = 6.0 * c3 * eps
+        sigma, t_b, r_b = 1.0, -0.0, -0.0
     else:
-        L = spec.length
-        r_end = spec.k * L
-        tp = L - 2.0 * eps
-        s = 2.0 * eps
-        d3 = -accel(tp, r_end - slope * s, slope) / (6.0 * s)
-        d3 = -accel(tp, r_end - slope * s - d3 * s**3, slope + 3.0 * d3 * s * s) / (
-            6.0 * s
-        )
-        t = L - eps
-        r = r_end - slope * eps - d3 * eps**3
-        v = slope + 3.0 * d3 * eps * eps
-        rdd = -6.0 * d3 * eps
+        sigma, t_b, r_b = -1.0, spec.length, spec.k * spec.length
+    s = 2.0 * eps
+    tp = t_b + sigma * s
+    ray = r_b + sigma * (slope * s)
+    c = sigma * accel(tp, ray, slope) / (6.0 * s)
+    c = sigma * accel(tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s) / (6.0 * s)
+    t = t_b + sigma * eps
+    r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
+    v = slope + 3.0 * c * eps * eps
+    rdd = sigma * 6.0 * c * eps
 
     # Leading-order consistency: the start must already nearly satisfy the
     # ODE (the O(t) terms cancel for every slope, so the residual is O(eps)).
@@ -508,6 +469,13 @@ def series_start(
             stacklevel=2,
         )
     return t, r, v
+
+
+def _start(spec, config, endpoint: Endpoint, slope: float) -> tuple[float, float, float]:
+    """Series start (t, r, v) of the half shot from ``endpoint``, at the
+    offset ``config`` gives that endpoint."""
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    return series_start(spec, endpoint, slope, eps)
 
 
 def shoot(
@@ -540,12 +508,9 @@ def _half(spec, config, accel, endpoint: Endpoint, slope: float, halves):
     key = (endpoint, slope, math.copysign(1.0, slope))
     if halves is not None and key in halves:
         return halves[key]
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    t, r, v = series_start(spec, endpoint, slope, eps)
-    state = _integrate(
-        accel, t, r, v, config.resolved_match(spec),
-        config.rel_tol, config.abs_tol, config.blowup_cap,
-    )
+    match = config.resolved_match(spec)
+    start = _dp_start(accel, *_start(spec, config, endpoint, slope), match)
+    state = _dp_run(accel, start, match, config)[1:3]
     if halves is not None:
         halves[key] = state
     return state
@@ -690,15 +655,11 @@ def _dense_half(spec, config, accel, endpoint: Endpoint, slope: float, nodes) ->
     then its states at ``nodes``, which run away from it.  The states come
     from the interpolant of each accepted step, so they stay smooth at node
     spacing whatever the step sequence."""
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    start = series_start(spec, endpoint, slope, eps)
+    start = _start(spec, config, endpoint, slope)
     if not nodes:
         return np.array([start])
     raw: list = []
-    _dp_run(
-        accel, _dp_start(accel, *start, nodes[-1]), nodes[-1],
-        config.rel_tol, config.abs_tol, config.blowup_cap, nodes, raw,
-    )
+    _dp_run(accel, _dp_start(accel, *start, nodes[-1]), nodes[-1], config, nodes, raw)
     return np.vstack((start, _dense_states(raw)))
 
 
@@ -706,13 +667,9 @@ def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -
     """Outcomes (see :func:`_integrate_lanes`) of the halves series-started
     from ``endpoint`` with each of ``slopes`` and run to t_end as one lane
     batch."""
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    starts = [series_start(spec, endpoint, float(s), eps) for s in slopes]
-    return _integrate_lanes(
-        accel, ode._rhs_lanes(spec), starts[0][0],
-        [s[1] for s in starts], [s[2] for s in starts], t_end,
-        config.rel_tol, config.abs_tol, config.blowup_cap,
-    )
+    starts = np.array([_start(spec, config, endpoint, float(s)) for s in slopes])
+    t0, r0, v0 = starts.T
+    return _integrate_lanes(accel, ode._rhs_lanes(spec), float(t0[0]), r0, v0, t_end, config)
 
 
 def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:
@@ -814,6 +771,7 @@ def refine_brackets(
     ``cohom1`` logger.
     """
     config = config or ShootingConfig()
+    config.validate(spec)
     points = points if points is not None else sweep(spec, config)
     brackets = [i for i, p in enumerate(points) if p.sign_change]
     if not brackets:

@@ -77,13 +77,6 @@ class TestLemmaSinSq:
         with pytest.raises(ValueError):
             identities.lemma_sin_sq(-2, 0.5, 0.4)
 
-    def test_sample_form(self):
-        sample = identities.IdentitySample(g=5, r=0.7, t=0.3)
-        assert identities.lemma_sin_sq(sample) == identities.lemma_sin_sq(5, 0.7, 0.3)
-        assert identities.lemma_sin_2r(sample) == identities.lemma_sin_2r(5, 0.7, 0.3)
-        with pytest.raises(TypeError):
-            identities.lemma_sin_sq(sample, 0.7)
-
 
 class TestLemmaSin2r:
     def test_single_term(self):

@@ -255,11 +255,12 @@ class TestRhs:
     @pytest.mark.parametrize("margin", [0.0, 1e-8, 1e-3])
     def test_window_changes_no_pole_decision(self, margin, G):
         # inside, outside and on the edges of the window, the closure raises
-        # PoleProximity exactly where pole_distance is below the margin, and
-        # on NaN and infinite times, which have no distance; the lane time
-        # part raises on the same times, each alone and all at once, and
-        # names the same first near time, in row-major order when stacked as
-        # (5, n) stage rows
+        # PoleProximity exactly where pole_distance is below the margin, on
+        # NaN and infinite times, which have no distance, and, with no
+        # margin, where 4 sin^2(Gt) underflows to 0; the lane time part
+        # raises on the same times, each alone and all at once, and names
+        # the same first near time, in row-major order when stacked as
+        # (5, n) stage rows, or failing one the first underflowing time
         L = math.pi / G
         spec = BvpSpec(G=G, M0=2, M1=3, k=1)
         accel = ode.rhs(spec, margin)
@@ -273,6 +274,12 @@ class TestRhs:
         def near(t):
             return not math.isfinite(t) or ode.pole_distance(t, G) < margin
 
+        def underflows(t):
+            sg = math.sin(math.remainder(G * t, ode.TAU))
+            return 4.0 * sg * sg == 0.0
+
+        assert any(underflows(t) and not near(t) for t in finite) == (margin == 0.0)
+
         def message(t):
             return f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem"
 
@@ -285,13 +292,10 @@ class TestRhs:
             return None
 
         for t in times:
-            assert named([t]) == (message(t) if near(t) else None)
-            if near(t):
+            fails = near(t) or underflows(t)
+            assert named([t]) == (message(t) if fails else None)
+            if fails:
                 with pytest.raises(PoleProximity, match=re.escape(message(t))):
-                    accel(t, 0.3, 1.0)
-            elif margin == 0.0 and abs(t) < 1e-300:
-                # 4 sin^2(Gt) underflows to 0 and no pole test guards it
-                with pytest.raises(ZeroDivisionError):
                     accel(t, 0.3, 1.0)
             else:
                 accel(t, 0.3, 1.0)
@@ -300,7 +304,8 @@ class TestRhs:
         for i, t in enumerate(times):
             stacked[4 - i % 5, i] = t
         for batch in (finite, times, stacked):
-            first = [t for t in np.ravel(batch).tolist() if near(t)]
+            flat = np.ravel(batch).tolist()
+            first = [t for t in flat if near(t)] or [t for t in flat if underflows(t)]
             assert named(batch) == (message(first[0]) if first else None)
         assert named(np.empty(0)) is None and named(np.empty((5, 0))) is None
 

@@ -1,5 +1,6 @@
 """Series starts, shooting, sweeps and the profiles they produce."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -19,6 +20,29 @@ from cohom1.errors import (
 )
 from cohom1.ode import BvpSpec
 from cohom1.solver import Endpoint, ShootingConfig
+
+
+def integrate(accel, t0, r0, v0, t_end, config):
+    """Final (r, v) of one scalar DP5(4) run from (t0, r0, v0) to t_end."""
+    return solver._dp_run(accel, solver._dp_start(accel, t0, r0, v0, t_end), t_end, config)[1:3]
+
+
+def two_branch_start(spec, endpoint, slope, eps):
+    """series_start's (t, r, v) as one body per endpoint, the cubic
+    coefficient fitted twice at 2*eps from the endpoint."""
+    accel = ode.rhs(spec)
+    if endpoint is Endpoint.LEFT:
+        tp = 2.0 * eps
+        c3 = accel(tp, slope * tp, slope) / (6.0 * tp)
+        c3 = accel(tp, slope * tp + c3 * tp**3, slope + 3.0 * c3 * tp * tp) / (6.0 * tp)
+        return eps, slope * eps + c3 * eps**3, slope + 3.0 * c3 * eps * eps
+    L = spec.length
+    r_end = spec.k * L
+    tp = L - 2.0 * eps
+    s = 2.0 * eps
+    d3 = -accel(tp, r_end - slope * s, slope) / (6.0 * s)
+    d3 = -accel(tp, r_end - slope * s - d3 * s**3, slope + 3.0 * d3 * s * s) / (6.0 * s)
+    return L - eps, r_end - slope * eps - d3 * eps**3, slope + 3.0 * d3 * eps * eps
 
 
 class TestSeriesStart:
@@ -45,16 +69,33 @@ class TestSeriesStart:
         # r = c3 * eps^3 and v = 3 c3 eps^2 for the same c3
         assert r == pytest.approx(v * eps / 3.0, rel=1e-6, abs=1e-18)
 
+    @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
+    def test_equals_two_branch_expansion_bit_for_bit(self, G):
+        # the one expansion body against a copy of the former left and
+        # right bodies, signed zero slopes included
+        # problems with smooth branches at both ends: odd G needs M0 == M1
+        spec = BvpSpec(G=G, M0=2, M1=2 if G % 2 else 3, k=1 - G if G % 2 else 1 + G)
+        rng = random.Random(G)
+        slopes = [0.0, -0.0, 1.0, -1.0, 7.0, -12.0, 60.0, -60.0]
+        slopes += [rng.uniform(-60.0, 60.0) for _ in range(8)]
+        for eps in (1e-4, 1e-5, 3.7e-6, 1e-7):
+            for endpoint in Endpoint:
+                for slope in slopes:
+                    got = solver.series_start(spec, endpoint, slope, eps)
+                    want = two_branch_start(spec, endpoint, slope, eps)
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_richardson_order(self):
         # the value transported to a fixed interior point converges at
         # order >= 2 as the start offset is halved
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         accel = ode.rhs(spec)
         target = 0.5
+        tight = ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
 
         def transported(eps):
             t, r, v = solver.series_start(spec, Endpoint.LEFT, 3.0, eps)
-            return solver._integrate(accel, t, r, v, target, 1e-12, 1e-14, 1e6)[0]
+            return integrate(accel, t, r, v, target, tight)[0]
 
         r1 = transported(1e-3)
         r2 = transported(5e-4)
@@ -67,14 +108,14 @@ class TestIntegrator:
     def test_stall_on_nan_dynamics(self):
         bad = lambda t, r, v: math.nan
         with pytest.raises(IntegratorStall):
-            solver._integrate(bad, 0.1, 0.0, 1.0, 1.0, 1e-10, 1e-12, 1e6)
+            integrate(bad, 0.1, 0.0, 1.0, 1.0, ShootingConfig())
 
     def test_escape_reports_state(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         accel = ode.rhs(spec)
         t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, 10.0, 1e-5)
         with pytest.raises(TrajectoryEscaped) as info:
-            solver._integrate(accel, t0, r0, v0, math.pi - 1e-5, 1e-10, 1e-12, 100.0)
+            integrate(accel, t0, r0, v0, math.pi - 1e-5, ShootingConfig(blowup_cap=100.0))
         assert 0 < info.value.t < math.pi
         assert max(abs(info.value.r), abs(info.value.rdot)) > 100.0
 
@@ -87,8 +128,8 @@ class TestIntegrator:
         assert rows.shape == (8, 3) and rows[0].tolist() == [t0, r0, v0]
         assert rows[1:, 0].tolist() == nodes
         for t_node, r_node, v_node in rows[1:].tolist():
-            r_direct, v_direct = solver._integrate(
-                accel, t0, r0, v0, t_node, 1e-12, 1e-14, 1e6
+            r_direct, v_direct = integrate(
+                accel, t0, r0, v0, t_node, ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
             )
             assert r_node == pytest.approx(r_direct, abs=5e-9)
             assert v_node == pytest.approx(v_direct, abs=5e-8)
@@ -114,15 +155,17 @@ class TestShoot:
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(t0, t_end) of every solver._integrate call made in the test."""
+    """(t0, t_end) of every scalar run to an end point (a solver._dp_run
+    call without dense-output nodes) made in the test."""
     calls = []
-    original = solver._integrate
+    original = solver._dp_run
 
-    def counted(accel, t0, r0, v0, t_end, *args, **kwargs):
-        calls.append((t0, t_end))
-        return original(accel, t0, r0, v0, t_end, *args, **kwargs)
+    def counted(accel, state, t_end, config, nodes=None, record=None):
+        if nodes is None:
+            calls.append((state[0], t_end))
+        return original(accel, state, t_end, config, nodes, record)
 
-    monkeypatch.setattr(solver, "_integrate", counted)
+    monkeypatch.setattr(solver, "_dp_run", counted)
     return calls
 
 
@@ -156,7 +199,7 @@ class TestDenseOutput:
         raw = []
         solver._dp_run(
             accel, solver._dp_start(accel, t0, r0, v0, nodes[-1]), nodes[-1],
-            1e-10, 1e-12, 1e6, nodes, raw,
+            ShootingConfig(), nodes, raw,
         )
         states = solver._dense_states(raw)
         assert states.shape == (len(nodes), 3) and states[:, 0].tolist() == nodes
@@ -488,7 +531,7 @@ class TestSweep:
 
 
 def scalar_sweep(spec, config):
-    """Per-point reference: series start, scalar _integrate, linearised gap."""
+    """Per-point reference: series start, scalar run, linearised gap."""
     accel = ode.rhs(spec)
     grid = np.linspace(*config.resolved_bracket(spec), config.sweep_points)
     t_end = spec.length - config.eps1
@@ -496,9 +539,7 @@ def scalar_sweep(spec, config):
     for a in grid:
         t, r, v = solver.series_start(spec, Endpoint.LEFT, float(a), config.eps0)
         try:
-            r_end, v_end = solver._integrate(
-                accel, t, r, v, t_end, config.rel_tol, config.abs_tol, config.blowup_cap
-            )
+            r_end, v_end = integrate(accel, t, r, v, t_end, config)
         except TrajectoryEscaped as esc:
             gaps.append(math.copysign(math.inf, esc.r if esc.r != 0.0 else 1.0))
         except IntegratorStall:
@@ -546,6 +587,44 @@ class TestLaneSweep:
         reference = scalar_sweep(spec, config)
         assert lanes == reference
         assert bits(lanes) == bits(reference)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(bracket=(0.0, 20.0), sweep_points=17),
+            # 32 escapes to +inf, 32 to -inf and 1 arrival
+            dict(bracket=(0.0, 20.0), sweep_points=65, blowup_cap=1e3),
+        ],
+    )
+    def test_outcomes_equal_scalar_runs(self, options):
+        # each lane's outcome is the scalar run's: the same type, and the
+        # same bits of (t, r, rdot) for an escape and of (r, v) for an arrival
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(**options)
+        accel = ode.rhs(spec)
+        t_end = spec.length - config.eps1
+        slopes = np.linspace(*config.resolved_bracket(spec), config.sweep_points)
+        lanes = solver._half_lanes(spec, config, accel, Endpoint.LEFT, slopes, t_end)
+
+        def key(outcome):
+            if isinstance(outcome, TrajectoryEscaped):
+                return "escaped", outcome.t.hex(), outcome.r.hex(), outcome.rdot.hex()
+            if isinstance(outcome, IntegratorStall):
+                return "stalled", str(outcome)
+            return "arrived", outcome[0].hex(), outcome[1].hex()
+
+        scalar = []
+        for a in slopes.tolist():
+            t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+            try:
+                scalar.append(integrate(accel, t, r, v, t_end, config))
+            except (TrajectoryEscaped, IntegratorStall) as exc:
+                scalar.append(exc)
+        assert [type(o) for o in lanes] == [type(o) for o in scalar]
+        assert [key(o) for o in lanes] == [key(o) for o in scalar]
+        if "blowup_cap" in options:
+            signs = [math.copysign(1.0, o.r) for o in lanes if isinstance(o, TrajectoryEscaped)]
+            assert signs.count(1.0) == signs.count(-1.0) == 32 and len(lanes) == 65
 
     def test_pole_check_covers_every_lane(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
@@ -763,6 +842,20 @@ class TestRefineBrackets:
         ]
         for prof in profiles:
             assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
+
+    @pytest.mark.parametrize("bad", [dict(rel_tol=math.nan), dict(match_point=5.0)])
+    def test_invalid_config_rejected_with_given_points(self, bad):
+        # a valid sweep passed in does not stand in for the config's checks
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        valid = ShootingConfig(bracket=(0.0, 20.0), sweep_points=64)
+        points = solver.sweep(spec, valid)
+        assert any(p.sign_change for p in points)
+        config = dataclasses.replace(valid, **bad)
+        for call in (solver.sweep, solver.solve):
+            with pytest.raises(ValueError):
+                call(spec, config)
+        with pytest.raises(ValueError):
+            solver.refine_brackets(spec, config, points)
 
     def test_right_slope_beyond_the_grid(self):
         # (2,1,3,1): the nonlinear solution's right slope 13.0473 lies
