@@ -357,6 +357,63 @@ def rhs(
     return accel
 
 
+def rhs_tangent(
+    spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN
+) -> Callable[[float, float, float, float, float], tuple[float, float]]:
+    """Tangent twin of :func:`rhs`: (t, r, r', dr, dr') -> (r'', dr''),
+    where dr'' is the derivative of r'' along the direction (dr, dr').
+
+    The value is :func:`rhs`'s, from the same operations in the same order
+    (a test pins the two bit for bit); the derivative reuses its sines and
+    adds the cosines of u = 2(r - t) and u + Gt:
+
+        dN = P dr' - 2 (G(G-2) cos(u) Q + 2G cos(u+Gt) R) dr,  dr'' = -dN / A
+
+    with A, P, Q, R as in :func:`_time_parts`.
+    """
+    G, M0, M1 = spec.G, spec.M0, spec.M1
+    lo, hi = regular_window(G, margin)
+    cs = G * (M0 + M1)
+    cd = 2.0 * G * (M0 - M1)
+    f1 = G * (G - 2.0)
+    f2 = 2.0 * G
+    s = M0 + M1
+    d = M0 - M1
+
+    def jet(
+        t: float,
+        r: float,
+        rdot: float,
+        dr: float,
+        drdot: float,
+        sin=math.sin,
+        cos=math.cos,
+        rem=math.remainder,
+    ) -> tuple[float, float]:
+        if not lo < t < hi:
+            require_regular(t, G, margin)
+        Gt = G * t
+        g = rem(Gt, TAU)
+        sg = sin(g)
+        cg = cos(g)
+        s2g = sin(rem(2.0 * Gt, TAU))
+        u = 2.0 * (r - t)
+        ur = rem(u, TAU)
+        ugr = rem(u + Gt, TAU)
+        P = cs * s2g + cd * sg
+        Q = s + d * cg
+        R = s * cg + d
+        N = P * rdot - f1 * sin(ur) * Q - f2 * sin(ugr) * R
+        dN = P * drdot - 2.0 * (f1 * cos(ur) * Q + f2 * cos(ugr) * R) * dr
+        A = 4.0 * sg * sg
+        try:
+            return -N / A, -dN / A
+        except ZeroDivisionError:
+            raise _pole_error(t, G, margin) from None
+
+    return jet
+
+
 def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
     """Lane twin of :func:`rhs` as a pair (time, state):
     ``state(time(t), r, rdot)`` is r'' for 1-d arrays, and ``time`` may

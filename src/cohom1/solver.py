@@ -22,9 +22,12 @@ step evaluates the t-only part of the right-hand side (pole check, sines
 and cosines of Gt and 2Gt) once for its five distinct stage times, and
 each of its six stages only the part that depends on (r, r').  The lanes
 left when a batch thins out, or all of a small batch after its first
-derivative, finish on the scalar loop from their state.  Everything is
-plain-float arithmetic in a fixed order, so identical inputs give
-bit-identical results on a fixed platform.
+derivative, finish on the scalar loop from their state.  The halves of a
+solve also carry their tangent with respect to their slope through the
+same scalar steps (the variational equation, started from the derivative
+of the series start), so Newton reads its Jacobian off the shots it makes.
+Everything is plain-float arithmetic in a fixed order, so identical inputs
+give bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class ShootingConfig:
     blowup_cap: float = 1e6
 
     def validate(self, spec: BvpSpec) -> None:
+        # r - kt is O(t) at t = 0 for every k, but at t = pi/G the forcing
+        # sin 2(r - t) vanishes at r = k pi/G only if G divides 2(k - 1);
+        # otherwise no smooth branch ends there and nothing can be matched.
+        if 2 * (spec.k - 1) % spec.G:
+            raise ValueError(
+                f"k={spec.k} has no smooth branch at the right endpoint of the "
+                f"G={spec.G} problem: G must divide 2(k-1)"
+            )
         quarter = spec.length / 4.0
         if not (0.0 < self.eps0 < quarter and 0.0 < self.eps1 < quarter):
             raise ValueError(
@@ -219,26 +230,44 @@ _DRAIN_LANES = 32
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 
-def _dp_start(accel, t0: float, r0, v0, t_end: float) -> tuple:
+def _dp_start(accel, t0: float, r0, v0, t_end: float, tangent=None) -> tuple:
     """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end;
-    r0, v0 and k1v are arrays with a scalar t0 for :func:`_integrate_lanes`."""
+    r0, v0 and k1v are arrays with a scalar t0 for :func:`_integrate_lanes`.
+
+    With a start tangent (p0, q0), ``accel`` is an :func:`ode.rhs_tangent`
+    closure and the state gains (p, q, k1q): the tangent (dr, dv) and its
+    first derivative, for :func:`_dp_run` to carry along.
+    """
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
-    return (t0, r0, v0, h, accel(t0, r0, v0), 0)
+    if tangent is None:
+        return (t0, r0, v0, h, accel(t0, r0, v0), 0)
+    k1v, k1q = accel(t0, r0, v0, *tangent)
+    return (t0, r0, v0, h, k1v, 0, *tangent, k1q)
 
 
 def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) -> tuple:
     """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps), to
     the state at t_end, with the tolerances and blow-up cap of ``config``.
 
-    The first-same-as-last derivative k1r is always v, so it is not
-    stored.  ``nodes`` must be sorted in the direction of integration and
+    The first-same-as-last derivative k1r is always v (and k1p always q),
+    so it is not stored.  ``nodes`` must be sorted in the direction of integration and
     lie in (t, t_end].  For each node an accepted step passes, ``record``
     gains the raw row that :func:`_dense_states` turns into the node's
     state: (node, theta, h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) of
     that step.
+
+    A state with a tangent (see :func:`_dp_start`) runs the tangent (p, q)
+    through the same stages and steps, and is returned with it: the
+    derivative of the discrete solution along the start tangent.  Step
+    control, error norm and blow-up test read (r, v) only, so (r, v) end
+    bit-identical to a run without the tangent.
     """
-    t, r, v, h, k1v, steps = state
+    tangent = len(state) > 6
+    if tangent:
+        t, r, v, h, k1v, steps, p, q, k1q = state
+    else:
+        t, r, v, h, k1v, steps = state
     rel_tol, abs_tol, blowup_cap = config.rel_tol, config.abs_tol, config.blowup_cap
     k1r = v
     sqrt = math.sqrt
@@ -252,23 +281,64 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
 
         tr = r + h * _A21 * k1r
         tv = v + h * _A21 * k1v
-        k2r, k2v = tv, accel(t + _C2 * h, tr, tv)
+        if tangent:
+            k1p = q
+            k2p = q + h * _A21 * k1q
+            k2v, k2q = accel(t + _C2 * h, tr, tv, p + h * _A21 * k1p, k2p)
+        else:
+            k2v = accel(t + _C2 * h, tr, tv)
+        k2r = tv
         tr = r + h * (_A31 * k1r + _A32 * k2r)
         tv = v + h * (_A31 * k1v + _A32 * k2v)
-        k3r, k3v = tv, accel(t + _C3 * h, tr, tv)
+        if tangent:
+            k3p = q + h * (_A31 * k1q + _A32 * k2q)
+            k3v, k3q = accel(t + _C3 * h, tr, tv, p + h * (_A31 * k1p + _A32 * k2p), k3p)
+        else:
+            k3v = accel(t + _C3 * h, tr, tv)
+        k3r = tv
         tr = r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r)
         tv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        k4r, k4v = tv, accel(t + _C4 * h, tr, tv)
+        if tangent:
+            k4p = q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q)
+            k4v, k4q = accel(
+                t + _C4 * h, tr, tv, p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p), k4p
+            )
+        else:
+            k4v = accel(t + _C4 * h, tr, tv)
+        k4r = tv
         tr = r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r)
         tv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        k5r, k5v = tv, accel(t + _C5 * h, tr, tv)
+        if tangent:
+            k5p = q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q)
+            k5v, k5q = accel(
+                t + _C5 * h, tr, tv,
+                p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p), k5p,
+            )
+        else:
+            k5v = accel(t + _C5 * h, tr, tv)
+        k5r = tv
         tr = r + h * (_A61 * k1r + _A62 * k2r + _A63 * k3r + _A64 * k4r + _A65 * k5r)
         tv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        k6r, k6v = tv, accel(t + h, tr, tv)
+        if tangent:
+            k6p = q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q + _A65 * k5q)
+            k6v, k6q = accel(
+                t + h, tr, tv,
+                p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
+                k6p,
+            )
+        else:
+            k6v = accel(t + h, tr, tv)
+        k6r = tv
         r_new = r + h * (_B1 * k1r + _B3 * k3r + _B4 * k4r + _B5 * k5r + _B6 * k6r)
         v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
         t_new = t + h
-        k7r, k7v = v_new, accel(t_new, r_new, v_new)
+        if tangent:
+            p_new = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
+            q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q + _B6 * k6q)
+            k7v, k7q = accel(t_new, r_new, v_new, p_new, q_new)
+        else:
+            k7v = accel(t_new, r_new, v_new)
+        k7r = v_new
 
         err_r = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
         err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
@@ -291,6 +361,8 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
                 next_node = next(node_iter, None)
             t, r, v = t_new, r_new, v_new
             k1r, k1v = k7r, k7v
+            if tangent:
+                p, q, k1q = p_new, q_new, k7q
             if abs(r) > blowup_cap or abs(v) > blowup_cap:
                 raise TrajectoryEscaped(t, r, v)
             factor = _SAFETY * err ** -0.2 if err > 0.0 else _MAX_FACTOR
@@ -306,6 +378,8 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
         steps += 1
         if steps > _MAX_STEPS:
             raise IntegratorStall(t, detail="step budget exhausted")
+    if tangent:
+        return t, r, v, h, k1v, steps, p, q, k1q
     return t, r, v, h, k1v, steps
 
 
@@ -430,8 +504,8 @@ def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -
 
 
 def series_start(
-    spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float
-) -> tuple[float, float, float]:
+    spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float, tangent: bool = False
+) -> tuple:
     """Smooth-branch starting data (t, r, rdot) an offset eps off an endpoint.
 
     The cubic coefficient is fitted numerically from the ODE itself: probe
@@ -439,8 +513,12 @@ def series_start(
     r'' ~ 6*c3*t, and refine once with the corrected state.  This keeps the
     expansion formula-agnostic in (G, M0, M1); the Richardson property of
     the starts is asserted by the test suite instead of by algebra.
+
+    With ``tangent`` the two probes run on :func:`ode.rhs_tangent`, which
+    carries the derivative of the fit in the slope, and the result is
+    (t, r, rdot, dr, drdot) with (dr, drdot) = d(r, rdot)/d(slope); the
+    first three equal the plain start bit for bit.
     """
-    accel = ode.rhs(spec)
     # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
     # is x for every x, signed zeros included, where 0.0 + x is not.
     if endpoint is Endpoint.LEFT:
@@ -450,8 +528,19 @@ def series_start(
     s = 2.0 * eps
     tp = t_b + sigma * s
     ray = r_b + sigma * (slope * s)
-    c = sigma * accel(tp, ray, slope) / (6.0 * s)
-    c = sigma * accel(tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s) / (6.0 * s)
+    if tangent:
+        jet = ode.rhs_tangent(spec)
+        f, df = jet(tp, ray, slope, sigma * s, 1.0)
+        c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
+        f, df = jet(
+            tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s,
+            sigma * s + sigma * (dc * s**3), 1.0 + 3.0 * dc * s * s,
+        )
+        c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
+    else:
+        accel = ode.rhs(spec)
+        c = sigma * accel(tp, ray, slope) / (6.0 * s)
+        c = sigma * accel(tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s) / (6.0 * s)
     t = t_b + sigma * eps
     r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
     v = slope + 3.0 * c * eps * eps
@@ -468,52 +557,46 @@ def series_start(
             RuntimeWarning,
             stacklevel=2,
         )
+    if tangent:
+        return t, r, v, sigma * eps + sigma * (dc * eps**3), 1.0 + 3.0 * dc * eps * eps
     return t, r, v
 
 
-def _start(spec, config, endpoint: Endpoint, slope: float) -> tuple[float, float, float]:
-    """Series start (t, r, v) of the half shot from ``endpoint``, at the
-    offset ``config`` gives that endpoint."""
+def _start(spec, config, endpoint: Endpoint, slope: float, tangent: bool = False) -> tuple:
+    """Series start (t, r, v), or with ``tangent`` (t, r, v, dr, dv), of
+    the half shot from ``endpoint``, at the offset ``config`` gives that
+    endpoint."""
     eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    return series_start(spec, endpoint, slope, eps)
+    return series_start(spec, endpoint, slope, eps, tangent)
 
 
 def shoot(
-    spec: BvpSpec,
-    config: ShootingConfig,
-    a: float,
-    b: float,
-    halves: dict | None = None,
-) -> tuple[float, float]:
+    spec: BvpSpec, config: ShootingConfig, a: float, b: float, tangent: bool = False
+) -> tuple:
     """Mismatch (value, derivative) at the match point between the trajectory
     started from the left with slope a and from the right with slope b.
 
-    ``halves`` is an optional memo, for one (spec, config), from
-    (endpoint, slope) to the match-point state (r, v) of that half: a half
-    found in it is not integrated again, and every half that reaches the
-    match point is stored.  The left half runs before the right one and a
-    half that escapes or stalls is not stored, so a shot raises what it
-    would raise without the memo.
+    With ``tangent`` each half also carries its tangent with respect to its
+    own slope (the variational equation, started from the derivative of
+    its series start and integrated by the same DP5(4) steps), and the
+    result is (gap, jacobian): the same gap bit for bit, and the jacobian
+    ((dg0/da, dg0/db), (dg1/da, dg1/db)) of the discrete gap, whose columns
+    are the left tangent and minus the right one.  The left half runs
+    before the right one.
     """
     config.validate(spec)
-    accel = ode.rhs(spec)
-    rl, vl = _half(spec, config, accel, Endpoint.LEFT, a, halves)
-    rr, vr = _half(spec, config, accel, Endpoint.RIGHT, b, halves)
-    return rl - rr, vl - vr
-
-
-def _half(spec, config, accel, endpoint: Endpoint, slope: float, halves):
-    """Match-point state (r, v) of the half shot from ``endpoint``."""
-    # 0.0 and -0.0 are one dict key, but their starts may differ in a bit
-    key = (endpoint, slope, math.copysign(1.0, slope))
-    if halves is not None and key in halves:
-        return halves[key]
     match = config.resolved_match(spec)
-    start = _dp_start(accel, *_start(spec, config, endpoint, slope), match)
-    state = _dp_run(accel, start, match, config)[1:3]
-    if halves is not None:
-        halves[key] = state
-    return state
+    accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
+    ends = []
+    for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
+        t0, r0, v0, *dstart = _start(spec, config, endpoint, slope, tangent)
+        start = _dp_start(accel, t0, r0, v0, match, dstart or None)
+        ends.append(_dp_run(accel, start, match, config))
+    left, right = ends
+    gap = (left[1] - right[1], left[2] - right[2])
+    if not tangent:
+        return gap
+    return gap, ((left[6], -right[6]), (left[7], -right[7]))
 
 
 def solve(
@@ -524,17 +607,15 @@ def solve(
 ) -> SolutionProfile:
     """Damped-Newton double shooting on the endpoint slopes (a, b).
 
-    Starts from ``init`` or from the linear candidate (k, k).  The Jacobian
-    is a forward finite difference; steps are halved up to 20 times until
-    the gap norm decreases, and an escape or stall of a damped trial counts
-    as a trial that did not decrease it.  An escape or stall of a Jacobian
-    probe raises NoConvergence ('jacobian probe failed ...'); one of the
-    very first shot surfaces as TrajectoryEscaped or IntegratorStall.
-    Every shot of one call shares a memo of shooting halves (see
-    :func:`shoot`), so a probe or trial integrates only the half whose
-    slope changed.  On convergence the solution is re-integrated once over
-    a dense output grid and the interior residual is measured by
-    finite-difference reconstruction of r''.
+    Starts from ``init`` or from the linear candidate (k, k).  Every shot
+    carries the tangents of its halves (see :func:`shoot`), so the Jacobian
+    of each iterate comes from the shot that produced it, with no extra
+    integration.  Steps are halved up to 20 times until the gap norm
+    decreases, and an escape or stall of a damped trial counts as a trial
+    that did not decrease it; an escape or stall of the first shot surfaces
+    as TrajectoryEscaped or IntegratorStall.  On convergence the solution is
+    re-integrated once over a dense output grid and the interior residual
+    is measured by finite-difference reconstruction of r''.
 
     Raises ValueError for an invalid config or non-finite ``init``, and
     NoConvergence (with the final gaps and iterate), TrajectoryEscaped or
@@ -547,27 +628,14 @@ def solve(
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"init slopes must be finite, got ({a!r}, {b!r})")
     tol = GAP_TOL_FACTOR * (1.0 + abs(k))
-    halves: dict = {}
 
-    gap = shoot(spec, config, a, b, halves)
+    gap, jac = shoot(spec, config, a, b, tangent=True)
     norm = math.hypot(*gap)
     iterations = 0
     while norm > tol:
         if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
-        ha = 1e-7 * (1.0 + abs(a))
-        hb = 1e-7 * (1.0 + abs(b))
-        try:
-            gap_a = shoot(spec, config, a + ha, b, halves)
-            gap_b = shoot(spec, config, a, b + hb, halves)
-        except (TrajectoryEscaped, IntegratorStall) as exc:
-            raise NoConvergence(
-                gap, (a, b), iterations, f"jacobian probe failed ({exc})"
-            ) from exc
-        j00 = (gap_a[0] - gap[0]) / ha
-        j10 = (gap_a[1] - gap[1]) / ha
-        j01 = (gap_b[0] - gap[0]) / hb
-        j11 = (gap_b[1] - gap[1]) / hb
+        (j00, j01), (j10, j11) = jac
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
@@ -578,14 +646,14 @@ def solve(
         for _ in range(20):
             trial = (a - lam * da, b - lam * db)
             try:
-                trial_gap = shoot(spec, config, *trial, halves)
+                trial_gap, trial_jac = shoot(spec, config, *trial, tangent=True)
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
             trial_norm = math.hypot(*trial_gap)
             if trial_norm < norm:
                 a, b = trial
-                gap, norm = trial_gap, trial_norm
+                gap, jac, norm = trial_gap, trial_jac, trial_norm
                 break
             lam *= 0.5
         else:

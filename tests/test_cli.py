@@ -144,6 +144,16 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_k_without_a_right_smooth_branch_exits_2(self, capsys, tmp_path):
+        # G = 3 does not divide 2(k-1) = 2: rejected before any integration
+        code, out, err = run(
+            capsys, "solve", "--space", "sphere", "--g", "3", "--m0", "2",
+            "--m1", "2", "--k", "2", "--outdir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 solve: ") and "smooth branch" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--rel-tol", "nan"), ("--init", "nan,1"), ("--init", "1,-inf"), ("--eps0", "inf")],

@@ -10,7 +10,8 @@ import struct
 import numpy as np
 import pytest
 
-from cohom1 import classify, ode, solver
+from cohom1 import actions, classify, ode, solver
+from cohom1.actions import Space
 from cohom1.errors import (
     CohomError,
     IntegratorStall,
@@ -215,43 +216,132 @@ class TestDenseOutput:
         assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
 
 
-class TestShootMemo:
-    SPEC = BvpSpec(G=1, M0=2, M1=2, k=1)
+def table_specs():
+    return [
+        BvpSpec(G=v.action.bvp_g, M0=v.action.m0, M1=v.action.m1, k=v.k)
+        for v in classify.examples_table()
+    ]
 
-    def test_memo_gives_the_same_gap(self):
+
+def max_rel_diff(got, want):
+    """Largest entry difference of two 2x2 matrices over want's largest entry."""
+    scale = max(abs(x) for row in want for x in row)
+    return max(abs(g - w) for gr, wr in zip(got, want) for g, w in zip(gr, wr)) / scale
+
+
+def central_jacobian(spec, config, a, b, rel_step=1e-4):
+    """((dg0/da, dg0/db), (dg1/da, dg1/db)) of shoot by central differences."""
+    ha, hb = rel_step * (1.0 + abs(a)), rel_step * (1.0 + abs(b))
+    pa, ma = solver.shoot(spec, config, a + ha, b), solver.shoot(spec, config, a - ha, b)
+    pb, mb = solver.shoot(spec, config, a, b + hb), solver.shoot(spec, config, a, b - hb)
+    return tuple(
+        ((pa[i] - ma[i]) / (2.0 * ha), (pb[i] - mb[i]) / (2.0 * hb)) for i in range(2)
+    )
+
+
+class TestTangent:
+    NONLINEAR = BvpSpec(G=1, M0=2, M1=2, k=1)
+    ROOT = (12.12540210771784, 12.125402093593678)   # the criterion-7 root
+
+    def test_value_equals_rhs_bit_for_bit(self):
+        rng = np.random.default_rng(4412)
+        for _ in range(2000):
+            G = int(rng.integers(1, 13))
+            M0, M1 = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            t = float(rng.uniform(-7.0, 7.0))
+            if ode.pole_distance(t, G) < 1e-6:
+                continue
+            r, v = float(rng.uniform(-20, 20)), float(rng.uniform(-50, 50))
+            dr, dv = float(rng.normal()), float(rng.normal())
+            spec = BvpSpec(G=G, M0=M0, M1=M1, k=1)
+            got = ode.rhs_tangent(spec)(t, r, v, dr, dv)[0]
+            assert got.hex() == ode.rhs(spec)(t, r, v).hex()
+
+    def test_value_equals_rhs_on_an_escaping_trajectory(self):
+        # every state an escaping run evaluates, up to |r'| near the cap
+        accel = ode.rhs(self.NONLINEAR)
+        jet = ode.rhs_tangent(self.NONLINEAR)
+        states = []
+
+        def recorded(t, r, v):
+            states.append((t, r, v))
+            return accel(t, r, v)
+
+        t0, r0, v0 = solver.series_start(self.NONLINEAR, Endpoint.LEFT, 10.0, 1e-5)
+        with pytest.raises(TrajectoryEscaped):
+            integrate(recorded, t0, r0, v0, math.pi - 1e-5, ShootingConfig())
+        assert len(states) > 100 and max(abs(v) for _t, _r, v in states) > 1e5
+        for t, r, v in states:
+            assert jet(t, r, v, 1.0, -0.5)[0].hex() == accel(t, r, v).hex()
+
+    def test_derivative_matches_central_difference(self):
+        rng = np.random.default_rng(4413)
+        for _ in range(300):
+            G = int(rng.integers(1, 13))
+            spec = BvpSpec(G=G, M0=int(rng.integers(1, 10)), M1=int(rng.integers(1, 10)), k=1)
+            t = float(rng.uniform(0.05, 0.95)) * spec.length
+            r, v = float(rng.uniform(-20, 20)), float(rng.uniform(-50, 50))
+            dr, dv = float(rng.normal()), float(rng.normal())
+            accel, e = ode.rhs(spec), 1e-6
+            want = (accel(t, r + e * dr, v + e * dv) - accel(t, r - e * dr, v - e * dv)) / (2 * e)
+            got = ode.rhs_tangent(spec)(t, r, v, dr, dv)[1]
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6 * abs(accel(t, r, v)) + 1e-9)
+
+    @pytest.mark.parametrize("endpoint", list(Endpoint))
+    def test_start_tangent_matches_central_difference(self, endpoint):
+        for spec in (self.NONLINEAR, BvpSpec(G=6, M0=2, M1=2, k=-5), BvpSpec(G=4, M0=1, M1=3, k=5)):
+            for slope in (-7.0, -1.0, 0.0, 0.5, 3.0, 12.0):
+                for eps in (1e-3, 1e-5):
+                    t, r, v, dr, dv = solver.series_start(spec, endpoint, slope, eps, tangent=True)
+                    assert (t, r, v) == solver.series_start(spec, endpoint, slope, eps)
+                    h = 1e-4
+                    up = solver.series_start(spec, endpoint, slope + h, eps)
+                    down = solver.series_start(spec, endpoint, slope - h, eps)
+                    # the right start's r carries k*pi/G, so its difference
+                    # quotient carries a rounding error of about |r| ulp / h
+                    noise = 1e-11 * (1.0 + abs(r))
+                    assert dr == pytest.approx((up[1] - down[1]) / (2 * h), rel=1e-7, abs=noise)
+                    assert dv == pytest.approx((up[2] - down[2]) / (2 * h), rel=1e-7)
+
+    def test_jacobian_matches_central_difference_of_shoot(self):
+        # every table row, 1% of 1 + |k| off its linear slopes, and the
+        # criterion-7 root.  On the exact linear ray the step control sees
+        # zero error, so the steps are too long for an accurate tangent.
         config = ShootingConfig()
-        halves = {}
-        for a, b in ((1.3, 0.8), (1.3, 0.9), (1.2, 0.9), (1.3, 0.8)):
-            assert solver.shoot(self.SPEC, config, a, b, halves) == solver.shoot(
-                self.SPEC, config, a, b
-            )
-        assert len(halves) == 4
+        points = [
+            (spec, (spec.k + 0.01 * (1 + abs(spec.k)), spec.k - 0.007 * (1 + abs(spec.k))))
+            for spec in table_specs()
+        ]
+        points.append((self.NONLINEAR, self.ROOT))
+        for spec, (a, b) in points:
+            jac = solver.shoot(spec, config, a, b, tangent=True)[1]
+            assert max_rel_diff(jac, central_jacobian(spec, config, a, b)) < 1e-6
 
-    def test_shared_left_half_is_integrated_once(self, integrations):
+    def test_tangent_shot_gaps_equal_plain_gaps_bit_for_bit(self):
         config = ShootingConfig()
-        halves = {}
-        solver.shoot(self.SPEC, config, 1.3, 0.8, halves)
-        solver.shoot(self.SPEC, config, 1.3, 0.9, halves)
-        assert len(integrations) == 3
-        assert [t0 for t0, _t_end in integrations].count(config.eps0) == 1
+        rng = random.Random(4414)
+        points = [(spec, (spec.k, spec.k)) for spec in table_specs()]
+        for spec in table_specs():
+            w = 0.05 * (1.0 + abs(spec.k))
+            points.append((spec, (spec.k + rng.uniform(-w, w), spec.k + rng.uniform(-w, w))))
+        points += [(self.NONLINEAR, ab) for ab in ((3.0, 2.5), (-0.0, 0.0), self.ROOT)]
+        for spec, (a, b) in points:
+            gap = solver.shoot(spec, config, a, b, tangent=True)[0]
+            assert struct.pack("<2d", *gap) == struct.pack("<2d", *solver.shoot(spec, config, a, b))
 
-    def test_escaping_half_is_not_stored(self):
-        # with the cap at 10 a start slope of 10.5 escapes on the first step
+    def test_tangent_shot_raises_what_a_plain_shot_raises(self):
         config = ShootingConfig(blowup_cap=10.0)
-        halves = {}
-        for _ in range(2):
-            with pytest.raises(TrajectoryEscaped):
-                solver.shoot(self.SPEC, config, 10.5, 1.0, halves)
-        assert halves == {}
-        # a right half that escapes leaves the left one stored
-        for _ in range(2):
-            with pytest.raises(TrajectoryEscaped):
-                solver.shoot(self.SPEC, config, 1.0, 10.5, halves)
-        assert [key[0] for key in halves] == [Endpoint.LEFT]
+        for a, b in ((10.5, 1.0), (1.0, 10.5)):
+            with pytest.raises(TrajectoryEscaped) as plain:
+                solver.shoot(self.NONLINEAR, config, a, b)
+            with pytest.raises(TrajectoryEscaped) as carried:
+                solver.shoot(self.NONLINEAR, config, a, b, tangent=True)
+            assert str(carried.value) == str(plain.value)
 
 
 def reference_solve(spec, config, init):
-    """solve's damped Newton loop with plain shots, no memo of halves."""
+    """solve's damped Newton loop on plain shots, with the Jacobian of each
+    iterate from a separate tangent-carrying shot at it, and no memo."""
     a, b = float(init[0]), float(init[1])
     tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
     gap = solver.shoot(spec, config, a, b)
@@ -260,19 +350,7 @@ def reference_solve(spec, config, init):
     while norm > tol:
         if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
-        ha = 1e-7 * (1.0 + abs(a))
-        hb = 1e-7 * (1.0 + abs(b))
-        try:
-            gap_a = solver.shoot(spec, config, a + ha, b)
-            gap_b = solver.shoot(spec, config, a, b + hb)
-        except (TrajectoryEscaped, IntegratorStall) as exc:
-            raise NoConvergence(
-                gap, (a, b), iterations, f"jacobian probe failed ({exc})"
-            ) from exc
-        j00 = (gap_a[0] - gap[0]) / ha
-        j10 = (gap_a[1] - gap[1]) / ha
-        j01 = (gap_b[0] - gap[0]) / hb
-        j11 = (gap_b[1] - gap[1]) / hb
+        (j00, j01), (j10, j11) = solver.shoot(spec, config, a, b, tangent=True)[1]
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
@@ -321,9 +399,9 @@ def newton_cases():
     capped = ShootingConfig(blowup_cap=10.0)
     return cases + [
         (BvpSpec(G=1, M0=1, M1=1, k=1), ShootingConfig(),
-         (0.9939276939480615, 0.9430737289260273), "damping failed to reduce gap"),
+         (0.9939276939480615, 0.9430737289260273), None),
         (nonlinear, ShootingConfig(max_newton=2), (1.4, 0.7), "iteration cap reached"),
-        (nonlinear, capped, (10.0, 1.0), "jacobian probe failed"),
+        (nonlinear, capped, (10.0, 1.0), "damping failed to reduce gap"),
         (nonlinear, capped, (10.5, 1.0), "trajectory escaped"),
         (nonlinear, ShootingConfig(), (12.1, 12.2), None),
     ]
@@ -339,21 +417,50 @@ class TestSharedHalves:
         else:
             assert expected in got[2]
 
-    def test_integrates_each_distinct_half_once(self, monkeypatch, integrations):
+    def test_each_shot_makes_two_end_point_runs_and_nothing_else(self, monkeypatch):
         spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
-        shots = []
-        shoot = solver.shoot
+        shots, runs = [], []
+        shoot, dp_run = solver.shoot, solver._dp_run
 
         def counted_shoot(*args, **kwargs):
             shots.append(args[2:4])
             return shoot(*args, **kwargs)
 
+        def counted_run(accel, state, t_end, config, nodes=None, record=None):
+            runs.append("dense" if nodes is not None else "end")
+            return dp_run(accel, state, t_end, config, nodes, record)
+
         monkeypatch.setattr(solver, "shoot", counted_shoot)
+        monkeypatch.setattr(solver, "_dp_run", counted_run)
         solver.solve(spec, init=(-0.97, -1.04))
-        distinct = {("left", a) for a, _b in shots} | {("right", b) for _a, b in shots}
         assert len(shots) > 3
-        assert len(integrations) == len(distinct)
-        assert len(integrations) < 2 * len(shots)
+        # two halves per shot, then the two dense halves of the profile
+        assert runs == ["end"] * (2 * len(shots)) + ["dense"] * 2
+
+    def test_escaping_trial_is_halved_not_raised(self, monkeypatch):
+        # from (5, 1) with the cap at 10 the first full Newton step escapes
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        shots = []
+        shoot = solver.shoot
+
+        def recorded(spec, config, a, b, **kwargs):
+            try:
+                out = shoot(spec, config, a, b, **kwargs)
+            except TrajectoryEscaped:
+                shots.append(((a, b), "escaped"))
+                raise
+            shots.append(((a, b), "ok"))
+            return out
+
+        monkeypatch.setattr(solver, "shoot", recorded)
+        profile = solver.solve(spec, ShootingConfig(blowup_cap=10.0), init=(5.0, 1.0))
+        assert abs(profile.slope0 - 1.0) < 1e-6 and abs(profile.slope1 - 1.0) < 1e-6
+        i = [outcome for _ab, outcome in shots].index("escaped")
+        assert i == 1 and shots[0] == ((5.0, 1.0), "ok")
+        # the next trial is the iterate plus half the escaping step
+        (a0, b0), (ae, be), (ah, bh) = (ab for ab, _outcome in shots[:3])
+        assert ah == pytest.approx(a0 + 0.5 * (ae - a0), rel=1e-12)
+        assert bh == pytest.approx(b0 + 0.5 * (be - b0), rel=1e-12)
 
 
 class TestConfigDict:
@@ -407,6 +514,47 @@ class TestConfigValidation:
         spec = BvpSpec(G=1, M0=1, M1=1, k=1)
         with pytest.raises(ValueError):
             ShootingConfig(bracket=(2.0, 2.0)).validate(spec)
+
+    @pytest.mark.parametrize("G, k", [(3, 2), (3, 0), (4, 2), (6, -1), (12, 3)])
+    def test_k_without_a_right_smooth_branch_rejected_before_integrating(
+        self, monkeypatch, G, k
+    ):
+        # G must divide 2(k-1); nothing is series-started or integrated
+        spec = BvpSpec(G=G, M0=2, M1=2, k=k)
+        config = ShootingConfig()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated a spec without a right smooth branch")
+
+        for name in ("series_start", "_dp_run", "_integrate_lanes"):
+            monkeypatch.setattr(solver, name, fail)
+        points = [solver.SweepPoint(0.0, False, -1.0), solver.SweepPoint(1.0, True, 1.0)]
+        for call in (
+            lambda: config.validate(spec),
+            lambda: solver.solve(spec),
+            lambda: solver.shoot(spec, config, 1.0, 1.0),
+            lambda: solver.sweep(spec, config),
+            lambda: solver.refine_brackets(spec, config, points),
+        ):
+            with pytest.raises(ValueError, match="smooth branch"):
+                call()
+
+    def test_every_classified_problem_has_a_right_smooth_branch(self):
+        # every admissible k, |j| <= 4, of every classified action: the 209
+        # linear-solution problems among them, and every table row
+        specs = set(table_specs())
+        for g, m0, m1 in actions.strict_triples():
+            for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP):
+                action = actions.make_action(space, g, m0, m1)
+                for j in range(-4, 5):
+                    if j % 2 == 0 or action.odd_j_allowed:
+                        specs.add(BvpSpec.from_action(action, j))
+        sp2 = actions.make_action(Space.SP2_LIFT, 6, 1, 1)
+        specs.update(BvpSpec.from_action(sp2, j) for j in range(-4, 5))
+        linear = [s for s in specs if classify.is_linear_solution(s.G, s.M0, s.M1, s.k)]
+        assert len(linear) == 209
+        for spec in specs:
+            ShootingConfig().validate(spec)
 
     def test_default_bracket_scales_with_k(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-5)
