@@ -903,6 +903,39 @@ class TestLaneSweep:
         assert [x.hex() for x in batch.tolist()] == want
 
 
+@pytest.fixture(scope="module")
+def criterion_grid():
+    """(spec, config, sweep points) of the criterion-7 grid: (1,2,2,1) on
+    [0, 20] x 512."""
+    spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+    config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=512)
+    return spec, config, solver.sweep(spec, config)
+
+
+@pytest.fixture(scope="module")
+def bump_grid():
+    """(spec, config, sweep points) of (1,2,2,0) on [0, 8] x 512."""
+    spec = BvpSpec(G=1, M0=2, M1=2, k=0)
+    config = ShootingConfig(bracket=(0.0, 8.0))
+    return spec, config, solver.sweep(spec, config)
+
+
+_DECISIONS = (
+    "dropped: no crossing", "seeds from crossings", " converged to ", " failed: ",
+    "more than a grid step outside", "dropped: duplicate profile", "no seed converged",
+)
+
+
+def refine_logged(caplog, spec, config, points):
+    """Profiles of one refinement and the count of each refine decision it
+    logged at DEBUG level."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cohom1"):
+        profiles = solver.refine_brackets(spec, config, points)
+    messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
+    return profiles, {d: sum(d in m for m in messages) for d in _DECISIONS}
+
+
 class TestRefineBrackets:
     def test_refines_identity_root(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -966,12 +999,12 @@ class TestRefineBrackets:
         assert sum(" converged to " in m for m in messages) == 2
         assert sum("dropped: duplicate profile" in m for m in messages) == 1
 
-    def test_criterion_grid_keeps_one_profile_per_root(self, caplog, monkeypatch):
+    def test_criterion_grid_keeps_one_profile_per_root(
+        self, caplog, monkeypatch, criterion_grid
+    ):
         # the (0, 0.039) bracket and the near-miss of the k=0 bump near 3.54
         # are escape-direction flips: no half-curve crossing lies in them
-        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=512)
-        points = solver.sweep(spec, config)
+        spec, config, points = criterion_grid
         brackets = [
             (points[i - 1].a, p.a) for i, p in enumerate(points) if p.sign_change
         ]
@@ -985,11 +1018,78 @@ class TestRefineBrackets:
         assert sum("dropped: no crossing" in m for m in messages) == 2
         assert sum(" converged to " in m for m in messages) == 2
         assert not any("failed" in m or "outside" in m for m in messages)
+        # one summary line: 4 brackets of 4 left halves but the first, which
+        # has 3; no half escapes or stalls before the match point
+        assert [m for m in messages if "right lanes" in m] == [
+            "refine: 1024 right lanes at seed rel_tol 1e-06; escaped or stalled: "
+            "0 of 15 left and 0 of 1024 right halves"
+        ]
         assert [p.slope0 for p in profiles] == [
             pytest.approx(1.0, abs=1e-6), pytest.approx(12.1254021, abs=1e-6)
         ]
         for prof in profiles:
             assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
+
+    def test_summary_counts_the_halves_that_escape(self, caplog):
+        # a blow-up cap of 12.2 stops the left half at 12.25 and 22 of the
+        # 34 right halves (over +/-31.25) before the match point
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
+        points = solver.sweep(spec, config)
+        caplog.set_level(logging.DEBUG, logger="cohom1")
+        capped = dataclasses.replace(config, blowup_cap=12.2)
+        assert solver.refine_brackets(spec, capped, points) == []
+        messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
+        assert messages[-1] == (
+            "refine: 34 right lanes at seed rel_tol 1e-06; escaped or stalled: "
+            "1 of 4 left and 22 of 34 right halves"
+        )
+
+    def test_seed_search_makes_at_most_400k_lane_evaluations(
+        self, monkeypatch, criterion_grid
+    ):
+        # a lane evaluation is one lane of a state-part call; with the halves
+        # at the solution tolerance the refinement made 1.18M
+        spec, config, points = criterion_grid
+        lanes = [0]
+        original = ode._rhs_lanes
+
+        def counted_rhs_lanes(spec):
+            time_part, state_part = original(spec)
+
+            def counted(parts, r, v):
+                lanes[0] += r.size
+                return state_part(parts, r, v)
+
+            return time_part, counted
+
+        monkeypatch.setattr(ode, "_rhs_lanes", counted_rhs_lanes)
+        assert len(solver.refine_brackets(spec, config, points)) == 2
+        assert 0 < lanes[0] <= 400_000
+
+    @pytest.mark.parametrize("grid", ["criterion_grid", "bump_grid"])
+    def test_seed_accuracy_does_not_change_outcomes(self, caplog, monkeypatch, request, grid):
+        spec, config, points = request.getfixturevalue(grid)
+        configs = []
+        original = solver.solve
+
+        def spy(spec, config=None, *args, **kwargs):
+            configs.append(config)
+            return original(spec, config, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        loose, loose_decisions = refine_logged(caplog, spec, config, points)
+        monkeypatch.setattr(solver, "_SEED_REL_TOL", config.rel_tol)
+        tight, tight_decisions = refine_logged(caplog, spec, config, points)
+        assert loose_decisions == tight_decisions
+        assert loose_decisions[" converged to "] == len(loose) >= 1
+        assert [(p.slope0, p.slope1) for p in loose] == [
+            (pytest.approx(p.slope0, abs=1e-8), pytest.approx(p.slope1, abs=1e-8))
+            for p in tight
+        ]
+        # every profile is solved and checked at the caller's tolerances
+        assert configs and all(c is config for c in configs)
+        assert (config.rel_tol, config.abs_tol) == (1e-10, 1e-12)
 
     @pytest.mark.parametrize("bad", [dict(rel_tol=math.nan), dict(match_point=5.0)])
     def test_invalid_config_rejected_with_given_points(self, bad):
@@ -1015,13 +1115,27 @@ class TestRefineBrackets:
             (pytest.approx(-0.0953945, abs=1e-6), pytest.approx(13.0473017, abs=1e-6)),
         ]
 
-    def test_degree_zero_bump_from_a_half_line_grid(self):
+    def test_degree_zero_bump_from_a_half_line_grid(self, bump_grid):
         # the bump's right slope -3.5377 has the other sign from every grid slope
-        spec = BvpSpec(G=1, M0=2, M1=2, k=0)
-        profiles = solver.refine_brackets(spec, ShootingConfig(bracket=(0.0, 8.0)))
+        profiles = solver.refine_brackets(*bump_grid)
         assert [(p.slope0, p.slope1) for p in profiles] == [
             (pytest.approx(3.5377035, abs=1e-6), pytest.approx(-3.5377035, abs=1e-6))
         ]
+
+    def test_mirror_pair_order_does_not_depend_on_seed_accuracy(self, monkeypatch):
+        # the (1,3,3,0) bumps +/-3.5357 tie on |slope0 - k| to about 1e-11,
+        # so which comes first followed the seeds until ties went by slope0
+        spec = BvpSpec(G=1, M0=3, M1=3, k=0)
+        config = ShootingConfig()
+        points = solver.sweep(spec, config)
+        want = [
+            pytest.approx(0.0, abs=1e-9),
+            pytest.approx(-3.5357483, abs=1e-6),
+            pytest.approx(3.5357483, abs=1e-6),
+        ]
+        assert [p.slope0 for p in solver.refine_brackets(spec, config, points)] == want
+        monkeypatch.setattr(solver, "_SEED_REL_TOL", config.rel_tol)
+        assert [p.slope0 for p in solver.refine_brackets(spec, config, points)] == want
 
     def test_bracket_without_a_solution_makes_no_solve(self, monkeypatch):
         # (1,2,2,-1) has no solution with slope0 in (0.5, 1.5), but its sweep
