@@ -14,8 +14,8 @@ it at its endpoint (:func:`_start`) and run an embedded Dormand-Prince
 5(4) pair on it, with PI-free step control, first-same-as-last reuse, a
 blow-up cap that converts runaway trajectories into TrajectoryEscaped and
 a step-underflow guard that raises IntegratorStall.  A half runs either
-alone (:func:`_dp_run`, which also gives quartic dense output at given
-nodes) or with the other halves of a sweep or crossing search as numpy
+alone (:func:`_dp_run`, which can record each accepted step for quartic
+dense output) or with the other halves of a sweep or crossing search as numpy
 lanes (:func:`_integrate_lanes`), in the same operations and order per
 lane, so each lane ends exactly as its scalar run would.  A lane batch
 step evaluates the t-only part of the right-hand side (pole check, sines
@@ -246,16 +246,14 @@ def _dp_start(accel, t0: float, r0, v0, t_end: float, tangent=None) -> tuple:
     return (t0, r0, v0, h, k1v, 0, *tangent, k1q)
 
 
-def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) -> tuple:
+def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
     """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps), to
     the state at t_end, with the tolerances and blow-up cap of ``config``.
 
     The first-same-as-last derivative k1r is always v (and k1p always q),
-    so it is not stored.  ``nodes`` must be sorted in the direction of integration and
-    lie in (t, t_end].  For each node an accepted step passes, ``record``
-    gains the raw row that :func:`_dense_states` turns into the node's
-    state: (node, theta, h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) of
-    that step.
+    so it is not stored.  For each accepted step ``record``, if given, gains
+    the row (t, h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) that
+    :func:`_dense_states` interpolates in.
 
     A state with a tangent (see :func:`_dp_start`) runs the tangent (p, q)
     through the same stages and steps, and is returned with it: the
@@ -272,8 +270,6 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
     k1r = v
     sqrt = math.sqrt
     direction = 1.0 if t_end >= t else -1.0
-    node_iter = iter(nodes) if nodes is not None else None
-    next_node = next(node_iter, None) if node_iter is not None else None
 
     while (t_end - t) * direction > 0.0:
         if (t + h - t_end) * direction > 0.0:
@@ -352,13 +348,9 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
         err = sqrt(0.5 * (e0 * e0 + e1 * e1))
 
         if err <= 1.0:
-            while next_node is not None and (t_new - next_node) * direction >= 0.0:
-                if record is not None:
-                    record.append((
-                        next_node, (next_node - t) / h, h, r, v, k1r, k1v,
-                        k3r, k3v, k4r, k4v, k5r, k5v, k6r, k6v, k7r, k7v,
-                    ))
-                next_node = next(node_iter, None)
+            if record is not None:
+                record.append((t, h, r, v, k1r, k1v, k3r, k3v, k4r, k4v, k5r, k5v, k6r, k6v,
+                               k7r, k7v))
             t, r, v = t_new, r_new, v_new
             k1r, k1v = k7r, k7v
             if tangent:
@@ -383,27 +375,31 @@ def _dp_run(accel, state: tuple, t_end: float, config, nodes=None, record=None) 
     return t, r, v, h, k1v, steps
 
 
-def _dense_states(raw: list) -> np.ndarray:
-    """(n, 3) array of (t, r, v) at each node from the raw rows of
-    :func:`_dp_run`.
+def _dense_states(steps: list, nodes: np.ndarray) -> np.ndarray:
+    """(n, 3) array of (t, r, v) at ``nodes``, sorted in the direction of
+    the run, from the step rows that :func:`_dp_run` recorded.
 
+    A node belongs to the first step whose end t + h reaches it, ties
+    included, as the step loop meets it, and has theta = (node - t) / h.
     The quartic interpolant u = y + h * sum_s w_s(theta) k_s is evaluated
     for all nodes at once, with the operations and order of a per-node
     scalar loop (theta powers, then w_s and u += h * w_s * k_s stage by
-    stage); elementwise IEEE arithmetic makes it equal that loop bit for
-    bit.
+    stage), so elementwise IEEE arithmetic makes it equal that loop bit for bit.
     """
-    rows = np.array(raw, dtype=float)
-    th, h = rows[:, 1], rows[:, 2]
+    rows = np.array(steps, dtype=float)
+    sign = 1.0 if rows[0, 1] > 0.0 else -1.0
+    rows = rows[np.searchsorted(sign * (rows[:, 0] + rows[:, 1]), sign * nodes)]
+    h = rows[:, 1]
+    th = (nodes - rows[:, 0]) / h
     th2 = th * th
     th3 = th2 * th
     th4 = th3 * th
-    ur, uv = rows[:, 3], rows[:, 4]
-    for col, p in zip(range(5, 17, 2), (_P[0], *_P[2:])):
+    ur, uv = rows[:, 2], rows[:, 3]
+    for col, p in zip(range(4, 16, 2), (_P[0], *_P[2:])):
         w = p[0] * th + p[1] * th2 + p[2] * th3 + p[3] * th4
         ur = ur + h * w * rows[:, col]
         uv = uv + h * w * rows[:, col + 1]
-    return np.column_stack((rows[:, 0], ur, uv))
+    return np.column_stack((nodes, ur, uv))
 
 
 def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -> list:
@@ -614,15 +610,18 @@ def solve(
     decreases, and an escape or stall of a damped trial counts as a trial
     that did not decrease it; an escape or stall of the first shot surfaces
     as TrajectoryEscaped or IntegratorStall.  On convergence the solution is
-    re-integrated once over a dense output grid and the interior residual
-    is measured by finite-difference reconstruction of r''.
+    re-integrated once and sampled at max(profile_points, MIN_PROFILE_POINTS)
+    nodes, and the interior residual is measured by finite-difference
+    reconstruction of r''.
 
-    Raises ValueError for an invalid config or non-finite ``init``, and
-    NoConvergence (with the final gaps and iterate), TrajectoryEscaped or
-    IntegratorStall.
+    Raises ValueError for an invalid config, non-finite ``init`` or a
+    ``profile_points`` that is not an int, and NoConvergence (with the
+    final gaps and iterate), TrajectoryEscaped or IntegratorStall.
     """
     config = config or ShootingConfig()
     config.validate(spec)
+    if isinstance(profile_points, bool) or not isinstance(profile_points, (int, np.integer)):
+        raise ValueError(f"profile_points must be an int, got {profile_points!r}")
     k = spec.k
     a, b = (float(init[0]), float(init[1])) if init is not None else (float(k), float(k))
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -681,9 +680,8 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
     )
     lo, hi = match - half_w, match + half_w
     nodes = np.linspace(config.eps0, L - config.eps1, n_points)
-    nodes = nodes.tolist()
-    left_nodes = [x for x in nodes if x <= hi]
-    right_nodes = [x for x in nodes if x >= lo]
+    left_nodes = nodes[nodes <= hi]
+    right_nodes = nodes[nodes >= lo]
     n_overlap = len(left_nodes) + len(right_nodes) - n_points
 
     left = _dense_half(spec, config, accel, Endpoint.LEFT, a, left_nodes[1:])
@@ -724,11 +722,11 @@ def _dense_half(spec, config, accel, endpoint: Endpoint, slope: float, nodes) ->
     from the interpolant of each accepted step, so they stay smooth at node
     spacing whatever the step sequence."""
     start = _start(spec, config, endpoint, slope)
-    if not nodes:
+    if not len(nodes):
         return np.array([start])
-    raw: list = []
-    _dp_run(accel, _dp_start(accel, *start, nodes[-1]), nodes[-1], config, nodes, raw)
-    return np.vstack((start, _dense_states(raw)))
+    t_end, steps = float(nodes[-1]), []
+    _dp_run(accel, _dp_start(accel, *start, t_end), t_end, config, steps)
+    return np.vstack((start, _dense_states(steps, nodes)))
 
 
 def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -> list:

@@ -124,10 +124,10 @@ class TestIntegrator:
         spec = BvpSpec(G=2, M0=1, M1=3, k=3)
         accel = ode.rhs(spec)
         t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, 2.0, 1e-5)
-        nodes = [float(x) for x in np.linspace(0.3, 1.2, 7)]
+        nodes = np.linspace(0.3, 1.2, 7)
         rows = solver._dense_half(spec, ShootingConfig(), accel, Endpoint.LEFT, 2.0, nodes)
         assert rows.shape == (8, 3) and rows[0].tolist() == [t0, r0, v0]
-        assert rows[1:, 0].tolist() == nodes
+        assert rows[1:, 0].tolist() == nodes.tolist()
         for t_node, r_node, v_node in rows[1:].tolist():
             r_direct, v_direct = integrate(
                 accel, t0, r0, v0, t_node, ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -157,23 +157,32 @@ class TestShoot:
 @pytest.fixture
 def integrations(monkeypatch):
     """(t0, t_end) of every scalar run to an end point (a solver._dp_run
-    call without dense-output nodes) made in the test."""
+    call that records no dense-output steps) made in the test."""
     calls = []
     original = solver._dp_run
 
-    def counted(accel, state, t_end, config, nodes=None, record=None):
-        if nodes is None:
+    def counted(accel, state, t_end, config, record=None):
+        if record is None:
             calls.append((state[0], t_end))
-        return original(accel, state, t_end, config, nodes, record)
+        return original(accel, state, t_end, config, record)
 
     monkeypatch.setattr(solver, "_dp_run", counted)
     return calls
 
 
-def scalar_dense_states(raw):
-    """Per-node scalar quartic interpolation of _dp_run's raw rows."""
+def scalar_dense_states(steps, nodes):
+    """Per-node scalar quartic interpolation in _dp_run's step rows: walk
+    the steps and the nodes in order, and give each node to the first step
+    whose end t + h reaches it, as the step loop meets it."""
     out = []
-    for node, th, h, r, v, *ks in raw:
+    rows = iter(steps)
+    t, h, r, v, *ks = next(rows)
+    direction = 1.0 if h > 0.0 else -1.0
+    for node in nodes:
+        node = float(node)
+        while (t + h - node) * direction < 0.0:
+            t, h, r, v, *ks = next(rows)
+        th = (node - t) / h
         th2 = th * th
         th3 = th2 * th
         th4 = th3 * th
@@ -183,28 +192,75 @@ def scalar_dense_states(raw):
             ur += h * w * ks[2 * s]
             uv += h * w * ks[2 * s + 1]
         out.append((node, ur, uv))
-    return out
+    return np.array(out)
 
 
 class TestDenseOutput:
     # (1,2,2,1) at slope 3 is nonlinear, so every stage weight matters
     SPEC = BvpSpec(G=1, M0=2, M1=2, k=1)
 
-    @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
-    def test_nodes_equal_scalar_interpolation_bit_for_bit(self, endpoint):
+    def recorded_steps(self, endpoint, t_end):
+        """Step rows of the half from ``endpoint`` at slope 3 run to t_end."""
         accel = ode.rhs(self.SPEC)
         t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
-        nodes = [float(x) for x in np.linspace(0.2, 2.9, 301)]
+        steps = []
+        solver._dp_run(accel, solver._dp_start(accel, t0, r0, v0, t_end), t_end,
+                       ShootingConfig(), steps)
+        return steps
+
+    @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
+    def test_nodes_equal_scalar_interpolation_bit_for_bit(self, endpoint):
+        nodes = np.linspace(0.2, 2.9, 301)
         if endpoint is Endpoint.RIGHT:
-            nodes.reverse()
-        raw = []
-        solver._dp_run(
-            accel, solver._dp_start(accel, t0, r0, v0, nodes[-1]), nodes[-1],
-            ShootingConfig(), nodes, raw,
+            nodes = nodes[::-1].copy()
+        steps = self.recorded_steps(endpoint, float(nodes[-1]))
+        states = solver._dense_states(steps, nodes)
+        assert states.shape == (len(nodes), 3) and states[:, 0].tolist() == nodes.tolist()
+        assert states.tobytes() == scalar_dense_states(steps, nodes).tobytes()
+
+    @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
+    def test_node_on_a_step_end_and_the_clipped_last_step(self, endpoint):
+        t_end = 0.2 if endpoint is Endpoint.RIGHT else 2.9
+        steps = self.recorded_steps(endpoint, t_end)
+        t_last, h_last = steps[-1][:2]
+        assert h_last == t_end - t_last            # the last step is clipped
+        ends = [t + h for t, h, *_ in steps[:-1]]
+        nodes = np.array(sorted(
+            ends + np.linspace(0.2, 2.9, 97)[1:-1].tolist() + [t_end],
+            reverse=endpoint is Endpoint.RIGHT,
+        ))
+        assert nodes[-1] == t_end
+        states = solver._dense_states(steps, nodes)
+        assert states.tobytes() == scalar_dense_states(steps, nodes).tobytes()
+        # A node on a step end is that step's theta = 1 and not the next
+        # step's theta = 0, which here differ in the last bit.
+        on_ends = np.isin(nodes, ends)
+        next_step = np.array([row[2:4] for row in steps[1:]])
+        assert (states[on_ends, 1:] != next_step).any()
+
+    @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_recording_leaves_the_run_unchanged(self, endpoint, tangent):
+        t_end = 0.2 if endpoint is Endpoint.RIGHT else 2.9
+        accel, start_tangent = ode.rhs(self.SPEC), None
+        if tangent:
+            accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
+        t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
+        start = solver._dp_start(accel, t0, r0, v0, t_end, start_tangent)
+        plain = solver._dp_run(accel, start, t_end, ShootingConfig())
+        steps = []
+        recorded = solver._dp_run(accel, start, t_end, ShootingConfig(), steps)
+        assert struct.pack(f"<{len(plain)}d", *plain) == struct.pack(
+            f"<{len(recorded)}d", *recorded
         )
-        states = solver._dense_states(raw)
-        assert states.shape == (len(nodes), 3) and states[:, 0].tolist() == nodes
-        assert states.tobytes() == np.array(scalar_dense_states(raw)).tobytes()
+        # one row per accepted step: each starts where the last one ended,
+        # so the ends are strictly monotone and a rejected step has no row
+        direction = 1.0 if t_end > t0 else -1.0
+        assert steps[0][0] == t0 and len(steps) <= plain[5]
+        for (t, h, *_), (t_next, *_) in zip(steps, steps[1:]):
+            assert t_next == t + h and (t_next - t) * direction > 0.0
+        t, h = steps[-1][:2]
+        assert (t + h - t_end) * direction >= 0.0 and recorded[0] == t + h
 
     def test_profile_samples_equal_scalar_interpolation(self, monkeypatch):
         # both halves of a profile, the right one integrated backwards
@@ -426,9 +482,9 @@ class TestSharedHalves:
             shots.append(args[2:4])
             return shoot(*args, **kwargs)
 
-        def counted_run(accel, state, t_end, config, nodes=None, record=None):
-            runs.append("dense" if nodes is not None else "end")
-            return dp_run(accel, state, t_end, config, nodes, record)
+        def counted_run(accel, state, t_end, config, record=None):
+            runs.append("dense" if record is not None else "end")
+            return dp_run(accel, state, t_end, config, record)
 
         monkeypatch.setattr(solver, "shoot", counted_shoot)
         monkeypatch.setattr(solver, "_dp_run", counted_run)
@@ -618,6 +674,25 @@ class TestSolve:
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         profile = solver.solve(spec, profile_points=17)
         assert profile.samples.shape[0] == solver.MIN_PROFILE_POINTS
+
+    @pytest.mark.parametrize("points", [513.0, True, False, "513", None, np.float64(513)])
+    def test_profile_points_not_an_int_rejected_before_any_shot(self, points, monkeypatch):
+        shots = []
+        shoot = solver.shoot
+
+        def counted(*args, **kwargs):
+            shots.append(args[2:4])
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "shoot", counted)
+        with pytest.raises(ValueError, match="profile_points"):
+            solver.solve(BvpSpec(G=1, M0=2, M1=2, k=1), profile_points=points)
+        assert shots == []
+
+    def test_numpy_int_profile_points_accepted(self):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        profile = solver.solve(spec, profile_points=np.int64(600))
+        assert profile.samples.shape[0] == 600
 
     def test_csv_round_trips_bit_exact(self, tmp_path):
         # 17 significant digits reproduce doubles exactly on read-back
