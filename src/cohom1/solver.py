@@ -26,8 +26,11 @@ derivative, finish on the scalar loop from their state.  The halves of a
 solve also carry their tangent with respect to their slope through the
 same scalar steps (the variational equation, started from the derivative
 of the series start), so Newton reads its Jacobian off the shots it makes.
-Everything is plain-float arithmetic in a fixed order, so identical inputs
-give bit-identical results on a fixed platform.
+Newton shoots its far iterates, and the refinement's seed search its
+halves, at seed accuracy (:func:`_seed_config`); every converged gap and
+profile comes from shots at the caller's tolerances.  Everything is
+plain-float arithmetic in a fixed order, so identical inputs give
+bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -48,8 +51,29 @@ GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
 MIN_PROFILE_POINTS = 257
 DUPLICATE_SLOPE_TOL = 1e-6     # refined profiles this close in both slopes are one
 _MAX_STEPS = 5_000_000
+# Relative tolerance floor of seed accuracy (see _seed_config): of the seed
+# search's halves and of solve's seed phase.  A crossing or a far Newton
+# iterate only seeds what follows, and ``solve`` converges and integrates
+# every profile at the caller's tolerances.  Refining the 512-point
+# (1,2,2,1) sweep over [0, 20] took 1.18M lane RHS evaluations with the
+# halves at 1e-10 and 0.24M at 1e-6; over 48 grids the profiles and
+# decisions stayed the same and isolated slopes moved by at most 8e-10.
+_SEED_REL_TOL = 1e-6
+# solve's seed phase ends at |gap| <= _SEED_SWITCH * _SEED_REL_TOL * (1+|k|).
+# Over five draws of the 209 linear-solution problems from 5% off (k, k),
+# a factor of 1 left two of them at residuals above 1e-6 that a solve at the
+# solution tolerance meets; 10, 100 and 1000 left none, at 1590, 1690 and
+# 2040 tangent RHS evaluations per solve against 2690 with no seed phase.
+# 100 keeps two decades from the factor that failed.
+_SEED_SWITCH = 100.0
 
 _log = logging.getLogger("cohom1")
+
+
+def _require_int(name: str, value) -> None:
+    """ValueError unless ``value`` is an int or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class Endpoint(enum.Enum):
@@ -96,6 +120,8 @@ class ShootingConfig:
         lo, hi = self.resolved_bracket(spec)
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"bracket ({lo!r}, {hi!r}) must be finite and non-empty")
+        _require_int("sweep_points", self.sweep_points)
+        _require_int("max_newton", self.max_newton)
         if self.sweep_points < 2:
             raise ValueError("sweep needs at least 2 grid points")
         if self.max_newton < 1:
@@ -365,7 +391,8 @@ def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
                 factor = _SAFETY * err ** -0.2
         factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
         h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
-        if abs(h) < _MIN_STEP:
+        # a clipped last step of an ulp can leave h below _MIN_STEP at t_end
+        if abs(h) < _MIN_STEP and (t_end - t) * direction > 0.0:
             raise IntegratorStall(t)
         steps += 1
         if steps > _MAX_STEPS:
@@ -467,7 +494,7 @@ def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -
             factor = np.where(err == 0.0, _MAX_FACTOR, _MIN_FACTOR)
             factor[pos] = _SAFETY * np.float_power(err[pos], -0.2)
             h = h * np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
-            stalled = np.abs(h) < _MIN_STEP
+            stalled = (np.abs(h) < _MIN_STEP) & ((t_end - t) * direction > 0.0)
             steps += 1
             spent = steps > _MAX_STEPS
             leave = escaped | stalled | spent | ~((t_end - t) * direction > 0.0)
@@ -595,6 +622,17 @@ def shoot(
     return gap, ((left[6], -right[6]), (left[7], -right[7]))
 
 
+def _seed_config(config: ShootingConfig) -> ShootingConfig:
+    """``config`` at seed accuracy: rel_tol raised to at least
+    _SEED_REL_TOL and abs_tol scaled by the same factor; ``config`` itself
+    if its rel_tol is already that coarse."""
+    if config.rel_tol >= _SEED_REL_TOL:
+        return config
+    return replace(
+        config, rel_tol=_SEED_REL_TOL, abs_tol=config.abs_tol * (_SEED_REL_TOL / config.rel_tol)
+    )
+
+
 def solve(
     spec: BvpSpec,
     config: ShootingConfig | None = None,
@@ -608,11 +646,32 @@ def solve(
     of each iterate comes from the shot that produced it, with no extra
     integration.  Steps are halved up to 20 times until the gap norm
     decreases, and an escape or stall of a damped trial counts as a trial
-    that did not decrease it; an escape or stall of the first shot surfaces
-    as TrajectoryEscaped or IntegratorStall.  On convergence the solution is
-    re-integrated once and sampled at max(profile_points, MIN_PROFILE_POINTS)
-    nodes, and the interior residual is measured by finite-difference
-    reconstruction of r''.
+    that did not decrease it.
+
+    Newton runs in two phases.  The seed phase shoots at seed accuracy
+    (:func:`_seed_config`) until the gap norm is at most
+    _SEED_SWITCH * _SEED_REL_TOL * (1 + |k|).  The final phase shoots the
+    same iterate again at ``config`` and continues to
+    |gap| <= GAP_TOL_FACTOR * (1 + |k|).  If the seed phase stops otherwise
+    (its first shot escapes or stalls, the Jacobian is singular, damping
+    fails or the cap is reached), the final phase starts from its last
+    iterate, or from the start if there is none.  ``config.max_newton``
+    caps the iterations of both phases together.  If the final phase's
+    first shot already meets its stop at an iterate placed by seed steps,
+    one more damped step is taken at ``config`` and kept if a trial lowers
+    the gap norm (none at the cap or a singular Jacobian): such an iterate
+    can sit just inside the gap tolerance, which at large G leaves the
+    residual above 1e-6.  With config.rel_tol >= _SEED_REL_TOL there is no
+    seed phase.  So every converged gap and every
+    failure comes from a shot at ``config``: an escape or stall of the
+    final phase's first shot surfaces as TrajectoryEscaped or
+    IntegratorStall.  One DEBUG line on the ``cohom1`` logger gives the
+    shots of each phase, the hand-over reason if any, and the outcome.
+
+    On convergence the solution is re-integrated once at ``config`` and
+    sampled at max(profile_points, MIN_PROFILE_POINTS) nodes, and the
+    interior residual is measured by finite-difference reconstruction of
+    r''.
 
     Raises ValueError for an invalid config, non-finite ``init`` or a
     ``profile_points`` that is not an int, and NoConvergence (with the
@@ -620,19 +679,20 @@ def solve(
     """
     config = config or ShootingConfig()
     config.validate(spec)
-    if isinstance(profile_points, bool) or not isinstance(profile_points, (int, np.integer)):
-        raise ValueError(f"profile_points must be an int, got {profile_points!r}")
+    _require_int("profile_points", profile_points)
     k = spec.k
     a, b = (float(init[0]), float(init[1])) if init is not None else (float(k), float(k))
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"init slopes must be finite, got ({a!r}, {b!r})")
-    tol = GAP_TOL_FACTOR * (1.0 + abs(k))
+    seed = _seed_config(config)
+    shots = 0
 
-    gap, jac = shoot(spec, config, a, b, tangent=True)
-    norm = math.hypot(*gap)
-    iterations = 0
-    while norm > tol:
-        if iterations >= config.max_newton:
+    def step(cfg, a, b, gap, jac, norm, iterations):
+        """One damped Newton step from (a, b), shooting at cfg:
+        (a, b, gap, jac, norm).  NoConvergence at the cap, at a singular
+        Jacobian or if no trial lowers the gap norm."""
+        nonlocal shots
+        if iterations >= cfg.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
         (j00, j01), (j10, j11) = jac
         det = j00 * j11 - j01 * j10
@@ -644,21 +704,59 @@ def solve(
         lam = 1.0
         for _ in range(20):
             trial = (a - lam * da, b - lam * db)
+            shots += 1
             try:
-                trial_gap, trial_jac = shoot(spec, config, *trial, tangent=True)
+                trial_gap, trial_jac = shoot(spec, cfg, *trial, tangent=True)
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
             trial_norm = math.hypot(*trial_gap)
             if trial_norm < norm:
-                a, b = trial
-                gap, jac, norm = trial_gap, trial_jac, trial_norm
-                break
+                return (*trial, trial_gap, trial_jac, trial_norm)
             lam *= 0.5
-        else:
-            raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
-        iterations += 1
+        raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
 
+    def newton(cfg, a, b, tol, iterations):
+        """Damped Newton from (a, b), shooting at cfg, until the gap norm
+        is at most tol: (a, b, gap, jac, norm, iterations)."""
+        nonlocal shots
+        shots += 1
+        gap, jac = shoot(spec, cfg, a, b, tangent=True)
+        norm = math.hypot(*gap)
+        while norm > tol:
+            a, b, gap, jac, norm = step(cfg, a, b, gap, jac, norm, iterations)
+            iterations += 1
+        return a, b, gap, jac, norm, iterations
+
+    iterations, handover, outcome = 0, "none", None
+    try:
+        if seed is not config:
+            switch = _SEED_SWITCH * _SEED_REL_TOL * (1.0 + abs(k))
+            try:
+                a, b, *_, iterations = newton(seed, a, b, switch, 0)
+            except NoConvergence as exc:
+                (a, b), iterations, handover = exc.iterate, exc.iterations, exc
+            except (TrajectoryEscaped, IntegratorStall) as exc:   # its first shot
+                handover = exc
+        seed_shots, seed_steps = shots, iterations
+        tol = GAP_TOL_FACTOR * (1.0 + abs(k))
+        a, b, gap, jac, norm, iterations = newton(config, a, b, tol, iterations)
+        if iterations == seed_steps > 0:
+            # seed steps alone placed the iterate: one step at config
+            try:
+                a, b, gap, _, _ = step(config, a, b, gap, jac, norm, iterations)
+                iterations += 1
+            except NoConvergence:
+                pass
+    except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
+        outcome = exc
+    _log.debug(
+        "solve: %d shots at seed rel_tol %g, %d at rel_tol %g; hand-over: %s; %s",
+        seed_shots, seed.rel_tol, shots - seed_shots, config.rel_tol, handover,
+        outcome or f"converged in {iterations} iterations",
+    )
+    if outcome is not None:
+        raise outcome
     return _dense_profile(spec, config, a, b, gap, max(profile_points, MIN_PROFILE_POINTS))
 
 
@@ -777,13 +875,6 @@ def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoin
 # [0, 8].  Right slopes beyond this reach are not searched.
 _RIGHT_DENSITY = 2
 _RIGHT_REACH = 2.5
-# Relative tolerance floor of the seed search's halves; abs_tol scales with
-# it.  A crossing only seeds Newton, and ``solve`` integrates every profile
-# at the caller's tolerances.  Refining the 512-point (1,2,2,1) sweep over
-# [0, 20] took 1.18M lane RHS evaluations with the halves at 1e-10 and 0.24M
-# at 1e-6; over 48 grids the profiles and decisions stayed the same and
-# isolated slopes moved by at most 8e-10.
-_SEED_REL_TOL = 1e-6
 
 
 def _match_states(spec, config, accel, endpoint: Endpoint, slopes) -> np.ndarray:
@@ -855,10 +946,7 @@ def refine_brackets(
     if not brackets:
         return []
     accel = ode.rhs(spec)
-    seed_tol = max(config.rel_tol, _SEED_REL_TOL)
-    seed_config = replace(
-        config, rel_tol=seed_tol, abs_tol=config.abs_tol * (seed_tol / config.rel_tol)
-    )
+    seed_config = _seed_config(config)
     reach = _RIGHT_REACH * max(map(abs, config.resolved_bracket(spec)))
     b_grid = np.linspace(-reach, reach, _RIGHT_DENSITY * config.sweep_points)
     right = _match_states(spec, seed_config, accel, Endpoint.RIGHT, b_grid)
@@ -907,7 +995,7 @@ def refine_brackets(
     _log.debug(
         "refine: %d right lanes at seed rel_tol %g; escaped or stalled: "
         "%d of %d left and %d of %d right halves",
-        len(b_grid), seed_tol, left_lost, left_halves,
+        len(b_grid), seed_config.rel_tol, left_lost, left_halves,
         int(np.isnan(right[:, 0]).sum()), len(b_grid),
     )
     return _ordered(profiles, spec.k)

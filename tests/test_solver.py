@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -110,6 +111,40 @@ class TestIntegrator:
         bad = lambda t, r, v: math.nan
         with pytest.raises(IntegratorStall):
             integrate(bad, 0.1, 0.0, 1.0, 1.0, ShootingConfig())
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_last_step_of_an_ulp_arrives(self, direction):
+        # a step that stops one ulp short of t_end leaves a last step of one
+        # ulp, after which h is below _MIN_STEP: the run has arrived, which
+        # is no stall
+        t_end = 0.09204181602313845
+        t = math.nextafter(t_end, -direction * math.inf)
+        state = (t, 1.0, 0.0, direction * 1e-3, 0.0, 0)
+        end = solver._dp_run(lambda t, r, v: 0.0, state, t_end, ShootingConfig())
+        assert end[:3] == (t_end, 1.0, 0.0) and abs(end[3]) < solver._MIN_STEP
+
+    def test_lanes_arrive_after_a_last_step_of_an_ulp(self):
+        # with no acceleration every step is accepted and the next one is 5
+        # times longer; the sixth ends one ulp short of t_end
+        t, h = 0.0, 1e-3
+        for _ in range(6):
+            t, h = t + h, h * 5.0
+        t_end = math.nextafter(t, math.inf)
+        lane_rhs = (lambda stage_t: [stage_t], lambda parts, r, v: np.zeros_like(r))
+        n = solver._DRAIN_LANES
+        out = solver._integrate_lanes(
+            lambda t, r, v: 0.0, lane_rhs, 0.0, np.ones(n), np.zeros(n), t_end, ShootingConfig()
+        )
+        assert out == [(1.0, 0.0)] * n
+        assert integrate(lambda t, r, v: 0.0, 0.0, 1.0, 0.0, t_end, ShootingConfig()) == (1.0, 0.0)
+
+    def test_profile_half_ending_an_ulp_short(self):
+        # (12,2,2,1) from a start of the newton-recover draw: Newton
+        # converges, and the profile's right half to the match point makes
+        # such a last step
+        spec = BvpSpec(G=12, M0=2, M1=2, k=1)
+        profile = solver.solve(spec, init=(1.03495475481159, 1.0981283298347493))
+        assert profile.residual <= 1e-6
 
     def test_escape_reports_state(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -395,14 +430,13 @@ class TestTangent:
             assert str(carried.value) == str(plain.value)
 
 
-def reference_solve(spec, config, init):
-    """solve's damped Newton loop on plain shots, with the Jacobian of each
-    iterate from a separate tangent-carrying shot at it, and no memo."""
-    a, b = float(init[0]), float(init[1])
-    tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
+def reference_newton(spec, config, a, b, tol, iterations=0):
+    """solve's damped Newton loop on plain shots at ``config``, from (a, b)
+    at iteration ``iterations`` until the gap norm is at most ``tol``, with
+    the Jacobian of each iterate from a separate tangent-carrying shot at it,
+    and no memo: (a, b, gap, iterations)."""
     gap = solver.shoot(spec, config, a, b)
     norm = math.hypot(*gap)
-    iterations = 0
     while norm > tol:
         if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
@@ -429,6 +463,42 @@ def reference_solve(spec, config, init):
         else:
             raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
         iterations += 1
+    return a, b, gap, iterations
+
+
+def reference_solve(spec, config, init):
+    """solve with one Newton phase, all of it at ``config``."""
+    tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
+    a, b, gap, _ = reference_newton(spec, config, float(init[0]), float(init[1]), tol)
+    return solver._dense_profile(spec, config, a, b, gap, 513)
+
+
+def two_phase_reference(spec, config, init):
+    """solve with a seed phase at rel_tol 1e-6, abs_tol scaled alike, to
+    |gap| <= 1e-4 (1 + |k|), then a final phase at ``config`` from the seed
+    phase's last iterate, whatever stopped it; the iteration cap spans both.
+    A final phase that meets its stop on its first shot after seed steps
+    runs one more iteration, at a stop below any gap, and keeps the iterate
+    it had if that iteration cannot lower the gap."""
+    scale = 1e-6 / config.rel_tol
+    seed = dataclasses.replace(config, rel_tol=1e-6, abs_tol=config.abs_tol * scale)
+    a, b, iterations = float(init[0]), float(init[1]), 0
+    try:
+        a, b, _, iterations = reference_newton(spec, seed, a, b, 1e-4 * (1.0 + abs(spec.k)))
+    except NoConvergence as exc:
+        (a, b), iterations = exc.iterate, exc.iterations
+    except (TrajectoryEscaped, IntegratorStall):
+        pass
+    tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
+    a, b, gap, final = reference_newton(spec, config, a, b, tol, iterations)
+    if final == iterations > 0:
+        cap = dataclasses.replace(config, max_newton=min(config.max_newton, iterations + 1))
+        try:
+            reference_newton(spec, cap, a, b, -1.0, iterations)
+        except NoConvergence as exc:
+            if exc.iterations > iterations:     # stopped by the cap after one step
+                a, b = exc.iterate
+                gap = exc.gaps
     return solver._dense_profile(spec, config, a, b, gap, 513)
 
 
@@ -456,6 +526,9 @@ def newton_cases():
     return cases + [
         (BvpSpec(G=1, M0=1, M1=1, k=1), ShootingConfig(),
          (0.9939276939480615, 0.9430737289260273), None),
+        # seed steps land inside the gap tolerance: one more step at config
+        (BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig(),
+         (1.0379090647628626, 1.0769999589922035), None),
         (nonlinear, ShootingConfig(max_newton=2), (1.4, 0.7), "iteration cap reached"),
         (nonlinear, capped, (10.0, 1.0), "damping failed to reduce gap"),
         (nonlinear, capped, (10.5, 1.0), "trajectory escaped"),
@@ -465,9 +538,24 @@ def newton_cases():
 
 class TestSharedHalves:
     @pytest.mark.parametrize("spec, config, init, expected", newton_cases())
-    def test_solve_is_bit_identical_to_memo_free_newton(self, spec, config, init, expected):
+    def test_solve_is_bit_identical_to_memo_free_newton(
+        self, monkeypatch, spec, config, init, expected
+    ):
+        # seed accuracy at the config's own: the one-phase path
+        monkeypatch.setattr(solver, "_SEED_REL_TOL", config.rel_tol)
         got = solve_outcome(solver.solve, spec, config, init)
         assert got == solve_outcome(reference_solve, spec, config, init)
+        if expected is None:
+            assert got[0] == "converged"
+        else:
+            assert expected in got[2]
+
+    @pytest.mark.parametrize("spec, config, init, expected", newton_cases())
+    def test_solve_is_bit_identical_to_two_phase_newton(self, spec, config, init, expected):
+        # the default tolerances, so a seed phase runs first; the cap, the
+        # damping and the escape cases hand over from it
+        got = solve_outcome(solver.solve, spec, config, init)
+        assert got == solve_outcome(two_phase_reference, spec, config, init)
         if expected is None:
             assert got[0] == "converged"
         else:
@@ -517,6 +605,205 @@ class TestSharedHalves:
         (a0, b0), (ae, be), (ah, bh) = (ab for ab, _outcome in shots[:3])
         assert ah == pytest.approx(a0 + 0.5 * (ae - a0), rel=1e-12)
         assert bh == pytest.approx(b0 + 0.5 * (be - b0), rel=1e-12)
+
+
+def shot_configs(monkeypatch):
+    """The config of every shot solve makes from now on, in order."""
+    configs = []
+    shoot = solver.shoot
+
+    def spy(spec, config, a, b, **kwargs):
+        configs.append(config)
+        return shoot(spec, config, a, b, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot", spy)
+    return configs
+
+
+def solve_lines(caplog, spec, config, init):
+    """solve's outcome and the solve lines it logged at DEBUG level."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cohom1"):
+        try:
+            outcome = solver.solve(spec, config, init=init)
+        except CohomError as exc:
+            outcome = exc
+    return outcome, [
+        r.getMessage() for r in caplog.records
+        if r.name == "cohom1" and r.getMessage().startswith("solve: ")
+    ]
+
+
+class TestTwoPhaseNewton:
+    SPEC = BvpSpec(G=6, M0=4, M1=4, k=-5)
+    INIT = (-5.260090942592246, -5.059045391308955)   # 5% of 1 + |k| off
+    NONLINEAR = BvpSpec(G=1, M0=2, M1=2, k=1)
+
+    def test_convergence_and_profile_at_the_callers_config(self, monkeypatch):
+        config = ShootingConfig()
+        configs = shot_configs(monkeypatch)
+        dense = []
+        dense_profile = solver._dense_profile
+
+        def dense_spy(spec, config, *args):
+            dense.append(config)
+            return dense_profile(spec, config, *args)
+
+        monkeypatch.setattr(solver, "_dense_profile", dense_spy)
+        solver.solve(self.SPEC, config, init=self.INIT)
+        seed = configs[0]
+        assert (seed.rel_tol, seed.abs_tol) == (1e-6, pytest.approx(1e-8, rel=1e-15))
+        n = configs.index(config)
+        assert n >= 1 and configs == [seed] * n + [config] * (len(configs) - n)
+        # the shot that decides convergence and the profile: the same object
+        assert configs[-1] is config and len(dense) == 1 and dense[0] is config
+
+    def test_one_phase_at_seed_accuracy_or_coarser(self, monkeypatch):
+        configs = shot_configs(monkeypatch)
+        for rel_tol in (1e-6, 1e-5):
+            config = ShootingConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
+            del configs[:]
+            got = solve_outcome(solver.solve, self.SPEC, config, self.INIT)
+            assert configs and all(c is config for c in configs)
+            assert got == solve_outcome(reference_solve, self.SPEC, config, self.INIT)
+
+    def test_debug_line_per_solve(self, caplog, monkeypatch):
+        configs = shot_configs(monkeypatch)
+        profile, lines = solve_lines(caplog, self.SPEC, ShootingConfig(), self.INIT)
+        seed_shots = sum(c.rel_tol == 1e-6 for c in configs)
+        assert lines == [
+            f"solve: {seed_shots} shots at seed rel_tol 1e-06, "
+            f"{len(configs) - seed_shots} at rel_tol 1e-10; hand-over: none; "
+            "converged in 3 iterations"
+        ]
+        assert seed_shots == 3 and profile.residual <= 1e-6
+        # one phase: no shot at seed accuracy
+        del configs[:]
+        coarse = ShootingConfig(rel_tol=1e-6, abs_tol=1e-8)
+        _, lines = solve_lines(caplog, self.SPEC, coarse, self.INIT)
+        assert lines == [
+            f"solve: 0 shots at seed rel_tol 1e-06, {len(configs)} at rel_tol 1e-06; "
+            "hand-over: none; converged in 6 iterations"
+        ]
+
+    @pytest.mark.parametrize("config, init, handover", [
+        (ShootingConfig(max_newton=2), (1.4, 0.7), "no convergence .*: iteration cap reached"),
+        (ShootingConfig(blowup_cap=10.0), (10.0, 1.0),
+         "no convergence .*: damping failed to reduce gap"),
+        (ShootingConfig(blowup_cap=10.0), (10.5, 1.0), r"trajectory escaped at t=[^;]*"),
+    ])
+    def test_hand_over_raises_from_the_callers_config(
+        self, caplog, monkeypatch, config, init, handover
+    ):
+        configs = shot_configs(monkeypatch)
+        exc, lines = solve_lines(caplog, self.NONLINEAR, config, init)
+        # the seed phase's exception, then the one solve raises
+        assert len(lines) == 1 and lines[0].endswith(f"; {exc}")
+        assert re.fullmatch(handover, lines[0].removesuffix(f"; {exc}").split("; hand-over: ")[1])
+        assert configs[0].rel_tol == 1e-6 and configs[-1] is config
+        if isinstance(exc, NoConvergence):
+            # the cap counts the iterations of both phases
+            assert exc.iterations <= config.max_newton
+            gaps = solver.shoot(self.NONLINEAR, config, *exc.iterate)
+            assert struct.pack("<2d", *exc.gaps) == struct.pack("<2d", *gaps)
+        else:
+            with pytest.raises(TrajectoryEscaped) as plain:
+                solver.shoot(self.NONLINEAR, config, *init)
+            assert str(exc) == str(plain.value)
+
+    def test_seed_placed_iterate_takes_one_step_at_the_callers_config(
+        self, caplog, monkeypatch
+    ):
+        # (8,4,7,1) from a start of the newton-recover draw: two seed steps
+        # end at |gap| 4.0e-9, and the first shot at config finds 1.5e-9,
+        # inside the tolerance 2e-9.  Stopping there left the residual at
+        # 2.3e-6; one step at config brings the gap to 2.4e-12 and the
+        # residual to 7.8e-9.
+        spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig()
+        configs = shot_configs(monkeypatch)
+        profile, lines = solve_lines(
+            caplog, spec, config, (1.0379090647628626, 1.0769999589922035)
+        )
+        assert lines == [
+            "solve: 3 shots at seed rel_tol 1e-06, 2 at rel_tol 1e-10; "
+            "hand-over: none; converged in 3 iterations"
+        ]
+        assert configs[3] is config and configs[4] is config
+        assert math.hypot(*profile.match_gap) <= 1e-11 and profile.residual <= 1e-6
+
+    def test_step_the_cap_forbids_keeps_the_converged_iterate(self, caplog):
+        # the same start with the cap at the two seed steps: the first shot
+        # at config meets the stop, and solve returns its iterate
+        spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig(max_newton=2)
+        init = (1.0379090647628626, 1.0769999589922035)
+        profile, lines = solve_lines(caplog, spec, config, init)
+        assert lines[0].endswith("; hand-over: none; converged in 2 iterations")
+        assert solve_outcome(solver.solve, spec, config, init) == solve_outcome(
+            two_phase_reference, spec, config, init
+        )
+        assert profile.residual > 1e-6      # what the step at config avoids
+
+    def test_linear_start_takes_no_seed_step(self):
+        # from (k, k) the first seed shot meets the switch, so the final
+        # phase is the one-phase Newton, with no step added
+        config = ShootingConfig()
+        for spec in table_specs():
+            init = (float(spec.k), float(spec.k))
+            got = solve_outcome(solver.solve, spec, config, init)
+            assert got == solve_outcome(reference_solve, spec, config, init)
+
+    def test_far_start_of_a_non_isolated_candidate(self):
+        # (4,2,2,-3) from 5% off: the seed phase meets its switch after one
+        # iteration, and what solve reports comes from a shot at the
+        # caller's config
+        spec, config = BvpSpec(G=4, M0=2, M1=2, k=-3), ShootingConfig()
+        try:
+            profile = solver.solve(spec, config, init=(-3.154, -2.952))
+        except NoConvergence as exc:
+            iterate, gaps = exc.iterate, exc.gaps
+        else:
+            iterate, gaps = (profile.slope0, profile.slope1), profile.match_gap
+        want = solver.shoot(spec, config, *iterate)
+        assert struct.pack("<2d", *gaps) == struct.pack("<2d", *want)
+
+    def test_table_rows_take_at_most_three_quarters_of_the_tangent_evaluations(
+        self, monkeypatch
+    ):
+        # every table row from 5% of 1 + |k| off (k, k); with every shot at
+        # the solution tolerance the 14 rows other than (4,2,2,-3) took 20802
+        # tangent evaluations and (4,2,2,-3), which runs to the iteration
+        # cap, 90312.  Every row solved to residual <= 1e-6 then still is:
+        # all but (4,2,2,-3) and the (12,1,1,-11) residual miss (2.1e-6).
+        counts = [0]
+        rhs_tangent = ode.rhs_tangent
+
+        def counted_factory(spec):
+            jet = rhs_tangent(spec)
+
+            def counted(*args):
+                counts[0] += 1
+                return jet(*args)
+
+            return counted
+
+        monkeypatch.setattr(ode, "rhs_tangent", counted_factory)
+        rng = random.Random(15)
+        evaluations = {}
+        for spec in table_specs():
+            w = 0.05 * (1.0 + abs(spec.k))
+            init = (spec.k + rng.uniform(-w, w), spec.k + rng.uniform(-w, w))
+            before = counts[0]
+            try:
+                residual = solver.solve(spec, init=init).residual
+            except NoConvergence:
+                residual = math.inf
+            evaluations[spec] = evaluations.get(spec, 0) + counts[0] - before
+            key = (spec.G, spec.M0, spec.M1, spec.k)
+            if key not in ((4, 2, 2, -3), (12, 1, 1, -11)):
+                assert residual <= 1e-6, key
+        capped = evaluations.pop(BvpSpec(G=4, M0=2, M1=2, k=-3))
+        assert sum(evaluations.values()) <= 0.75 * 20802
+        assert capped <= 90312
 
 
 class TestConfigDict:
@@ -611,6 +898,34 @@ class TestConfigValidation:
         assert len(linear) == 209
         for spec in specs:
             ShootingConfig().validate(spec)
+
+    @pytest.mark.parametrize("name, value", [
+        ("sweep_points", 64.0), ("sweep_points", True), ("sweep_points", "64"),
+        ("max_newton", 2.5), ("max_newton", math.inf), ("max_newton", True),
+        ("max_newton", np.float64(50)), ("max_newton", None),
+    ])
+    def test_counts_not_an_int_rejected_before_integrating(self, monkeypatch, name, value):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(**{name: value})
+
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated with an invalid config")
+
+        for fn in ("series_start", "_dp_run", "_integrate_lanes"):
+            monkeypatch.setattr(solver, fn, fail)
+        for call in (
+            lambda: config.validate(spec),
+            lambda: solver.solve(spec, config),
+            lambda: solver.sweep(spec, config),
+        ):
+            with pytest.raises(ValueError, match=name):
+                call()
+
+    def test_numpy_int_counts_accepted(self):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(sweep_points=np.int64(8), max_newton=np.int32(5))
+        config.validate(spec)
+        assert len(solver.sweep(spec, config)) == 8
 
     def test_default_bracket_scales_with_k(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-5)
