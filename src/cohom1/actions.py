@@ -148,7 +148,7 @@ def make_action(
     """
     space = parse_space(space)
     for name, value in (("g", g), ("m0", m0), ("m1", m1)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise InvalidTriple(f"{name} must be a positive integer, got {value!r}")
     if g not in _VALID_G:
         raise InvalidTriple(f"g must be one of {_VALID_G}, got {g}")
@@ -186,7 +186,7 @@ def admissible_k(action: ActionDescriptor, j: int) -> int:
     Every integer j is admissible on spheres and on the Sp(2) lift; the
     lifted actions on rotation groups only carry even j.
     """
-    if not isinstance(j, int):
+    if isinstance(j, bool) or not isinstance(j, int):
         raise InadmissibleJ(f"j must be an integer, got {j!r}")
     if j % 2 != 0 and not action.odd_j_allowed:
         raise InadmissibleJ(

@@ -12,6 +12,10 @@ on the interval (0, pi/G) with boundary limits r -> 0 and r -> k*pi/G.  This
 module evaluates that closed form, its equal-multiplicity simplification,
 and the un-simplified sums over the curvature directions that the closed
 form compresses, so each can serve as an independent check on the others.
+The integrator's right-hand side, :func:`rhs`, solves it for r''; called
+with a direction (dr, dr') it also returns the derivative of r'' along it,
+the variational equation of an exact shooting Jacobian.  ``rhs_tangent``
+is a second name for that one closure factory.
 
 All trigonometric arguments are reduced modulo 2*pi before evaluation.
 """
@@ -102,9 +106,9 @@ class BvpSpec:
     def __post_init__(self):
         for name in ("G", "M0", "M1"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.k, int):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"k must be an integer, got {self.k!r}")
 
     @property
@@ -304,18 +308,27 @@ def raw_tension_so(
     return raw_tension_sphere(2 * g, m0, m1, sample, margin)
 
 
-def rhs(
-    spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN
-) -> Callable[[float, float, float], float]:
-    """Explicit second-derivative function (t, r, r') -> r''.
+def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
+    """Explicit second-derivative function, solving closed_tension == 0 for
+    r'', in two call forms:
 
-    Solves closed_tension == 0 for r''.  The body repeats the
-    :func:`_tension_parts` arithmetic with bound locals because this is the
-    integrator's innermost call; a test pins the two paths together bit
-    for bit.  Only a time outside the :func:`regular_window` takes the
-    pole test, :func:`require_regular`.  A time the test lets through where
-    4 sin^2(Gt) underflows to 0 (|Gt| below about 1e-162, so only with a
-    margin below that) raises PoleProximity too.
+        accel(t, r, r') -> r''
+        accel(t, r, r', dr, dr') -> (r'', dr'')
+
+    where dr'' is the derivative of r'' along the direction (dr, dr'):
+
+        dN = P dr' - 2 (G(G-2) cos(u) Q + 2G cos(u+Gt) R) dr,  dr'' = -dN / A
+
+    with A, P, Q, R as in :func:`_time_parts` and u = 2(r - t).  Both forms
+    compute r'' = -N/A by the same operations, so the value is the same bit
+    for bit; the plain form returns before the cosines of u and u + Gt.
+    The body repeats the :func:`_tension_parts` arithmetic with bound
+    locals because this is the integrator's innermost call; a test pins the
+    two paths together bit for bit.  Only a time outside the
+    :func:`regular_window` takes the pole test, :func:`require_regular`.
+    A time the test lets through where 4 sin^2(Gt) underflows to 0 (|Gt|
+    below about 1e-162, so only with a margin below that) raises
+    PoleProximity too.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
     lo, hi = regular_window(G, margin)
@@ -330,66 +343,12 @@ def rhs(
         t: float,
         r: float,
         rdot: float,
+        dr: float | None = None,
+        drdot: float | None = None,
         sin=math.sin,
         cos=math.cos,
         rem=math.remainder,
-    ) -> float:
-        if not lo < t < hi:
-            require_regular(t, G, margin)
-        Gt = G * t
-        g = rem(Gt, TAU)
-        sg = sin(g)
-        cg = cos(g)
-        s2g = sin(rem(2.0 * Gt, TAU))
-        u = 2.0 * (r - t)
-        su = sin(rem(u, TAU))
-        sug = sin(rem(u + Gt, TAU))
-        N = (
-            (cs * s2g + cd * sg) * rdot
-            - f1 * su * (s + d * cg)
-            - f2 * sug * (s * cg + d)
-        )
-        try:
-            return -N / (4.0 * sg * sg)
-        except ZeroDivisionError:
-            raise _pole_error(t, G, margin) from None
-
-    return accel
-
-
-def rhs_tangent(
-    spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN
-) -> Callable[[float, float, float, float, float], tuple[float, float]]:
-    """Tangent twin of :func:`rhs`: (t, r, r', dr, dr') -> (r'', dr''),
-    where dr'' is the derivative of r'' along the direction (dr, dr').
-
-    The value is :func:`rhs`'s, from the same operations in the same order
-    (a test pins the two bit for bit); the derivative reuses its sines and
-    adds the cosines of u = 2(r - t) and u + Gt:
-
-        dN = P dr' - 2 (G(G-2) cos(u) Q + 2G cos(u+Gt) R) dr,  dr'' = -dN / A
-
-    with A, P, Q, R as in :func:`_time_parts`.
-    """
-    G, M0, M1 = spec.G, spec.M0, spec.M1
-    lo, hi = regular_window(G, margin)
-    cs = G * (M0 + M1)
-    cd = 2.0 * G * (M0 - M1)
-    f1 = G * (G - 2.0)
-    f2 = 2.0 * G
-    s = M0 + M1
-    d = M0 - M1
-
-    def jet(
-        t: float,
-        r: float,
-        rdot: float,
-        dr: float,
-        drdot: float,
-        sin=math.sin,
-        cos=math.cos,
-        rem=math.remainder,
-    ) -> tuple[float, float]:
+    ):
         if not lo < t < hi:
             require_regular(t, G, margin)
         Gt = G * t
@@ -404,14 +363,22 @@ def rhs_tangent(
         Q = s + d * cg
         R = s * cg + d
         N = P * rdot - f1 * sin(ur) * Q - f2 * sin(ugr) * R
-        dN = P * drdot - 2.0 * (f1 * cos(ur) * Q + f2 * cos(ugr) * R) * dr
         A = 4.0 * sg * sg
         try:
+            if dr is None:
+                return -N / A
+            dN = P * drdot - 2.0 * (f1 * cos(ur) * Q + f2 * cos(ugr) * R) * dr
             return -N / A, -dN / A
         except ZeroDivisionError:
             raise _pole_error(t, G, margin) from None
 
-    return jet
+    return accel
+
+
+# The tangent form's name.  Tangent callers take the closure from here, not
+# from ``rhs``: a wrapper that replaces ``rhs`` to count plain evaluations,
+# as the benchmark's tracer does, may accept only (t, r, r').
+rhs_tangent = rhs
 
 
 def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):

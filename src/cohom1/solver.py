@@ -38,14 +38,13 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import ode
 from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped
-from .ode import BvpSpec, TensionSample
+from .ode import BvpSpec
 
 GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
 MIN_PROFILE_POINTS = 257
@@ -260,9 +259,9 @@ def _dp_start(accel, t0: float, r0, v0, t_end: float, tangent=None) -> tuple:
     """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end;
     r0, v0 and k1v are arrays with a scalar t0 for :func:`_integrate_lanes`.
 
-    With a start tangent (p0, q0), ``accel`` is an :func:`ode.rhs_tangent`
-    closure and the state gains (p, q, k1q): the tangent (dr, dv) and its
-    first derivative, for :func:`_dp_run` to carry along.
+    With a start tangent (p0, q0), ``accel`` is called in the tangent form
+    of :func:`ode.rhs` and the state gains (p, q, k1q): the tangent
+    (dr, dv) and its first derivative, for :func:`_dp_run` to carry along.
     """
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
@@ -535,10 +534,12 @@ def series_start(
     the acceleration at 2*eps on the linear ray, read off c3 from
     r'' ~ 6*c3*t, and refine once with the corrected state.  This keeps the
     expansion formula-agnostic in (G, M0, M1); the Richardson property of
-    the starts is asserted by the test suite instead of by algebra.
+    the starts and their leading-order consistency (the O(t) terms cancel
+    for every slope, so the tension at the start is O(eps)) are asserted by
+    the test suite instead of by algebra.
 
-    With ``tangent`` the two probes run on :func:`ode.rhs_tangent`, which
-    carries the derivative of the fit in the slope, and the result is
+    With ``tangent`` the two probes take the tangent form of :func:`ode.rhs`,
+    which carries the derivative of the fit in the slope, and the result is
     (t, r, rdot, dr, drdot) with (dr, drdot) = d(r, rdot)/d(slope); the
     first three equal the plain start bit for bit.
     """
@@ -567,19 +568,6 @@ def series_start(
     t = t_b + sigma * eps
     r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
     v = slope + 3.0 * c * eps * eps
-    rdd = sigma * 6.0 * c * eps
-
-    # Leading-order consistency: the start must already nearly satisfy the
-    # ODE (the O(t) terms cancel for every slope, so the residual is O(eps)).
-    ct = ode.closed_tension(spec, TensionSample(t, r, v, rdd))
-    scale = 4.0 * spec.G * (spec.M0 + spec.M1) * (1.0 + abs(slope) + abs(spec.k))
-    if abs(ct) > 100.0 * eps * scale:  # pragma: no cover - diagnostic only
-        warnings.warn(
-            f"series start at {endpoint.value} endpoint violates leading-order "
-            f"consistency: |tension|={abs(ct):.3g} at eps={eps:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if tangent:
         return t, r, v, sigma * eps + sigma * (dc * eps**3), 1.0 + 3.0 * dc * eps * eps
     return t, r, v

@@ -52,6 +52,11 @@ class TestMakeAction:
         with pytest.raises(InvalidTriple):
             actions.make_action("sphere", 1, 1, 2, strict=False)
 
+    @pytest.mark.parametrize("triple", [(True, 1, 1), (2, True, 1), (2, 1, True)])
+    def test_bools_rejected(self, triple):
+        with pytest.raises(InvalidTriple):
+            actions.make_action("so", *triple, strict=False)
+
     def test_g_range_enforced(self):
         with pytest.raises(InvalidTriple):
             actions.make_action("sphere", 5, 1, 1, strict=False)
@@ -89,6 +94,12 @@ class TestAdmissibleK:
         a = actions.make_action("so", 2, 1, 1)
         with pytest.raises(InadmissibleJ):
             actions.admissible_k(a, 1)
+
+    @pytest.mark.parametrize("j", [True, False])
+    def test_bool_j_rejected(self, j):
+        a = actions.make_action("sphere", 4, 2, 2)
+        with pytest.raises(InadmissibleJ):
+            actions.admissible_k(a, j)
 
     def test_sp2_allows_odd_j(self):
         a = actions.make_action("sp2", 6, 1, 1)

@@ -403,6 +403,16 @@ class TestBvpSpec:
         with pytest.raises(ValueError):
             BvpSpec(G=1, M0=1, M1=1, k=0.5)
 
+    @pytest.mark.parametrize(
+        "name, value", [("G", True), ("M0", True), ("M1", True), ("k", True), ("k", False)]
+    )
+    def test_rejects_bools(self, name, value):
+        # bool is an int subclass; to_dict would write it as a JSON bool
+        fields = dict(G=1, M0=1, M1=1, k=1)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            BvpSpec(**fields)
+
     def test_from_action_doubles_curvatures_on_lift(self):
         from cohom1 import actions
 

@@ -87,6 +87,22 @@ class TestSeriesStart:
                     want = two_branch_start(spec, endpoint, slope, eps)
                     assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_start_nearly_satisfies_the_ode(self, tangent):
+        # the O(t) terms cancel for every slope, so the closed tension at a
+        # start, with r'' = 6 c3 t from its own cubic, is O(eps): every
+        # table row at both ends, slopes across 2.5 times its bracket
+        for spec in table_specs():
+            lo, hi = ShootingConfig().resolved_bracket(spec)
+            for slope in np.linspace(2.5 * lo, 2.5 * hi, 11).tolist():
+                scale = 4.0 * spec.G * (spec.M0 + spec.M1) * (1.0 + abs(slope) + abs(spec.k))
+                for eps in (1e-5, 1e-3):
+                    for endpoint, base in ((Endpoint.LEFT, 0.0), (Endpoint.RIGHT, spec.length)):
+                        t, r, v, *_ = solver.series_start(spec, endpoint, slope, eps, tangent)
+                        rdd = 2.0 * (v - slope) / (t - base)
+                        tension = ode.closed_tension(spec, ode.TensionSample(t, r, v, rdd))
+                        assert abs(tension) <= 100.0 * eps * scale
+
     def test_richardson_order(self):
         # the value transported to a fixed interior point converges at
         # order >= 2 as the start offset is halved
@@ -428,6 +444,52 @@ class TestTangent:
             with pytest.raises(TrajectoryEscaped) as carried:
                 solver.shoot(self.NONLINEAR, config, a, b, tangent=True)
             assert str(carried.value) == str(plain.value)
+
+
+class TestRhsFactoryContract:
+    def test_plain_callers_call_three_arguments(self, monkeypatch):
+        # the benchmark's tracer and ns-per-call timer replace ode.rhs with
+        # a factory whose closures take exactly (t, r, r'), so tangent
+        # callers take the closure as ode.rhs_tangent.  A closure called
+        # with another arity raises TypeError, which no solver path
+        # catches.  With separate plain and tangent closures the (plain,
+        # tangent) counts were: the solve (120, 642), the sweep (122098, 0)
+        # and the refinement of its 2 brackets (6684, 8484).  RHS counts do
+        # not depend on the machine.
+        counts = {"plain": 0, "tangent": 0}
+        rhs, rhs_tangent = ode.rhs, ode.rhs_tangent
+
+        def plain(spec, *args, **kwargs):
+            accel = rhs(spec, *args, **kwargs)
+
+            def counted(t, r, rdot):
+                counts["plain"] += 1
+                return accel(t, r, rdot)
+
+            return counted
+
+        def tangent(spec, *args, **kwargs):
+            jet = rhs_tangent(spec, *args, **kwargs)
+
+            def counted(t, r, rdot, dr, drdot):
+                counts["tangent"] += 1
+                return jet(t, r, rdot, dr, drdot)
+
+            return counted
+
+        monkeypatch.setattr(ode, "rhs", plain)
+        monkeypatch.setattr(ode, "rhs_tangent", tangent)
+        spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
+        w = 0.05 * (1.0 + abs(spec.k))
+        assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
+        assert counts == {"plain": 120, "tangent": 642}
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
+        points = solver.sweep(spec, config)
+        assert sum(p.sign_change for p in points) == 2
+        assert counts == {"plain": 120 + 122098, "tangent": 642}
+        assert len(solver.refine_brackets(spec, config, points)) == 1
+        assert counts == {"plain": 120 + 122098 + 6684, "tangent": 642 + 8484}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -927,6 +989,15 @@ class TestConfigValidation:
         config.validate(spec)
         assert len(solver.sweep(spec, config)) == 8
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("sweep_points", 1, "at least 2"), ("sweep_points", 0, "at least 2"),
+        ("max_newton", 0, "max_newton"), ("max_newton", -3, "max_newton"),
+    ])
+    def test_counts_below_their_minimum_rejected(self, name, value, message):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        with pytest.raises(ValueError, match=message):
+            ShootingConfig(**{name: value}).validate(spec)
+
     def test_default_bracket_scales_with_k(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-5)
         assert ShootingConfig().resolved_bracket(spec) == (-24.0, 24.0)
@@ -1038,6 +1109,15 @@ class TestSweep:
         assert any(points[i - 1].a <= 1.0 <= p.a
                    for i, p in enumerate(points) if p.sign_change)
         assert len(hits) >= 1
+
+    def test_stalled_lane_is_a_nan_gap(self, monkeypatch):
+        # a step budget of 3 stalls every lane, in the batch and drained
+        monkeypatch.setattr(solver, "_MAX_STEPS", 3)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        for n in (solver._DRAIN_LANES + 8, 5):
+            points = solver.sweep(spec, ShootingConfig(bracket=(0.0, 6.0), sweep_points=n))
+            assert len(points) == n
+            assert all(math.isnan(p.gap) and not p.sign_change for p in points)
 
     def test_ordered_and_deterministic(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -1163,6 +1243,24 @@ class TestLaneSweep:
         if "blowup_cap" in options:
             signs = [math.copysign(1.0, o.r) for o in lanes if isinstance(o, TrajectoryEscaped)]
             assert signs.count(1.0) == signs.count(-1.0) == 32 and len(lanes) == 65
+
+    @pytest.mark.parametrize("budget", [1, 4, 9])
+    def test_step_budget_stall_equals_scalar_runs(self, monkeypatch, budget):
+        # every lane spends the budget in the batch and raises the scalar
+        # loop's IntegratorStall, at the same t
+        monkeypatch.setattr(solver, "_MAX_STEPS", budget)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig()
+        accel = ode.rhs(spec)
+        t_end = spec.length - config.eps1
+        slopes = np.linspace(0.0, 20.0, solver._DRAIN_LANES + 8)
+        lanes = solver._half_lanes(spec, config, accel, Endpoint.LEFT, slopes, t_end)
+        for a, lane in zip(slopes.tolist(), lanes):
+            t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+            with pytest.raises(IntegratorStall, match="step budget exhausted") as scalar:
+                integrate(accel, t, r, v, t_end, config)
+            assert isinstance(lane, IntegratorStall)
+            assert (str(lane), lane.t.hex()) == (str(scalar.value), scalar.value.t.hex())
 
     def test_pole_check_covers_every_lane(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=-5)
@@ -1335,6 +1433,16 @@ class TestRefineBrackets:
         best = profiles[0]
         assert abs(best.slope0 - 1.0) < 1e-6
         assert best.max_linear_deviation() < 1e-6
+
+    def test_no_sign_change_runs_no_lanes(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran a lane batch without a bracket")
+
+        monkeypatch.setattr(solver, "_integrate_lanes", fail)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        samples = ((0.0, -1.0), (1.0, -0.5), (2.0, math.inf))
+        points = [solver.SweepPoint(a, False, gap) for a, gap in samples]
+        assert solver.refine_brackets(spec, ShootingConfig(), points) == []
 
     @staticmethod
     def count_calls(monkeypatch, *names):
