@@ -6,7 +6,9 @@ parameters, tool version, timestamp, output paths) so downstream tooling
 can trace which invocation produced a file.  All data outputs are
 deterministic for identical flags; only the manifest timestamp varies.
 Non-finite sweep gaps are emitted with Python's JSON extensions
-(Infinity/-Infinity/NaN); the CSV format spells them inf/-inf/nan.
+(Infinity/-Infinity/NaN); the CSV format spells them inf/-inf/nan.  The
+sweep JSON gives the tolerances its gaps were integrated at under
+``gap_tolerances``.
 
 Exit codes: 0 success, 2 invalid input, 3 no convergence (metadata still
 written), 4 trajectory escape.
@@ -209,9 +211,11 @@ def cmd_sweep(args) -> int:
     params = _base_params(args, ("space", "g", "m0", "m1", "k"))
     params["sweep_points"] = config.sweep_points
     params["bracket"] = list(config.resolved_bracket(spec))
+    seed = solver._seed_config(config)     # what sweep integrates its lanes at
     body = {
         "spec": spec.to_dict(),
         "config": config.to_dict(spec),
+        "gap_tolerances": {"rel_tol": seed.rel_tol, "abs_tol": seed.abs_tol},
         "points": [
             {"a": p.a, "sign_change": p.sign_change, "gap": p.gap} for p in points
         ],

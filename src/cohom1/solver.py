@@ -26,11 +26,11 @@ derivative, finish on the scalar loop from their state.  The halves of a
 solve also carry their tangent with respect to their slope through the
 same scalar steps (the variational equation, started from the derivative
 of the series start), so Newton reads its Jacobian off the shots it makes.
-Newton shoots its far iterates, and the refinement's seed search its
-halves, at seed accuracy (:func:`_seed_config`); every converged gap and
-profile comes from shots at the caller's tolerances.  Everything is
-plain-float arithmetic in a fixed order, so identical inputs give
-bit-identical results on a fixed platform.
+Newton shoots its far iterates, a sweep its lanes, and the refinement's
+seed search its halves, at seed accuracy (:func:`_seed_config`); every
+converged gap and profile comes from shots at the caller's tolerances.
+Everything is plain-float arithmetic in a fixed order, so identical inputs
+give bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -50,13 +50,19 @@ GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
 MIN_PROFILE_POINTS = 257
 DUPLICATE_SLOPE_TOL = 1e-6     # refined profiles this close in both slopes are one
 _MAX_STEPS = 5_000_000
-# Relative tolerance floor of seed accuracy (see _seed_config): of the seed
-# search's halves and of solve's seed phase.  A crossing or a far Newton
-# iterate only seeds what follows, and ``solve`` converges and integrates
-# every profile at the caller's tolerances.  Refining the 512-point
-# (1,2,2,1) sweep over [0, 20] took 1.18M lane RHS evaluations with the
-# halves at 1e-10 and 0.24M at 1e-6; over 48 grids the profiles and
-# decisions stayed the same and isolated slopes moved by at most 8e-10.
+# Relative tolerance floor of seed accuracy (see _seed_config): of a sweep's
+# lanes, of the seed search's halves and of solve's seed phase.  A bracket,
+# a crossing or a far Newton iterate only seeds what follows, and ``solve``
+# converges and integrates every profile at the caller's tolerances.
+# Refining the 512-point (1,2,2,1) sweep over [0, 20] took 1.18M lane RHS
+# evaluations with the halves at 1e-10 and 0.24M at 1e-6; over 48 grids the
+# profiles and decisions stayed the same and isolated slopes moved by at
+# most 8e-10.  Sweeping nine default-config grids ((1,2,2,1) on [0, 20],
+# (1,2,2,0) on [0, 8] and the default grids of (2,1,3,1), (6,2,2,-5),
+# (3,1,1,4), (1,3,3,1), (2,2,2,3), (1,1,1,1) and (1,3,3,0)) took 22.7 s at
+# 1e-10 and 2.2 s at 1e-6 (2.2-18x per grid, one run each on a 2-core x86-64
+# host); eight gave the same brackets and bit-identical refined profiles,
+# and the (1,1,1,1) family kept 2 of its 4 brackets and 1 of its 2 members.
 _SEED_REL_TOL = 1e-6
 # solve's seed phase ends at |gap| <= _SEED_SWITCH * _SEED_REL_TOL * (1+|k|).
 # Over five draws of the 209 linear-solution problems from 5% off (k, k),
@@ -827,17 +833,22 @@ def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -
 def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:
     """Single-ended slope sweep over the bracket grid, as one lane batch.
 
-    Each gap is the mismatch at pi/G - eps1, with the boundary target
-    linearised by the trajectory's own terminal slope, and equals the scalar
-    one-point integration bit for bit.  An escape gives +/-inf by the sign
-    of r at escape, a stall NaN.
+    A sweep only brackets, so its lanes run at seed accuracy
+    (:func:`_seed_config`; a config with rel_tol >= _SEED_REL_TOL runs as
+    given).  Each gap is the mismatch at pi/G - eps1, with the boundary
+    target linearised by the trajectory's own terminal slope, and equals
+    the scalar one-point integration at the seed config bit for bit.  An
+    escape gives +/-inf by the sign of r at escape, a stall NaN.  One DEBUG
+    line on the ``cohom1`` logger gives the lanes, their rel_tol and how
+    many arrived, escaped to +inf or -inf, or stalled.
     """
     config = config or ShootingConfig()
     config.validate(spec)
+    seed = _seed_config(config)
     lo, hi = config.resolved_bracket(spec)
     grid = np.linspace(lo, hi, config.sweep_points)
     outcomes = _half_lanes(
-        spec, config, ode.rhs(spec), Endpoint.LEFT, grid, spec.length - config.eps1
+        spec, seed, ode.rhs(spec), Endpoint.LEFT, grid, spec.length - config.eps1
     )
     gaps = []
     for outcome in outcomes:
@@ -848,6 +859,13 @@ def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoin
         else:
             r_end, v_end = outcome
             gaps.append(r_end - (spec.k * spec.length - v_end * config.eps1))
+    up, down = gaps.count(math.inf), gaps.count(-math.inf)
+    stalled = sum(map(math.isnan, gaps))       # an arrival's gap is finite
+    _log.debug(
+        "sweep: %d lanes at rel_tol %g: %d arrived, %d escaped to +inf, %d to -inf, "
+        "%d stalled",
+        len(gaps), seed.rel_tol, len(gaps) - up - down - stalled, up, down, stalled,
+    )
 
     points = []
     for i, (a, gap) in enumerate(zip(grid, gaps)):

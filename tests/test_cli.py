@@ -228,6 +228,19 @@ class TestSweep:
         assert len(points) == 17
         assert any(p["sign_change"] for p in points)
 
+    def test_json_gives_the_tolerances_of_its_gaps(self, capsys):
+        # the lanes run at seed accuracy, so "config" alone would misstate
+        # the tolerances of the gaps
+        argv = (
+            "sweep", "--space", "sphere", "--g", "1", "--m0", "2", "--m1", "2",
+            "--k", "1", "--bracket", "0.5,1.5", "--sweep-points", "17",
+        )
+        payload = run_json(capsys, *argv)
+        assert (payload["config"]["rel_tol"], payload["config"]["abs_tol"]) == (1e-10, 1e-12)
+        assert payload["gap_tolerances"] == {"rel_tol": 1e-6, "abs_tol": 1e-8}
+        coarse = run_json(capsys, *argv, "--rel-tol", "1e-5", "--abs-tol", "1e-9")
+        assert coarse["gap_tolerances"] == {"rel_tol": 1e-5, "abs_tol": 1e-9}
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--space", "sphere", "--g", "1", "--m0", "2",

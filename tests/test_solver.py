@@ -452,10 +452,9 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  With separate plain and tangent closures the (plain,
-        # tangent) counts were: the solve (120, 642), the sweep (122098, 0)
-        # and the refinement of its 2 brackets (6684, 8484).  RHS counts do
-        # not depend on the machine.
+        # catches.  The (plain, tangent) counts are: the solve (120, 642),
+        # the sweep, at seed accuracy, (24214, 0) and the refinement of its
+        # 2 brackets (6684, 8484).  RHS counts do not depend on the machine.
         counts = {"plain": 0, "tangent": 0}
         rhs, rhs_tangent = ode.rhs, ode.rhs_tangent
 
@@ -487,9 +486,9 @@ class TestRhsFactoryContract:
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 120 + 122098, "tangent": 642}
+        assert counts == {"plain": 120 + 24214, "tangent": 642}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 120 + 122098 + 6684, "tangent": 642 + 8484}
+        assert counts == {"plain": 120 + 24214 + 6684, "tangent": 642 + 8484}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -1147,6 +1146,59 @@ class TestSweep:
         assert all(math.isinf(p.gap) or math.isfinite(p.gap) for p in points)
         assert any(math.isinf(p.gap) for p in points)
 
+    @pytest.mark.parametrize(
+        "options, tolerances",
+        [
+            (dict(), (1e-6, 1e-8)),
+            # rel_tol >= 1e-6 is already seed accuracy
+            (dict(rel_tol=1e-5), (1e-5, 1e-12)),
+            (dict(rel_tol=1e-6, abs_tol=1e-9), (1e-6, 1e-9)),
+        ],
+    )
+    def test_lanes_run_at_seed_accuracy(self, monkeypatch, options, tolerances):
+        seen = []
+        original = solver._integrate_lanes
+
+        def spy(accel, lane_rhs, t0, r0, v0, t_end, config):
+            seen.append((config.rel_tol, config.abs_tol))
+            return original(accel, lane_rhs, t0, r0, v0, t_end, config)
+
+        monkeypatch.setattr(solver, "_integrate_lanes", spy)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17, **options)
+        points = solver.sweep(spec, config)
+        assert seen == [pytest.approx(tolerances, rel=1e-12)]
+        lanes = dataclasses.replace(config, rel_tol=seen[0][0], abs_tol=seen[0][1])
+        assert bits(points) == bits(scalar_sweep(spec, lanes))
+
+    def test_seed_accuracy_keeps_the_brackets(self, monkeypatch, criterion_grid, bump_grid):
+        # the sweep only brackets: at seed accuracy it flags the same grid
+        # intervals as at the caller's tolerances
+        grids = [(criterion_grid, [1, 26, 91, 310]), (bump_grid, [64, 226])]
+        for (_, config, points), want in grids:
+            assert [i for i, p in enumerate(points) if p.sign_change] == want
+        for (spec, config, _), want in grids:
+            monkeypatch.setattr(solver, "_SEED_REL_TOL", config.rel_tol)
+            tight = solver.sweep(spec, config)
+            assert [i for i, p in enumerate(tight) if p.sign_change] == want
+
+    def test_debug_summary_line(self, caplog, monkeypatch):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=65, blowup_cap=1e3)
+        quiet = solver.sweep(spec, config)
+        caplog.set_level(logging.DEBUG, logger="cohom1")
+        assert bits(solver.sweep(spec, config)) == bits(quiet)
+        # a step budget of 3 stalls every lane
+        monkeypatch.setattr(solver, "_MAX_STEPS", 3)
+        solver.sweep(spec, dataclasses.replace(config, sweep_points=40))
+        assert not logging.getLogger("cohom1").handlers
+        assert [r.getMessage() for r in caplog.records if r.name == "cohom1"] == [
+            "sweep: 65 lanes at rel_tol 1e-06: 1 arrived, 32 escaped to +inf, "
+            "32 to -inf, 0 stalled",
+            "sweep: 40 lanes at rel_tol 1e-06: 0 arrived, 0 escaped to +inf, "
+            "0 to -inf, 40 stalled",
+        ]
+
 
 def scalar_sweep(spec, config):
     """Per-point reference: series start, scalar run, linearised gap."""
@@ -1186,8 +1238,8 @@ class TestLaneSweep:
             (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=17)),
             # escapes of both signs and the identity root
             (BvpSpec(G=1, M0=2, M1=2, k=1), dict(bracket=(0.0, 20.0), sweep_points=65)),
-            # every lane reaches the right pole (a looser rel_tol keeps the
-            # scalar reference cheap)
+            # every lane reaches the right pole (rel_tol 1e-7 runs at seed
+            # accuracy with abs_tol scaled by ten)
             (
                 BvpSpec(G=6, M0=1, M1=1, k=-5),
                 dict(bracket=(-60.0, 60.0), sweep_points=512, rel_tol=1e-7),
@@ -1200,9 +1252,10 @@ class TestLaneSweep:
         ],
     )
     def test_equals_scalar_reference(self, spec, options):
+        # a sweep runs its lanes at seed accuracy
         config = ShootingConfig(**options)
         lanes = solver.sweep(spec, config)
-        reference = scalar_sweep(spec, config)
+        reference = scalar_sweep(spec, solver._seed_config(config))
         assert lanes == reference
         assert bits(lanes) == bits(reference)
 
