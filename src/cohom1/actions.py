@@ -130,9 +130,9 @@ def _classification_violation(g: int, m0: int, m1: int) -> str | None:
             return None
         return f"({a},{b}) is not a classified multiplicity pair for g=4"
     if g == 6:
-        if a in _G6_MULTS:
-            return None
-        return f"g=6 requires m in {_G6_MULTS}, got m={a}"
+        if a == b and a in _G6_MULTS:
+            return None                      # (6,m,m), Abresch 1983
+        return f"g=6 requires m0 == m1 in {_G6_MULTS}, got ({m0},{m1})"
     return f"g must be one of {_VALID_G}"
 
 

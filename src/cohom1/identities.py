@@ -39,11 +39,12 @@ DEFAULT_SAMPLE_MARGIN = 1e-3
 _MAX_ROUNDS = 100_000
 
 
-def _check_g(g: int) -> int:
-    # Sums over i = 0..g-1 only make sense for positive g.
-    if not isinstance(g, int) or g < 1:
-        raise ValueError(f"g must be a positive integer, got {g!r}")
-    return g
+def _positive_int(name: str, value) -> int:
+    # Sums over i = 0..g-1 and sample counts only make sense for positive
+    # ints; a bool is an int to isinstance, and a float is no count.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _check_regular(g: int, t, margin: float) -> np.ndarray:
@@ -63,7 +64,7 @@ def _shifted_sum(g: int, t, term):
 def _sin_lemma(g, r, t, margin, num):
     """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
     = g ((g-1) num(r-t) + num(r + (g-1) t))."""
-    g = _check_g(g)
+    g = _positive_int("g", g)
     t = _check_regular(g, t, margin)
     r = np.asarray(r, dtype=float)
     lhs = _shifted_sum(
@@ -85,7 +86,7 @@ def lemma_sin_2r(g, r, t, margin: float = 1e-8):
 
 def cotangent_identity(g, t, margin: float = 1e-8):
     """g*cot(gt) against the sum of shifted cotangents."""
-    g = _check_g(g)
+    g = _positive_int("g", g)
     t = _check_regular(g, t, margin)
     lhs = g * np.cos(np.remainder(g * t, TAU)) / np.sin(np.remainder(g * t, TAU))
     return lhs, _shifted_sum(g, t, lambda i, x: np.cos(x) / np.sin(x))
@@ -93,7 +94,7 @@ def cotangent_identity(g, t, margin: float = 1e-8):
 
 def half_sum_split(g, m0, m1, t, margin: float = 1e-8):
     """Alternating cotangent sum against its two-term closed split (even g)."""
-    g = _check_g(g)
+    g = _positive_int("g", g)
     if g % 2 != 0:
         raise OddG(f"half-sum split requires even g, got {g}")
     t = _check_regular(g, t, margin)
@@ -157,11 +158,10 @@ def identity_suite(
     Each identity receives at least ``samples`` points spread over
     g = 1..g_max (even g only for the half-sum split).  Returns the maximum
     mixed deviation and sample count per identity.  Raises ValueError
-    unless g_max >= 1, samples >= 1 and 0 < margin < pi/(2 g_max).
+    unless g_max and samples are positive ints and 0 < margin < pi/(2 g_max).
     """
-    for name, value in (("g_max (--g-max)", g_max), ("samples (--samples)", samples)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    _positive_int("g_max (--g-max)", g_max)
+    _positive_int("samples (--samples)", samples)
     _check_margin(g_max, margin)
     rng = np.random.default_rng(seed)
     names = ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity", "half_sum_split")

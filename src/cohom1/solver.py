@@ -11,26 +11,27 @@ well-conditioned as it gets.
 
 Every solve, sweep and refinement does one thing per half: series-start
 it at its endpoint (:func:`_start`) and run an embedded Dormand-Prince
-5(4) pair on it, with PI-free step control, first-same-as-last reuse, a
-blow-up cap that converts runaway trajectories into TrajectoryEscaped and
-a step-underflow guard that raises IntegratorStall.  A half runs either
-alone (:func:`_dp_run`, which can record each accepted step for quartic
-dense output) or with the other halves of a sweep or crossing search as numpy
-lanes (:func:`_integrate_lanes`), in the same operations and order per
-lane, so each lane ends exactly as its scalar run would.  A lane batch
-step evaluates the t-only part of the right-hand side (pole check, sines
-and cosines of Gt and 2Gt) once for its five distinct stage times, and
-each of its six stages only the part that depends on (r, r').  The lanes
-left when a batch thins out, or all of a small batch after its first
-derivative, finish on the scalar loop from their state.  The halves of a
-solve also carry their tangent with respect to their slope through the
-same scalar steps (the variational equation, started from the derivative
-of the series start), so Newton reads its Jacobian off the shots it makes.
-Newton shoots its far iterates, a sweep its lanes, and the refinement's
-seed search its halves, at seed accuracy (:func:`_seed_config`); every
-converged gap and profile comes from shots at the caller's tolerances.
-Everything is plain-float arithmetic in a fixed order, so identical inputs
-give bit-identical results on a fixed platform.
+5(4) pair from that start tuple, with PI-free step control,
+first-same-as-last reuse, a blow-up cap that converts runaway trajectories
+into TrajectoryEscaped and a step-underflow guard that raises
+IntegratorStall.  A half runs either alone (:func:`_dp_run`, which can
+record each accepted step for quartic dense output) or in a lane batch
+that starts its own halves from the spec (:func:`_integrate_lanes`), in
+the same operations and order per lane, so each lane ends exactly as its
+scalar run would.  A lane batch step evaluates the t-only part of the
+right-hand side (pole check, sines and cosines of Gt and 2Gt) once for its
+five distinct stage times, and each of its six stages only the part that
+depends on (r, r').  The lanes left when a batch thins out, or all of a
+small batch after its first derivative, finish on the scalar loop from
+their state.  The halves of a solve also carry their tangent with respect
+to their slope through the same scalar steps (the variational equation,
+started from the derivative of the series start), so Newton reads its
+Jacobian off the shots it makes.  Newton shoots its far iterates, a sweep
+its lanes, and the refinement's seed search its halves, at seed accuracy
+(:func:`_seed_config`); every converged gap and profile comes from shots
+at the caller's tolerances.  Everything is plain-float arithmetic in a
+fixed order, so identical inputs give bit-identical results on a fixed
+platform.
 """
 
 from __future__ import annotations
@@ -261,17 +262,20 @@ _DRAIN_LANES = 32
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 
-def _dp_start(accel, t0: float, r0, v0, t_end: float, tangent=None) -> tuple:
-    """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end;
-    r0, v0 and k1v are arrays with a scalar t0 for :func:`_integrate_lanes`.
+def _dp_start(accel, start: tuple, t_end: float) -> tuple:
+    """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end
+    from a start (t0, r0, v0) as :func:`_start` gives it; r0, v0 and k1v
+    are arrays with a scalar t0 for :func:`_integrate_lanes`.
 
-    With a start tangent (p0, q0), ``accel`` is called in the tangent form
-    of :func:`ode.rhs` and the state gains (p, q, k1q): the tangent
-    (dr, dv) and its first derivative, for :func:`_dp_run` to carry along.
+    A start (t0, r0, v0, p0, q0) carries a tangent: ``accel`` is called in
+    the tangent form of :func:`ode.rhs` and the state gains (p, q, k1q),
+    the tangent (dr, dv) and its first derivative, for :func:`_dp_run` to
+    carry along.
     """
+    t0, r0, v0, *tangent = start
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
-    if tangent is None:
+    if not tangent:
         return (t0, r0, v0, h, accel(t0, r0, v0), 0)
     k1v, k1q = accel(t0, r0, v0, *tangent)
     return (t0, r0, v0, h, k1v, 0, *tangent, k1q)
@@ -434,25 +438,28 @@ def _dense_states(steps: list, nodes: np.ndarray) -> np.ndarray:
     return np.column_stack((nodes, ur, uv))
 
 
-def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -> list:
-    """Run :func:`_dp_run` from :func:`_dp_start` for each lane (r0[i],
-    v0[i]) from a common t0 to t_end != t0.
+def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> list:
+    """The halves series-started (:func:`_start`) from ``endpoint`` with
+    each of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start`
+    to t_end, as one lane batch.
 
     The lanes advance together as numpy arrays, each with its own t, h,
     accept/reject decision and step count, through the scalar loop's
-    operations in the same order; ``lane_rhs`` is the (time, state) pair of
-    :func:`ode._rhs_lanes` for ``accel``.  Each batch step evaluates the
-    time part once, over its stage times t + c*h for c in (C2, C3, C4, C5,
-    1), and each of its six stages the state part; the last stage reuses
-    the row of t + h.  A lane leaves the batch where the scalar loop would
-    raise or return.  Once fewer than _DRAIN_LANES are left, the rest
-    finish on the scalar loop from their current state, so a smaller batch
-    takes only its first derivative on lanes.  Returns one outcome per
-    lane, identical to the scalar run's: its final (r, v), or the
-    TrajectoryEscaped or IntegratorStall the run raised.
+    operations in the same order, on the (time, state) pair of
+    :func:`ode._rhs_lanes`.  Each batch step evaluates the time part once,
+    over its stage times t + c*h for c in (C2, C3, C4, C5, 1), and each of
+    its six stages the state part; the last stage reuses the row of t + h.
+    A lane leaves the batch where the scalar loop would raise or return.
+    Once fewer than _DRAIN_LANES are left, the rest finish on the scalar
+    loop, with :func:`ode.rhs` as looked up at the call, from their current
+    state, so a smaller batch takes only its first derivative on lanes.
+    Returns one outcome per lane, identical to the scalar run's: its final
+    (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
+    starts = np.array([_start(spec, config, endpoint, float(s)) for s in slopes])
+    t0, (r0, v0) = float(starts[0, 0]), starts[:, 1:].T
+    accel, (time_part, state_part) = ode.rhs(spec), ode._rhs_lanes(spec)
     n = len(r0)
-    time_part, state_part = lane_rhs
     out: list = [None] * n
     direction = 1.0 if t_end >= t0 else -1.0
     lane = np.arange(n)
@@ -465,7 +472,7 @@ def _integrate_lanes(accel, lane_rhs, t0: float, r0, v0, t_end: float, config) -
             return np.array([ty[1], state_part(parts, ty[0], ty[1])])
 
         _, r, v, h, k1v, _ = _dp_start(
-            lambda _t, r, v: state_part(time_part(t), r, v), t0, r0, v0, t_end
+            lambda _t, r, v: state_part(time_part(t), r, v), (t0, r0, v0), t_end
         )
         y, k1, h = np.array([r, v]), np.array([v, k1v]), np.full(n, h)  # rows r, v
         while len(lane) >= _DRAIN_LANES:
@@ -544,10 +551,10 @@ def series_start(
     for every slope, so the tension at the start is O(eps)) are asserted by
     the test suite instead of by algebra.
 
-    With ``tangent`` the two probes take the tangent form of :func:`ode.rhs`,
-    which carries the derivative of the fit in the slope, and the result is
-    (t, r, rdot, dr, drdot) with (dr, drdot) = d(r, rdot)/d(slope); the
-    first three equal the plain start bit for bit.
+    The two probes take the tangent form of :func:`ode.rhs`, which carries
+    the derivative of the fit in the slope.  With ``tangent`` the result is
+    (t, r, rdot, dr, drdot) with (dr, drdot) = d(r, rdot)/d(slope), and
+    without it the first three of these.
     """
     # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
     # is x for every x, signed zeros included, where 0.0 + x is not.
@@ -558,19 +565,14 @@ def series_start(
     s = 2.0 * eps
     tp = t_b + sigma * s
     ray = r_b + sigma * (slope * s)
-    if tangent:
-        jet = ode.rhs_tangent(spec)
-        f, df = jet(tp, ray, slope, sigma * s, 1.0)
-        c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
-        f, df = jet(
-            tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s,
-            sigma * s + sigma * (dc * s**3), 1.0 + 3.0 * dc * s * s,
-        )
-        c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
-    else:
-        accel = ode.rhs(spec)
-        c = sigma * accel(tp, ray, slope) / (6.0 * s)
-        c = sigma * accel(tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s) / (6.0 * s)
+    jet = ode.rhs_tangent(spec)
+    f, df = jet(tp, ray, slope, sigma * s, 1.0)
+    c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
+    f, df = jet(
+        tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s,
+        sigma * s + sigma * (dc * s**3), 1.0 + 3.0 * dc * s * s,
+    )
+    c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
     t = t_b + sigma * eps
     r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
     v = slope + 3.0 * c * eps * eps
@@ -606,8 +608,7 @@ def shoot(
     accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
     ends = []
     for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
-        t0, r0, v0, *dstart = _start(spec, config, endpoint, slope, tangent)
-        start = _dp_start(accel, t0, r0, v0, match, dstart or None)
+        start = _dp_start(accel, _start(spec, config, endpoint, slope, tangent), match)
         ends.append(_dp_run(accel, start, match, config))
     left, right = ends
     gap = (left[1] - right[1], left[2] - right[2])
@@ -810,24 +811,13 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
 
 def _dense_half(spec, config, accel, endpoint: Endpoint, slope: float, nodes) -> np.ndarray:
     """(t, r, v) rows of the half shot from ``endpoint``: its series start,
-    then its states at ``nodes``, which run away from it.  The states come
-    from the interpolant of each accepted step, so they stay smooth at node
-    spacing whatever the step sequence."""
+    then its states at ``nodes`` (not empty), which run away from it.  The
+    states come from the interpolant of each accepted step, so they stay
+    smooth at node spacing whatever the step sequence."""
     start = _start(spec, config, endpoint, slope)
-    if not len(nodes):
-        return np.array([start])
     t_end, steps = float(nodes[-1]), []
-    _dp_run(accel, _dp_start(accel, *start, t_end), t_end, config, steps)
+    _dp_run(accel, _dp_start(accel, start, t_end), t_end, config, steps)
     return np.vstack((start, _dense_states(steps, nodes)))
-
-
-def _half_lanes(spec, config, accel, endpoint: Endpoint, slopes, t_end: float) -> list:
-    """Outcomes (see :func:`_integrate_lanes`) of the halves series-started
-    from ``endpoint`` with each of ``slopes`` and run to t_end as one lane
-    batch."""
-    starts = np.array([_start(spec, config, endpoint, float(s)) for s in slopes])
-    t0, r0, v0 = starts.T
-    return _integrate_lanes(accel, ode._rhs_lanes(spec), float(t0[0]), r0, v0, t_end, config)
 
 
 def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:
@@ -847,9 +837,7 @@ def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoin
     seed = _seed_config(config)
     lo, hi = config.resolved_bracket(spec)
     grid = np.linspace(lo, hi, config.sweep_points)
-    outcomes = _half_lanes(
-        spec, seed, ode.rhs(spec), Endpoint.LEFT, grid, spec.length - config.eps1
-    )
+    outcomes = _integrate_lanes(spec, seed, Endpoint.LEFT, grid, spec.length - config.eps1)
     gaps = []
     for outcome in outcomes:
         if isinstance(outcome, TrajectoryEscaped):
@@ -883,12 +871,10 @@ _RIGHT_DENSITY = 2
 _RIGHT_REACH = 2.5
 
 
-def _match_states(spec, config, accel, endpoint: Endpoint, slopes) -> np.ndarray:
+def _match_states(spec, config, endpoint: Endpoint, slopes) -> np.ndarray:
     """(r, v) rows at the match point of the halves from ``endpoint``; a
     half that escapes or stalls gives a row of NaN."""
-    outcomes = _half_lanes(
-        spec, config, accel, endpoint, slopes, config.resolved_match(spec)
-    )
+    outcomes = _integrate_lanes(spec, config, endpoint, slopes, config.resolved_match(spec))
     return np.array(
         [(math.nan, math.nan) if isinstance(o, Exception) else o for o in outcomes]
     )
@@ -951,18 +937,17 @@ def refine_brackets(
     brackets = [i for i, p in enumerate(points) if p.sign_change]
     if not brackets:
         return []
-    accel = ode.rhs(spec)
     seed_config = _seed_config(config)
     reach = _RIGHT_REACH * max(map(abs, config.resolved_bracket(spec)))
     b_grid = np.linspace(-reach, reach, _RIGHT_DENSITY * config.sweep_points)
-    right = _match_states(spec, seed_config, accel, Endpoint.RIGHT, b_grid)
+    right = _match_states(spec, seed_config, Endpoint.RIGHT, b_grid)
     left_halves = left_lost = 0
     profiles: list[SolutionProfile] = []
     for i in brackets:
         lo, hi = bracket = (points[i - 1].a, points[i].a)
         step = hi - lo
         a_grid = np.array([p.a for p in points[max(i - 2, 0):i + 2]])
-        left = _match_states(spec, seed_config, accel, Endpoint.LEFT, a_grid)
+        left = _match_states(spec, seed_config, Endpoint.LEFT, a_grid)
         left_halves += len(a_grid)
         left_lost += int(np.isnan(left[:, 0]).sum())
         seeds = sorted(

@@ -30,6 +30,12 @@ class TestMakeAction:
         assert a.weyl_order == 12 and a.odd_j_allowed and a.bvp_g == 6
         assert a.ambient == "Sp(2)"
 
+    def test_unknown_space_rejected(self):
+        with pytest.raises(InvalidSpace, match="torus"):
+            actions.parse_space("torus")
+        with pytest.raises(InvalidSpace):
+            actions.make_action("torus", 2, 1, 1)
+
     def test_sp2_requires_611(self):
         with pytest.raises(InvalidSpace):
             actions.make_action("sp2", 6, 2, 2)
@@ -40,6 +46,30 @@ class TestMakeAction:
     def test_unlisted_triples_rejected_in_strict_mode(self, triple):
         with pytest.raises(InvalidTriple):
             actions.make_action("sphere", *triple)
+
+    @pytest.mark.parametrize("triple", [(6, 1, 2), (6, 2, 1)])
+    def test_g6_needs_equal_multiplicities(self, triple):
+        # (6, m, m) with m in {1, 2} only (Abresch 1983); the parity rule
+        # alone lets (6,1,2) through
+        with pytest.raises(InvalidTriple, match="m0 == m1"):
+            actions.make_action("sphere", *triple)
+        a = actions.make_action("sphere", *triple, strict=False)
+        with pytest.raises(InvalidTriple):
+            actions.tangential_vanishes(a)
+
+    def test_strict_mode_accepts_exactly_the_enumerated_triples(self):
+        # every g and every m0 <= m1 <= 9; max_ell = 9 leaves no g = 4
+        # family truncated at that size
+        accepted = set()
+        for g in (1, 2, 3, 4, 6):
+            for m0 in range(1, 10):
+                for m1 in range(m0, 10):
+                    try:
+                        actions.make_action("sphere", g, m0, m1)
+                    except InvalidTriple:
+                        continue
+                    accepted.add((g, m0, m1))
+        assert accepted == set(actions.strict_triples(9, 9))
 
     @pytest.mark.parametrize("triple", [(4, 3, 3), (3, 3, 3), (6, 5, 5)])
     def test_unlisted_triples_allowed_nonstrict(self, triple):

@@ -47,6 +47,14 @@ class TestClassify:
         assert code == 2
         assert "m0 == m1" in err
 
+    @pytest.mark.parametrize("m0, m1", [("1", "2"), ("2", "1")])
+    def test_unclassified_g6_pair_exits_2(self, capsys, m0, m1):
+        code, out, err = run(
+            capsys, "classify", "--space", "sphere", "--g", "6", "--m0", m0, "--m1", m1
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 classify: ") and "m0 == m1" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--space", "sphere", "--g", "2",
@@ -252,6 +260,15 @@ class TestSweep:
         assert lines[0] == "a,sign_change,gap"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("bracket", ["1,2,3", "1"])
+    def test_bracket_not_a_pair_exits_2(self, capsys, bracket):
+        code, out, err = run(
+            capsys, "sweep", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--bracket", bracket,
+        )
+        assert code == 2 and out == ""
+        assert "--bracket expects two comma-separated numbers" in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -352,3 +369,16 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--format", "text")
         assert code == 0
         assert len(out.splitlines()) == 16
+
+    def test_csv_rows(self, capsys):
+        code, out, _ = run(capsys, "table", "--format", "csv")
+        payload = run_json(capsys, "table")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "ambient,g,m0,m1,k,harmonic,degree"
+        assert lines[1:] == [
+            f"{v['ambient']},{v['action']['g']},{v['action']['m0']},{v['action']['m1']},"
+            f"{v['k']},{int(v['harmonic'])},{v['degree']}"
+            for v in payload["verdicts"]
+        ]
+        assert "SO(26),3,8,8,-5,1,-5" in lines and "Sp(2),6,1,1,-5,1,1" in lines

@@ -244,3 +244,22 @@ class TestSamplingBounds:
             identities.identity_suite(g_max=12, margin=0.2)
         # the bound is pi/(2 g_max): 0.2 still fits g_max = 7
         identities.identity_suite(g_max=7, samples=70, margin=0.2)
+
+    @pytest.mark.parametrize("name, flag", [("g_max", "--g-max"), ("samples", "--samples")])
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None, np.int64(2)])
+    def test_suite_counts_must_be_ints(self, name, flag, value):
+        # a bool is an int to isinstance; a float would reach numpy or range()
+        with pytest.raises(ValueError, match=f"{name} \\({flag}\\) must be a positive integer"):
+            identities.identity_suite(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, 2.0, 0, -1, np.int64(2)])
+    def test_identity_g_must_be_a_positive_int(self, value):
+        t = np.array([0.3])
+        for call in (
+            lambda: identities.lemma_sin_sq(value, t, t),
+            lambda: identities.lemma_sin_2r(value, t, t),
+            lambda: identities.cotangent_identity(value, t),
+            lambda: identities.half_sum_split(value, 1, 1, t),
+        ):
+            with pytest.raises(ValueError, match="g must be a positive integer"):
+                call()

@@ -353,6 +353,13 @@ class TestResidualNorm:
         max_abs, _ = ode.residual_norm(spec, np.column_stack([t, r, v]))
         assert max_abs > 0.01
 
+    @pytest.mark.parametrize("cols", [[0, 1], [0]])
+    def test_not_three_columns_rejected(self, cols):
+        spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
+        profile = linear_profile(spec)[:, cols]
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            ode.residual_norm(spec, profile)
+
     def test_too_coarse_rejected(self):
         spec = BvpSpec(G=1, M0=1, M1=1, k=1)
         with pytest.raises(ProfileTooCoarse):

@@ -26,7 +26,7 @@ from cohom1.solver import Endpoint, ShootingConfig
 
 def integrate(accel, t0, r0, v0, t_end, config):
     """Final (r, v) of one scalar DP5(4) run from (t0, r0, v0) to t_end."""
-    return solver._dp_run(accel, solver._dp_start(accel, t0, r0, v0, t_end), t_end, config)[1:3]
+    return solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0), t_end), t_end, config)[1:3]
 
 
 def two_branch_start(spec, endpoint, slope, eps):
@@ -139,17 +139,21 @@ class TestIntegrator:
         end = solver._dp_run(lambda t, r, v: 0.0, state, t_end, ShootingConfig())
         assert end[:3] == (t_end, 1.0, 0.0) and abs(end[3]) < solver._MIN_STEP
 
-    def test_lanes_arrive_after_a_last_step_of_an_ulp(self):
+    def test_lanes_arrive_after_a_last_step_of_an_ulp(self, monkeypatch):
         # with no acceleration every step is accepted and the next one is 5
-        # times longer; the sixth ends one ulp short of t_end
+        # times longer; the sixth ends one ulp short of t_end.  The lanes
+        # start at (0, 1, 0) and take both right-hand sides from ode.
         t, h = 0.0, 1e-3
         for _ in range(6):
             t, h = t + h, h * 5.0
         t_end = math.nextafter(t, math.inf)
         lane_rhs = (lambda stage_t: [stage_t], lambda parts, r, v: np.zeros_like(r))
+        monkeypatch.setattr(ode, "_rhs_lanes", lambda spec: lane_rhs)
+        monkeypatch.setattr(ode, "rhs", lambda spec: lambda t, r, v: 0.0)
+        monkeypatch.setattr(solver, "series_start", lambda *args: (0.0, 1.0, 0.0))
         n = solver._DRAIN_LANES
         out = solver._integrate_lanes(
-            lambda t, r, v: 0.0, lane_rhs, 0.0, np.ones(n), np.zeros(n), t_end, ShootingConfig()
+            BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(), Endpoint.LEFT, np.zeros(n), t_end
         )
         assert out == [(1.0, 0.0)] * n
         assert integrate(lambda t, r, v: 0.0, 0.0, 1.0, 0.0, t_end, ShootingConfig()) == (1.0, 0.0)
@@ -255,7 +259,7 @@ class TestDenseOutput:
         accel = ode.rhs(self.SPEC)
         t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
         steps = []
-        solver._dp_run(accel, solver._dp_start(accel, t0, r0, v0, t_end), t_end,
+        solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0), t_end), t_end,
                        ShootingConfig(), steps)
         return steps
 
@@ -293,11 +297,11 @@ class TestDenseOutput:
     @pytest.mark.parametrize("tangent", [False, True])
     def test_recording_leaves_the_run_unchanged(self, endpoint, tangent):
         t_end = 0.2 if endpoint is Endpoint.RIGHT else 2.9
-        accel, start_tangent = ode.rhs(self.SPEC), None
+        accel, start_tangent = ode.rhs(self.SPEC), ()
         if tangent:
             accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
         t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
-        start = solver._dp_start(accel, t0, r0, v0, t_end, start_tangent)
+        start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
         plain = solver._dp_run(accel, start, t_end, ShootingConfig())
         steps = []
         recorded = solver._dp_run(accel, start, t_end, ShootingConfig(), steps)
@@ -452,9 +456,11 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  The (plain, tangent) counts are: the solve (120, 642),
-        # the sweep, at seed accuracy, (24214, 0) and the refinement of its
-        # 2 brackets (6684, 8484).  RHS counts do not depend on the machine.
+        # catches.  The (plain, tangent) counts are: the solve (116, 646),
+        # the sweep, at seed accuracy, (24180, 34) and the refinement of its
+        # 2 brackets (6592, 8576).  Series starts take the tangent form, two
+        # evaluations each, so the sums are those of plain starts: 762,
+        # 24214 and 15168.  RHS counts do not depend on the machine.
         counts = {"plain": 0, "tangent": 0}
         rhs, rhs_tangent = ode.rhs, ode.rhs_tangent
 
@@ -481,14 +487,14 @@ class TestRhsFactoryContract:
         spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
         w = 0.05 * (1.0 + abs(spec.k))
         assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
-        assert counts == {"plain": 120, "tangent": 642}
+        assert counts == {"plain": 116, "tangent": 646}
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 120 + 24214, "tangent": 642}
+        assert counts == {"plain": 116 + 24180, "tangent": 646 + 34}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 120 + 24214 + 6684, "tangent": 642 + 8484}
+        assert counts == {"plain": 116 + 24180 + 6592, "tangent": 646 + 34 + 8576}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -1043,6 +1049,25 @@ class TestSolve:
             return
         assert float(np.max(np.abs(profile.samples[:, 1] + 3.0 * profile.samples[:, 0]))) > 1e-3
 
+    @pytest.mark.parametrize("jac", [((1.0, 2.0), (2.0, 4.0)), ((math.nan, 0.0), (0.0, 1.0))])
+    def test_singular_jacobian_is_no_convergence(self, monkeypatch, jac):
+        # every shot's gap is real, and its Jacobian rank-deficient or NaN:
+        # each phase stops at its first Newton step, before any trial shot
+        shoot, shots = solver.shoot, []
+
+        def singular(*args, **kwargs):
+            shots.append(args[1])
+            return shoot(*args, **kwargs)[0], jac
+
+        monkeypatch.setattr(solver, "shoot", singular)
+        spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig()
+        with pytest.raises(NoConvergence, match="singular jacobian") as info:
+            solver.solve(spec, config, init=(1.2, 0.9))
+        assert info.value.iterate == (1.2, 0.9) and info.value.iterations == 0
+        assert len(shots) == 2 and shots[1] is config
+        gap = shoot(spec, config, 1.2, 0.9)
+        assert struct.pack("<2d", *info.value.gaps) == struct.pack("<2d", *gap)
+
     def test_deterministic(self):
         spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
         p1 = solver.solve(spec)
@@ -1159,9 +1184,9 @@ class TestSweep:
         seen = []
         original = solver._integrate_lanes
 
-        def spy(accel, lane_rhs, t0, r0, v0, t_end, config):
+        def spy(spec, config, endpoint, slopes, t_end):
             seen.append((config.rel_tol, config.abs_tol))
-            return original(accel, lane_rhs, t0, r0, v0, t_end, config)
+            return original(spec, config, endpoint, slopes, t_end)
 
         monkeypatch.setattr(solver, "_integrate_lanes", spy)
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -1229,6 +1254,29 @@ def bits(points):
     ]
 
 
+def outcome_key(outcome):
+    """A lane or scalar run's outcome: its type and the bits of (t, r,
+    rdot) for an escape, of its message and t for a stall, of (r, v) for
+    an arrival."""
+    if isinstance(outcome, TrajectoryEscaped):
+        return "escaped", outcome.t.hex(), outcome.r.hex(), outcome.rdot.hex()
+    if isinstance(outcome, IntegratorStall):
+        return "stalled", str(outcome), outcome.t.hex()
+    return "arrived", outcome[0].hex(), outcome[1].hex()
+
+
+def scalar_outcomes(spec, config, slopes, t_end):
+    """Outcome of a scalar run of each left half, as outcome_key gives it."""
+    accel, out = ode.rhs(spec), []
+    for a in slopes.tolist():
+        t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+        try:
+            out.append(outcome_key(integrate(accel, t, r, v, t_end, config)))
+        except (TrajectoryEscaped, IntegratorStall) as exc:
+            out.append(outcome_key(exc))
+    return out
+
+
 class TestLaneSweep:
     @pytest.mark.parametrize(
         "spec, options",
@@ -1272,30 +1320,29 @@ class TestLaneSweep:
         # same bits of (t, r, rdot) for an escape and of (r, v) for an arrival
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(**options)
-        accel = ode.rhs(spec)
         t_end = spec.length - config.eps1
         slopes = np.linspace(*config.resolved_bracket(spec), config.sweep_points)
-        lanes = solver._half_lanes(spec, config, accel, Endpoint.LEFT, slopes, t_end)
-
-        def key(outcome):
-            if isinstance(outcome, TrajectoryEscaped):
-                return "escaped", outcome.t.hex(), outcome.r.hex(), outcome.rdot.hex()
-            if isinstance(outcome, IntegratorStall):
-                return "stalled", str(outcome)
-            return "arrived", outcome[0].hex(), outcome[1].hex()
-
-        scalar = []
-        for a in slopes.tolist():
-            t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
-            try:
-                scalar.append(integrate(accel, t, r, v, t_end, config))
-            except (TrajectoryEscaped, IntegratorStall) as exc:
-                scalar.append(exc)
-        assert [type(o) for o in lanes] == [type(o) for o in scalar]
-        assert [key(o) for o in lanes] == [key(o) for o in scalar]
+        lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
+        assert [outcome_key(o) for o in lanes] == scalar_outcomes(spec, config, slopes, t_end)
         if "blowup_cap" in options:
             signs = [math.copysign(1.0, o.r) for o in lanes if isinstance(o, TrajectoryEscaped)]
             assert signs.count(1.0) == signs.count(-1.0) == 32 and len(lanes) == 65
+
+    def test_step_underflow_in_the_batch_equals_scalar_runs(self, monkeypatch):
+        # with a minimum step of 1e-5, 3 of 65 lanes stall at t = 2e-5,
+        # while every lane is still in the batch; one more stalls near the
+        # right pole and 61 escape
+        monkeypatch.setattr(solver, "_MIN_STEP", 1e-5)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(blowup_cap=1e3)
+        t_end = spec.length - config.eps1
+        slopes = np.linspace(0.0, 20.0, 65)
+        lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
+        keys = [outcome_key(o) for o in lanes]
+        assert keys == scalar_outcomes(spec, config, slopes, t_end)
+        stalls = [o for o in lanes if isinstance(o, IntegratorStall)]
+        assert len(stalls) == 4 and sum(o.t < 1e-4 for o in stalls) == 3
+        assert all("step size underflow" in str(o) for o in stalls)
 
     @pytest.mark.parametrize("budget", [1, 4, 9])
     def test_step_budget_stall_equals_scalar_runs(self, monkeypatch, budget):
@@ -1307,7 +1354,7 @@ class TestLaneSweep:
         accel = ode.rhs(spec)
         t_end = spec.length - config.eps1
         slopes = np.linspace(0.0, 20.0, solver._DRAIN_LANES + 8)
-        lanes = solver._half_lanes(spec, config, accel, Endpoint.LEFT, slopes, t_end)
+        lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
         for a, lane in zip(slopes.tolist(), lanes):
             t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
             with pytest.raises(IntegratorStall, match="step budget exhausted") as scalar:
@@ -1486,6 +1533,23 @@ class TestRefineBrackets:
         best = profiles[0]
         assert abs(best.slope0 - 1.0) < 1e-6
         assert best.max_linear_deviation() < 1e-6
+
+    def test_bracket_where_no_seed_converges_is_dropped(self, caplog, monkeypatch):
+        # the identity's bracket has a crossing, but every solve fails
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.5, 1.5), sweep_points=17)
+        points = solver.sweep(spec, config)
+        seeds = []
+
+        def fail(spec, config, init):
+            seeds.append(init)
+            raise NoConvergence((1.0, 1.0), init, 0, "stub")
+
+        monkeypatch.setattr(solver, "solve", fail)
+        profiles, decisions = refine_logged(caplog, spec, config, points)
+        assert profiles == [] and seeds
+        assert decisions[" failed: "] == len(seeds)
+        assert decisions["no seed converged"] == sum(p.sign_change for p in points) == 1
 
     def test_no_sign_change_runs_no_lanes(self, monkeypatch):
         def fail(*args, **kwargs):
