@@ -116,9 +116,14 @@ def mixed_deviation(lhs, rhs) -> float:
 
 
 def _check_margin(g: int, margin: float) -> None:
-    # Poles are pi/g apart, so no point clears them by pi/(2g) or more.
+    # Poles are pi/g apart, so no point clears them by pi/(2g) or more.  A
+    # bool is no margin, though it compares as 0 or 1.
     bound = math.pi / (2 * g)
-    if not 0.0 < margin < bound:
+    if (
+        isinstance(margin, bool)
+        or not isinstance(margin, (int, float))
+        or not 0.0 < margin < bound
+    ):
         raise ValueError(
             f"margin (--margin) must lie in (0, pi/(2g)) = (0, {bound:.6g}) "
             f"for g = {g}, got {margin!r}"
@@ -158,10 +163,13 @@ def identity_suite(
     Each identity receives at least ``samples`` points spread over
     g = 1..g_max (even g only for the half-sum split).  Returns the maximum
     mixed deviation and sample count per identity.  Raises ValueError
-    unless g_max and samples are positive ints and 0 < margin < pi/(2 g_max).
+    unless g_max and samples are positive ints, seed is a non-negative int
+    and margin is a number with 0 < margin < pi/(2 g_max).
     """
     _positive_int("g_max (--g-max)", g_max)
     _positive_int("samples (--samples)", samples)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed (--seed) must be a non-negative integer, got {seed!r}")
     _check_margin(g_max, margin)
     rng = np.random.default_rng(seed)
     names = ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity", "half_sum_split")

@@ -32,6 +32,12 @@ from . import actions
 from .errors import PoleProximity, ProfileTooCoarse, UnequalMultiplicities
 
 TAU = 2.0 * math.pi
+# TAU split in two for :func:`_remainder_exact` (Cody and Waite): the top
+# 26 significant bits and the rest, exactly; quotients below
+# _SPLIT_QUOTIENTS in magnitude multiply both without rounding.
+_TAU_HI = float.fromhex("0x1.921fb5p+2")
+_TAU_LO = TAU - _TAU_HI
+_SPLIT_QUOTIENTS = 2.0**26
 
 #: Evaluation points closer than this to a pole of the coefficients are
 #: rejected; the solver handles the singular endpoints by series starts.
@@ -170,8 +176,9 @@ def _time_parts(G, M0, M1, t, rem):
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
     u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments:
-    ``np.remainder`` is the cheaper, and :func:`_remainder_exact` makes
-    every element equal the scalar path bit for bit.
+    ``np.remainder``, a floor modulo, serves :func:`closed_tension_grid`,
+    and :func:`_remainder_exact` makes every element equal the scalar path
+    bit for bit.
     """
     s = M0 + M1
     d = M0 - M1
@@ -193,21 +200,43 @@ def _state_parts(G, parts, r, rdot, rem):
 
 
 def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
-    """Elementwise ``math.remainder(x, period)``, bit for bit.
+    """Elementwise ``math.remainder(x, TAU)``, bit for bit; ``period``
+    must be TAU, the period the split below holds.
 
-    ``np.fmod`` is exact, and folding a result beyond period/2 back by one
-    period is exact by Sterbenz's lemma.  Elements where the even-quotient
-    tie rule decides (|f| == period/2) or where x is not finite take the
-    scalar function, which also raises on infinities as the scalar path does.
-    numpy warns on those inputs, so callers run it under ``np.errstate``.
+    With n = rint(x / TAU) and TAU = TAU_HI + TAU_LO, TAU_HI its top 26
+    significant bits, f = (x - n TAU_HI) - n TAU_LO.  Proof that f is the
+    remainder wherever 0 < |f| < pi (pi = TAU/2 is a float) and |n| < 2**26.
+    TAU_HI has 25 significant bits and TAU_LO 24, so both products are
+    exact.  For n = 0, f is x, and |x| < pi is its own remainder.  For
+    n != 0, the rounded quotient lies within 1/2 of n, so x has the sign of
+    n and (|n| - 1/2)(1 - 2**-53) TAU <= |x| <= (|n| + 1/2)(1 + 2**-53) TAU;
+    TAU_LO/TAU is about 1e-8, far above 2**-53, so |n| TAU_HI / 2 <= |x|
+    <= 2 |n| TAU_HI and x - n TAU_HI is exact by Sterbenz's lemma.  Then f is
+    z = x - n TAU rounded once.  If |z| < pi, n is the nearest integer to
+    x/TAU, so z is the IEEE remainder, which is a float, and f = z.  If
+    |z| >= pi, rounding keeps |f| >= pi.
+
+    The other elements take ``math.remainder`` one by one: |f| >= pi, ties
+    at +-pi included, where a wrong n or the even-quotient rule decides;
+    f == 0, where the remainder takes the sign of x and the split gives
+    +0.0 for x = -k TAU; |n| >= 2**26, where the products round; and
+    non-finite x, where ``math.remainder`` raises on infinities as the
+    scalar path does.  numpy warns on those inputs, so callers run it under
+    ``np.errstate``.
     """
-    half = 0.5 * period
-    f = np.fmod(x, period)
-    np.subtract(f, period, out=f, where=f > half)
-    np.add(f, period, out=f, where=f < -half)
-    if not np.abs(f).max(initial=0.0) < half:
-        odd = ~(np.abs(f) < half)
-        f[odd] = [math.remainder(v, period) for v in x[odd].tolist()]
+    if period != TAU:
+        raise ValueError(f"the exact reduction is modulo TAU, got period {period!r}")
+    n = np.rint(x / TAU)
+    f = x - n * _TAU_HI
+    f -= n * _TAU_LO
+    a = np.abs(f)
+    if not (
+        a.max(initial=0.0) < math.pi
+        and a.min(initial=1.0) > 0.0
+        and np.abs(n).max(initial=0.0) < _SPLIT_QUOTIENTS
+    ):
+        odd = ~((a < math.pi) & (a > 0.0) & (np.abs(n) < _SPLIT_QUOTIENTS))
+        f[odd] = [math.remainder(v, TAU) for v in x[odd].tolist()]
     return f
 
 

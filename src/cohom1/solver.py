@@ -252,11 +252,13 @@ _P = (
 
 _MIN_STEP = 1e-14
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
-# Lanes left below which a batch finishes on the scalar loop.  On a 2-core
-# x86-64 host a batch step took 0.37-0.40 ms at 16-32 lanes and 0.73-0.78 ms
-# at 512, a scalar step 19-20 us, so a batch breaks even near 20 lanes; the
-# 512-point sweep with a drain at 16, 20 or 24 lanes was not measurably
-# faster than at 32.
+# Lanes left below which a batch finishes on the scalar loop.  On a shared
+# 2-core x86-64 host, over the criterion-7 sweep's steps, a batch step took
+# 0.31-0.58 ms at 16-32 lanes and 0.63-1.07 ms at 512, a scalar step 12-18
+# us (three runs; the host's speed varied up to 2x between them).  Within a
+# run a batch step at 16-32 lanes cost as much as 27-47 scalar steps, so a
+# batch breaks even near 32 lanes; the criterion-7 refinement with a drain
+# at 24, 40 or 48 lanes was not measurably faster than at 32.
 _DRAIN_LANES = 32
 # Stage-time nodes of a lane batch step, as a column: t + _STAGE_C * h.
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]

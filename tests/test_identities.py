@@ -252,6 +252,20 @@ class TestSamplingBounds:
         with pytest.raises(ValueError, match=f"{name} \\({flag}\\) must be a positive integer"):
             identities.identity_suite(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, -1, "2", None, np.int64(2)])
+    def test_suite_seed_must_be_a_non_negative_int(self, value):
+        # 2.5 reached numpy's SeedSequence TypeError, and a bool seeded as 0 or 1
+        with pytest.raises(ValueError, match="seed \\(--seed\\) must be a non-negative integer"):
+            identities.identity_suite(g_max=1, samples=10, seed=value)
+        identities.identity_suite(g_max=1, samples=10, seed=0)
+
+    @pytest.mark.parametrize("value", [True, False, "0.001", None])
+    def test_suite_margin_must_be_a_number(self, value):
+        # margin=True ran with a margin of 1.0
+        with pytest.raises(ValueError, match="margin \\(--margin\\) must lie in"):
+            identities.identity_suite(g_max=1, samples=10, margin=value)
+        identities.identity_suite(g_max=1, samples=10, margin=1)
+
     @pytest.mark.parametrize("value", [True, 2.0, 0, -1, np.int64(2)])
     def test_identity_g_must_be_a_positive_int(self, value):
         t = np.array([0.3])

@@ -404,7 +404,8 @@ class TestTangent:
             for slope in (-7.0, -1.0, 0.0, 0.5, 3.0, 12.0):
                 for eps in (1e-3, 1e-5):
                     t, r, v, dr, dv = solver.series_start(spec, endpoint, slope, eps, tangent=True)
-                    assert (t, r, v) == solver.series_start(spec, endpoint, slope, eps)
+                    want = two_branch_start(spec, endpoint, slope, eps)
+                    assert [x.hex() for x in (t, r, v)] == [x.hex() for x in want]
                     h = 1e-4
                     up = solver.series_start(spec, endpoint, slope + h, eps)
                     down = solver.series_start(spec, endpoint, slope - h, eps)
@@ -1449,6 +1450,64 @@ class TestLaneSweep:
         # an infinity raises as math.remainder does
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             ode._remainder_exact(np.array([1.0, math.inf]), ode.TAU)
+
+    def test_remainder_split_alone_on_tie_free_batches(self, monkeypatch):
+        # no element at a tie, a multiple of 2 pi or beyond 2**26 quotients:
+        # the split must give every remainder, with the scalar fallback
+        # made to raise
+        rng = np.random.default_rng(19)
+        batches = [
+            rng.uniform(-w, w, shape)
+            for w in (3.0, 50.0, 2e3, 1e8)
+            for shape in ((5, 512), (2, 64))
+        ]
+        batches.append(np.array([-0.5, 1e-300, 5e-324, -5e-324, 3.14159, -3.14159]))
+        wants = [[math.remainder(v, ode.TAU).hex() for v in x.ravel().tolist()] for x in batches]
+
+        def no_fallback(x, y):
+            raise AssertionError("scalar fallback taken")
+
+        monkeypatch.setattr(math, "remainder", no_fallback)
+        for x, want in zip(batches, wants):
+            got = ode._remainder_exact(x, ode.TAU)
+            assert got.shape == x.shape
+            assert [v.hex() for v in got.ravel().tolist()] == want
+
+    def test_remainder_exact_one_element_at_a_time(self):
+        # each element alone, so no other element's fallback covers it:
+        # the signed zeros of k * 2 pi, the ties (k + 1/2) * 2 pi and their
+        # neighbours, k * pi, signed zeros, subnormals and the edge of the
+        # exact products near 2**26 * 2 pi
+        tau = ode.TAU
+        xs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+        for k in range(-2000, 2001):
+            tie = (k + 0.5) * tau
+            xs += [k * tau, k * math.pi, tie]
+            xs += [math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)]
+        for q in (-1.5, -1.0, -0.5, 0.0, 0.5, 2.0**27):
+            q += 2.0**26
+            for x in (q * tau, -q * tau):
+                xs += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+        # quotients far beyond 2**26, where n * TAU_HI rounds
+        xs += [10.0 ** (8 + 0.37 * i) for i in range(33)] + [1e300, -1e300, 2.0**1000 * tau]
+        got = [ode._remainder_exact(np.array([x]), tau)[0].hex() for x in xs]
+        assert got == [math.remainder(x, tau).hex() for x in xs]
+        # the exact multiples among them have a zero remainder with the sign
+        # of x; the split alone gives +0.0 for -4 * 2 pi
+        assert "0x0.0p+0" in got and "-0x0.0p+0" in got
+        assert ode._remainder_exact(np.array([-4.0 * tau]), tau)[0].hex() == "-0x0.0p+0"
+
+    def test_remainder_exact_needs_the_split_period(self):
+        with pytest.raises(ValueError, match="modulo TAU"):
+            ode._remainder_exact(np.array([1.0]), math.pi)
+
+    def test_sweep_never_calls_fmod(self, monkeypatch):
+        def no_fmod(*args, **kwargs):
+            raise AssertionError("np.fmod called")
+
+        monkeypatch.setattr(np, "fmod", no_fmod)
+        points = solver.sweep(BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(bracket=(0.0, 20.0)))
+        assert [i for i, p in enumerate(points) if p.sign_change] == [1, 26, 91, 310]
 
     def test_lane_rhs_matches_scalar_rhs(self):
         rng = np.random.default_rng(11)
