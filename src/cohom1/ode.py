@@ -60,16 +60,19 @@ def require_regular(t, G: int, margin: float) -> None:
     least ``margin`` from the pole set; an array names its first such point.
 
     A NaN or infinite t is never regular, and a NaN margin admits no
-    distance.  A scalar t is checked for finiteness first; an array with an
-    infinite element makes numpy warn before the raise.
+    distance.  A scalar t inside the :func:`regular_window` passes without
+    the distance; outside it, t is checked for finiteness first.  An array
+    with an infinite element makes numpy warn before the raise.
     """
     if isinstance(t, np.ndarray):
         far = pole_distance(t, G) >= margin
         if far.all():
             return
         t = float(t[~far][0])
-    elif math.isfinite(t) and pole_distance(t, G) >= margin:
-        return
+    else:
+        lo, hi = regular_window(G, margin)
+        if lo < t < hi or (math.isfinite(t) and pole_distance(t, G) >= margin):
+            return
     raise _pole_error(t, G, margin)
 
 

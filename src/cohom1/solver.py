@@ -29,9 +29,11 @@ started from the derivative of the series start), so Newton reads its
 Jacobian off the shots it makes.  Newton shoots its far iterates, a sweep
 its lanes, and the refinement's seed search its halves, at seed accuracy
 (:func:`_seed_config`); every converged gap and profile comes from shots
-at the caller's tolerances.  Everything is plain-float arithmetic in a
-fixed order, so identical inputs give bit-identical results on a fixed
-platform.
+at the caller's tolerances.  The seed search traces the right half-curve
+with a coarse lane batch and then bisects it, a batch per round, only
+where it can meet a left polyline (:func:`_right_curve`).  Everything is
+plain-float arithmetic in a fixed order, so identical inputs give
+bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -864,12 +866,11 @@ def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoin
     return points
 
 
-# Right slopes of the seed search: twice the sweep's points, over 2.5 times
-# the widest slope of the sweep's bracket.  A solution's right slope can lie
-# beyond every left slope of the grid that brackets it: (2,1,3,1) has
-# b = 13.0473 on the default [-8, 8] and the (1,2,2,0) bump b = -3.5377 on
-# [0, 8].  Right slopes beyond this reach are not searched.
-_RIGHT_DENSITY = 2
+# Right slopes of the seed search span +/-_RIGHT_REACH times the widest
+# slope of the sweep's bracket.  A solution's right slope can lie beyond
+# every left slope of the grid that brackets it: (2,1,3,1) has b = 13.0473
+# on the default [-8, 8] and the (1,2,2,0) bump b = -3.5377 on [0, 8].
+# Right slopes beyond this reach are not searched.
 _RIGHT_REACH = 2.5
 
 
@@ -880,6 +881,66 @@ def _match_states(spec, config, endpoint: Endpoint, slopes) -> np.ndarray:
     return np.array(
         [(math.nan, math.nan) if isinstance(o, Exception) else o for o in outcomes]
     )
+
+
+def _unresolved(b, right, lefts, finest: float) -> np.ndarray:
+    """Mask of the segments of the right polyline (slopes b, match states
+    right) that may cross a segment of the polylines ``lefts`` unseen:
+    those wider than ``finest`` whose padded box meets one with two finite
+    ends.
+
+    A right segment's box spans its two ends, padded by its width times
+    the larger change of chord slope at either end: about h^2 |y''| between
+    neighbours of equal width h, 8 times the largest distance of a smooth
+    curve y(b) from its chord.  A segment with one NaN end (an escape or a
+    stall) has the box of its finite end, padded by its width times the
+    slope of the chord on the other side of that end; one with two NaN ends
+    meets nothing.  A box meets a left segment unless an axis separates
+    them: r, v, or the segment's normal; a NaN end fails every compare.
+    """
+    h = np.diff(b)[:, None]
+    s = np.diff(right, axis=0) / h
+    edge = np.full((1, 2), math.nan)
+    before, after = np.vstack((edge, s[:-1])), np.vstack((s[1:], edge))
+    kink = np.fmax(np.abs(s - before), np.abs(after - s))
+    outward = np.abs(np.where(np.isnan(right[1:]), before, after))
+    pad = h * np.nan_to_num(np.where(np.isnan(s), outward, kink))
+    lo = np.fmin(right[:-1], right[1:]) - pad
+    hi = np.fmax(right[:-1], right[1:]) + pad
+    centre, extent = (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None]
+    start = np.concatenate([left[:-1] for left in lefts])
+    end = np.concatenate([left[1:] for left in lefts])
+    w, half = centre - 0.5 * (start + end), 0.5 * (end - start)
+    overlap = (np.abs(w) <= extent + np.abs(half)).all(axis=2)
+    normal = np.abs(w[..., 0] * half[:, 1] - w[..., 1] * half[:, 0]) <= (
+        extent[..., 0] * np.abs(half[:, 1]) + extent[..., 1] * np.abs(half[:, 0])
+    )
+    return (overlap & normal).any(axis=1) & (h[:, 0] > finest)
+
+
+def _right_curve(spec, config, lefts) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Slopes b, match states and lane batch sizes of the right half-curve,
+    resolved where it can cross one of the left polylines ``lefts``.
+
+    One lane batch runs config.sweep_points // 4 slopes (at least 2) over
+    +/-_RIGHT_REACH times the widest slope of config's bracket.  Each round
+    then runs the midpoints of every :func:`_unresolved` segment as one
+    batch, until no segment wider than 2 * reach / (2 * sweep_points - 1)
+    is unresolved.
+    """
+    reach = _RIGHT_REACH * max(map(abs, config.resolved_bracket(spec)))
+    finest = 2.0 * reach / (2 * config.sweep_points - 1)
+    b = np.linspace(-reach, reach, max(config.sweep_points // 4, 2))
+    right = _match_states(spec, config, Endpoint.RIGHT, b)
+    batches = [len(b)]
+    while (split := np.flatnonzero(_unresolved(b, right, lefts, finest))).size:
+        mid = 0.5 * (b[split] + b[split + 1])
+        b = np.insert(b, split + 1, mid)
+        right = np.insert(
+            right, split + 1, _match_states(spec, config, Endpoint.RIGHT, mid), axis=0
+        )
+        batches.append(len(mid))
+    return b, right, batches
 
 
 def _crossings(a, left, b, right) -> list[tuple[float, float]]:
@@ -912,26 +973,29 @@ def refine_brackets(
     """Refine each sweep bracket by shooting to the match point.
 
     A solution is a point where the left and the right shooting halves meet
-    at the match point.  The right halves run once, as one lane batch, over
-    _RIGHT_DENSITY * config.sweep_points slopes spanning +/-_RIGHT_REACH
-    times the widest slope of config's bracket (independent of ``points``; a
-    right slope beyond that reach is not searched).  They and the left
-    halves at a bracket's ends and at one grid point beyond each end trace
-    two polylines of match states (r, v).  These halves only seed Newton,
-    so they run at a relative tolerance of at least _SEED_REL_TOL, with
-    abs_tol scaled alike; ``solve`` gets the caller's ``config``, so each
-    profile is integrated and checked at its tolerances.  Each crossing
-    seeds ``solve`` with both slopes, interpolated linearly along the
-    crossing segments.  Seeds nearest the bracket go first, and the first
-    that converges settles the bracket.  Its profile is kept if slope0 lies
+    at the match point.  The left halves at each bracket's ends and at one
+    grid point beyond each end run first, and trace a short polyline of
+    match states (r, v) per bracket.  The right halves trace one polyline
+    for all brackets (:func:`_right_curve`): config.sweep_points // 4
+    slopes spanning +/-_RIGHT_REACH times the widest slope of config's
+    bracket (independent of ``points``; a right slope beyond that reach is
+    not searched), then, in rounds, the midpoints of the segments that may
+    still cross a left segment unseen, down to 2 * reach / (2 *
+    sweep_points - 1) wide.  These halves only seed Newton, so they run at
+    a relative tolerance of at least _SEED_REL_TOL, with abs_tol scaled
+    alike; ``solve`` gets the caller's ``config``, so each profile is
+    integrated and checked at its tolerances.  Each crossing seeds
+    ``solve`` with both slopes, interpolated linearly along the crossing
+    segments.  Seeds nearest the bracket go first, and the first that
+    converges settles the bracket.  Its profile is kept if slope0 lies
     within the bracket widened by one grid step (a root on a grid point is
     an end of its bracket up to rounding) and its slopes are not within
     DUPLICATE_SLOPE_TOL of a profile already kept.  A bracket with no
     crossing, or with no seed that converges, is dropped.  Profiles are
     ordered by |slope0 - k|, and those within DUPLICATE_SLOPE_TOL of each
     other in it, such as a mirror pair about k, by slope0.  Each decision,
-    and a summary of the lanes and of the halves that escaped or stalled,
-    is logged at DEBUG level on the ``cohom1`` logger.
+    and a summary of the right lanes, their batches and the halves that
+    escaped or stalled, is logged at DEBUG level on the ``cohom1`` logger.
     """
     config = config or ShootingConfig()
     config.validate(spec)
@@ -940,18 +1004,13 @@ def refine_brackets(
     if not brackets:
         return []
     seed_config = _seed_config(config)
-    reach = _RIGHT_REACH * max(map(abs, config.resolved_bracket(spec)))
-    b_grid = np.linspace(-reach, reach, _RIGHT_DENSITY * config.sweep_points)
-    right = _match_states(spec, seed_config, Endpoint.RIGHT, b_grid)
-    left_halves = left_lost = 0
+    a_grids = [np.array([p.a for p in points[max(i - 2, 0):i + 2]]) for i in brackets]
+    lefts = [_match_states(spec, seed_config, Endpoint.LEFT, a) for a in a_grids]
+    b_grid, right, batches = _right_curve(spec, seed_config, lefts)
     profiles: list[SolutionProfile] = []
-    for i in brackets:
+    for i, a_grid, left in zip(brackets, a_grids, lefts):
         lo, hi = bracket = (points[i - 1].a, points[i].a)
         step = hi - lo
-        a_grid = np.array([p.a for p in points[max(i - 2, 0):i + 2]])
-        left = _match_states(spec, seed_config, Endpoint.LEFT, a_grid)
-        left_halves += len(a_grid)
-        left_lost += int(np.isnan(left[:, 0]).sum())
         seeds = sorted(
             _crossings(a_grid, left, b_grid, right),
             key=lambda seed: max(lo - seed[0], seed[0] - hi, 0.0),
@@ -985,10 +1044,12 @@ def refine_brackets(
             break
         else:
             _log.debug("refine: bracket %r dropped: no seed converged", bracket)
+    left_halves = np.concatenate(lefts)[:, 0]
     _log.debug(
-        "refine: %d right lanes at seed rel_tol %g; escaped or stalled: "
-        "%d of %d left and %d of %d right halves",
-        len(b_grid), seed_config.rel_tol, left_lost, left_halves,
+        "refine: %d right lanes in batches of %s at seed rel_tol %g; "
+        "escaped or stalled: %d of %d left and %d of %d right halves",
+        len(b_grid), "+".join(map(str, batches)), seed_config.rel_tol,
+        int(np.isnan(left_halves).sum()), len(left_halves),
         int(np.isnan(right[:, 0]).sum()), len(b_grid),
     )
     return _ordered(profiles, spec.k)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cohom1 import ode
+from cohom1 import classify, ode
 from cohom1.errors import PoleProximity, ProfileTooCoarse, UnequalMultiplicities
 from cohom1.ode import BvpSpec, TensionSample
 
@@ -215,26 +215,44 @@ class TestRhs:
 
     @pytest.mark.parametrize("G", [1, 2, 3, 4, 5, 6, 12])
     def test_closure_pole_check_is_pole_distance(self, G):
-        # points straddling the margin around several poles: the closure
-        # raises exactly where pole_distance is below the margin
+        # points straddling the margin around several poles: the closure and
+        # the scalar tensions raise exactly where pole_distance is below the
+        # margin
         margin = 1e-8
-        accel = ode.rhs(BvpSpec(G=G, M0=2, M1=2, k=1), margin)
+        spec = BvpSpec(G=G, M0=2, M1=2, k=1)
+        calls = scalar_pole_checks(spec, margin)
         offsets = []
         for d in (margin, 2.0 * margin, 0.5 * margin):
             offsets += [d, np.nextafter(d, 0.0), np.nextafter(d, 1.0)]
         raised = kept = 0
         for n in range(-2, 3 * G):
             for d in offsets:
-                for t in (n * math.pi / G + d, n * math.pi / G - d):
+                for t in (float(n * math.pi / G + d), float(n * math.pi / G - d)):
                     near = ode.pole_distance(t, G) < margin
-                    if near:
-                        with pytest.raises(PoleProximity):
-                            accel(t, 0.3, 1.0)
-                        raised += 1
-                    else:
-                        accel(t, 0.3, 1.0)
-                        kept += 1
+                    for call in calls:
+                        if near:
+                            with pytest.raises(PoleProximity):
+                                call(t)
+                        else:
+                            call(t)
+                    raised += near
+                    kept += not near
         assert raised and kept
+
+    @pytest.mark.parametrize("G", [1, 2, 3, 12])
+    def test_scalar_checks_reject_non_finite_times_and_a_nan_margin(self, G):
+        # no distance admits a NaN or infinite time, and a NaN margin admits
+        # no time, inside the regular window or not
+        spec = BvpSpec(G=G, M0=2, M1=2, k=1)
+        L = spec.length
+        for t in (math.nan, math.inf, -math.inf):
+            for call in scalar_pole_checks(spec, 1e-8):
+                with pytest.raises(PoleProximity):
+                    call(t)
+        for t in (0.5 * L, 0.1 * L, 1.5 * L, 0.0):
+            for call in scalar_pole_checks(spec, math.nan):
+                with pytest.raises(PoleProximity):
+                    call(t)
 
     def test_pole_distance_of_array_equals_scalar(self):
         t = RNG.uniform(-10.0, 10.0, 500)
@@ -323,6 +341,24 @@ class TestRhs:
                     time_part(np.array([t]))
 
 
+def scalar_pole_checks(spec, margin):
+    """One-argument calls at time t of every scalar path that pole-tests t:
+    the pole test itself, the integrator closure and the three scalar
+    tensions."""
+    def sample(t):
+        return TensionSample(t, 0.3, 1.0, 0.5)
+
+    accel = ode.rhs(spec, margin)
+    G, M0, M1 = spec.G, spec.M0, spec.M1
+    return (
+        lambda t: ode.require_regular(t, G, margin),
+        lambda t: accel(t, 0.3, 1.0),
+        lambda t: ode.closed_tension(spec, sample(t), margin),
+        lambda t: ode.closed_tension_equal_m(spec, sample(t), margin),
+        lambda t: ode.raw_tension_sphere(G, M0, M1, sample(t), margin),
+    )
+
+
 def window_edge_times(G, margin):
     """Times at and next to the edges of the regular window, the poles 0
     and pi/G, and points beyond the domain on both sides."""
@@ -336,6 +372,38 @@ def window_edge_times(G, margin):
 def linear_profile(spec, n=257):
     t = np.linspace(0.01, spec.length - 0.01, n)
     return np.column_stack([t, spec.k * t, np.full(n, float(spec.k))])
+
+
+class TestJacobiFields:
+    def test_sin_gt_is_a_kernel_exactly_on_four_linear_solutions(self):
+        # L sin(Gt) = 0 on r = kt: the tangent form of rhs maps the direction
+        # (sin Gt, G cos Gt) to (sin Gt)'' = -G^2 sin Gt at interior points.
+        # Among the 648 linear solutions with G in {1,2,3,4,6,8,12},
+        # M0, M1 <= 9 (equal for odd G) and |k| <= 12 this holds for the
+        # (1,1,1,+-1) family and the degenerate roots (3,3,3,-2) and
+        # (4,2,2,-3) only: to about 1e-13 there, and O(1) off elsewhere
+        kernels, misses, solutions = [], [], 0
+        for G in (1, 2, 3, 4, 6, 8, 12):
+            for M0 in range(1, 10):
+                for M1 in range(1, 10) if G % 2 == 0 else (M0,):
+                    for k in range(-12, 13):
+                        if not classify.is_linear_solution(G, M0, M1, k):
+                            continue
+                        solutions += 1
+                        jet = ode.rhs_tangent(BvpSpec(G=G, M0=M0, M1=M1, k=k))
+                        worst = 0.0
+                        for i in range(1, 16):
+                            t = i * math.pi / (16 * G)
+                            sg, cg = math.sin(G * t), math.cos(G * t)
+                            _, ddr = jet(t, k * t, float(k), sg, G * cg)
+                            worst = max(worst, abs(ddr + G * G * sg))
+                        if worst <= 1e-12:
+                            kernels.append((G, M0, M1, k))
+                        else:
+                            misses.append(worst)
+        assert solutions == 648
+        assert kernels == [(1, 1, 1, -1), (1, 1, 1, 1), (3, 3, 3, -2), (4, 2, 2, -3)]
+        assert min(misses) >= 0.1
 
 
 class TestResidualNorm:

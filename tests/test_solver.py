@@ -459,9 +459,8 @@ class TestRhsFactoryContract:
         # with another arity raises TypeError, which no solver path
         # catches.  The (plain, tangent) counts are: the solve (116, 646),
         # the sweep, at seed accuracy, (24180, 34) and the refinement of its
-        # 2 brackets (6592, 8576).  Series starts take the tangent form, two
-        # evaluations each, so the sums are those of plain starts: 762,
-        # 24214 and 15168.  RHS counts do not depend on the machine.
+        # 2 brackets (7390, 6522).  Series starts take the tangent form, two
+        # evaluations each.  RHS counts do not depend on the machine.
         counts = {"plain": 0, "tangent": 0}
         rhs, rhs_tangent = ode.rhs, ode.rhs_tangent
 
@@ -495,7 +494,7 @@ class TestRhsFactoryContract:
         assert sum(p.sign_change for p in points) == 2
         assert counts == {"plain": 116 + 24180, "tangent": 646 + 34}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 116 + 24180 + 6592, "tangent": 646 + 34 + 8576}
+        assert counts == {"plain": 116 + 24180 + 7390, "tangent": 646 + 34 + 6522}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -1693,10 +1692,11 @@ class TestRefineBrackets:
         assert sum(" converged to " in m for m in messages) == 2
         assert not any("failed" in m or "outside" in m for m in messages)
         # one summary line: 4 brackets of 4 left halves but the first, which
-        # has 3; no half escapes or stalls before the match point
+        # has 3; 128 coarse right halves and 14 more in 4 rounds; no half
+        # escapes or stalls before the match point
         assert [m for m in messages if "right lanes" in m] == [
-            "refine: 1024 right lanes at seed rel_tol 1e-06; escaped or stalled: "
-            "0 of 15 left and 0 of 1024 right halves"
+            "refine: 142 right lanes in batches of 128+5+3+3+3 at seed rel_tol 1e-06; "
+            "escaped or stalled: 0 of 15 left and 0 of 142 right halves"
         ]
         assert [p.slope0 for p in profiles] == [
             pytest.approx(1.0, abs=1e-6), pytest.approx(12.1254021, abs=1e-6)
@@ -1705,8 +1705,9 @@ class TestRefineBrackets:
             assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
 
     def test_summary_counts_the_halves_that_escape(self, caplog):
-        # a blow-up cap of 12.2 stops the left half at 12.25 and 22 of the
-        # 34 right halves (over +/-31.25) before the match point
+        # a blow-up cap of 12.2 stops the left half at 12.25 and 6 of the
+        # 18 right halves (4 coarse over +/-31.25, 14 in 6 rounds) before
+        # the match point
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
         points = solver.sweep(spec, config)
@@ -1715,31 +1716,98 @@ class TestRefineBrackets:
         assert solver.refine_brackets(spec, capped, points) == []
         messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
         assert messages[-1] == (
-            "refine: 34 right lanes at seed rel_tol 1e-06; escaped or stalled: "
-            "1 of 4 left and 22 of 34 right halves"
+            "refine: 18 right lanes in batches of 4+3+2+3+4+1+1 at seed rel_tol 1e-06; "
+            "escaped or stalled: 1 of 4 left and 6 of 18 right halves"
         )
 
-    def test_seed_search_makes_at_most_400k_lane_evaluations(
-        self, monkeypatch, criterion_grid
-    ):
-        # a lane evaluation is one lane of a state-part call; with the halves
-        # at the solution tolerance the refinement made 1.18M
+    def test_seed_search_makes_at_most_36k_rhs_evaluations(self, monkeypatch, criterion_grid):
+        # the search's evaluations are the lanes of its state-part calls and
+        # the scalar ode.rhs calls of the halves that finish off the lanes,
+        # such as every half of a batch below _DRAIN_LANES.  With 1024 right
+        # halves the search made 240,055 and 2,160; with 128 coarse ones and
+        # 14 in 4 rounds it makes 29,887 and 4,158
         spec, config, points = criterion_grid
-        lanes = [0]
-        original = ode._rhs_lanes
+        counts = {"lane": 0, "scalar": 0}
+        rhs_lanes, rhs, match_states = ode._rhs_lanes, ode.rhs, solver._match_states
 
         def counted_rhs_lanes(spec):
-            time_part, state_part = original(spec)
+            time_part, state_part = rhs_lanes(spec)
 
             def counted(parts, r, v):
-                lanes[0] += r.size
+                counts["lane"] += r.size
                 return state_part(parts, r, v)
 
             return time_part, counted
 
-        monkeypatch.setattr(ode, "_rhs_lanes", counted_rhs_lanes)
+        def counted_rhs(spec):
+            accel = rhs(spec)
+
+            def counted(t, r, v):
+                counts["scalar"] += 1
+                return accel(t, r, v)
+
+            return counted
+
+        def counted_match_states(*args):
+            with monkeypatch.context() as m:
+                m.setattr(ode, "_rhs_lanes", counted_rhs_lanes)
+                m.setattr(ode, "rhs", counted_rhs)
+                return match_states(*args)
+
+        monkeypatch.setattr(solver, "_match_states", counted_match_states)
         assert len(solver.refine_brackets(spec, config, points)) == 2
-        assert 0 < lanes[0] <= 400_000
+        assert counts["lane"] > 0 and counts["scalar"] > 0
+        assert counts["lane"] + counts["scalar"] <= 36_000
+
+    def test_coarse_right_curve_misses_the_identity_the_resolved_one_finds(
+        self, criterion_grid
+    ):
+        # the sweep_points // 4 coarse right halves alone give the identity's
+        # bracket no crossing; subdividing where the right curve can meet
+        # its left polyline recovers the crossing near (1, 1)
+        spec, config, points = criterion_grid
+        seed = solver._seed_config(config)
+        (i,) = [i for i, p in enumerate(points) if p.sign_change and p.a > 1.0 > points[i - 1].a]
+        a = np.array([p.a for p in points[i - 2:i + 2]])
+        left = solver._match_states(spec, seed, Endpoint.LEFT, a)
+        coarse = np.linspace(-50.0, 50.0, 128)
+        right = solver._match_states(spec, seed, Endpoint.RIGHT, coarse)
+        assert solver._crossings(a, left, coarse, right) == []
+        b, right, batches = solver._right_curve(spec, seed, [left])
+        assert b.tolist()[::len(b) - 1] == [-50.0, 50.0] and batches[0] == 128
+        assert len(b) == sum(batches) and len(batches) > 1
+        assert (np.diff(b) > 0.0).all()
+        seeds = solver._crossings(a, left, b, right)
+        assert seeds
+        for seed_a, seed_b in seeds:
+            assert abs(seed_a - 1.0) < 0.01 and abs(seed_b - 1.0) < 0.01
+
+    def test_segment_that_meets_no_left_segment_is_not_split(self):
+        def split(b, right, *left, finest=0.5):
+            lefts = [np.array(left, dtype=float)]
+            return solver._unresolved(np.array(b), np.array(right), lefts, finest).tolist()
+
+        line = ([0.0, 1.0, 2.0, 3.0, 4.0], [(x, 0.0) for x in range(5)])
+        # a straight right polyline has no pad: only the segment a left one
+        # crosses is split, and none once no segment is wider than finest
+        assert split(*line, (1.5, -1.0), (1.5, 1.0)) == [False, True, False, False]
+        assert split(*line, (1.5, -1.0), (1.5, 1.0), finest=1.0) == [False] * 4
+        # boxes apart, or a left segment that passes by the corners of boxes
+        # that its own box meets
+        assert split(*line, (1.5, 0.5), (1.5, 1.0)) == [False] * 4
+        assert split(*line, (2.0, 1.0), (4.5, -4.0)) == [False, False, True, False]
+        # a NaN left end removes its segments
+        assert split(*line, (1.5, -1.0), (math.nan, math.nan), (3.5, 1.0)) == [False] * 4
+        # a kink pads the segments at its node by width times the change of
+        # chord slope, (0, 1) here, which reaches a left segment off the chord
+        bent = ([0.0, 1.0, 2.0, 3.0], [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 2.0)])
+        assert split(*bent, (0.5, -0.5), (0.5, -0.8)) == [True, False, False]
+        assert split(*bent, (0.5, -1.5), (0.5, -1.8)) == [False, False, False]
+        # one NaN end: the finite end, padded by the width times the slope
+        # of the chord before it; two NaN ends meet nothing
+        escape = ([0.0, 1.0, 2.0, 3.0], [(0.0, 0.0), (1.0, 0.0), (math.nan,) * 2, (math.nan,) * 2])
+        assert split(*escape, (1.5, -1.0), (1.5, 1.0)) == [False, True, False]
+        assert split(*escape, (2.5, -1.0), (2.5, 1.0)) == [False, False, False]
 
     @pytest.mark.parametrize("grid", ["criterion_grid", "bump_grid"])
     def test_seed_accuracy_does_not_change_outcomes(self, caplog, monkeypatch, request, grid):
