@@ -28,12 +28,12 @@ to their slope through the same scalar steps (the variational equation,
 started from the derivative of the series start), so Newton reads its
 Jacobian off the shots it makes.  Newton shoots its far iterates, a sweep
 its lanes, and the refinement's seed search its halves, at seed accuracy
-(:func:`_seed_config`); every converged gap and profile comes from shots
-at the caller's tolerances.  The seed search traces the right half-curve
-with a coarse lane batch and then bisects it, a batch per round, only
-where it can meet a left polyline (:func:`_right_curve`).  Everything is
-plain-float arithmetic in a fixed order, so identical inputs give
-bit-identical results on a fixed platform.
+(:func:`_seed_config`); every converged gap comes from a shot at the
+caller's tolerances, and its profile from that shot's recorded steps.  The
+seed search traces the right half-curve with a coarse lane batch and then
+bisects it, a batch per round, only where it can meet a left polyline
+(:func:`_right_curve`).  Everything is plain-float arithmetic in a fixed
+order, so identical inputs give bit-identical results on a fixed platform.
 """
 
 from __future__ import annotations
@@ -415,20 +415,24 @@ def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
     return t, r, v, h, k1v, steps
 
 
-def _dense_states(steps: list, nodes: np.ndarray) -> np.ndarray:
-    """(n, 3) array of (t, r, v) at ``nodes``, sorted in the direction of
-    the run, from the step rows that :func:`_dp_run` recorded.
+def _dense_states(runs) -> np.ndarray:
+    """(n, 3) array of (t, r, v) at the nodes of each pair (steps, nodes)
+    of ``runs``, in order: the step rows that :func:`_dp_run` recorded for
+    one run, and nodes sorted in its direction.
 
-    A node belongs to the first step whose end t + h reaches it, ties
-    included, as the step loop meets it, and has theta = (node - t) / h.
+    A node belongs to the first step of its run whose end t + h reaches it,
+    ties included, as the step loop meets it, and has theta = (node - t) / h.
     The quartic interpolant u = y + h * sum_s w_s(theta) k_s is evaluated
-    for all nodes at once, with the operations and order of a per-node
-    scalar loop (theta powers, then w_s and u += h * w_s * k_s stage by
-    stage), so elementwise IEEE arithmetic makes it equal that loop bit for bit.
+    for the nodes of all runs at once, with the operations and order of a
+    per-node scalar loop (theta powers, then w_s and u += h * w_s * k_s
+    stage by stage), so elementwise IEEE arithmetic makes it equal that loop bit for bit.
     """
-    rows = np.array(steps, dtype=float)
-    sign = 1.0 if rows[0, 1] > 0.0 else -1.0
-    rows = rows[np.searchsorted(sign * (rows[:, 0] + rows[:, 1]), sign * nodes)]
+    picked = []
+    for steps, nodes in runs:
+        rows = np.array(steps, dtype=float)
+        sign = 1.0 if rows[0, 1] > 0.0 else -1.0
+        picked.append(rows[np.searchsorted(sign * (rows[:, 0] + rows[:, 1]), sign * nodes)])
+    rows, nodes = np.concatenate(picked), np.concatenate([nodes for _, nodes in runs])
     h = rows[:, 1]
     th = (nodes - rows[:, 0]) / h
     th2 = th * th
@@ -594,7 +598,7 @@ def _start(spec, config, endpoint: Endpoint, slope: float, tangent: bool = False
 
 
 def shoot(
-    spec: BvpSpec, config: ShootingConfig, a: float, b: float, tangent: bool = False
+    spec: BvpSpec, config: ShootingConfig, a: float, b: float, tangent: bool = False, record=None
 ) -> tuple:
     """Mismatch (value, derivative) at the match point between the trajectory
     started from the left with slope a and from the right with slope b.
@@ -605,15 +609,20 @@ def shoot(
     result is (gap, jacobian): the same gap bit for bit, and the jacobian
     ((dg0/da, dg0/db), (dg1/da, dg1/db)) of the discrete gap, whose columns
     are the left tangent and minus the right one.  The left half runs
-    before the right one.
+    before the right one.  A list ``record`` gains, per half, its series
+    start (t, r, v), its :func:`_dp_run` step rows and its end run state
+    (t, r, v, h, k1v, steps), which are the same with or without the tangent.
     """
     config.validate(spec)
     match = config.resolved_match(spec)
     accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
     ends = []
     for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
-        start = _dp_start(accel, _start(spec, config, endpoint, slope, tangent), match)
-        ends.append(_dp_run(accel, start, match, config))
+        start = _start(spec, config, endpoint, slope, tangent)
+        rows = None if record is None else []
+        ends.append(_dp_run(accel, _dp_start(accel, start, match), match, config, rows))
+        if record is not None:
+            record.append((start[:3], rows, ends[-1][:6]))
     left, right = ends
     gap = (left[1] - right[1], left[2] - right[2])
     if not tangent:
@@ -667,10 +676,10 @@ def solve(
     IntegratorStall.  One DEBUG line on the ``cohom1`` logger gives the
     shots of each phase, the hand-over reason if any, and the outcome.
 
-    On convergence the solution is re-integrated once at ``config`` and
-    sampled at max(profile_points, MIN_PROFILE_POINTS) nodes, and the
-    interior residual is measured by finite-difference reconstruction of
-    r''.
+    On convergence the profile is sampled at max(profile_points,
+    MIN_PROFILE_POINTS) nodes from the steps of the shot Newton accepted
+    (:func:`_dense_profile`), and the interior residual is measured by
+    finite-difference reconstruction of r''.
 
     Raises ValueError for an invalid config, non-finite ``init`` or a
     ``profile_points`` that is not an int, and NoConvergence (with the
@@ -686,11 +695,20 @@ def solve(
     seed = _seed_config(config)
     shots = 0
 
-    def step(cfg, a, b, gap, jac, norm, iterations):
-        """One damped Newton step from (a, b), shooting at cfg:
-        (a, b, gap, jac, norm).  NoConvergence at the cap, at a singular
-        Jacobian or if no trial lowers the gap norm."""
+    def shot(cfg, a, b):
+        """The iterate (a, b, gap, jac, norm, record) of a tangent shot at
+        cfg, whose record (see :func:`shoot`) is kept at ``config`` only."""
         nonlocal shots
+        shots += 1
+        record = [] if cfg is config else None
+        gap, jac = shoot(spec, cfg, a, b, tangent=True, record=record)
+        return a, b, gap, jac, math.hypot(*gap), record
+
+    def step(cfg, iterate, iterations):
+        """One damped Newton step from ``iterate``, shooting at cfg: the
+        next iterate.  NoConvergence at the cap, at a singular Jacobian or
+        if no trial lowers the gap norm."""
+        a, b, gap, jac, norm, _ = iterate
         if iterations >= cfg.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
         (j00, j01), (j10, j11) = jac
@@ -702,48 +720,42 @@ def solve(
 
         lam = 1.0
         for _ in range(20):
-            trial = (a - lam * da, b - lam * db)
-            shots += 1
             try:
-                trial_gap, trial_jac = shoot(spec, cfg, *trial, tangent=True)
+                trial = shot(cfg, a - lam * da, b - lam * db)
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
-            trial_norm = math.hypot(*trial_gap)
-            if trial_norm < norm:
-                return (*trial, trial_gap, trial_jac, trial_norm)
+            if trial[4] < norm:
+                return trial
             lam *= 0.5
         raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
 
     def newton(cfg, a, b, tol, iterations):
         """Damped Newton from (a, b), shooting at cfg, until the gap norm
-        is at most tol: (a, b, gap, jac, norm, iterations)."""
-        nonlocal shots
-        shots += 1
-        gap, jac = shoot(spec, cfg, a, b, tangent=True)
-        norm = math.hypot(*gap)
-        while norm > tol:
-            a, b, gap, jac, norm = step(cfg, a, b, gap, jac, norm, iterations)
+        is at most tol: (iterate, iterations)."""
+        iterate = shot(cfg, a, b)
+        while iterate[4] > tol:
+            iterate = step(cfg, iterate, iterations)
             iterations += 1
-        return a, b, gap, jac, norm, iterations
+        return iterate, iterations
 
     iterations, handover, outcome = 0, "none", None
     try:
         if seed is not config:
             switch = _SEED_SWITCH * _SEED_REL_TOL * (1.0 + abs(k))
             try:
-                a, b, *_, iterations = newton(seed, a, b, switch, 0)
+                (a, b, *_), iterations = newton(seed, a, b, switch, 0)
             except NoConvergence as exc:
                 (a, b), iterations, handover = exc.iterate, exc.iterations, exc
             except (TrajectoryEscaped, IntegratorStall) as exc:   # its first shot
                 handover = exc
         seed_shots, seed_steps = shots, iterations
         tol = GAP_TOL_FACTOR * (1.0 + abs(k))
-        a, b, gap, jac, norm, iterations = newton(config, a, b, tol, iterations)
+        iterate, iterations = newton(config, a, b, tol, iterations)
         if iterations == seed_steps > 0:
             # seed steps alone placed the iterate: one step at config
             try:
-                a, b, gap, _, _ = step(config, a, b, gap, jac, norm, iterations)
+                iterate = step(config, iterate, iterations)
                 iterations += 1
             except NoConvergence:
                 pass
@@ -756,11 +768,18 @@ def solve(
     )
     if outcome is not None:
         raise outcome
-    return _dense_profile(spec, config, a, b, gap, max(profile_points, MIN_PROFILE_POINTS))
+    a, b, gap, _, _, record = iterate
+    return _dense_profile(spec, config, a, b, gap, max(profile_points, MIN_PROFILE_POINTS), record)
 
 
-def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
+def _dense_profile(spec, config, a, b, gap, n_points, record=None) -> SolutionProfile:
     """Sample the converged solution on a uniform grid.
+
+    ``record`` holds the halves of the shot at (a, b) and ``config`` (see
+    :func:`shoot`), or that shot is taken here: the profile depends on (a,
+    b, config) alone.  Each half continues from its end at the match point
+    across the blend window, and both are sampled in one pass of their step
+    interpolants (:func:`_dense_states`), smooth whatever the steps.
 
     The two shooting halves are joined with a C^2 blend over an interior
     overlap window rather than butted at a single node: the converged match
@@ -768,39 +787,41 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
     as a kink that finite differencing amplifies by 1/h^2.  Both halves
     solve the ODE, so the blend's residual is of order gap / window^2.
     """
+    if record is None:
+        record = []
+        shoot(spec, config, a, b, record=record)
     accel = ode.rhs(spec)
     match = config.resolved_match(spec)
     L = spec.length
     span = L - config.eps0 - config.eps1
-    half_w = min(
-        0.15 * span, 0.8 * (match - config.eps0), 0.8 * (L - config.eps1 - match)
-    )
+    half_w = min(0.15 * span, 0.8 * (match - config.eps0), 0.8 * (L - config.eps1 - match))
     lo, hi = match - half_w, match + half_w
     nodes = np.linspace(config.eps0, L - config.eps1, n_points)
-    left_nodes = nodes[nodes <= hi]
-    right_nodes = nodes[nodes >= lo]
-    n_overlap = len(left_nodes) + len(right_nodes) - n_points
-
-    left = _dense_half(spec, config, accel, Endpoint.LEFT, a, left_nodes[1:])
-    right = _dense_half(spec, config, accel, Endpoint.RIGHT, b, right_nodes[-2::-1])[::-1]
+    i, j = nodes.searchsorted(hi, "right"), nodes.searchsorted(lo)  # nodes[j:i] overlap
+    runs = []
+    for (_, steps, (t, r, v, h, k1v, n)), t_end, half in zip(
+        record, (hi, lo), (nodes[1:i], nodes[j:-1][::-1])
+    ):
+        # a last step clipped to the match point can leave h short, even below _MIN_STEP
+        h = math.copysign(max(abs(h), 1e-3 * abs(t_end - t)), h)
+        steps = [*steps]
+        _dp_run(accel, (t, r, v, h, k1v, n), t_end, config, steps)
+        runs.append((steps, half))
+    dense = _dense_states(runs)
+    left, right = dense[:i - 1], dense[i - 1:][::-1]     # nodes[1:i], nodes[j:-1]
 
     samples = np.empty((n_points, 3))
-    n_left_only = len(left_nodes) - n_overlap
-    samples[:n_left_only] = left[:n_left_only]
-    samples[len(left_nodes):] = right[n_overlap:]
-    if n_overlap > 0:
-        lseg = left[n_left_only:]
-        rseg = right[:n_overlap]
-        t_seg = lseg[:, 0]
-        x = (t_seg - lo) / (hi - lo)
-        s = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))     # smootherstep
-        ds = 30.0 * x * x * (1.0 + x * (-2.0 + x)) / (hi - lo)
-        w, dw = 1.0 - s, -ds
-        samples[n_left_only:len(left_nodes), 0] = t_seg
-        samples[n_left_only:len(left_nodes), 1] = w * lseg[:, 1] + (1 - w) * rseg[:, 1]
-        samples[n_left_only:len(left_nodes), 2] = (
-            w * lseg[:, 2] + (1 - w) * rseg[:, 2] + dw * (lseg[:, 1] - rseg[:, 1])
-        )
+    samples[0], samples[-1] = record[0][0], record[1][0]
+    samples[1:j] = left[:j - 1]
+    samples[i:-1] = right[i - j:]
+    lseg, rseg = left[j - 1:], right[:i - j]
+    x = (lseg[:, 0] - lo) / (hi - lo)
+    s = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))     # smootherstep
+    ds = 30.0 * x * x * (1.0 + x * (-2.0 + x)) / (hi - lo)
+    w, dw = 1.0 - s, -ds
+    samples[j:i, 0] = lseg[:, 0]
+    samples[j:i, 1] = w * lseg[:, 1] + (1 - w) * rseg[:, 1]
+    samples[j:i, 2] = w * lseg[:, 2] + (1 - w) * rseg[:, 2] + dw * (lseg[:, 1] - rseg[:, 1])
 
     residual = ode.residual_norm(spec, samples)[0]
     return SolutionProfile(
@@ -811,17 +832,6 @@ def _dense_profile(spec, config, a, b, gap, n_points) -> SolutionProfile:
         match_gap=(gap[0], gap[1]),
         residual=residual,
     )
-
-
-def _dense_half(spec, config, accel, endpoint: Endpoint, slope: float, nodes) -> np.ndarray:
-    """(t, r, v) rows of the half shot from ``endpoint``: its series start,
-    then its states at ``nodes`` (not empty), which run away from it.  The
-    states come from the interpolant of each accepted step, so they stay
-    smooth at node spacing whatever the step sequence."""
-    start = _start(spec, config, endpoint, slope)
-    t_end, steps = float(nodes[-1]), []
-    _dp_run(accel, _dp_start(accel, start, t_end), t_end, config, steps)
-    return np.vstack((start, _dense_states(steps, nodes)))
 
 
 def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:

@@ -175,20 +175,30 @@ class TestIntegrator:
         assert 0 < info.value.t < math.pi
         assert max(abs(info.value.r), abs(info.value.rdot)) > 100.0
 
-    def test_dense_nodes_match_direct_integration(self):
-        spec = BvpSpec(G=2, M0=1, M1=3, k=3)
-        accel = ode.rhs(spec)
-        t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, 2.0, 1e-5)
-        nodes = np.linspace(0.3, 1.2, 7)
-        rows = solver._dense_half(spec, ShootingConfig(), accel, Endpoint.LEFT, 2.0, nodes)
-        assert rows.shape == (8, 3) and rows[0].tolist() == [t0, r0, v0]
-        assert rows[1:, 0].tolist() == nodes.tolist()
-        for t_node, r_node, v_node in rows[1:].tolist():
-            r_direct, v_direct = integrate(
-                accel, t0, r0, v0, t_node, ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
-            )
-            assert r_node == pytest.approx(r_direct, abs=5e-9)
-            assert v_node == pytest.approx(v_direct, abs=5e-8)
+    def test_profile_samples_match_direct_integration(self):
+        # a nonlinear (2,1,3,1) solution: every 8th sample out to 3/4 of the
+        # domain from either end, so on both sides of the match point and
+        # across each half's continuation, against that half integrated
+        # from its series start at rel_tol 1e-12
+        spec = BvpSpec(G=2, M0=1, M1=3, k=1)
+        profile = solver.solve(spec, init=(-0.0954, 13.0473))
+        accel, tight = ode.rhs(spec), ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
+        samples = profile.samples[::8].tolist()
+        checked = 0
+        for endpoint, slope, nodes in (
+            (Endpoint.LEFT, profile.slope0, samples),
+            (Endpoint.RIGHT, profile.slope1, samples[::-1]),
+        ):
+            t, r, v = start = solver.series_start(spec, endpoint, slope, 1e-5)
+            for t_node, r_node, v_node in nodes:
+                if abs(t_node - start[0]) > 0.75 * spec.length:
+                    break
+                r, v = integrate(accel, t, r, v, t_node, tight)
+                t = t_node
+                assert r_node == pytest.approx(r, abs=5e-9)
+                assert v_node == pytest.approx(v, abs=5e-8)
+                checked += 1
+        assert checked == 2 * 49        # of the 65 samples taken, from either end
 
 
 class TestShoot:
@@ -207,22 +217,6 @@ class TestShoot:
         gaps = solver.shoot(spec, ShootingConfig(), 3.0, 3.0)
         assert all(math.isfinite(x) for x in gaps)
         assert abs(gaps[0]) > 1e-4
-
-
-@pytest.fixture
-def integrations(monkeypatch):
-    """(t0, t_end) of every scalar run to an end point (a solver._dp_run
-    call that records no dense-output steps) made in the test."""
-    calls = []
-    original = solver._dp_run
-
-    def counted(accel, state, t_end, config, record=None):
-        if record is None:
-            calls.append((state[0], t_end))
-        return original(accel, state, t_end, config, record)
-
-    monkeypatch.setattr(solver, "_dp_run", counted)
-    return calls
 
 
 def scalar_dense_states(steps, nodes):
@@ -269,7 +263,7 @@ class TestDenseOutput:
         if endpoint is Endpoint.RIGHT:
             nodes = nodes[::-1].copy()
         steps = self.recorded_steps(endpoint, float(nodes[-1]))
-        states = solver._dense_states(steps, nodes)
+        states = solver._dense_states([(steps, nodes)])
         assert states.shape == (len(nodes), 3) and states[:, 0].tolist() == nodes.tolist()
         assert states.tobytes() == scalar_dense_states(steps, nodes).tobytes()
 
@@ -285,7 +279,7 @@ class TestDenseOutput:
             reverse=endpoint is Endpoint.RIGHT,
         ))
         assert nodes[-1] == t_end
-        states = solver._dense_states(steps, nodes)
+        states = solver._dense_states([(steps, nodes)])
         assert states.tobytes() == scalar_dense_states(steps, nodes).tobytes()
         # A node on a step end is that step's theta = 1 and not the next
         # step's theta = 0, which here differ in the last bit.
@@ -321,10 +315,30 @@ class TestDenseOutput:
         # both halves of a profile, the right one integrated backwards
         config = ShootingConfig()
         fast = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
-        monkeypatch.setattr(solver, "_dense_states", scalar_dense_states)
+        passes = []
+
+        def scalar(runs):
+            passes.append(len(runs))
+            return np.vstack([scalar_dense_states(*run) for run in runs])
+
+        monkeypatch.setattr(solver, "_dense_states", scalar)
         slow = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
+        assert passes == [2]        # one pass over both halves
         assert fast.samples.tobytes() == slow.samples.tobytes()
         assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
+
+    def test_halves_continue_after_a_last_step_of_an_ulp(self):
+        # a shot whose last step is an ulp ends with h below _MIN_STEP; the
+        # continuation past the match point starts from a longer step
+        config, record = ShootingConfig(), []
+        solver.shoot(self.SPEC, config, 3.0, 2.5, record=record)
+        short = [
+            (start, steps, (t, r, v, math.copysign(5e-16, h), k1v, n))
+            for start, steps, (t, r, v, h, k1v, n) in record
+        ]
+        profile = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513, short)
+        want = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513, record)
+        assert np.abs(profile.samples - want.samples).max() < 1e-8
 
 
 def table_specs():
@@ -457,10 +471,12 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  The (plain, tangent) counts are: the solve (116, 646),
+        # catches.  The (plain, tangent) counts are: the solve (24, 642),
         # the sweep, at seed accuracy, (24180, 34) and the refinement of its
-        # 2 brackets (7390, 6522).  Series starts take the tangent form, two
-        # evaluations each.  RHS counts do not depend on the machine.
+        # 2 brackets (5160, 6514).  Series starts take the tangent form, two
+        # evaluations each.  The solve's plain evaluations continue the
+        # halves of the shot Newton accepts past the match point for its
+        # profile.  RHS counts do not depend on the machine.
         counts = {"plain": 0, "tangent": 0}
         rhs, rhs_tangent = ode.rhs, ode.rhs_tangent
 
@@ -487,14 +503,14 @@ class TestRhsFactoryContract:
         spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
         w = 0.05 * (1.0 + abs(spec.k))
         assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
-        assert counts == {"plain": 116, "tangent": 646}
+        assert counts == {"plain": 24, "tangent": 642}
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 116 + 24180, "tangent": 646 + 34}
+        assert counts == {"plain": 24 + 24180, "tangent": 642 + 34}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 116 + 24180 + 7390, "tangent": 646 + 34 + 6522}
+        assert counts == {"plain": 24 + 24180 + 5160, "tangent": 642 + 34 + 6514}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -638,15 +654,33 @@ class TestSharedHalves:
             return shoot(*args, **kwargs)
 
         def counted_run(accel, state, t_end, config, record=None):
-            runs.append("dense" if record is not None else "end")
+            runs.append((state[0], t_end))
             return dp_run(accel, state, t_end, config, record)
 
         monkeypatch.setattr(solver, "shoot", counted_shoot)
         monkeypatch.setattr(solver, "_dp_run", counted_run)
         solver.solve(spec, init=(-0.97, -1.04))
         assert len(shots) > 3
-        # two halves per shot, then the two dense halves of the profile
-        assert runs == ["end"] * (2 * len(shots)) + ["dense"] * 2
+        # two halves per shot from their end points to the match point, then
+        # the accepted shot's halves continue from it across the blend
+        # window, the left one up and the right one down
+        match, n = spec.length / 2.0, 2 * len(shots)
+        assert runs[:n] == [(1e-5, match), (spec.length - 1e-5, match)] * len(shots)
+        (left_from, hi), (right_from, lo) = runs[n:]
+        assert left_from == right_from == match and lo < match < hi
+
+    @pytest.mark.parametrize(
+        "spec, config, init", [case[:3] for case in newton_cases() if case[3] is None]
+    )
+    def test_profile_depends_on_the_converged_slopes_alone(self, spec, config, init):
+        # solve's profile, from the record of the tangent shot Newton
+        # accepted, equals one from a fresh plain shot at its slopes
+        profile = solver.solve(spec, config, init=init)
+        a, b, record = profile.slope0, profile.slope1, []
+        solver.shoot(spec, config, a, b, record=record)
+        fresh = solver._dense_profile(spec, config, a, b, profile.match_gap, 513, record)
+        assert fresh.samples.tobytes() == profile.samples.tobytes()
+        assert fresh.residual.hex() == profile.residual.hex()
 
     def test_escaping_trial_is_halved_not_raised(self, monkeypatch):
         # from (5, 1) with the cap at 10 the first full Newton step escapes
