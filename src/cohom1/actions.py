@@ -154,8 +154,6 @@ def make_action(
         raise InvalidTriple(f"g must be one of {_VALID_G}, got {g}")
     if g % 2 == 1 and m0 != m1:
         raise InvalidTriple(f"odd g={g} requires m0 == m1, got ({m0},{m1})")
-    if ((m0 + m1) * g) % 2 != 0:
-        raise InvalidTriple(f"(m0+m1)*g must be even, got ({g},{m0},{m1})")
     if strict:
         violation = _classification_violation(g, m0, m1)
         if violation is not None:
@@ -163,6 +161,7 @@ def make_action(
     if space is Space.SP2_LIFT and (g, m0, m1) != (6, 1, 1):
         raise InvalidSpace(f"the Sp(2) lift requires (6,1,1), got ({g},{m0},{m1})")
 
+    # exact: g is even, or odd with m0 == m1, so (m0 + m1) * g is even
     n = (m0 + m1) * g // 2
     weyl_order = 12 if space is Space.SP2_LIFT else 2 * g
     notes = _NOTE_421 if (g == 4 and sorted((m0, m1)) == [1, 2]) else ""

@@ -261,6 +261,11 @@ def closed_tension_grid(
     """Vectorised closed tension over sample arrays."""
     t = np.asarray(t, dtype=float)
     require_regular(t, spec.G, margin)
+    return _closed_tension_regular(spec, t, r, rdot, rddot)
+
+
+def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot) -> np.ndarray:
+    """:func:`closed_tension_grid` at float times that passed the pole test."""
     parts = _time_parts(spec.G, spec.M0, spec.M1, t, np.remainder)
     r, rdot = np.asarray(r, dtype=float), np.asarray(rdot, dtype=float)
     A, N = _state_parts(spec.G, parts, r, rdot, np.remainder)
@@ -491,7 +496,7 @@ def residual_norm(
     rdd = 2.0 * (hm * r[2:] - (hm + hp) * r[1:-1] + hp * r[:-2]) / (
         hm * hp * (hm + hp)
     )
-    values = closed_tension_grid(spec, t[1:-1], r[1:-1], v[1:-1], rdd, margin)
+    values = _closed_tension_regular(spec, t[1:-1], r[1:-1], v[1:-1], rdd)
     max_abs = float(np.max(np.abs(values)))
 
     slope0 = (r[1] - r[0]) / (t[1] - t[0])

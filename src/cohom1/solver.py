@@ -28,8 +28,11 @@ to their slope through the same scalar steps (the variational equation,
 started from the derivative of the series start), so Newton reads its
 Jacobian off the shots it makes.  Newton shoots its far iterates, a sweep
 its lanes, and the refinement's seed search its halves, at seed accuracy
-(:func:`_seed_config`); every converged gap comes from a shot at the
-caller's tolerances, and its profile from that shot's recorded steps.  The
+(:func:`_seed_config`).  Newton leaves seed accuracy at the first iterate
+inside its switch, or at the full step to one that its last undamped step
+predicts inside it, shot at the caller's tolerances only; every converged
+gap comes from a shot at the caller's tolerances, and its profile from that
+shot's recorded steps.  The
 seed search traces the right half-curve with a coarse lane batch and then
 bisects it, a batch per round, only where it can meet a left polyline
 (:func:`_right_curve`).  Everything is plain-float arithmetic in a fixed
@@ -67,12 +70,13 @@ _MAX_STEPS = 5_000_000
 # host); eight gave the same brackets and bit-identical refined profiles,
 # and the (1,1,1,1) family kept 2 of its 4 brackets and 1 of its 2 members.
 _SEED_REL_TOL = 1e-6
-# solve's seed phase ends at |gap| <= _SEED_SWITCH * _SEED_REL_TOL * (1+|k|).
-# Over five draws of the 209 linear-solution problems from 5% off (k, k),
-# a factor of 1 left two of them at residuals above 1e-6 that a solve at the
-# solution tolerance meets; 10, 100 and 1000 left none, at 1590, 1690 and
-# 2040 tangent RHS evaluations per solve against 2690 with no seed phase.
-# 100 keeps two decades from the factor that failed.
+# solve's seed phase ends at |gap| <= _SEED_SWITCH * _SEED_REL_TOL * (1+|k|),
+# met or predicted.  Over five draws of the 209 linear-solution problems from
+# 5% off (k, k), factors 1, 10, 100 and 1000 leave none of them at residuals
+# above 1e-6 that a solve at the solution tolerance meets, at 1316, 1438,
+# 1537 and 1963 tangent RHS evaluations per solve against 2693 with no seed
+# phase.  A factor of 1 left two such misses before solve took its step at
+# config from a seed-placed iterate; 100 keeps two decades from it.
 _SEED_SWITCH = 100.0
 
 _log = logging.getLogger("cohom1")
@@ -657,10 +661,17 @@ def solve(
     that did not decrease it.
 
     Newton runs in two phases.  The seed phase shoots at seed accuracy
-    (:func:`_seed_config`) until the gap norm is at most
+    (:func:`_seed_config`) until the gap norm is at most the switch
     _SEED_SWITCH * _SEED_REL_TOL * (1 + |k|).  The final phase shoots the
     same iterate again at ``config`` and continues to
-    |gap| <= GAP_TOL_FACTOR * (1 + |k|).  If the seed phase stops otherwise
+    |gap| <= GAP_TOL_FACTOR * (1 + |k|).  A seed iterate of gap norm n
+    reached by an undamped step from one of norm n' predicts n (n/n')^2
+    for the next (Newton's quadratic contraction).  If that is at most the
+    switch, the full step from it, an iteration like any other, places the
+    final phase's first iterate, which is shot at ``config`` only; if that
+    shot escapes, stalls or does not lower the norm below n, the seed phase
+    resumes at the seed iterate with its damped step, so a wrong prediction
+    costs one shot.  If the seed phase stops otherwise
     (its first shot escapes or stalls, the Jacobian is singular, damping
     fails or the cap is reached), the final phase starts from its last
     iterate, or from the start if there is none.  ``config.max_newton``
@@ -674,7 +685,8 @@ def solve(
     failure comes from a shot at ``config``: an escape or stall of the
     final phase's first shot surfaces as TrajectoryEscaped or
     IntegratorStall.  One DEBUG line on the ``cohom1`` logger gives the
-    shots of each phase, the hand-over reason if any, and the outcome.
+    shots of each phase, the hand-over reason (the seed phase's exception
+    or the predicted norm) if any, and the outcome.
 
     On convergence the profile is sampled at max(profile_points,
     MIN_PROFILE_POINTS) nodes from the steps of the shot Newton accepted
@@ -693,31 +705,34 @@ def solve(
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"init slopes must be finite, got ({a!r}, {b!r})")
     seed = _seed_config(config)
-    shots = 0
+    shots = [0, 0]      # at seed accuracy, at config
 
     def shot(cfg, a, b):
         """The iterate (a, b, gap, jac, norm, record) of a tangent shot at
         cfg, whose record (see :func:`shoot`) is kept at ``config`` only."""
-        nonlocal shots
-        shots += 1
+        shots[cfg is config] += 1
         record = [] if cfg is config else None
         gap, jac = shoot(spec, cfg, a, b, tangent=True, record=record)
         return a, b, gap, jac, math.hypot(*gap), record
 
-    def step(cfg, iterate, iterations):
-        """One damped Newton step from ``iterate``, shooting at cfg: the
-        next iterate.  NoConvergence at the cap, at a singular Jacobian or
-        if no trial lowers the gap norm."""
-        a, b, gap, jac, norm, _ = iterate
-        if iterations >= cfg.max_newton:
+    def direction(iterate, iterations):
+        """The full Newton step (da, db) from ``iterate``.  NoConvergence
+        at the cap or at a singular Jacobian."""
+        a, b, gap, jac, _, _ = iterate
+        if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
         (j00, j01), (j10, j11) = jac
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
-        da = (j11 * gap[0] - j01 * gap[1]) / det
-        db = (j00 * gap[1] - j10 * gap[0]) / det
+        return (j11 * gap[0] - j01 * gap[1]) / det, (j00 * gap[1] - j10 * gap[0]) / det
 
+    def step(cfg, iterate, iterations):
+        """One damped Newton step from ``iterate``, shooting at cfg: the
+        next iterate and whether it is the full step.  NoConvergence as
+        :func:`direction`, or if no trial lowers the gap norm."""
+        a, b, gap, _, norm, _ = iterate
+        da, db = direction(iterate, iterations)
         lam = 1.0
         for _ in range(20):
             try:
@@ -726,36 +741,59 @@ def solve(
                 lam *= 0.5
                 continue
             if trial[4] < norm:
-                return trial
+                return trial, lam == 1.0
             lam *= 0.5
         raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
 
-    def newton(cfg, a, b, tol, iterations):
-        """Damped Newton from (a, b), shooting at cfg, until the gap norm
-        is at most tol: (iterate, iterations)."""
-        iterate = shot(cfg, a, b)
-        while iterate[4] > tol:
-            iterate = step(cfg, iterate, iterations)
+    def seed_newton(a, b, switch):
+        """The seed phase from (a, b): (iterate, iterations, predicted).
+        Either ``predicted`` is a norm at most ``switch`` that an undamped
+        seed step predicted, and ``iterate`` the full step after it, shot
+        at ``config``; or ``predicted`` is None and ``iterate`` the first
+        seed iterate with norm at most ``switch``."""
+        iterate, iterations, previous = shot(seed, a, b), 0, None
+        while iterate[4] > switch:
+            norm = iterate[4]
+            predicted = None if previous is None else norm * (norm / previous) ** 2
+            if predicted is not None and predicted <= switch:
+                da, db = direction(iterate, iterations)
+                try:
+                    first = shot(config, iterate[0] - da, iterate[1] - db)
+                except (TrajectoryEscaped, IntegratorStall):
+                    first = None
+                if first is not None and first[4] < norm:
+                    return first, iterations + 1, predicted
+            iterate, full = step(seed, iterate, iterations)
+            previous = norm if full else None
             iterations += 1
-        return iterate, iterations
+        return iterate, iterations, None
 
-    iterations, handover, outcome = 0, "none", None
+    iterations, handover, outcome, iterate = 0, "none", None, None
     try:
         if seed is not config:
             switch = _SEED_SWITCH * _SEED_REL_TOL * (1.0 + abs(k))
             try:
-                (a, b, *_), iterations = newton(seed, a, b, switch, 0)
+                iterate, iterations, predicted = seed_newton(a, b, switch)
             except NoConvergence as exc:
                 (a, b), iterations, handover = exc.iterate, exc.iterations, exc
             except (TrajectoryEscaped, IntegratorStall) as exc:   # its first shot
                 handover = exc
-        seed_shots, seed_steps = shots, iterations
+            else:
+                if predicted is None:       # a seed iterate: shot again at config
+                    (a, b, *_), iterate = iterate, None
+                else:
+                    handover = f"predicted |gap| {predicted:.3g}"
+        seed_steps = iterations
+        if iterate is None:
+            iterate = shot(config, a, b)
         tol = GAP_TOL_FACTOR * (1.0 + abs(k))
-        iterate, iterations = newton(config, a, b, tol, iterations)
+        while iterate[4] > tol:
+            iterate, _ = step(config, iterate, iterations)
+            iterations += 1
         if iterations == seed_steps > 0:
             # seed steps alone placed the iterate: one step at config
             try:
-                iterate = step(config, iterate, iterations)
+                iterate, _ = step(config, iterate, iterations)
                 iterations += 1
             except NoConvergence:
                 pass
@@ -763,7 +801,7 @@ def solve(
         outcome = exc
     _log.debug(
         "solve: %d shots at seed rel_tol %g, %d at rel_tol %g; hand-over: %s; %s",
-        seed_shots, seed.rel_tol, shots - seed_shots, config.rel_tol, handover,
+        shots[0], seed.rel_tol, shots[1], config.rel_tol, handover,
         outcome or f"converged in {iterations} iterations",
     )
     if outcome is not None:

@@ -82,6 +82,20 @@ class TestMakeAction:
         with pytest.raises(InvalidTriple):
             actions.make_action("sphere", 1, 1, 2, strict=False)
 
+    @pytest.mark.parametrize("space", list(actions.Space))
+    def test_half_dimension_is_exact_on_every_accepted_triple(self, space):
+        accepted = 0
+        for g in range(1, 10):
+            for m0 in range(1, 10):
+                for m1 in range(1, 10):
+                    try:
+                        a = actions.make_action(space, g, m0, m1, strict=False)
+                    except (InvalidTriple, InvalidSpace):
+                        continue
+                    assert 2 * a.n == (m0 + m1) * g
+                    accepted += 1
+        assert accepted > 0
+
     @pytest.mark.parametrize("triple", [(True, 1, 1), (2, True, 1), (2, 1, True)])
     def test_bools_rejected(self, triple):
         with pytest.raises(InvalidTriple):

@@ -421,6 +421,27 @@ class TestResidualNorm:
         max_abs, _ = ode.residual_norm(spec, np.column_stack([t, r, v]))
         assert max_abs > 0.01
 
+    def test_one_pole_test_and_the_grid_tension(self, monkeypatch):
+        # the interior residual is the grid tension at the stencil's r'',
+        # and the interior times pass one pole test
+        spec = BvpSpec(G=2, M0=2, M1=2, k=1)
+        t = np.linspace(0.01, spec.length - 0.01, 257)
+        r = t + 0.01 * np.sin(spec.G * t)
+        v = 1.0 + 0.01 * spec.G * np.cos(spec.G * t)
+        hm, hp = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+        rdd = 2.0 * (hm * r[2:] - (hm + hp) * r[1:-1] + hp * r[:-2]) / (hm * hp * (hm + hp))
+        want = np.max(np.abs(ode.closed_tension_grid(spec, t[1:-1], r[1:-1], v[1:-1], rdd)))
+        calls = []
+        require_regular = ode.require_regular
+
+        def counted(*args):
+            calls.append(args)
+            return require_regular(*args)
+
+        monkeypatch.setattr(ode, "require_regular", counted)
+        max_abs, _ = ode.residual_norm(spec, np.column_stack([t, r, v]))
+        assert max_abs.hex() == float(want).hex() and len(calls) == 1
+
     @pytest.mark.parametrize("cols", [[0, 1], [0]])
     def test_not_three_columns_rejected(self, cols):
         spec = BvpSpec(G=2, M0=1, M1=3, k=-1)

@@ -471,9 +471,9 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  The (plain, tangent) counts are: the solve (24, 642),
+        # catches.  The (plain, tangent) counts are: the solve (24, 564),
         # the sweep, at seed accuracy, (24180, 34) and the refinement of its
-        # 2 brackets (5160, 6514).  Series starts take the tangent form, two
+        # 2 brackets (5160, 6430).  Series starts take the tangent form, two
         # evaluations each.  The solve's plain evaluations continue the
         # halves of the shot Newton accepts past the match point for its
         # profile.  RHS counts do not depend on the machine.
@@ -503,14 +503,14 @@ class TestRhsFactoryContract:
         spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
         w = 0.05 * (1.0 + abs(spec.k))
         assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
-        assert counts == {"plain": 24, "tangent": 642}
+        assert counts == {"plain": 24, "tangent": 564}
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 24 + 24180, "tangent": 642 + 34}
+        assert counts == {"plain": 24 + 24180, "tangent": 564 + 34}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 24 + 24180 + 5160, "tangent": 642 + 34 + 6514}
+        assert counts == {"plain": 24 + 24180 + 5160, "tangent": 564 + 34 + 6430}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -774,10 +774,10 @@ class TestTwoPhaseNewton:
         seed_shots = sum(c.rel_tol == 1e-6 for c in configs)
         assert lines == [
             f"solve: {seed_shots} shots at seed rel_tol 1e-06, "
-            f"{len(configs) - seed_shots} at rel_tol 1e-10; hand-over: none; "
-            "converged in 3 iterations"
+            f"{len(configs) - seed_shots} at rel_tol 1e-10; "
+            "hand-over: predicted |gap| 6.75e-07; converged in 3 iterations"
         ]
-        assert seed_shots == 3 and profile.residual <= 1e-6
+        assert seed_shots == 2 and profile.residual <= 1e-6
         # one phase: no shot at seed accuracy
         del configs[:]
         coarse = ShootingConfig(rel_tol=1e-6, abs_tol=1e-8)
@@ -815,34 +815,115 @@ class TestTwoPhaseNewton:
     def test_seed_placed_iterate_takes_one_step_at_the_callers_config(
         self, caplog, monkeypatch
     ):
-        # (8,4,7,1) from a start of the newton-recover draw: two seed steps
-        # end at |gap| 4.0e-9, and the first shot at config finds 1.5e-9,
-        # inside the tolerance 2e-9.  Stopping there left the residual at
-        # 2.3e-6; one step at config brings the gap to 2.4e-12 and the
-        # residual to 7.8e-9.
+        # (8,4,7,1) from a start of the newton-recover draw: a full seed
+        # step takes |gap| from 9.4e-2 to 7.3e-4, which predicts 4.5e-8 for
+        # the next, and the first shot at config, at the full step from
+        # there, finds 1.5e-9, inside the tolerance 2e-9.  Stopping there
+        # left the residual at 2.3e-6; one step at config brings the gap to
+        # 2.4e-12 and the residual to 7.8e-9.
         spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig()
         configs = shot_configs(monkeypatch)
         profile, lines = solve_lines(
             caplog, spec, config, (1.0379090647628626, 1.0769999589922035)
         )
         assert lines == [
-            "solve: 3 shots at seed rel_tol 1e-06, 2 at rel_tol 1e-10; "
-            "hand-over: none; converged in 3 iterations"
+            "solve: 2 shots at seed rel_tol 1e-06, 2 at rel_tol 1e-10; "
+            "hand-over: predicted |gap| 4.51e-08; converged in 3 iterations"
         ]
-        assert configs[3] is config and configs[4] is config
+        assert configs[2] is config and configs[3] is config
         assert math.hypot(*profile.match_gap) <= 1e-11 and profile.residual <= 1e-6
 
     def test_step_the_cap_forbids_keeps_the_converged_iterate(self, caplog):
-        # the same start with the cap at the two seed steps: the first shot
-        # at config meets the stop, and solve returns its iterate
+        # the same start with the cap at its two seed-phase steps, the
+        # second the predicted one: the first shot at config meets the
+        # stop, and solve returns its iterate
         spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig(max_newton=2)
         init = (1.0379090647628626, 1.0769999589922035)
         profile, lines = solve_lines(caplog, spec, config, init)
-        assert lines[0].endswith("; hand-over: none; converged in 2 iterations")
+        assert lines[0].endswith(
+            "; hand-over: predicted |gap| 4.51e-08; converged in 2 iterations"
+        )
         assert solve_outcome(solver.solve, spec, config, init) == solve_outcome(
             two_phase_reference, spec, config, init
         )
         assert profile.residual > 1e-6      # what the step at config avoids
+
+    @pytest.mark.parametrize(
+        "spec, config, init",
+        [(SPEC, ShootingConfig(), INIT)] + [case[:3] for case in newton_cases() if case[3] is None],
+    )
+    def test_predicted_hand_over_saves_the_last_seed_shot(self, monkeypatch, spec, config, init):
+        # the profile of today's rule, with one seed shot fewer; the far
+        # nonlinear start's first seed step already meets the switch, and
+        # its first shot follows no step, so it predicts nothing
+        calls = []
+        shoot = solver.shoot
+
+        def spy(spec, config, a, b, **kwargs):
+            calls.append((config.rel_tol, kwargs.get("tangent", False)))
+            return shoot(spec, config, a, b, **kwargs)
+
+        monkeypatch.setattr(solver, "shoot", spy)
+        want = solve_outcome(two_phase_reference, spec, config, init)
+        today = calls.count((1e-6, False))
+        del calls[:]
+        assert solve_outcome(solver.solve, spec, config, init) == want
+        saved = 0 if init == (12.1, 12.2) else 1
+        assert today >= 2 and calls.count((1e-6, True)) == today - saved
+
+    @pytest.mark.parametrize("wrong", ["escapes", "keeps the norm"])
+    def test_wrong_prediction_resumes_the_seed_phase(self, monkeypatch, wrong):
+        # the first shot at config, at the predicted iterate, escapes or
+        # returns the gap of the seed iterate it steps from: the seed phase
+        # resumes there with its damped step, and solve ends where today's
+        # rule does, at one more shot at config
+        config = ShootingConfig()
+        want = solve_outcome(two_phase_reference, self.SPEC, config, self.INIT)
+        calls, seed_gaps = [], []
+        shoot = solver.shoot
+
+        def spoiled(spec, cfg, a, b, **kwargs):
+            calls.append(cfg)
+            out = shoot(spec, cfg, a, b, **kwargs)
+            if cfg is not config:
+                seed_gaps.append(out[0])
+            elif calls.count(config) == 1:
+                if wrong == "escapes":
+                    raise TrajectoryEscaped(0.1, 1e7, 1e7)
+                return seed_gaps[-1], out[1]
+            return out
+
+        monkeypatch.setattr(solver, "shoot", spoiled)
+        assert solve_outcome(solver.solve, self.SPEC, config, self.INIT) == want
+        # two seed shots, the spoiled one at config, then the third seed
+        # shot of today's rule, which meets the switch
+        assert [c is config for c in calls[:5]] == [False, False, True, False, True]
+        assert sum(c is not config for c in calls) == 3
+
+    def test_no_prediction_after_a_damped_step_or_on_a_first_shot(self, monkeypatch):
+        # a scripted gap (F(a), 0) with Jacobian 1, at switch 2e-4: from
+        # a = 1 the full step to 0 raises the norm and the half step to 0.5
+        # lowers it to 1e-2, which would predict 1e-6 were the step full;
+        # from 0.5 the full step to 0.49 gives 1e-3, which predicts 1e-5
+        spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig()
+        calls = []
+
+        def scripted(spec, cfg, a, b, tangent=False, record=None):
+            calls.append((cfg is config, a))
+            f = next((f for top, f in ((0.25, 5.0), (0.4895, 0.0), (0.495, 1e-3), (0.75, 1e-2))
+                      if a < top), a)
+            return (f, 0.0), ((1.0, 0.0), (0.0, 1.0))
+
+        monkeypatch.setattr(solver, "shoot", scripted)
+        monkeypatch.setattr(solver, "_dense_profile", lambda *args: args)
+        seed, final = False, True
+        for init, want in [
+            (1.0, [(seed, 1.0), (seed, 0.0), (seed, 0.5), (seed, 0.49), (final, 0.489)]),
+            (0.5, [(seed, 0.5), (seed, 0.49), (final, 0.489)]),
+        ]:
+            del calls[:]
+            solver.solve(spec, config, init=(init, 1.0))
+            assert [(c, pytest.approx(a, abs=1e-12)) for c, a in calls[:len(want)]] == want
 
     def test_linear_start_takes_no_seed_step(self):
         # from (k, k) the first seed shot meets the switch, so the final
@@ -875,6 +956,8 @@ class TestTwoPhaseNewton:
         # tangent evaluations and (4,2,2,-3), which runs to the iteration
         # cap, 90312.  Every row solved to residual <= 1e-6 then still is:
         # all but (4,2,2,-3) and the (12,1,1,-11) residual miss (2.1e-6).
+        # With the seed phase they took 11034 and 72936; handing over at the
+        # iterate Newton predicts inside the switch took the first to 9636.
         counts = [0]
         rhs_tangent = ode.rhs_tangent
 
@@ -904,6 +987,7 @@ class TestTwoPhaseNewton:
                 assert residual <= 1e-6, key
         capped = evaluations.pop(BvpSpec(G=4, M0=2, M1=2, k=-3))
         assert sum(evaluations.values()) <= 0.75 * 20802
+        assert sum(evaluations.values()) <= 9636
         assert capped <= 90312
 
 
