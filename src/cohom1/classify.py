@@ -54,22 +54,18 @@ def oracle_scale(G: int, M0: int, M1: int, k: int) -> float:
     return 4.0 * G * (M0 + M1) * (1.0 + abs(k))
 
 
-def linear_residual_oracle(
-    G: int, M0: int, M1: int, k: int, samples: int = 64
-) -> float:
+def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
     """Brute-force check of the linear candidate: max |closed tension| of
-    r = k t over Chebyshev points of (0, pi/G).
+    r = k t over 64 Chebyshev points of (0, pi/G).
 
     Open Chebyshev nodes never touch the singular endpoints, so no pole
     handling is needed.
     """
-    if samples < 16:
-        raise ValueError(f"need at least 16 sample points, got {samples}")
     spec = ode.BvpSpec(G=G, M0=M0, M1=M1, k=k)
-    j = np.arange(samples)
-    nodes = spec.length * 0.5 * (1.0 - np.cos((2 * j + 1) * math.pi / (2 * samples)))
+    j = np.arange(64)
+    nodes = spec.length * 0.5 * (1.0 - np.cos((2 * j + 1) * math.pi / 128))
     values = ode.closed_tension_grid(
-        spec, nodes, k * nodes, np.full(samples, float(k)), np.zeros(samples)
+        spec, nodes, k * nodes, np.full_like(nodes, k), np.zeros_like(nodes)
     )
     return float(np.max(np.abs(values)))
 

@@ -19,7 +19,7 @@ class InadmissibleJ(CohomError):
 
 
 class PoleProximity(CohomError):
-    """Evaluation point within the configured margin of a coefficient pole."""
+    """Evaluation point within ``ode.DEFAULT_POLE_MARGIN`` of a coefficient pole."""
 
 
 class UnequalMultiplicities(CohomError):

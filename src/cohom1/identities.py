@@ -24,9 +24,7 @@ import math
 import numpy as np
 
 from .errors import OddG
-from .ode import pole_distance, require_regular
-
-TAU = 2.0 * math.pi
+from .ode import TAU, pole_distance, require_regular
 
 #: Seed of the default sampling streams; configurable in every entry point.
 DEFAULT_SEED = 375011
@@ -47,9 +45,9 @@ def _positive_int(name: str, value) -> int:
     return value
 
 
-def _check_regular(g: int, t, margin: float) -> np.ndarray:
+def _check_regular(g: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    require_regular(t, g, margin)
+    require_regular(t, g)
     return t
 
 
@@ -61,11 +59,11 @@ def _shifted_sum(g: int, t, term):
     return total
 
 
-def _sin_lemma(g, r, t, margin, num):
+def _sin_lemma(g, r, t, num):
     """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
     = g ((g-1) num(r-t) + num(r + (g-1) t))."""
     g = _positive_int("g", g)
-    t = _check_regular(g, t, margin)
+    t = _check_regular(g, t)
     r = np.asarray(r, dtype=float)
     lhs = _shifted_sum(
         g, t, lambda i, x: num(r - i * math.pi / g) / np.sin(x) ** 2
@@ -74,30 +72,30 @@ def _sin_lemma(g, r, t, margin, num):
     return lhs, rhs
 
 
-def lemma_sin_sq(g, r, t, margin: float = 1e-8):
+def lemma_sin_sq(g, r, t):
     """Both sides of the sin-square summation identity."""
-    return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(y, TAU)) ** 2)
+    return _sin_lemma(g, r, t, lambda y: np.sin(np.remainder(y, TAU)) ** 2)
 
 
-def lemma_sin_2r(g, r, t, margin: float = 1e-8):
+def lemma_sin_2r(g, r, t):
     """Both sides of the sin-double-angle summation identity."""
-    return _sin_lemma(g, r, t, margin, lambda y: np.sin(np.remainder(2.0 * y, TAU)))
+    return _sin_lemma(g, r, t, lambda y: np.sin(np.remainder(2.0 * y, TAU)))
 
 
-def cotangent_identity(g, t, margin: float = 1e-8):
+def cotangent_identity(g, t):
     """g*cot(gt) against the sum of shifted cotangents."""
     g = _positive_int("g", g)
-    t = _check_regular(g, t, margin)
+    t = _check_regular(g, t)
     lhs = g * np.cos(np.remainder(g * t, TAU)) / np.sin(np.remainder(g * t, TAU))
     return lhs, _shifted_sum(g, t, lambda i, x: np.cos(x) / np.sin(x))
 
 
-def half_sum_split(g, m0, m1, t, margin: float = 1e-8):
+def half_sum_split(g, m0, m1, t):
     """Alternating cotangent sum against its two-term closed split (even g)."""
     g = _positive_int("g", g)
     if g % 2 != 0:
         raise OddG(f"half-sum split requires even g, got {g}")
-    t = _check_regular(g, t, margin)
+    t = _check_regular(g, t)
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
     direct = _shifted_sum(

@@ -55,35 +55,39 @@ def pole_distance(t, G: int):
     return abs(t - np.rint(t / step) * step)
 
 
-def require_regular(t, G: int, margin: float) -> None:
+def require_regular(t, G: int) -> None:
     """Raise :class:`PoleProximity` unless t, a float or an array, stays at
-    least ``margin`` from the pole set; an array names its first such point.
+    least ``DEFAULT_POLE_MARGIN`` from the pole set; an array names its
+    first such point.
 
-    A NaN or infinite t is never regular, and a NaN margin admits no
-    distance.  A scalar t inside the :func:`regular_window` passes without
-    the distance; outside it, t is checked for finiteness first.  An array
-    with an infinite element makes numpy warn before the raise.
+    A NaN or infinite t is never regular.  A scalar t inside the
+    :func:`regular_window` passes without the distance; outside it, t is
+    checked for finiteness first.  An array with an infinite element makes
+    numpy warn before the raise.
     """
+    margin = DEFAULT_POLE_MARGIN
     if isinstance(t, np.ndarray):
         far = pole_distance(t, G) >= margin
         if far.all():
             return
         t = float(t[~far][0])
     else:
-        lo, hi = regular_window(G, margin)
+        lo, hi = regular_window(G)
         if lo < t < hi or (math.isfinite(t) and pole_distance(t, G) >= margin):
             return
-    raise _pole_error(t, G, margin)
+    raise _pole_error(t, G)
 
 
-def _pole_error(t: float, G: int, margin: float) -> PoleProximity:
-    return PoleProximity(f"t={t!r} is within {margin:g} of a pole of the (G={G}) problem")
+def _pole_error(t: float, G: int) -> PoleProximity:
+    return PoleProximity(
+        f"t={t!r} is within {DEFAULT_POLE_MARGIN:g} of a pole of the (G={G}) problem"
+    )
 
 
-def regular_window(G: int, margin: float) -> tuple[float, float]:
-    """The open interval (lo, hi) = (2m, pi/G - 2m), m = |margin|, in which
-    :func:`require_regular` cannot raise: the hot paths run the pole test
-    only for times outside it.
+def regular_window(G: int) -> tuple[float, float]:
+    """The open interval (lo, hi) = (2m, pi/G - 2m), m = DEFAULT_POLE_MARGIN,
+    in which :func:`require_regular` cannot raise: the hot paths run the
+    pole test only for times outside it.
 
     Proof, for a float lo < t < hi.  Then 0 < t < step = pi/G, so the
     rounded t/step lies in [0, 1] and rounds to 0 or 1 (0.5 rounds to 0).
@@ -91,11 +95,10 @@ def regular_window(G: int, margin: float) -> tuple[float, float]:
     quotient exceeds 0.5, a float, so t >= step/2 and t - step is exact by
     Sterbenz's lemma: the distance is step - t.  No float lies strictly between step - 2m and
     its rounding hi, so t < hi gives t <= step - 2m, and the distance is at
-    least 2m.  Either way it is not below m, nor below a negative margin.
-    A NaN or infinite margin, like a NaN or infinite t, fails a compare
-    with the window, so those take the full test.
+    least 2m.  Either way it is not below m.  A NaN or infinite t fails a
+    compare with the window, so it takes the full test.
     """
-    m = abs(margin)
+    m = DEFAULT_POLE_MARGIN
     return 2.0 * m, math.pi / G - 2.0 * m
 
 
@@ -243,24 +246,20 @@ def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
     return f
 
 
-def closed_tension(
-    spec: BvpSpec, sample: TensionSample, margin: float = DEFAULT_POLE_MARGIN
-) -> float:
+def closed_tension(spec: BvpSpec, sample: TensionSample) -> float:
     """Cleared-denominator normal tension at ``sample``.
 
     Zero means the normal component of the tension field vanishes there.
     """
-    require_regular(sample.t, spec.G, margin)
+    require_regular(sample.t, spec.G)
     A, N = _tension_parts(spec.G, spec.M0, spec.M1, sample.t, sample.r, sample.rdot)
     return A * sample.rddot + N
 
 
-def closed_tension_grid(
-    spec: BvpSpec, t, r, rdot, rddot, margin: float = DEFAULT_POLE_MARGIN
-) -> np.ndarray:
+def closed_tension_grid(spec: BvpSpec, t, r, rdot, rddot) -> np.ndarray:
     """Vectorised closed tension over sample arrays."""
     t = np.asarray(t, dtype=float)
-    require_regular(t, spec.G, margin)
+    require_regular(t, spec.G)
     return _closed_tension_regular(spec, t, r, rdot, rddot)
 
 
@@ -272,9 +271,7 @@ def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot) -> np.
     return A * np.asarray(rddot, dtype=float) + N
 
 
-def closed_tension_equal_m(
-    spec: BvpSpec, sample: TensionSample, margin: float = DEFAULT_POLE_MARGIN
-) -> float:
+def closed_tension_equal_m(spec: BvpSpec, sample: TensionSample) -> float:
     """Simplified form for equal multiplicities; half of :func:`closed_tension`.
 
         2 sin^2(Gt) r'' + mG sin(2Gt) r' - mG ((G-1) sin 2(r-t) + sin 2(r+(G-1)t))
@@ -283,7 +280,7 @@ def closed_tension_equal_m(
         raise UnequalMultiplicities(
             f"equal-multiplicity form needs M0 == M1, got ({spec.M0},{spec.M1})"
         )
-    require_regular(sample.t, spec.G, margin)
+    require_regular(sample.t, spec.G)
     G, m = spec.G, spec.M0
     t, r = sample.t, sample.r
     sg = math.sin(_reduce(G * t))
@@ -299,13 +296,7 @@ def closed_tension_equal_m(
     )
 
 
-def raw_tension_sphere(
-    g: int,
-    m0: int,
-    m1: int,
-    sample: TensionSample,
-    margin: float = DEFAULT_POLE_MARGIN,
-) -> float:
+def raw_tension_sphere(g: int, m0: int, m1: int, sample: TensionSample) -> float:
     """Un-simplified normal tension: the sum over curvature directions.
 
         r'' + sum_i m_i cot(t - i pi/g) r'
@@ -315,7 +306,7 @@ def raw_tension_sphere(
     4 sin^2(gt) recovers :func:`closed_tension` (for odd g this requires
     m0 == m1, the only case in which the alternating sum is geometric).
     """
-    require_regular(sample.t, g, margin)
+    require_regular(sample.t, g)
     t, r = sample.t, sample.r
     total = sample.rddot
     forcing = 0.0
@@ -328,13 +319,7 @@ def raw_tension_sphere(
     return total - 0.5 * forcing
 
 
-def raw_tension_so(
-    g: int,
-    m0: int,
-    m1: int,
-    sample: TensionSample,
-    margin: float = DEFAULT_POLE_MARGIN,
-) -> float:
+def raw_tension_so(g: int, m0: int, m1: int, sample: TensionSample) -> float:
     """Raw normal tension of the reparametrised lifted map on the rotation group.
 
     Equals the sphere sum with twice the curvature count (step pi/(2g), 2g
@@ -342,10 +327,10 @@ def raw_tension_so(
     problems; realised by delegation.  The returned value is twice the
     lifted map's normal tension; only its zero set matters for harmonicity.
     """
-    return raw_tension_sphere(2 * g, m0, m1, sample, margin)
+    return raw_tension_sphere(2 * g, m0, m1, sample)
 
 
-def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
+def rhs(spec: BvpSpec) -> Callable:
     """Explicit second-derivative function, solving closed_tension == 0 for
     r'', in two call forms:
 
@@ -363,12 +348,11 @@ def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
     locals because this is the integrator's innermost call; a test pins the
     two paths together bit for bit.  Only a time outside the
     :func:`regular_window` takes the pole test, :func:`require_regular`.
-    A time the test lets through where 4 sin^2(Gt) underflows to 0 (|Gt|
-    below about 1e-162, so only with a margin below that) raises
+    A time the test lets through where 4 sin^2(Gt) underflows to 0 raises
     PoleProximity too.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
-    lo, hi = regular_window(G, margin)
+    lo, hi = regular_window(G)
     cs = G * (M0 + M1)          # rdot coefficient scale, sin(2Gt) part
     cd = 2.0 * G * (M0 - M1)    # rdot coefficient scale, sin(Gt) part
     f1 = G * (G - 2.0)
@@ -387,7 +371,7 @@ def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
         rem=math.remainder,
     ):
         if not lo < t < hi:
-            require_regular(t, G, margin)
+            require_regular(t, G)
         Gt = G * t
         g = rem(Gt, TAU)
         sg = sin(g)
@@ -407,7 +391,7 @@ def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
             dN = P * drdot - 2.0 * (f1 * cos(ur) * Q + f2 * cos(ugr) * R) * dr
             return -N / A, -dN / A
         except ZeroDivisionError:
-            raise _pole_error(t, G, margin) from None
+            raise _pole_error(t, G) from None
 
     return accel
 
@@ -418,7 +402,7 @@ def rhs(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN) -> Callable:
 rhs_tangent = rhs
 
 
-def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
+def _rhs_lanes(spec: BvpSpec):
     """Lane twin of :func:`rhs` as a pair (time, state):
     ``state(time(t), r, rdot)`` is r'' for 1-d arrays, and ``time`` may
     take all the stage times of a step at once, as rows.
@@ -433,16 +417,16 @@ def _rhs_lanes(spec: BvpSpec, margin: float = DEFAULT_POLE_MARGIN):
     silently numpy warns, so callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
-    lo, hi = regular_window(G, margin)
+    lo, hi = regular_window(G)
 
     def time(t: np.ndarray) -> tuple:
         # NaN propagates through min and max and fails both compares.
         if not (lo < t.min(initial=math.inf) and t.max(initial=-math.inf) < hi):
-            require_regular(t, G, margin)
+            require_regular(t, G)
         parts = _time_parts(G, M0, M1, t, _remainder_exact)
         A = parts[2]
         if not A.all():
-            raise _pole_error(float(t[A == 0.0][0]), G, margin)
+            raise _pole_error(float(t[A == 0.0][0]), G)
         return parts
 
     def state(parts, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
@@ -460,9 +444,7 @@ def _as_sample_array(profile) -> np.ndarray:
     return arr
 
 
-def residual_norm(
-    spec: BvpSpec, profile, margin: float = DEFAULT_POLE_MARGIN
-) -> tuple[float, tuple[float, float]]:
+def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     """Max interior |closed tension| of a sampled profile, plus boundary errors.
 
     r'' is reconstructed with the centred second-order stencil on the
@@ -487,7 +469,7 @@ def residual_norm(
         raise ValueError("profile must be sampled strictly inside (0, pi/G)")
     # The interior pole test runs before the sample check, so a NaN time is
     # reported as a time even where its r is NaN too.
-    require_regular(t[1:-1], spec.G, margin)
+    require_regular(t[1:-1], spec.G)
     if not np.isfinite(arr[:, 1:]).all():
         raise ValueError("profile r and rdot samples must be finite")
 

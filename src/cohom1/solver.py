@@ -74,9 +74,13 @@ _SEED_REL_TOL = 1e-6
 # met or predicted.  Over five draws of the 209 linear-solution problems from
 # 5% off (k, k), factors 1, 10, 100 and 1000 leave none of them at residuals
 # above 1e-6 that a solve at the solution tolerance meets, at 1316, 1438,
-# 1537 and 1963 tangent RHS evaluations per solve against 2693 with no seed
-# phase.  A factor of 1 left two such misses before solve took its step at
-# config from a seed-placed iterate; 100 keeps two decades from it.
+# 1537 and 1963 tangent RHS evaluations per solve (medians 954 at 1, 972 at
+# 100) against 2693 with no seed phase.  Factor 1 misses fewer: 4 against 10
+# residuals above 1e-6 (0 against 3 on isolated solutions), and 8 against 12
+# on draws from random.Random(s).  The family refinement pays for it: the
+# default (1,1,1,1) grid takes 395 shots instead of 3 and converges to
+# another member of the family, and the (4,2,2,-3) solution moves by 2.9e-5.
+# 100 keeps the refinement's seeds and shot count.
 _SEED_SWITCH = 100.0
 
 _log = logging.getLogger("cohom1")
@@ -148,13 +152,11 @@ class ShootingConfig:
             return (-w, w)
         return (float(self.bracket[0]), float(self.bracket[1]))
 
-    def to_dict(self, spec: BvpSpec | None = None) -> dict:
+    def to_dict(self, spec: BvpSpec) -> dict:
+        """The fields, with the match point and bracket resolved for spec."""
         d = asdict(self)
-        if spec is not None:
-            d["match_point"] = self.resolved_match(spec)
-            d["bracket"] = self.resolved_bracket(spec)
-        if d["bracket"] is not None:
-            d["bracket"] = list(d["bracket"])
+        d["match_point"] = self.resolved_match(spec)
+        d["bracket"] = list(self.resolved_bracket(spec))
         return d
 
 
@@ -180,18 +182,16 @@ class SolutionProfile:
             for t, r, v in self.samples:
                 fh.write(f"{t:.17g},{r:.17g},{v:.17g}\n")
 
-    def metadata(self, config: ShootingConfig | None = None) -> dict:
-        d = {
+    def metadata(self, config: ShootingConfig) -> dict:
+        return {
             "spec": self.spec.to_dict(),
             "slope0": self.slope0,
             "slope1": self.slope1,
             "match_gap": list(self.match_gap),
             "residual": self.residual,
             "samples": int(self.samples.shape[0]),
+            "config": config.to_dict(self.spec),
         }
-        if config is not None:
-            d["config"] = config.to_dict(self.spec)
-        return d
 
 
 @dataclass(frozen=True)
@@ -810,14 +810,14 @@ def solve(
     return _dense_profile(spec, config, a, b, gap, max(profile_points, MIN_PROFILE_POINTS), record)
 
 
-def _dense_profile(spec, config, a, b, gap, n_points, record=None) -> SolutionProfile:
+def _dense_profile(spec, config, a, b, gap, n_points, record) -> SolutionProfile:
     """Sample the converged solution on a uniform grid.
 
     ``record`` holds the halves of the shot at (a, b) and ``config`` (see
-    :func:`shoot`), or that shot is taken here: the profile depends on (a,
-    b, config) alone.  Each half continues from its end at the match point
-    across the blend window, and both are sampled in one pass of their step
-    interpolants (:func:`_dense_states`), smooth whatever the steps.
+    :func:`shoot`), so the profile depends on (a, b, config) alone.  Each
+    half continues from its end at the match point across the blend window,
+    and both are sampled in one pass of their step interpolants
+    (:func:`_dense_states`), smooth whatever the steps.
 
     The two shooting halves are joined with a C^2 blend over an interior
     overlap window rather than butted at a single node: the converged match
@@ -825,9 +825,6 @@ def _dense_profile(spec, config, a, b, gap, n_points, record=None) -> SolutionPr
     as a kink that finite differencing amplifies by 1/h^2.  Both halves
     solve the ODE, so the blend's residual is of order gap / window^2.
     """
-    if record is None:
-        record = []
-        shoot(spec, config, a, b, record=record)
     accel = ode.rhs(spec)
     match = config.resolved_match(spec)
     L = spec.length

@@ -45,10 +45,6 @@ class TestLinearResidualOracle:
         assert value > 1e-9 * classify.oracle_scale(2, 1, 3, 3)
         assert value > 1.0
 
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            classify.linear_residual_oracle(2, 1, 1, 1, samples=8)
-
     def test_agreement_smoke(self):
         # full enumeration lives in the acceptance suite
         for g, m0, m1 in actions.strict_triples(max_m=4, max_ell=1):

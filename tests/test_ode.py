@@ -218,9 +218,9 @@ class TestRhs:
         # points straddling the margin around several poles: the closure and
         # the scalar tensions raise exactly where pole_distance is below the
         # margin
-        margin = 1e-8
+        margin = ode.DEFAULT_POLE_MARGIN
         spec = BvpSpec(G=G, M0=2, M1=2, k=1)
-        calls = scalar_pole_checks(spec, margin)
+        calls = scalar_pole_checks(spec)
         offsets = []
         for d in (margin, 2.0 * margin, 0.5 * margin):
             offsets += [d, np.nextafter(d, 0.0), np.nextafter(d, 1.0)]
@@ -241,16 +241,10 @@ class TestRhs:
 
     @pytest.mark.parametrize("G", [1, 2, 3, 12])
     def test_scalar_checks_reject_non_finite_times_and_a_nan_margin(self, G):
-        # no distance admits a NaN or infinite time, and a NaN margin admits
-        # no time, inside the regular window or not
+        # no distance admits a NaN or infinite time
         spec = BvpSpec(G=G, M0=2, M1=2, k=1)
-        L = spec.length
         for t in (math.nan, math.inf, -math.inf):
-            for call in scalar_pole_checks(spec, 1e-8):
-                with pytest.raises(PoleProximity):
-                    call(t)
-        for t in (0.5 * L, 0.1 * L, 1.5 * L, 0.0):
-            for call in scalar_pole_checks(spec, math.nan):
+            for call in scalar_pole_checks(spec):
                 with pytest.raises(PoleProximity):
                     call(t)
 
@@ -264,26 +258,27 @@ class TestRhs:
 
     def test_array_check_names_the_first_near_point(self):
         t = np.linspace(0.1, 1.0, 10)
-        ode.require_regular(t, 3, 1e-8)
+        ode.require_regular(t, 3)
         t[[4, 7]] = [math.pi / 3 + 1e-9, 2 * math.pi / 3]
         with pytest.raises(PoleProximity, match=re.escape(f"t={float(t[4])!r} ")):
-            ode.require_regular(t, 3, 1e-8)
+            ode.require_regular(t, 3)
 
     @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
-    @pytest.mark.parametrize("margin", [0.0, 1e-8, 1e-3])
-    def test_window_changes_no_pole_decision(self, margin, G):
+    @pytest.mark.parametrize("margin", [0.0, 1e-8])
+    def test_window_changes_no_pole_decision(self, margin, G, monkeypatch):
         # inside, outside and on the edges of the window, the closure raises
         # PoleProximity exactly where pole_distance is below the margin, on
-        # NaN and infinite times, which have no distance, and, with no
-        # margin, where 4 sin^2(Gt) underflows to 0; the lane time part
-        # raises on the same times, each alone and all at once, and names
-        # the same first near time, in row-major order when stacked as
+        # NaN and infinite times, which have no distance, and, with the
+        # margin set to 0, where 4 sin^2(Gt) underflows to 0; the lane time
+        # part raises on the same times, each alone and all at once, and
+        # names the same first near time, in row-major order when stacked as
         # (5, n) stage rows, or failing one the first underflowing time
         L = math.pi / G
         spec = BvpSpec(G=G, M0=2, M1=3, k=1)
-        accel = ode.rhs(spec, margin)
-        time_part, _state = ode._rhs_lanes(spec, margin)
-        lo, hi = ode.regular_window(G, margin)
+        monkeypatch.setattr(ode, "DEFAULT_POLE_MARGIN", margin)
+        accel = ode.rhs(spec)
+        time_part, _state = ode._rhs_lanes(spec)
+        lo, hi = ode.regular_window(G)
         finite = window_edge_times(G, margin)
         assert any(lo < t < hi for t in finite) and not all(lo < t < hi for t in finite)
         assert any(ode.pole_distance(t, G) < margin for t in finite) == (margin > 0.0)
@@ -327,35 +322,22 @@ class TestRhs:
             assert named(batch) == (message(first[0]) if first else None)
         assert named(np.empty(0)) is None and named(np.empty((5, 0))) is None
 
-    def test_non_finite_margin_takes_the_full_test(self):
-        # an infinite margin rejects every finite time, a NaN margin every
-        # time
-        spec = BvpSpec(G=3, M0=1, M1=1, k=1)
-        for margin in (math.inf, math.nan):
-            accel = ode.rhs(spec, margin)
-            time_part, _state = ode._rhs_lanes(spec, margin)
-            for t in (0.5 * spec.length, 0.1, spec.length + 0.1):
-                with pytest.raises(PoleProximity):
-                    accel(t, 0.3, 1.0)
-                with pytest.raises(PoleProximity):
-                    time_part(np.array([t]))
 
-
-def scalar_pole_checks(spec, margin):
+def scalar_pole_checks(spec):
     """One-argument calls at time t of every scalar path that pole-tests t:
     the pole test itself, the integrator closure and the three scalar
     tensions."""
     def sample(t):
         return TensionSample(t, 0.3, 1.0, 0.5)
 
-    accel = ode.rhs(spec, margin)
+    accel = ode.rhs(spec)
     G, M0, M1 = spec.G, spec.M0, spec.M1
     return (
-        lambda t: ode.require_regular(t, G, margin),
+        lambda t: ode.require_regular(t, G),
         lambda t: accel(t, 0.3, 1.0),
-        lambda t: ode.closed_tension(spec, sample(t), margin),
-        lambda t: ode.closed_tension_equal_m(spec, sample(t), margin),
-        lambda t: ode.raw_tension_sphere(G, M0, M1, sample(t), margin),
+        lambda t: ode.closed_tension(spec, sample(t)),
+        lambda t: ode.closed_tension_equal_m(spec, sample(t)),
+        lambda t: ode.raw_tension_sphere(G, M0, M1, sample(t)),
     )
 
 

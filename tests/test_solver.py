@@ -244,6 +244,13 @@ def scalar_dense_states(steps, nodes):
     return np.array(out)
 
 
+def profile_at(spec, config, a, b, gap):
+    """The 513-point profile from a fresh plain shot at (a, b) and config."""
+    record = []
+    solver.shoot(spec, config, a, b, record=record)
+    return solver._dense_profile(spec, config, a, b, gap, 513, record)
+
+
 class TestDenseOutput:
     # (1,2,2,1) at slope 3 is nonlinear, so every stage weight matters
     SPEC = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -314,7 +321,7 @@ class TestDenseOutput:
     def test_profile_samples_equal_scalar_interpolation(self, monkeypatch):
         # both halves of a profile, the right one integrated backwards
         config = ShootingConfig()
-        fast = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
+        fast = profile_at(self.SPEC, config, 3.0, 2.5, (0.0, 0.0))
         passes = []
 
         def scalar(runs):
@@ -322,7 +329,7 @@ class TestDenseOutput:
             return np.vstack([scalar_dense_states(*run) for run in runs])
 
         monkeypatch.setattr(solver, "_dense_states", scalar)
-        slow = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513)
+        slow = profile_at(self.SPEC, config, 3.0, 2.5, (0.0, 0.0))
         assert passes == [2]        # one pass over both halves
         assert fast.samples.tobytes() == slow.samples.tobytes()
         assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
@@ -553,7 +560,7 @@ def reference_solve(spec, config, init):
     """solve with one Newton phase, all of it at ``config``."""
     tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
     a, b, gap, _ = reference_newton(spec, config, float(init[0]), float(init[1]), tol)
-    return solver._dense_profile(spec, config, a, b, gap, 513)
+    return profile_at(spec, config, a, b, gap)
 
 
 def two_phase_reference(spec, config, init):
@@ -582,7 +589,7 @@ def two_phase_reference(spec, config, init):
             if exc.iterations > iterations:     # stopped by the cap after one step
                 a, b = exc.iterate
                 gap = exc.gaps
-    return solver._dense_profile(spec, config, a, b, gap, 513)
+    return profile_at(spec, config, a, b, gap)
 
 
 def solve_outcome(fn, spec, config, init):
@@ -676,9 +683,7 @@ class TestSharedHalves:
         # solve's profile, from the record of the tangent shot Newton
         # accepted, equals one from a fresh plain shot at its slopes
         profile = solver.solve(spec, config, init=init)
-        a, b, record = profile.slope0, profile.slope1, []
-        solver.shoot(spec, config, a, b, record=record)
-        fresh = solver._dense_profile(spec, config, a, b, profile.match_gap, 513, record)
+        fresh = profile_at(spec, config, profile.slope0, profile.slope1, profile.match_gap)
         assert fresh.samples.tobytes() == profile.samples.tobytes()
         assert fresh.residual.hex() == profile.residual.hex()
 
@@ -995,16 +1000,12 @@ class TestConfigDict:
     def test_every_field_in_order_with_bracket_as_list(self):
         spec = BvpSpec(G=2, M0=1, M1=3, k=1)
         config = ShootingConfig(bracket=(2, 5.5), match_point=0.7)
-        assert json.dumps(config.to_dict()) == (
+        assert json.dumps(config.to_dict(spec)) == (
             '{"eps0": 1e-05, "eps1": 1e-05, "rel_tol": 1e-10, "abs_tol": 1e-12, '
-            '"match_point": 0.7, "bracket": [2, 5.5], "sweep_points": 512, '
+            '"match_point": 0.7, "bracket": [2.0, 5.5], "sweep_points": 512, '
             '"max_newton": 50, "blowup_cap": 1000000.0}'
         )
-        assert config.to_dict(spec)["bracket"] == [2.0, 5.5]
-        default = ShootingConfig()
-        assert default.to_dict()["bracket"] is None
-        assert default.to_dict()["match_point"] is None
-        resolved = default.to_dict(spec)
+        resolved = ShootingConfig().to_dict(spec)
         assert resolved["bracket"] == [-8.0, 8.0]
         assert resolved["match_point"] == spec.length / 2.0
 
@@ -1510,7 +1511,7 @@ class TestLaneSweep:
         stage_t[1, 7] = spec.length + 3e-9
         with pytest.raises(PoleProximity) as per_stage:
             for row in stage_t:
-                ode.require_regular(row, spec.G, ode.DEFAULT_POLE_MARGIN)
+                ode.require_regular(row, spec.G)
         with pytest.raises(PoleProximity) as stacked:
             time_part(stage_t)
         assert str(stacked.value) == str(per_stage.value)
@@ -1638,13 +1639,13 @@ class TestLaneSweep:
             assert got.tolist() == [accel(*x) for x in zip(t.tolist(), r.tolist(), v.tolist())]
 
     @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
-    def test_lane_parts_match_scalar_rhs_at_domain_ends(self, G):
-        # with no pole margin: t one float inside and outside pi/G and at
-        # +/-1e-150 (nearer 0, A = 4 sin^2(Gt) underflows and the scalar
-        # closure divides by zero), where Gt meets the end of the identity
-        # reduction; 2Gt meets the fold ends at pi/(2G) and 3pi/(2G).  Each
-        # time alone and all as one batch (5 rows, as an integrator step
-        # stacks them)
+    def test_lane_parts_match_scalar_rhs_at_domain_ends(self, G, monkeypatch):
+        # with the pole margin set to 0: t one float inside and outside pi/G
+        # and at +/-1e-150 (nearer 0, A = 4 sin^2(Gt) underflows and the
+        # scalar closure divides by zero), where Gt meets the end of the
+        # identity reduction; 2Gt meets the fold ends at pi/(2G) and
+        # 3pi/(2G).  Each time alone and all as one batch (5 rows, as an
+        # integrator step stacks them)
         spec = BvpSpec(G=G, M0=2, M1=3, k=1)
         L = spec.length
         ends = [math.nextafter(L, 0.0), math.nextafter(L, math.inf), 1e-150, -1e-150,
@@ -1653,9 +1654,10 @@ class TestLaneSweep:
         t = np.array(ends + rng.uniform(0.0, 2.0 * L, 4).tolist())
         r = rng.uniform(-30.0, 30.0, t.size)
         v = rng.uniform(-100.0, 100.0, t.size)
-        accel = ode.rhs(spec, margin=0.0)
+        monkeypatch.setattr(ode, "DEFAULT_POLE_MARGIN", 0.0)
+        accel = ode.rhs(spec)
         want = [accel(*x).hex() for x in zip(t.tolist(), r.tolist(), v.tolist())]
-        time_part, state_part = ode._rhs_lanes(spec, margin=0.0)
+        time_part, state_part = ode._rhs_lanes(spec)
         with np.errstate(all="ignore"):
             alone = [
                 state_part(time_part(t[i:i + 1]), r[i:i + 1], v[i:i + 1])[0]
@@ -1709,6 +1711,20 @@ class TestRefineBrackets:
         best = profiles[0]
         assert abs(best.slope0 - 1.0) < 1e-6
         assert best.max_linear_deviation() < 1e-6
+
+    def test_family_refinement_takes_few_shots(self, monkeypatch):
+        # the default (1,1,1,1) grid refines in 3 shots; a seed switch of
+        # factor 1 instead of 100 makes it 395 (see solver._SEED_SWITCH)
+        shots = [0]
+        shoot = solver.shoot
+
+        def counted(*args, **kwargs):
+            shots[0] += 1
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "shoot", counted)
+        assert solver.refine_brackets(BvpSpec(G=1, M0=1, M1=1, k=1), ShootingConfig())
+        assert 0 < shots[0] <= 10
 
     def test_bracket_where_no_seed_converges_is_dropped(self, caplog, monkeypatch):
         # the identity's bracket has a crossing, but every solve fails
