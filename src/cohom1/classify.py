@@ -23,12 +23,11 @@ never meets the tables because k = 0 is not an admissible winding number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import actions, ode
+from . import actions
 from .actions import ActionDescriptor, Space, Tangential
 from .errors import CohomError
 
@@ -54,16 +53,32 @@ def oracle_scale(G: int, M0: int, M1: int, k: int) -> float:
     return 4.0 * G * (M0 + M1) * (1.0 + abs(k))
 
 
+@functools.cache
+def _unit_chebyshev_nodes():
+    """The 64 open Chebyshev nodes of (0, 2), read-only."""
+    import numpy as np
+
+    j = np.arange(64)
+    unit = 1.0 - np.cos((2 * j + 1) * math.pi / 128)
+    unit.flags.writeable = False
+    return unit
+
+
 def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
     """Brute-force check of the linear candidate: max |closed tension| of
     r = k t over 64 Chebyshev points of (0, pi/G).
 
     Open Chebyshev nodes never touch the singular endpoints, so no pole
-    handling is needed.
+    handling is needed.  The only numpy code of this module: numpy and
+    ``ode`` are imported on its first call, so the verdicts and tables
+    import neither.
     """
+    import numpy as np
+
+    from . import ode
+
     spec = ode.BvpSpec(G=G, M0=M0, M1=M1, k=k)
-    j = np.arange(64)
-    nodes = spec.length * 0.5 * (1.0 - np.cos((2 * j + 1) * math.pi / 128))
+    nodes = spec.length * 0.5 * _unit_chebyshev_nodes()
     values = ode.closed_tension_grid(
         spec, nodes, k * nodes, np.full_like(nodes, k), np.zeros_like(nodes)
     )

@@ -12,6 +12,13 @@ sweep JSON gives the tolerances its gaps were integrated at under
 
 Exit codes: 0 success, 2 invalid input, 3 no convergence (metadata still
 written), 4 trajectory escape.
+
+Each subcommand imports only what it uses: the handlers import numpy and
+the numerical modules where they use them.  ``classify``, ``degree`` and
+``table`` are integer arithmetic in ``actions`` and ``classify`` and import
+no numpy.  ``residual`` imports numpy and ``ode``; ``identity-check``
+imports ``identities``, which imports both; only ``solve`` and ``sweep``
+import ``solver``.
 """
 
 from __future__ import annotations
@@ -21,12 +28,15 @@ import datetime
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, actions, classify, identities, ode, solver
+from . import __version__, actions, classify
 from .errors import CohomError, IntegratorStall, NoConvergence, TrajectoryEscaped
+
+if TYPE_CHECKING:
+    from . import ode, solver
 
 #: Exit code of each failure, first match wins; ``main`` catches exactly
 #: these.  The last row is invalid input, an unreadable file included.
@@ -87,11 +97,15 @@ def _action_from_args(args, strict: bool) -> actions.ActionDescriptor:
 
 
 def _spec_from_args(args) -> ode.BvpSpec:
+    from . import ode
+
     action = _action_from_args(args, strict=False)
     return ode.BvpSpec(G=action.bvp_g, M0=action.m0, M1=action.m1, k=args.k)
 
 
 def _config_from_args(args) -> solver.ShootingConfig:
+    from . import solver
+
     kwargs = {}
     for name in (
         "eps0", "eps1", "rel_tol", "abs_tol", "match_point", "sweep_points",
@@ -166,6 +180,8 @@ def _failure(exc: CohomError) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+
     spec = _spec_from_args(args)
     config = _config_from_args(args)
     init = _parse_pair(args.init, "--init") if args.init else None
@@ -205,6 +221,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import solver
+
     spec = _spec_from_args(args)
     config = _config_from_args(args)
     points = solver.sweep(spec, config)
@@ -229,8 +247,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    import numpy as np
+
+    from . import ode
+
     spec = _spec_from_args(args)
-    data = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # numpy warns on a file without data rows; the check below rejects it.
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"profile {args.profile} has no sample rows")
     max_abs, boundary = ode.residual_norm(spec, data)
     params = _base_params(args, ("space", "g", "m0", "m1", "k", "profile"))
     body = {
@@ -243,6 +270,12 @@ def cmd_residual(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    from . import identities
+
+    if args.seed is None:
+        args.seed = identities.DEFAULT_SEED
+    if args.margin is None:
+        args.margin = identities.DEFAULT_SAMPLE_MARGIN
     report = identities.identity_suite(
         g_max=args.g_max, samples=args.samples, seed=args.seed, margin=args.margin
     )
@@ -313,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity-check", help="trigonometric identity suite")
     p.add_argument("--g-max", dest="g_max", type=int, default=12)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=identities.DEFAULT_SEED)
-    p.add_argument("--margin", type=float, default=identities.DEFAULT_SAMPLE_MARGIN)
+    # None: cmd_identity_check fills in the defaults of identities.
+    p.add_argument("--seed", type=int)
+    p.add_argument("--margin", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_identity_check)
 

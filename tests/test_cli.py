@@ -1,7 +1,11 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,24 @@ class TestResidual:
         assert code == 2 and out == ""
         assert err.startswith("cohom1 residual: profile ")
 
+    @pytest.mark.parametrize("text", ["", "t,r,rdot\n"])
+    def test_profile_without_rows_exits_2_under_warnings_as_errors(self, tmp_path, text):
+        # numpy warns on a file without data; -W error turned that into a
+        # traceback and exit code 1.
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error", "-m", "cohom1.cli", "residual",
+                "--space", "sphere", "--g", "1", "--m0", "2", "--m1", "2", "--k", "1",
+                "--profile", str(path),
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"cohom1 residual: profile {path} has no sample rows\n"
+
 
 class TestSweep:
     def test_brackets_reported(self, capsys):
@@ -307,6 +329,11 @@ class TestIdentityCheck:
         payload = json.loads(out_path.read_text())
         assert payload["manifest"]["outputs"] == [str(out_path)]
 
+
+    def test_manifest_records_the_default_seed_and_margin(self, capsys):
+        payload = run_json(capsys, "identity-check", "--g-max", "2", "--samples", "10")
+        params = payload["manifest"]["parameters"]
+        assert params["seed"] == 375011 and params["margin"] == 0.001
 
     def test_margin_without_room_between_poles_exits_2(self, capsys):
         # pi/(2*12) < 0.2, so no sample could clear the g = 12 poles
