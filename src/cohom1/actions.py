@@ -249,12 +249,13 @@ def strict_triples(max_m: int = 9, max_ell: int = 2) -> list[tuple[int, int, int
     triples.extend((3, m, m) for m in _G3_MULTS if m <= max_m)
 
     pairs = {tuple(sorted((m0, 1))) for m0 in range(1, max_m + 1)}
-    pairs.add((2, 2))
+    if max_m >= 2:
+        pairs.add((2, 2))
     for ell in range(1, max_ell + 1):
         if 2 * ell + 1 <= max_m:
             pairs.add((2, 2 * ell + 1))
     for ell in range(0, max_ell + 1):
-        if 4 * ell + 3 <= max_m:
+        if max(4, 4 * ell + 3) <= max_m:
             pairs.add(tuple(sorted((4, 4 * ell + 3))))
     if max_m >= 5:
         pairs.add((4, 5))

@@ -8,14 +8,17 @@ after clearing denominators,
       - G(G-2) sin(2(r-t)) (M0+M1 + (M0-M1) cos(Gt))
       - 2G sin(2(r-t)+Gt) ((M0+M1) cos(Gt) + M0-M1)
 
-on the interval (0, pi/G) with boundary limits r -> 0 and r -> k*pi/G.  This
-module evaluates that closed form, its equal-multiplicity simplification,
-and the un-simplified sums over the curvature directions that the closed
-form compresses, so each can serve as an independent check on the others.
-The integrator's right-hand side, :func:`rhs`, solves it for r''; called
-with a direction (dr, dr') it also returns the derivative of r'' along it,
-the variational equation of an exact shooting Jacobian.  ``rhs_tangent``
-is a second name for that one closure factory.
+on the interval (0, pi/G) with boundary limits r -> 0 and r -> k*pi/G;
+write it A r'' + N, A = 4 sin^2(Gt).  It is written out twice.  The
+scalar closure :func:`rhs` solves it for r'' = -N/A and serves the
+integrator, the series start and :func:`closed_tension`; called with a
+direction (dr, dr') it also returns the derivative of r'' along it, the
+variational equation of an exact shooting Jacobian (``rhs_tangent`` is a
+second name for it).  Its array twin, :func:`_time_parts` and
+:func:`_state_parts`, serves the lanes, :func:`closed_tension_grid` and
+:func:`residual_norm`, and equals it bit for bit under the exact
+reduction.  The equal-multiplicity simplification and the un-simplified
+sums over the curvature directions are independent checks on both.
 
 All trigonometric arguments are reduced modulo 2*pi before evaluation.
 """
@@ -155,36 +158,16 @@ class TensionSample:
     rddot: float
 
 
-def _tension_parts(G, M0, M1, t, r, rdot):
-    """Scalar (A, N) with closed tension = A * rddot + N.  Hot path."""
-    s = M0 + M1
-    d = M0 - M1
-    Gt = G * t
-    sg = math.sin(_reduce(Gt))
-    cg = math.cos(_reduce(Gt))
-    s2g = math.sin(_reduce(2.0 * Gt))
-    u = 2.0 * (r - t)
-    su = math.sin(_reduce(u))
-    sug = math.sin(_reduce(u + Gt))
-    A = 4.0 * sg * sg
-    N = (
-        (G * s * s2g + 2.0 * G * d * sg) * rdot
-        - G * (G - 2.0) * su * (s + d * cg)
-        - 2.0 * G * sug * (s * cg + d)
-    )
-    return A, N
-
-
 def _time_parts(G, M0, M1, t, rem):
-    """The t-only half of a vectorised :func:`_tension_parts`: the tuple
-    (t, Gt, A, P, Q, R), elementwise, with
+    """The t-only half of the array twin of the :func:`rhs` closure's
+    arithmetic: the tuple (t, Gt, A, P, Q, R), elementwise, with
 
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
     u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments:
     ``np.remainder``, a floor modulo, serves :func:`closed_tension_grid`,
-    and :func:`_remainder_exact` makes every element equal the scalar path
-    bit for bit.
+    and :func:`_remainder_exact` makes every element equal the closure bit
+    for bit.
     """
     s = M0 + M1
     d = M0 - M1
@@ -247,13 +230,14 @@ def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
 
 
 def closed_tension(spec: BvpSpec, sample: TensionSample) -> float:
-    """Cleared-denominator normal tension at ``sample``.
+    """Cleared-denominator normal tension A (r'' - accel(t, r, r')) at
+    ``sample``, accel the :func:`rhs` closure, whose pole test runs first.
 
     Zero means the normal component of the tension field vanishes there.
     """
-    require_regular(sample.t, spec.G)
-    A, N = _tension_parts(spec.G, spec.M0, spec.M1, sample.t, sample.r, sample.rdot)
-    return A * sample.rddot + N
+    accel = rhs(spec)(sample.t, sample.r, sample.rdot)
+    sg = math.sin(_reduce(spec.G * sample.t))
+    return 4.0 * sg * sg * (sample.rddot - accel)
 
 
 def closed_tension_grid(spec: BvpSpec, t, r, rdot, rddot) -> np.ndarray:
@@ -331,8 +315,8 @@ def raw_tension_so(g: int, m0: int, m1: int, sample: TensionSample) -> float:
 
 
 def rhs(spec: BvpSpec) -> Callable:
-    """Explicit second-derivative function, solving closed_tension == 0 for
-    r'', in two call forms:
+    """Explicit second-derivative function, solving the closed form
+    A r'' + N = 0 of the module docstring for r'', in two call forms:
 
         accel(t, r, r') -> r''
         accel(t, r, r', dr, dr') -> (r'', dr'')
@@ -344,10 +328,12 @@ def rhs(spec: BvpSpec) -> Callable:
     with A, P, Q, R as in :func:`_time_parts` and u = 2(r - t).  Both forms
     compute r'' = -N/A by the same operations, so the value is the same bit
     for bit; the plain form returns before the cosines of u and u + Gt.
-    The body repeats the :func:`_tension_parts` arithmetic with bound
-    locals because this is the integrator's innermost call; a test pins the
-    two paths together bit for bit.  Only a time outside the
-    :func:`regular_window` takes the pole test, :func:`require_regular`.
+    The body binds its constants and functions to locals because this is
+    the integrator's innermost call; tests pin the array twin,
+    :func:`_time_parts` and :func:`_state_parts`, to it bit for bit, and
+    :func:`closed_tension` multiplies its value back by A.  Only a time
+    outside the :func:`regular_window` takes the pole test,
+    :func:`require_regular`.
     A time the test lets through where 4 sin^2(Gt) underflows to 0 raises
     PoleProximity too.
     """
@@ -462,13 +448,12 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
         raise ProfileTooCoarse(
             f"need at least 16 interior samples, got {max(t.shape[0] - 2, 0)}"
         )
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("profile samples must be strictly increasing in t")
     L = spec.length
     if not (0.0 < t[0] and t[-1] < L):
         raise ValueError("profile must be sampled strictly inside (0, pi/G)")
-    # The interior pole test runs before the sample check, so a NaN time is
-    # reported as a time even where its r is NaN too.
+    # A NaN compares false, so an interior NaN time fails this test.
+    if not (np.diff(t) > 0).all():
+        raise ValueError("profile samples must be strictly increasing in t")
     require_regular(t[1:-1], spec.G)
     if not np.isfinite(arr[:, 1:]).all():
         raise ValueError("profile r and rdot samples must be finite")

@@ -153,10 +153,14 @@ class ShootingConfig:
         return (float(self.bracket[0]), float(self.bracket[1]))
 
     def to_dict(self, spec: BvpSpec) -> dict:
-        """The fields, with the match point and bracket resolved for spec."""
+        """The fields as Python numbers (``validate`` admits numpy scalars,
+        which json cannot write), match point and bracket resolved for spec."""
         d = asdict(self)
         d["match_point"] = self.resolved_match(spec)
         d["bracket"] = list(self.resolved_bracket(spec))
+        for name, value in d.items():
+            if name != "bracket":
+                d[name] = int(value) if name in ("sweep_points", "max_newton") else float(value)
         return d
 
 
@@ -185,10 +189,10 @@ class SolutionProfile:
     def metadata(self, config: ShootingConfig) -> dict:
         return {
             "spec": self.spec.to_dict(),
-            "slope0": self.slope0,
-            "slope1": self.slope1,
-            "match_gap": list(self.match_gap),
-            "residual": self.residual,
+            "slope0": float(self.slope0),
+            "slope1": float(self.slope1),
+            "match_gap": [float(x) for x in self.match_gap],
+            "residual": float(self.residual),
             "samples": int(self.samples.shape[0]),
             "config": config.to_dict(self.spec),
         }
@@ -1017,6 +1021,7 @@ def refine_brackets(
 ) -> list[SolutionProfile]:
     """Refine each sweep bracket by shooting to the match point.
 
+    A flag on the first of ``points`` names no bracket there and is skipped.
     A solution is a point where the left and the right shooting halves meet
     at the match point.  The left halves at each bracket's ends and at one
     grid point beyond each end run first, and trace a short polyline of
@@ -1045,7 +1050,7 @@ def refine_brackets(
     config = config or ShootingConfig()
     config.validate(spec)
     points = points if points is not None else sweep(spec, config)
-    brackets = [i for i, p in enumerate(points) if p.sign_change]
+    brackets = [i for i, p in enumerate(points) if i and p.sign_change]
     if not brackets:
         return []
     seed_config = _seed_config(config)

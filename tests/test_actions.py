@@ -275,3 +275,11 @@ class TestStrictTriples:
     def test_ell_cap_respected(self):
         triples = actions.strict_triples(max_m=9, max_ell=1)
         assert (4, 2, 5) not in triples and (4, 2, 3) in triples
+
+    @pytest.mark.parametrize("max_ell", range(4))
+    @pytest.mark.parametrize("max_m", range(13))
+    def test_small_caps_bound_both_multiplicities(self, max_m, max_ell):
+        # (4, 2, 2) at max_m <= 1 and (4, 3, 4) at max_m = 3 exceeded the cap
+        for g, m0, m1 in actions.strict_triples(max_m, max_ell):
+            assert m0 <= max_m and m1 <= max_m, (max_m, max_ell, (g, m0, m1))
+            actions.make_action("sphere", g, m0, m1)

@@ -199,8 +199,10 @@ class TestRhs:
         with pytest.raises(PoleProximity):
             ode.rhs(spec)(math.pi / 2, 0.3, 1.0)
 
-    def test_closure_equals_tension_parts_bit_for_bit(self):
-        # the closure's inline arithmetic is the one of _tension_parts
+    def test_closed_tension_vanishes_at_the_closure_acceleration(self):
+        # closed_tension is A (r'' - accel), A = 4 sin^2(Gt): zero to
+        # rounding where r'' is the closure's acceleration, and A one unit
+        # of r'' away from it, at regular times inside and outside (0, pi/G)
         rng = np.random.default_rng(4411)
         for _ in range(2000):
             G = int(rng.integers(1, 13))
@@ -209,9 +211,14 @@ class TestRhs:
             if ode.pole_distance(t, G) < 1e-6:
                 continue
             r, v = float(rng.uniform(-20, 20)), float(rng.uniform(-50, 50))
-            A, N = ode._tension_parts(G, M0, M1, t, r, v)
-            got = ode.rhs(BvpSpec(G=G, M0=M0, M1=M1, k=1))(t, r, v)
-            assert got.hex() == (-N / A).hex()
+            spec = BvpSpec(G=G, M0=M0, M1=M1, k=1)
+            accel = ode.rhs(spec)(t, r, v)
+            A = 4.0 * math.sin(math.remainder(G * t, ode.TAU)) ** 2
+            assert abs(ode.closed_tension(spec, TensionSample(t, r, v, accel))) <= (
+                1e-15 * A * abs(accel)
+            )
+            off = ode.closed_tension(spec, TensionSample(t, r, v, accel + 1.0))
+            assert abs(off - A) <= 1e-12 * A * (1.0 + abs(accel))
 
     @pytest.mark.parametrize("G", [1, 2, 3, 4, 5, 6, 12])
     def test_closure_pole_check_is_pole_distance(self, G):
@@ -455,6 +462,15 @@ class TestResidualNorm:
         profile = linear_profile(spec)
         profile[row, 0] = np.nan
         with pytest.raises(ValueError, match="strictly inside"):
+            ode.residual_norm(spec, profile)
+
+    def test_nan_interior_time_rejected(self):
+        # a ValueError, not PoleProximity: NaN has no distance to a pole,
+        # and it compares false in the ordering test
+        spec = BvpSpec(G=2, M0=1, M1=1, k=1)
+        profile = linear_profile(spec)
+        profile[100, 0] = np.nan
+        with pytest.raises(ValueError, match="strictly increasing"):
             ode.residual_norm(spec, profile)
 
     @pytest.mark.parametrize("row, col", [(0, 1), (100, 1), (-1, 1), (100, 2)])

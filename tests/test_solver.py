@@ -1113,6 +1113,21 @@ class TestConfigValidation:
         config.validate(spec)
         assert len(solver.sweep(spec, config)) == 8
 
+    def test_numpy_scalars_leave_json_native_metadata(self):
+        # json.dumps raised TypeError on the numpy ints of to_dict
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(
+            rel_tol=np.float64(1e-10), match_point=np.float64(1.5),
+            bracket=(np.float32(0.5), np.int64(2)), sweep_points=np.int64(8),
+            max_newton=np.int32(5), blowup_cap=np.float32(1e6),
+        )
+        meta = solver.solve(spec, config).metadata(config)
+        for d in (config.to_dict(spec), meta):
+            assert json.loads(json.dumps(d)) == d
+        values = [*meta["config"].values(), *meta["config"]["bracket"], *meta["match_gap"]]
+        assert {type(x) for x in values} == {int, float, list}
+        assert meta["config"]["sweep_points"] == 8 and meta["config"]["max_newton"] == 5
+
     @pytest.mark.parametrize("name, value, message", [
         ("sweep_points", 1, "at least 2"), ("sweep_points", 0, "at least 2"),
         ("max_newton", 0, "max_newton"), ("max_newton", -3, "max_newton"),
@@ -1837,6 +1852,17 @@ class TestRefineBrackets:
         ]
         for prof in profiles:
             assert sum(lo <= prof.slope0 <= hi for lo, hi in brackets) == 1
+
+    def test_flag_on_the_first_point_names_no_bracket(self, monkeypatch, criterion_grid):
+        # points[310] flags the bracket of the 12.1254 root; cut before it,
+        # the flag has no left neighbour, and nothing is shot for it
+        spec, config, points = criterion_grid
+        assert points[310].sign_change and points[310].a == pytest.approx(12.133, abs=1e-3)
+        counts = self.count_calls(monkeypatch, "_match_states", "solve")
+        assert solver.refine_brackets(spec, config, points[310:]) == []
+        assert counts == {"_match_states": 0, "solve": 0}
+        profiles = solver.refine_brackets(spec, config, points[309:])
+        assert [p.slope0 for p in profiles] == [pytest.approx(12.1254021, abs=1e-6)]
 
     def test_summary_counts_the_halves_that_escape(self, caplog):
         # a blow-up cap of 12.2 stops the left half at 12.25 and 6 of the
