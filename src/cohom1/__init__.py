@@ -35,7 +35,7 @@ _EXPORTS = {
             "lemma_sin_2r", "lemma_sin_sq",
         ),
         "solver": (
-            "Endpoint", "ShootingConfig", "SolutionProfile", "SweepPoint",
+            "Endpoint", "ShootingConfig", "Shot", "SolutionProfile", "SweepPoint",
             "series_start", "shoot", "solve", "sweep",
         ),
     }.items()

@@ -10,12 +10,12 @@ the two trajectories are matched in the interior, where the problem is as
 well-conditioned as it gets.
 
 Every solve, sweep and refinement does one thing per half: series-start
-it at its endpoint (:func:`_start`) and run an embedded Dormand-Prince
+it at its endpoint (:func:`series_start`) and run an embedded Dormand-Prince
 5(4) pair from that start tuple, with PI-free step control,
 first-same-as-last reuse, a blow-up cap that converts runaway trajectories
 into TrajectoryEscaped and a step-underflow guard that raises
-IntegratorStall.  A half runs either alone (:func:`_dp_run`, which can
-record each accepted step for quartic dense output) or in a lane batch
+IntegratorStall.  A half runs either alone (:func:`_dp_run`, which
+records each accepted step for quartic dense output) or in a lane batch
 that starts its own halves from the spec (:func:`_integrate_lanes`), in
 the same operations and order per lane, so each lane ends exactly as its
 scalar run would.  A lane batch step evaluates the t-only part of the
@@ -23,18 +23,18 @@ right-hand side (pole check, sines and cosines of Gt and 2Gt) once for its
 five distinct stage times, and each of its six stages only the part that
 depends on (r, r').  The lanes left when a batch thins out, or all of a
 small batch after its first derivative, finish on the scalar loop from
-their state.  The halves of a solve also carry their tangent with respect
-to their slope through the same scalar steps (the variational equation,
-started from the derivative of the series start), so Newton reads its
-Jacobian off the shots it makes.  Newton shoots its far iterates, a sweep
-its lanes, and the refinement's seed search its halves, at seed accuracy
-(:func:`_seed_config`).  Newton leaves seed accuracy at the first iterate
-inside its switch, or at the full step to one that its last undamped step
-predicts inside it, shot at the caller's tolerances only; every converged
-gap comes from a shot at the caller's tolerances, and its profile from that
-shot's recorded steps.  The
-seed search traces the right half-curve with a coarse lane batch and then
-bisects it, a batch per round, only where it can meet a left polyline
+their state.  The halves of a :func:`shoot` also carry their tangent with
+respect to their slope through the same scalar steps (the variational
+equation, started from the derivative of the series start), so Newton
+reads its Jacobian off the :class:`Shot` values it makes.  Newton shoots
+its far iterates, a sweep its lanes, and the refinement's seed search its
+halves, at seed accuracy (:func:`_seed_config`).  Newton leaves seed
+accuracy at the first iterate inside its switch, or at the full step to
+one that its last undamped step predicts inside it, shot at the caller's
+tolerances only; every converged gap comes from a shot at the caller's
+tolerances, and its profile from that shot's step rows.  The seed search
+traces the right half-curve with a coarse lane batch and then bisects it,
+a batch per round, only where it can meet a left polyline
 (:func:`_right_curve`).  Everything is plain-float arithmetic in a fixed
 order, so identical inputs give bit-identical results on a fixed platform.
 """
@@ -111,6 +111,20 @@ class ShootingConfig:
     max_newton: int = 50
     blowup_cap: float = 1e6
 
+    def __post_init__(self):
+        # Numbers as Python floats, counts as Python ints: a float32 eps0 kept
+        # every gap in single precision, and json writes no numpy scalar.
+        # What is no number, or a count that is no int, validate rejects.
+        reals, put = (int, float, np.integer, np.floating), object.__setattr__
+        for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
+            if isinstance(getattr(self, name), reals):
+                put(self, name, float(getattr(self, name)))
+        if self.bracket is not None and all(isinstance(x, reals) for x in self.bracket):
+            put(self, "bracket", tuple(map(float, self.bracket)))
+        for name in ("sweep_points", "max_newton"):
+            if isinstance(getattr(self, name), np.integer):
+                put(self, name, int(getattr(self, name)))
+
     def validate(self, spec: BvpSpec) -> None:
         # r - kt is O(t) at t = 0 for every k, but at t = pi/G the forcing
         # sin 2(r - t) vanishes at r = k pi/G only if G divides 2(k - 1);
@@ -150,17 +164,13 @@ class ShootingConfig:
         if self.bracket is None:
             w = 4.0 * abs(spec.k) + 4.0
             return (-w, w)
-        return (float(self.bracket[0]), float(self.bracket[1]))
+        return self.bracket
 
     def to_dict(self, spec: BvpSpec) -> dict:
-        """The fields as Python numbers (``validate`` admits numpy scalars,
-        which json cannot write), match point and bracket resolved for spec."""
+        """The fields, match point and bracket resolved for spec."""
         d = asdict(self)
         d["match_point"] = self.resolved_match(spec)
         d["bracket"] = list(self.resolved_bracket(spec))
-        for name, value in d.items():
-            if name != "bracket":
-                d[name] = int(value) if name in ("sweep_points", "max_newton") else float(value)
         return d
 
 
@@ -210,6 +220,21 @@ class SweepPoint:
     a: float
     sign_change: bool
     gap: float
+
+
+@dataclass(frozen=True)
+class Shot:
+    """One :func:`shoot` from the slopes (a, b); per half, left then right,
+    its series start, :func:`_dp_run` step rows and end run state."""
+
+    a: float
+    b: float
+    gap: tuple[float, float]    # (r, r') of the left half minus the right one
+    norm: float                 # hypot(*gap)
+    jac: tuple                  # ((dg0/da, dg0/db), (dg1/da, dg1/db))
+    starts: tuple               # (t, r, v)
+    rows: tuple                 # lists of step rows (see _dense_states)
+    ends: tuple                 # (t, r, v, h, k1v, steps)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -276,13 +301,13 @@ _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 def _dp_start(accel, start: tuple, t_end: float) -> tuple:
     """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end
-    from a start (t0, r0, v0) as :func:`_start` gives it; r0, v0 and k1v
-    are arrays with a scalar t0 for :func:`_integrate_lanes`.
+    from a start (t0, r0, v0); r0, v0 and k1v are arrays with a scalar t0
+    for :func:`_integrate_lanes`.
 
-    A start (t0, r0, v0, p0, q0) carries a tangent: ``accel`` is called in
-    the tangent form of :func:`ode.rhs` and the state gains (p, q, k1q),
-    the tangent (dr, dv) and its first derivative, for :func:`_dp_run` to
-    carry along.
+    A start (t0, r0, v0, p0, q0), as :func:`series_start` gives it, carries
+    a tangent: ``accel`` is called in the tangent form of :func:`ode.rhs`
+    and the state gains (p, q, k1q), the tangent (dr, dv) and its first
+    derivative, for :func:`_dp_run` to carry along.
     """
     t0, r0, v0, *tangent = start
     direction = 1.0 if t_end >= t0 else -1.0
@@ -455,7 +480,7 @@ def _dense_states(runs) -> np.ndarray:
 
 
 def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> list:
-    """The halves series-started (:func:`_start`) from ``endpoint`` with
+    """The halves series-started (:func:`series_start`) from ``endpoint`` with
     each of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start`
     to t_end, as one lane batch.
 
@@ -472,8 +497,9 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     Returns one outcome per lane, identical to the scalar run's: its final
     (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
-    starts = np.array([_start(spec, config, endpoint, float(s)) for s in slopes])
-    t0, (r0, v0) = float(starts[0, 0]), starts[:, 1:].T
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    starts = np.array([series_start(spec, endpoint, float(s), eps) for s in slopes])
+    t0, (r0, v0) = float(starts[0, 0]), starts[:, 1:3].T
     accel, (time_part, state_part) = ode.rhs(spec), ode._rhs_lanes(spec)
     n = len(r0)
     out: list = [None] * n
@@ -554,10 +580,9 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     return out
 
 
-def series_start(
-    spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float, tangent: bool = False
-) -> tuple:
-    """Smooth-branch starting data (t, r, rdot) an offset eps off an endpoint.
+def series_start(spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float) -> tuple:
+    """Smooth-branch starting data (t, r, rdot, dr, drdot) an offset eps off
+    an endpoint, with (dr, drdot) = d(r, rdot)/d(slope).
 
     The cubic coefficient is fitted numerically from the ODE itself: probe
     the acceleration at 2*eps on the linear ray, read off c3 from
@@ -568,9 +593,7 @@ def series_start(
     the test suite instead of by algebra.
 
     The two probes take the tangent form of :func:`ode.rhs`, which carries
-    the derivative of the fit in the slope.  With ``tangent`` the result is
-    (t, r, rdot, dr, drdot) with (dr, drdot) = d(r, rdot)/d(slope), and
-    without it the first three of these.
+    the derivative of the fit in the slope.
     """
     # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
     # is x for every x, signed zeros included, where 0.0 + x is not.
@@ -592,50 +615,32 @@ def series_start(
     t = t_b + sigma * eps
     r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
     v = slope + 3.0 * c * eps * eps
-    if tangent:
-        return t, r, v, sigma * eps + sigma * (dc * eps**3), 1.0 + 3.0 * dc * eps * eps
-    return t, r, v
+    return t, r, v, sigma * eps + sigma * (dc * eps**3), 1.0 + 3.0 * dc * eps * eps
 
 
-def _start(spec, config, endpoint: Endpoint, slope: float, tangent: bool = False) -> tuple:
-    """Series start (t, r, v), or with ``tangent`` (t, r, v, dr, dv), of
-    the half shot from ``endpoint``, at the offset ``config`` gives that
-    endpoint."""
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    return series_start(spec, endpoint, slope, eps, tangent)
+def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
+    """The :class:`Shot` of the trajectories started from the left with
+    slope a and from the right with slope b, matched at the match point.
 
-
-def shoot(
-    spec: BvpSpec, config: ShootingConfig, a: float, b: float, tangent: bool = False, record=None
-) -> tuple:
-    """Mismatch (value, derivative) at the match point between the trajectory
-    started from the left with slope a and from the right with slope b.
-
-    With ``tangent`` each half also carries its tangent with respect to its
-    own slope (the variational equation, started from the derivative of
-    its series start and integrated by the same DP5(4) steps), and the
-    result is (gap, jacobian): the same gap bit for bit, and the jacobian
-    ((dg0/da, dg0/db), (dg1/da, dg1/db)) of the discrete gap, whose columns
-    are the left tangent and minus the right one.  The left half runs
-    before the right one.  A list ``record`` gains, per half, its series
-    start (t, r, v), its :func:`_dp_run` step rows and its end run state
-    (t, r, v, h, k1v, steps), which are the same with or without the tangent.
+    Each half carries its tangent with respect to its own slope (the
+    variational equation, started from the derivative of its series start
+    and integrated by the same DP5(4) steps), so ``jac`` is the Jacobian of
+    the discrete gap, whose columns are the left tangent and minus the
+    right one.  Step control reads (r, v) only, so the gap, the step rows
+    and the end states are those of the halves without the tangent.  The
+    left half runs before the right one.
     """
     config.validate(spec)
     match = config.resolved_match(spec)
-    accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
-    ends = []
-    for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
-        start = _start(spec, config, endpoint, slope, tangent)
-        rows = None if record is None else []
-        ends.append(_dp_run(accel, _dp_start(accel, start, match), match, config, rows))
-        if record is not None:
-            record.append((start[:3], rows, ends[-1][:6]))
-    left, right = ends
-    gap = (left[1] - right[1], left[2] - right[2])
-    if not tangent:
-        return gap
-    return gap, ((left[6], -right[6]), (left[7], -right[7]))
+    accel = ode.rhs_tangent(spec)
+    halves, sides = [], ((Endpoint.LEFT, a, config.eps0), (Endpoint.RIGHT, b, config.eps1))
+    for endpoint, slope, eps in sides:
+        start, rows = series_start(spec, endpoint, slope, eps), []
+        *end, p, q, _ = _dp_run(accel, _dp_start(accel, start, match), match, config, rows)
+        halves.append((start[:3], rows, tuple(end), (end[1], end[2], p, q)))
+    starts, rows, ends, ((rl, vl, pl, ql), (rr, vr, pr, qr)) = zip(*halves)
+    gap = (rl - rr, vl - vr)
+    return Shot(a, b, gap, math.hypot(*gap), ((pl, -pr), (ql, -qr)), starts, rows, ends)
 
 
 def _seed_config(config: ShootingConfig) -> ShootingConfig:
@@ -657,9 +662,9 @@ def solve(
 ) -> SolutionProfile:
     """Damped-Newton double shooting on the endpoint slopes (a, b).
 
-    Starts from ``init`` or from the linear candidate (k, k).  Every shot
-    carries the tangents of its halves (see :func:`shoot`), so the Jacobian
-    of each iterate comes from the shot that produced it, with no extra
+    Starts from ``init`` or from the linear candidate (k, k).  Each iterate
+    is a :class:`Shot`, whose halves carry their tangents (see :func:`shoot`),
+    so its Jacobian comes from the shot that produced it, with no extra
     integration.  Steps are halved up to 20 times until the gap norm
     decreases, and an escape or stall of a damped trial counts as a trial
     that did not decrease it.
@@ -712,31 +717,26 @@ def solve(
     shots = [0, 0]      # at seed accuracy, at config
 
     def shot(cfg, a, b):
-        """The iterate (a, b, gap, jac, norm, record) of a tangent shot at
-        cfg, whose record (see :func:`shoot`) is kept at ``config`` only."""
         shots[cfg is config] += 1
-        record = [] if cfg is config else None
-        gap, jac = shoot(spec, cfg, a, b, tangent=True, record=record)
-        return a, b, gap, jac, math.hypot(*gap), record
+        return shoot(spec, cfg, a, b)
 
     def direction(iterate, iterations):
         """The full Newton step (da, db) from ``iterate``.  NoConvergence
         at the cap or at a singular Jacobian."""
-        a, b, gap, jac, _, _ = iterate
+        gap, slopes = iterate.gap, (iterate.a, iterate.b)
         if iterations >= config.max_newton:
-            raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
-        (j00, j01), (j10, j11) = jac
+            raise NoConvergence(gap, slopes, iterations, "iteration cap reached")
+        (j00, j01), (j10, j11) = iterate.jac
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
-            raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
+            raise NoConvergence(gap, slopes, iterations, "singular jacobian")
         return (j11 * gap[0] - j01 * gap[1]) / det, (j00 * gap[1] - j10 * gap[0]) / det
 
     def step(cfg, iterate, iterations):
         """One damped Newton step from ``iterate``, shooting at cfg: the
         next iterate and whether it is the full step.  NoConvergence as
         :func:`direction`, or if no trial lowers the gap norm."""
-        a, b, gap, _, norm, _ = iterate
-        da, db = direction(iterate, iterations)
+        (a, b), (da, db) = (iterate.a, iterate.b), direction(iterate, iterations)
         lam = 1.0
         for _ in range(20):
             try:
@@ -744,10 +744,10 @@ def solve(
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
-            if trial[4] < norm:
+            if trial.norm < iterate.norm:
                 return trial, lam == 1.0
             lam *= 0.5
-        raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
+        raise NoConvergence(iterate.gap, (a, b), iterations, "damping failed to reduce gap")
 
     def seed_newton(a, b, switch):
         """The seed phase from (a, b): (iterate, iterations, predicted).
@@ -756,16 +756,16 @@ def solve(
         at ``config``; or ``predicted`` is None and ``iterate`` the first
         seed iterate with norm at most ``switch``."""
         iterate, iterations, previous = shot(seed, a, b), 0, None
-        while iterate[4] > switch:
-            norm = iterate[4]
+        while iterate.norm > switch:
+            norm = iterate.norm
             predicted = None if previous is None else norm * (norm / previous) ** 2
             if predicted is not None and predicted <= switch:
                 da, db = direction(iterate, iterations)
                 try:
-                    first = shot(config, iterate[0] - da, iterate[1] - db)
+                    first = shot(config, iterate.a - da, iterate.b - db)
                 except (TrajectoryEscaped, IntegratorStall):
                     first = None
-                if first is not None and first[4] < norm:
+                if first is not None and first.norm < norm:
                     return first, iterations + 1, predicted
             iterate, full = step(seed, iterate, iterations)
             previous = norm if full else None
@@ -784,14 +784,14 @@ def solve(
                 handover = exc
             else:
                 if predicted is None:       # a seed iterate: shot again at config
-                    (a, b, *_), iterate = iterate, None
+                    a, b, iterate = iterate.a, iterate.b, None
                 else:
                     handover = f"predicted |gap| {predicted:.3g}"
         seed_steps = iterations
         if iterate is None:
             iterate = shot(config, a, b)
         tol = GAP_TOL_FACTOR * (1.0 + abs(k))
-        while iterate[4] > tol:
+        while iterate.norm > tol:
             iterate, _ = step(config, iterate, iterations)
             iterations += 1
         if iterations == seed_steps > 0:
@@ -810,17 +810,16 @@ def solve(
     )
     if outcome is not None:
         raise outcome
-    a, b, gap, _, _, record = iterate
-    return _dense_profile(spec, config, a, b, gap, max(profile_points, MIN_PROFILE_POINTS), record)
+    return _dense_profile(spec, config, iterate, max(profile_points, MIN_PROFILE_POINTS))
 
 
-def _dense_profile(spec, config, a, b, gap, n_points, record) -> SolutionProfile:
+def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     """Sample the converged solution on a uniform grid.
 
-    ``record`` holds the halves of the shot at (a, b) and ``config`` (see
-    :func:`shoot`), so the profile depends on (a, b, config) alone.  Each
-    half continues from its end at the match point across the blend window,
-    and both are sampled in one pass of their step interpolants
+    ``shot`` is the :class:`Shot` at its slopes and ``config``, so the
+    profile depends on (shot.a, shot.b, config) alone.  Each half continues
+    on the plain step loop from its end at the match point across the blend
+    window, and both are sampled in one pass of their step interpolants
     (:func:`_dense_states`), smooth whatever the steps.
 
     The two shooting halves are joined with a C^2 blend over an interior
@@ -838,19 +837,19 @@ def _dense_profile(spec, config, a, b, gap, n_points, record) -> SolutionProfile
     nodes = np.linspace(config.eps0, L - config.eps1, n_points)
     i, j = nodes.searchsorted(hi, "right"), nodes.searchsorted(lo)  # nodes[j:i] overlap
     runs = []
-    for (_, steps, (t, r, v, h, k1v, n)), t_end, half in zip(
-        record, (hi, lo), (nodes[1:i], nodes[j:-1][::-1])
+    for rows, (t, r, v, h, k1v, n), t_end, half in zip(
+        shot.rows, shot.ends, (hi, lo), (nodes[1:i], nodes[j:-1][::-1])
     ):
         # a last step clipped to the match point can leave h short, even below _MIN_STEP
         h = math.copysign(max(abs(h), 1e-3 * abs(t_end - t)), h)
-        steps = [*steps]
+        steps = [*rows]
         _dp_run(accel, (t, r, v, h, k1v, n), t_end, config, steps)
         runs.append((steps, half))
     dense = _dense_states(runs)
     left, right = dense[:i - 1], dense[i - 1:][::-1]     # nodes[1:i], nodes[j:-1]
 
     samples = np.empty((n_points, 3))
-    samples[0], samples[-1] = record[0][0], record[1][0]
+    samples[0], samples[-1] = shot.starts
     samples[1:j] = left[:j - 1]
     samples[i:-1] = right[i - j:]
     lseg, rseg = left[j - 1:], right[:i - j]
@@ -866,9 +865,9 @@ def _dense_profile(spec, config, a, b, gap, n_points, record) -> SolutionProfile
     return SolutionProfile(
         spec=spec,
         samples=samples,
-        slope0=a,
-        slope1=b,
-        match_gap=(gap[0], gap[1]),
+        slope0=shot.a,
+        slope1=shot.b,
+        match_gap=shot.gap,
         residual=residual,
     )
 

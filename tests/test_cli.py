@@ -228,6 +228,29 @@ class TestResidual:
         assert code == 2 and out == ""
         assert err.startswith("cohom1 residual: profile ")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_two_infinite_interior_times_exit_2_under_warnings_as_errors(self, tmp_path, bad):
+        # np.diff warned on inf - inf; -W error turned that into a traceback
+        # and exit code 1
+        t = np.linspace(0.1, 1.0, 20)
+        t[[7, 8]] = bad
+        path = tmp_path / "p.csv"
+        np.savetxt(
+            path, np.column_stack([t, t, np.ones_like(t)]),
+            delimiter=",", header="t,r,rdot", comments="",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error", "-m", "cohom1.cli", "residual",
+                "--space", "sphere", "--g", "1", "--m0", "2", "--m1", "2", "--k", "1",
+                "--profile", str(path),
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "cohom1 residual: profile samples must be strictly increasing in t\n"
+
     @pytest.mark.parametrize("text", ["", "t,r,rdot\n"])
     def test_profile_without_rows_exits_2_under_warnings_as_errors(self, tmp_path, text):
         # numpy warns on a file without data; -W error turned that into a

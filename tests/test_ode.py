@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ class TestRhs:
             for call in scalar_pole_checks(spec):
                 with pytest.raises(PoleProximity):
                     call(t)
+
+    @pytest.mark.parametrize("G", [1, 3, 12])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_array_checks_reject_non_finite_times_without_a_warning(self, G, bad):
+        # an infinite time's distance is inf - inf, on which numpy warned
+        # before the raise, and warnings as errors raised RuntimeWarning
+        spec = BvpSpec(G=G, M0=2, M1=2, k=1)
+        t = np.linspace(0.1, 0.9, 5) * spec.length
+        t[[2, 3]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleProximity, match=re.escape(f"t={bad!r} ")):
+                ode.require_regular(t, G)
+            with pytest.raises(PoleProximity, match=re.escape(f"t={bad!r} ")):
+                ode.closed_tension_grid(spec, t, t, t, t)
 
     def test_pole_distance_of_array_equals_scalar(self):
         t = RNG.uniform(-10.0, 10.0, 500)

@@ -51,7 +51,7 @@ class TestSeriesStart:
     def test_left_start_lies_on_exact_linear_solution(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-2)
         for eps in (1e-4, 1e-5, 1e-6):
-            t, r, v = solver.series_start(spec, Endpoint.LEFT, -2.0, eps)
+            t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, -2.0, eps)
             assert t == eps
             assert abs(r - (-2.0) * eps) <= 10.0 * eps**3 * (1 + 2.0)
             assert abs(v - (-2.0)) <= 30.0 * eps**2 * (1 + 2.0)
@@ -59,7 +59,7 @@ class TestSeriesStart:
     def test_right_start_lies_on_exact_linear_solution(self):
         spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
         eps = 1e-5
-        t, r, v = solver.series_start(spec, Endpoint.RIGHT, -1.0, eps)
+        t, r, v, *_ = solver.series_start(spec, Endpoint.RIGHT, -1.0, eps)
         assert t == spec.length - eps
         assert abs(r - (-1.0) * t) <= 1e-12
         assert abs(v - (-1.0)) <= 1e-9
@@ -67,7 +67,7 @@ class TestSeriesStart:
     def test_zero_slope_start_is_pure_cubic(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         eps = 1e-3
-        t, r, v = solver.series_start(spec, Endpoint.LEFT, 0.0, eps)
+        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, 0.0, eps)
         # r = c3 * eps^3 and v = 3 c3 eps^2 for the same c3
         assert r == pytest.approx(v * eps / 3.0, rel=1e-6, abs=1e-18)
 
@@ -83,12 +83,11 @@ class TestSeriesStart:
         for eps in (1e-4, 1e-5, 3.7e-6, 1e-7):
             for endpoint in Endpoint:
                 for slope in slopes:
-                    got = solver.series_start(spec, endpoint, slope, eps)
+                    got = solver.series_start(spec, endpoint, slope, eps)[:3]
                     want = two_branch_start(spec, endpoint, slope, eps)
                     assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    @pytest.mark.parametrize("tangent", [False, True])
-    def test_start_nearly_satisfies_the_ode(self, tangent):
+    def test_start_nearly_satisfies_the_ode(self):
         # the O(t) terms cancel for every slope, so the closed tension at a
         # start, with r'' = 6 c3 t from its own cubic, is O(eps): every
         # table row at both ends, slopes across 2.5 times its bracket
@@ -98,7 +97,7 @@ class TestSeriesStart:
                 scale = 4.0 * spec.G * (spec.M0 + spec.M1) * (1.0 + abs(slope) + abs(spec.k))
                 for eps in (1e-5, 1e-3):
                     for endpoint, base in ((Endpoint.LEFT, 0.0), (Endpoint.RIGHT, spec.length)):
-                        t, r, v, *_ = solver.series_start(spec, endpoint, slope, eps, tangent)
+                        t, r, v, *_ = solver.series_start(spec, endpoint, slope, eps)
                         rdd = 2.0 * (v - slope) / (t - base)
                         tension = ode.closed_tension(spec, ode.TensionSample(t, r, v, rdd))
                         assert abs(tension) <= 100.0 * eps * scale
@@ -112,7 +111,7 @@ class TestSeriesStart:
         tight = ShootingConfig(rel_tol=1e-12, abs_tol=1e-14)
 
         def transported(eps):
-            t, r, v = solver.series_start(spec, Endpoint.LEFT, 3.0, eps)
+            t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, 3.0, eps)
             return integrate(accel, t, r, v, target, tight)[0]
 
         r1 = transported(1e-3)
@@ -150,7 +149,7 @@ class TestIntegrator:
         lane_rhs = (lambda stage_t: [stage_t], lambda parts, r, v: np.zeros_like(r))
         monkeypatch.setattr(ode, "_rhs_lanes", lambda spec: lane_rhs)
         monkeypatch.setattr(ode, "rhs", lambda spec: lambda t, r, v: 0.0)
-        monkeypatch.setattr(solver, "series_start", lambda *args: (0.0, 1.0, 0.0))
+        monkeypatch.setattr(solver, "series_start", lambda *args: (0.0, 1.0, 0.0, 1.0, 0.0))
         n = solver._DRAIN_LANES
         out = solver._integrate_lanes(
             BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(), Endpoint.LEFT, np.zeros(n), t_end
@@ -169,7 +168,7 @@ class TestIntegrator:
     def test_escape_reports_state(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         accel = ode.rhs(spec)
-        t0, r0, v0 = solver.series_start(spec, Endpoint.LEFT, 10.0, 1e-5)
+        t0, r0, v0, *_ = solver.series_start(spec, Endpoint.LEFT, 10.0, 1e-5)
         with pytest.raises(TrajectoryEscaped) as info:
             integrate(accel, t0, r0, v0, math.pi - 1e-5, ShootingConfig(blowup_cap=100.0))
         assert 0 < info.value.t < math.pi
@@ -189,7 +188,7 @@ class TestIntegrator:
             (Endpoint.LEFT, profile.slope0, samples),
             (Endpoint.RIGHT, profile.slope1, samples[::-1]),
         ):
-            t, r, v = start = solver.series_start(spec, endpoint, slope, 1e-5)
+            t, r, v, *_ = start = solver.series_start(spec, endpoint, slope, 1e-5)
             for t_node, r_node, v_node in nodes:
                 if abs(t_node - start[0]) > 0.75 * spec.length:
                     break
@@ -204,17 +203,17 @@ class TestIntegrator:
 class TestShoot:
     def test_harmonic_linear_case_closes_the_gap(self):
         spec = BvpSpec(G=4, M0=1, M1=1, k=-3)
-        gaps = solver.shoot(spec, ShootingConfig(), -3.0, -3.0)
+        gaps = solver.shoot(spec, ShootingConfig(), -3.0, -3.0).gap
         assert abs(gaps[0]) <= 1e-8 and abs(gaps[1]) <= 1e-8
 
     def test_identity_map_closes_the_gap(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=1)
-        gaps = solver.shoot(spec, ShootingConfig(), 1.0, 1.0)
+        gaps = solver.shoot(spec, ShootingConfig(), 1.0, 1.0).gap
         assert abs(gaps[0]) <= 1e-8 and abs(gaps[1]) <= 1e-8
 
     def test_generic_slope_gives_finite_gaps(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        gaps = solver.shoot(spec, ShootingConfig(), 3.0, 3.0)
+        gaps = solver.shoot(spec, ShootingConfig(), 3.0, 3.0).gap
         assert all(math.isfinite(x) for x in gaps)
         assert abs(gaps[0]) > 1e-4
 
@@ -244,11 +243,9 @@ def scalar_dense_states(steps, nodes):
     return np.array(out)
 
 
-def profile_at(spec, config, a, b, gap):
-    """The 513-point profile from a fresh plain shot at (a, b) and config."""
-    record = []
-    solver.shoot(spec, config, a, b, record=record)
-    return solver._dense_profile(spec, config, a, b, gap, 513, record)
+def profile_at(spec, config, a, b):
+    """The 513-point profile from a fresh shot at (a, b) and config."""
+    return solver._dense_profile(spec, config, solver.shoot(spec, config, a, b), 513)
 
 
 class TestDenseOutput:
@@ -258,7 +255,7 @@ class TestDenseOutput:
     def recorded_steps(self, endpoint, t_end):
         """Step rows of the half from ``endpoint`` at slope 3 run to t_end."""
         accel = ode.rhs(self.SPEC)
-        t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
+        t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
         steps = []
         solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0), t_end), t_end,
                        ShootingConfig(), steps)
@@ -301,7 +298,7 @@ class TestDenseOutput:
         accel, start_tangent = ode.rhs(self.SPEC), ()
         if tangent:
             accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
-        t0, r0, v0 = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
+        t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
         start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
         plain = solver._dp_run(accel, start, t_end, ShootingConfig())
         steps = []
@@ -321,7 +318,7 @@ class TestDenseOutput:
     def test_profile_samples_equal_scalar_interpolation(self, monkeypatch):
         # both halves of a profile, the right one integrated backwards
         config = ShootingConfig()
-        fast = profile_at(self.SPEC, config, 3.0, 2.5, (0.0, 0.0))
+        fast = profile_at(self.SPEC, config, 3.0, 2.5)
         passes = []
 
         def scalar(runs):
@@ -329,7 +326,7 @@ class TestDenseOutput:
             return np.vstack([scalar_dense_states(*run) for run in runs])
 
         monkeypatch.setattr(solver, "_dense_states", scalar)
-        slow = profile_at(self.SPEC, config, 3.0, 2.5, (0.0, 0.0))
+        slow = profile_at(self.SPEC, config, 3.0, 2.5)
         assert passes == [2]        # one pass over both halves
         assert fast.samples.tobytes() == slow.samples.tobytes()
         assert struct.pack("<d", fast.residual) == struct.pack("<d", slow.residual)
@@ -337,14 +334,13 @@ class TestDenseOutput:
     def test_halves_continue_after_a_last_step_of_an_ulp(self):
         # a shot whose last step is an ulp ends with h below _MIN_STEP; the
         # continuation past the match point starts from a longer step
-        config, record = ShootingConfig(), []
-        solver.shoot(self.SPEC, config, 3.0, 2.5, record=record)
-        short = [
-            (start, steps, (t, r, v, math.copysign(5e-16, h), k1v, n))
-            for start, steps, (t, r, v, h, k1v, n) in record
-        ]
-        profile = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513, short)
-        want = solver._dense_profile(self.SPEC, config, 3.0, 2.5, (0.0, 0.0), 513, record)
+        config = ShootingConfig()
+        shot = solver.shoot(self.SPEC, config, 3.0, 2.5)
+        short = dataclasses.replace(shot, ends=tuple(
+            (t, r, v, math.copysign(5e-16, h), k1v, n) for t, r, v, h, k1v, n in shot.ends
+        ))
+        profile = solver._dense_profile(self.SPEC, config, short, 513)
+        want = solver._dense_profile(self.SPEC, config, shot, 513)
         assert np.abs(profile.samples - want.samples).max() < 1e-8
 
 
@@ -361,11 +357,22 @@ def max_rel_diff(got, want):
     return max(abs(g - w) for gr, wr in zip(got, want) for g, w in zip(gr, wr)) / scale
 
 
+def half_end(spec, config, endpoint, slope, tangent):
+    """End (r, v) of the half from ``endpoint`` with ``slope``, run by
+    _dp_run to the match point from its series start, with or without the
+    start's tangent."""
+    accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
+    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
+    start, match = solver.series_start(spec, endpoint, slope, eps), config.resolved_match(spec)
+    state = solver._dp_start(accel, start if tangent else start[:3], match)
+    return solver._dp_run(accel, state, match, config)[1:3]
+
+
 def central_jacobian(spec, config, a, b, rel_step=1e-4):
     """((dg0/da, dg0/db), (dg1/da, dg1/db)) of shoot by central differences."""
     ha, hb = rel_step * (1.0 + abs(a)), rel_step * (1.0 + abs(b))
-    pa, ma = solver.shoot(spec, config, a + ha, b), solver.shoot(spec, config, a - ha, b)
-    pb, mb = solver.shoot(spec, config, a, b + hb), solver.shoot(spec, config, a, b - hb)
+    pa, ma = solver.shoot(spec, config, a + ha, b).gap, solver.shoot(spec, config, a - ha, b).gap
+    pb, mb = solver.shoot(spec, config, a, b + hb).gap, solver.shoot(spec, config, a, b - hb).gap
     return tuple(
         ((pa[i] - ma[i]) / (2.0 * ha), (pb[i] - mb[i]) / (2.0 * hb)) for i in range(2)
     )
@@ -399,7 +406,7 @@ class TestTangent:
             states.append((t, r, v))
             return accel(t, r, v)
 
-        t0, r0, v0 = solver.series_start(self.NONLINEAR, Endpoint.LEFT, 10.0, 1e-5)
+        t0, r0, v0, *_ = solver.series_start(self.NONLINEAR, Endpoint.LEFT, 10.0, 1e-5)
         with pytest.raises(TrajectoryEscaped):
             integrate(recorded, t0, r0, v0, math.pi - 1e-5, ShootingConfig())
         assert len(states) > 100 and max(abs(v) for _t, _r, v in states) > 1e5
@@ -424,7 +431,7 @@ class TestTangent:
         for spec in (self.NONLINEAR, BvpSpec(G=6, M0=2, M1=2, k=-5), BvpSpec(G=4, M0=1, M1=3, k=5)):
             for slope in (-7.0, -1.0, 0.0, 0.5, 3.0, 12.0):
                 for eps in (1e-3, 1e-5):
-                    t, r, v, dr, dv = solver.series_start(spec, endpoint, slope, eps, tangent=True)
+                    t, r, v, dr, dv = solver.series_start(spec, endpoint, slope, eps)
                     want = two_branch_start(spec, endpoint, slope, eps)
                     assert [x.hex() for x in (t, r, v)] == [x.hex() for x in want]
                     h = 1e-4
@@ -447,7 +454,7 @@ class TestTangent:
         ]
         points.append((self.NONLINEAR, self.ROOT))
         for spec, (a, b) in points:
-            jac = solver.shoot(spec, config, a, b, tangent=True)[1]
+            jac = solver.shoot(spec, config, a, b).jac
             assert max_rel_diff(jac, central_jacobian(spec, config, a, b)) < 1e-6
 
     def test_tangent_shot_gaps_equal_plain_gaps_bit_for_bit(self):
@@ -459,17 +466,30 @@ class TestTangent:
             points.append((spec, (spec.k + rng.uniform(-w, w), spec.k + rng.uniform(-w, w))))
         points += [(self.NONLINEAR, ab) for ab in ((3.0, 2.5), (-0.0, 0.0), self.ROOT)]
         for spec, (a, b) in points:
-            gap = solver.shoot(spec, config, a, b, tangent=True)[0]
-            assert struct.pack("<2d", *gap) == struct.pack("<2d", *solver.shoot(spec, config, a, b))
+            ends = {
+                tangent: [half_end(spec, config, endpoint, slope, tangent)
+                          for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b))]
+                for tangent in (False, True)
+            }
+            assert struct.pack("<4d", *ends[True][0], *ends[True][1]) == struct.pack(
+                "<4d", *ends[False][0], *ends[False][1]
+            )
+            (rl, vl), (rr, vr) = ends[False]
+            gap = solver.shoot(spec, config, a, b).gap
+            assert struct.pack("<2d", *gap) == struct.pack("<2d", rl - rr, vl - vr)
 
     def test_tangent_shot_raises_what_a_plain_shot_raises(self):
         config = ShootingConfig(blowup_cap=10.0)
-        for a, b in ((10.5, 1.0), (1.0, 10.5)):
+        for endpoint in Endpoint:
             with pytest.raises(TrajectoryEscaped) as plain:
-                solver.shoot(self.NONLINEAR, config, a, b)
+                half_end(self.NONLINEAR, config, endpoint, 10.5, tangent=False)
             with pytest.raises(TrajectoryEscaped) as carried:
-                solver.shoot(self.NONLINEAR, config, a, b, tangent=True)
+                half_end(self.NONLINEAR, config, endpoint, 10.5, tangent=True)
             assert str(carried.value) == str(plain.value)
+            slopes = (10.5, 1.0) if endpoint is Endpoint.LEFT else (1.0, 10.5)
+            with pytest.raises(TrajectoryEscaped) as shot:
+                solver.shoot(self.NONLINEAR, config, *slopes)
+            assert str(shot.value) == str(plain.value)
 
 
 class TestRhsFactoryContract:
@@ -521,16 +541,15 @@ class TestRhsFactoryContract:
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
-    """solve's damped Newton loop on plain shots at ``config``, from (a, b)
-    at iteration ``iterations`` until the gap norm is at most ``tol``, with
-    the Jacobian of each iterate from a separate tangent-carrying shot at it,
-    and no memo: (a, b, gap, iterations)."""
-    gap = solver.shoot(spec, config, a, b)
-    norm = math.hypot(*gap)
-    while norm > tol:
+    """solve's damped Newton loop on shots at ``config``, from (a, b) at
+    iteration ``iterations`` until the gap norm is at most ``tol``, with no
+    memo: (a, b, gap, iterations)."""
+    shot = solver.shoot(spec, config, a, b)
+    while shot.norm > tol:
+        a, b, gap = shot.a, shot.b, shot.gap
         if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
-        (j00, j01), (j10, j11) = solver.shoot(spec, config, a, b, tangent=True)[1]
+        (j00, j01), (j10, j11) = shot.jac
         det = j00 * j11 - j01 * j10
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
@@ -538,29 +557,26 @@ def reference_newton(spec, config, a, b, tol, iterations=0):
         db = (j00 * gap[1] - j10 * gap[0]) / det
         lam = 1.0
         for _ in range(20):
-            trial = (a - lam * da, b - lam * db)
             try:
-                trial_gap = solver.shoot(spec, config, *trial)
+                trial = solver.shoot(spec, config, a - lam * da, b - lam * db)
             except (TrajectoryEscaped, IntegratorStall):
                 lam *= 0.5
                 continue
-            trial_norm = math.hypot(*trial_gap)
-            if trial_norm < norm:
-                a, b = trial
-                gap, norm = trial_gap, trial_norm
+            if trial.norm < shot.norm:
+                shot = trial
                 break
             lam *= 0.5
         else:
             raise NoConvergence(gap, (a, b), iterations, "damping failed to reduce gap")
         iterations += 1
-    return a, b, gap, iterations
+    return shot.a, shot.b, shot.gap, iterations
 
 
 def reference_solve(spec, config, init):
     """solve with one Newton phase, all of it at ``config``."""
     tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
-    a, b, gap, _ = reference_newton(spec, config, float(init[0]), float(init[1]), tol)
-    return profile_at(spec, config, a, b, gap)
+    a, b, _, _ = reference_newton(spec, config, float(init[0]), float(init[1]), tol)
+    return profile_at(spec, config, a, b)
 
 
 def two_phase_reference(spec, config, init):
@@ -580,7 +596,7 @@ def two_phase_reference(spec, config, init):
     except (TrajectoryEscaped, IntegratorStall):
         pass
     tol = solver.GAP_TOL_FACTOR * (1.0 + abs(spec.k))
-    a, b, gap, final = reference_newton(spec, config, a, b, tol, iterations)
+    a, b, _, final = reference_newton(spec, config, a, b, tol, iterations)
     if final == iterations > 0:
         cap = dataclasses.replace(config, max_newton=min(config.max_newton, iterations + 1))
         try:
@@ -588,8 +604,7 @@ def two_phase_reference(spec, config, init):
         except NoConvergence as exc:
             if exc.iterations > iterations:     # stopped by the cap after one step
                 a, b = exc.iterate
-                gap = exc.gaps
-    return profile_at(spec, config, a, b, gap)
+    return profile_at(spec, config, a, b)
 
 
 def solve_outcome(fn, spec, config, init):
@@ -661,29 +676,32 @@ class TestSharedHalves:
             return shoot(*args, **kwargs)
 
         def counted_run(accel, state, t_end, config, record=None):
-            runs.append((state[0], t_end))
+            runs.append((state[0], t_end, len(state)))
             return dp_run(accel, state, t_end, config, record)
 
         monkeypatch.setattr(solver, "shoot", counted_shoot)
         monkeypatch.setattr(solver, "_dp_run", counted_run)
         solver.solve(spec, init=(-0.97, -1.04))
         assert len(shots) > 3
-        # two halves per shot from their end points to the match point, then
-        # the accepted shot's halves continue from it across the blend
-        # window, the left one up and the right one down
+        # two halves per shot, with their tangents, from their end points to
+        # the match point, then the accepted shot's halves continue from it
+        # across the blend window on the plain loop, the left one up and the
+        # right one down
         match, n = spec.length / 2.0, 2 * len(shots)
-        assert runs[:n] == [(1e-5, match), (spec.length - 1e-5, match)] * len(shots)
-        (left_from, hi), (right_from, lo) = runs[n:]
+        assert runs[:n] == [(1e-5, match, 9), (spec.length - 1e-5, match, 9)] * len(shots)
+        (left_from, hi, left_state), (right_from, lo, right_state) = runs[n:]
         assert left_from == right_from == match and lo < match < hi
+        assert left_state == right_state == 6
 
     @pytest.mark.parametrize(
         "spec, config, init", [case[:3] for case in newton_cases() if case[3] is None]
     )
     def test_profile_depends_on_the_converged_slopes_alone(self, spec, config, init):
-        # solve's profile, from the record of the tangent shot Newton
-        # accepted, equals one from a fresh plain shot at its slopes
+        # solve's profile, from the shot Newton accepted, equals one from a
+        # fresh shot at its slopes
         profile = solver.solve(spec, config, init=init)
-        fresh = profile_at(spec, config, profile.slope0, profile.slope1, profile.match_gap)
+        fresh = profile_at(spec, config, profile.slope0, profile.slope1)
+        assert struct.pack("<2d", *fresh.match_gap) == struct.pack("<2d", *profile.match_gap)
         assert fresh.samples.tobytes() == profile.samples.tobytes()
         assert fresh.residual.hex() == profile.residual.hex()
 
@@ -693,9 +711,9 @@ class TestSharedHalves:
         shots = []
         shoot = solver.shoot
 
-        def recorded(spec, config, a, b, **kwargs):
+        def recorded(spec, config, a, b):
             try:
-                out = shoot(spec, config, a, b, **kwargs)
+                out = shoot(spec, config, a, b)
             except TrajectoryEscaped:
                 shots.append(((a, b), "escaped"))
                 raise
@@ -718,9 +736,9 @@ def shot_configs(monkeypatch):
     configs = []
     shoot = solver.shoot
 
-    def spy(spec, config, a, b, **kwargs):
+    def spy(spec, config, a, b):
         configs.append(config)
-        return shoot(spec, config, a, b, **kwargs)
+        return shoot(spec, config, a, b)
 
     monkeypatch.setattr(solver, "shoot", spy)
     return configs
@@ -810,7 +828,7 @@ class TestTwoPhaseNewton:
         if isinstance(exc, NoConvergence):
             # the cap counts the iterations of both phases
             assert exc.iterations <= config.max_newton
-            gaps = solver.shoot(self.NONLINEAR, config, *exc.iterate)
+            gaps = solver.shoot(self.NONLINEAR, config, *exc.iterate).gap
             assert struct.pack("<2d", *exc.gaps) == struct.pack("<2d", *gaps)
         else:
             with pytest.raises(TrajectoryEscaped) as plain:
@@ -864,17 +882,17 @@ class TestTwoPhaseNewton:
         calls = []
         shoot = solver.shoot
 
-        def spy(spec, config, a, b, **kwargs):
-            calls.append((config.rel_tol, kwargs.get("tangent", False)))
-            return shoot(spec, config, a, b, **kwargs)
+        def spy(spec, config, a, b):
+            calls.append(config.rel_tol)
+            return shoot(spec, config, a, b)
 
         monkeypatch.setattr(solver, "shoot", spy)
         want = solve_outcome(two_phase_reference, spec, config, init)
-        today = calls.count((1e-6, False))
+        today = calls.count(1e-6)
         del calls[:]
         assert solve_outcome(solver.solve, spec, config, init) == want
         saved = 0 if init == (12.1, 12.2) else 1
-        assert today >= 2 and calls.count((1e-6, True)) == today - saved
+        assert today >= 2 and calls.count(1e-6) == today - saved
 
     @pytest.mark.parametrize("wrong", ["escapes", "keeps the norm"])
     def test_wrong_prediction_resumes_the_seed_phase(self, monkeypatch, wrong):
@@ -884,18 +902,18 @@ class TestTwoPhaseNewton:
         # rule does, at one more shot at config
         config = ShootingConfig()
         want = solve_outcome(two_phase_reference, self.SPEC, config, self.INIT)
-        calls, seed_gaps = [], []
+        calls, seed_shots = [], []
         shoot = solver.shoot
 
-        def spoiled(spec, cfg, a, b, **kwargs):
+        def spoiled(spec, cfg, a, b):
             calls.append(cfg)
-            out = shoot(spec, cfg, a, b, **kwargs)
+            out = shoot(spec, cfg, a, b)
             if cfg is not config:
-                seed_gaps.append(out[0])
+                seed_shots.append(out)
             elif calls.count(config) == 1:
                 if wrong == "escapes":
                     raise TrajectoryEscaped(0.1, 1e7, 1e7)
-                return seed_gaps[-1], out[1]
+                return dataclasses.replace(out, gap=seed_shots[-1].gap, norm=seed_shots[-1].norm)
             return out
 
         monkeypatch.setattr(solver, "shoot", spoiled)
@@ -913,11 +931,12 @@ class TestTwoPhaseNewton:
         spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig()
         calls = []
 
-        def scripted(spec, cfg, a, b, tangent=False, record=None):
+        def scripted(spec, cfg, a, b):
             calls.append((cfg is config, a))
             f = next((f for top, f in ((0.25, 5.0), (0.4895, 0.0), (0.495, 1e-3), (0.75, 1e-2))
                       if a < top), a)
-            return (f, 0.0), ((1.0, 0.0), (0.0, 1.0))
+            return solver.Shot(a, b, (f, 0.0), math.hypot(f, 0.0), ((1.0, 0.0), (0.0, 1.0)),
+                               (), (), ())
 
         monkeypatch.setattr(solver, "shoot", scripted)
         monkeypatch.setattr(solver, "_dense_profile", lambda *args: args)
@@ -950,7 +969,7 @@ class TestTwoPhaseNewton:
             iterate, gaps = exc.iterate, exc.gaps
         else:
             iterate, gaps = (profile.slope0, profile.slope1), profile.match_gap
-        want = solver.shoot(spec, config, *iterate)
+        want = solver.shoot(spec, config, *iterate).gap
         assert struct.pack("<2d", *gaps) == struct.pack("<2d", *want)
 
     def test_table_rows_take_at_most_three_quarters_of_the_tangent_evaluations(
@@ -1128,6 +1147,52 @@ class TestConfigValidation:
         assert {type(x) for x in values} == {int, float, list}
         assert meta["config"]["sweep_points"] == 8 and meta["config"]["max_newton"] == 5
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps0", 1e-5), ("eps1", 1e-5), ("rel_tol", 1e-10), ("abs_tol", 1e-12),
+        ("match_point", 1.3), ("blowup_cap", 1e6), ("bracket", (0.3, 2.1)),
+    ])
+    def test_float32_fields_give_the_bits_of_their_floats(self, name, value):
+        # a float32 eps0 kept every gap in single precision, and the identity
+        # of (1,2,2,1) raised NoConvergence at a gap of 1.19e-7
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        single = tuple(map(np.float32, value)) if name == "bracket" else np.float32(value)
+        double = tuple(map(float, single)) if name == "bracket" else float(single)
+        got = ShootingConfig(sweep_points=8, **{name: single})
+        want = ShootingConfig(sweep_points=8, **{name: double})
+        assert got == want
+        field = getattr(got, name)
+        assert all(type(x) is float for x in (field if name == "bracket" else (field,)))
+        for init in ((1.0, 1.0), (1.2, 0.9)):
+            outcome = solve_outcome(lambda s, c, i: solver.solve(s, c, init=i), spec, got, init)
+            assert outcome[0] == "converged"
+            assert outcome == solve_outcome(
+                lambda s, c, i: solver.solve(s, c, init=i), spec, want, init
+            )
+        assert bits(solver.sweep(spec, got)) == bits(solver.sweep(spec, want))
+
+    @pytest.mark.parametrize("name, value", [
+        ("eps0", "1e-5"), ("rel_tol", None), ("abs_tol", [1e-12]), ("match_point", "1.3"),
+        ("blowup_cap", 1e6 + 0j), ("bracket", ("0", "1")), ("bracket", (0.0, None)),
+    ])
+    def test_float_fields_not_a_number_rejected_before_integrating(
+        self, monkeypatch, name, value
+    ):
+        # the bracket took float() of each end, so ("0", "1") was a bracket
+        spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(**{name: value})
+
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated with an invalid config")
+
+        for fn in ("series_start", "_dp_run", "_integrate_lanes"):
+            monkeypatch.setattr(solver, fn, fail)
+        for call in (
+            lambda: config.validate(spec),
+            lambda: solver.solve(spec, config),
+            lambda: solver.sweep(spec, config),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
     @pytest.mark.parametrize("name, value, message", [
         ("sweep_points", 1, "at least 2"), ("sweep_points", 0, "at least 2"),
         ("max_newton", 0, "max_newton"), ("max_newton", -3, "max_newton"),
@@ -1189,9 +1254,9 @@ class TestSolve:
         # each phase stops at its first Newton step, before any trial shot
         shoot, shots = solver.shoot, []
 
-        def singular(*args, **kwargs):
+        def singular(*args):
             shots.append(args[1])
-            return shoot(*args, **kwargs)[0], jac
+            return dataclasses.replace(shoot(*args), jac=jac)
 
         monkeypatch.setattr(solver, "shoot", singular)
         spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig()
@@ -1199,7 +1264,7 @@ class TestSolve:
             solver.solve(spec, config, init=(1.2, 0.9))
         assert info.value.iterate == (1.2, 0.9) and info.value.iterations == 0
         assert len(shots) == 2 and shots[1] is config
-        gap = shoot(spec, config, 1.2, 0.9)
+        gap = shoot(spec, config, 1.2, 0.9).gap
         assert struct.pack("<2d", *info.value.gaps) == struct.pack("<2d", *gap)
 
     def test_deterministic(self):
@@ -1366,7 +1431,7 @@ def scalar_sweep(spec, config):
     t_end = spec.length - config.eps1
     gaps = []
     for a in grid:
-        t, r, v = solver.series_start(spec, Endpoint.LEFT, float(a), config.eps0)
+        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, float(a), config.eps0)
         try:
             r_end, v_end = integrate(accel, t, r, v, t_end, config)
         except TrajectoryEscaped as esc:
@@ -1403,7 +1468,7 @@ def scalar_outcomes(spec, config, slopes, t_end):
     """Outcome of a scalar run of each left half, as outcome_key gives it."""
     accel, out = ode.rhs(spec), []
     for a in slopes.tolist():
-        t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
         try:
             out.append(outcome_key(integrate(accel, t, r, v, t_end, config)))
         except (TrajectoryEscaped, IntegratorStall) as exc:
@@ -1490,7 +1555,7 @@ class TestLaneSweep:
         slopes = np.linspace(0.0, 20.0, solver._DRAIN_LANES + 8)
         lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
         for a, lane in zip(slopes.tolist(), lanes):
-            t, r, v = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+            t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
             with pytest.raises(IntegratorStall, match="step budget exhausted") as scalar:
                 integrate(accel, t, r, v, t_end, config)
             assert isinstance(lane, IntegratorStall)
