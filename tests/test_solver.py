@@ -87,20 +87,30 @@ class TestSeriesStart:
                     want = two_branch_start(spec, endpoint, slope, eps)
                     assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    def test_start_nearly_satisfies_the_ode(self):
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_start_nearly_satisfies_the_ode(self, tangent):
         # the O(t) terms cancel for every slope, so the closed tension at a
         # start, with r'' = 6 c3 t from its own cubic, is O(eps): every
-        # table row at both ends, slopes across 2.5 times its bracket
+        # table row at both ends, slopes across 2.5 times its bracket.  So
+        # does its derivative in the slope: with tangent, the start's
+        # (dr, dv) also meets the variational equation, A times dr'' less
+        # the tangent acceleration, to the same bound
         for spec in table_specs():
             lo, hi = ShootingConfig().resolved_bracket(spec)
+            jet = ode.rhs_tangent(spec)
             for slope in np.linspace(2.5 * lo, 2.5 * hi, 11).tolist():
                 scale = 4.0 * spec.G * (spec.M0 + spec.M1) * (1.0 + abs(slope) + abs(spec.k))
                 for eps in (1e-5, 1e-3):
                     for endpoint, base in ((Endpoint.LEFT, 0.0), (Endpoint.RIGHT, spec.length)):
-                        t, r, v, *_ = solver.series_start(spec, endpoint, slope, eps)
+                        t, r, v, dr, dv = solver.series_start(spec, endpoint, slope, eps)
                         rdd = 2.0 * (v - slope) / (t - base)
                         tension = ode.closed_tension(spec, ode.TensionSample(t, r, v, rdd))
                         assert abs(tension) <= 100.0 * eps * scale
+                        if tangent:
+                            drdd = 2.0 * (dv - 1.0) / (t - base)
+                            area = 4.0 * math.sin(spec.G * t) ** 2
+                            dtension = area * (drdd - jet(t, r, v, dr, dv)[1])
+                            assert abs(dtension) <= 100.0 * eps * scale
 
     def test_richardson_order(self):
         # the value transported to a fixed interior point converges at
