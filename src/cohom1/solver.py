@@ -9,32 +9,33 @@ small offset eps away from each endpoint on a numerically fitted cubic and
 the two trajectories are matched in the interior, where the problem is as
 well-conditioned as it gets.
 
-Every solve, sweep and refinement does one thing per half: series-start
-it at its endpoint (:func:`series_start`) and run an embedded Dormand-Prince
+Every solve, sweep and refinement does one thing per half: series-start it
+at its endpoint (:func:`series_start`) and run an embedded Dormand-Prince
 5(4) pair from that start tuple, with PI-free step control,
 first-same-as-last reuse, a blow-up cap that converts runaway trajectories
 into TrajectoryEscaped and a step-underflow guard that raises
-IntegratorStall.  A half runs either alone (:func:`_dp_run`, which
-records each accepted step for quartic dense output) or in a lane batch
-that starts its own halves from the spec (:func:`_integrate_lanes`), in
-the same operations and order per lane, so each lane ends exactly as its
-scalar run would.  A lane batch step evaluates the t-only part of the
-right-hand side (pole check, sines and cosines of Gt and 2Gt) once for its
-five distinct stage times, and each of its six stages only the part that
-depends on (r, r').  The lanes left when a batch thins out, or all of a
-small batch after its first derivative, finish on the scalar loop from
-their state.  The halves of a :func:`shoot` also carry their tangent with
-respect to their slope through the same scalar steps (the variational
-equation, started from the derivative of the series start), so Newton
-reads its Jacobian off the :class:`Shot` values it makes.  Newton shoots
-its far iterates, a sweep its lanes, and the refinement's seed search its
+IntegratorStall.  A half runs either alone, on the one scalar step loop
+(:func:`_dp_run`, which records each accepted step for quartic dense
+output), or in a lane batch that starts its own halves from the spec
+(:func:`_integrate_lanes`), in the same operations and order per lane, so
+each lane ends exactly as its scalar run would.  A lane batch step
+evaluates the t-only part of the right-hand side (pole check, sines and
+cosines of Gt and 2Gt) once for its five distinct stage times, and each of
+its six stages only the part that depends on (r, r').  The lanes left when
+a batch thins out, or all of a small batch after its first derivative,
+finish on the scalar loop from their state.  A scalar run carries a tangent
+through its steps, which read (r, r') only: a half of a :func:`shoot` its
+tangent in its slope (the variational equation, started from the derivative
+of the series start), so Newton reads its Jacobian off the :class:`Shot`
+values it makes, and every other run the zero tangent.  Newton shoots its
+far iterates, a sweep its lanes, and the refinement's seed search its
 halves, at seed accuracy (:func:`_seed_config`).  Newton leaves seed
-accuracy at the first iterate inside its switch, or at the full step to
-one that its last undamped step predicts inside it, shot at the caller's
+accuracy at the first iterate inside its switch, or at the full step to one
+that its last undamped step predicts inside it, shot at the caller's
 tolerances only; every converged gap comes from a shot at the caller's
 tolerances, and its profile from that shot's step rows.  The seed search
-traces the right half-curve with a coarse lane batch and then bisects it,
-a batch per round, only where it can meet a left polyline
+traces the right half-curve with a coarse lane batch and then bisects it, a
+batch per round, only where it can meet a left polyline
 (:func:`_right_curve`).  Everything is plain-float arithmetic in a fixed
 order, so identical inputs give bit-identical results on a fixed platform.
 """
@@ -114,18 +115,30 @@ class ShootingConfig:
     def __post_init__(self):
         # Numbers as Python floats, counts as Python ints: a float32 eps0 kept
         # every gap in single precision, and json writes no numpy scalar.
-        # What is no number, or a count that is no int, validate rejects.
-        reals, put = (int, float, np.integer, np.floating), object.__setattr__
+        # What is no number (a bool is none), or a count that is no int,
+        # validate rejects.
+        put = object.__setattr__
+
+        def real(x):
+            return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
+
         for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
-            if isinstance(getattr(self, name), reals):
+            if real(getattr(self, name)):
                 put(self, name, float(getattr(self, name)))
-        if self.bracket is not None and all(isinstance(x, reals) for x in self.bracket):
+        if isinstance(self.bracket, (tuple, list)) and all(map(real, self.bracket)):
             put(self, "bracket", tuple(map(float, self.bracket)))
         for name in ("sweep_points", "max_newton"):
             if isinstance(getattr(self, name), np.integer):
                 put(self, name, int(getattr(self, name)))
 
     def validate(self, spec: BvpSpec) -> None:
+        for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
+            value = getattr(self, name)
+            if type(value) is not float and (name != "match_point" or value is not None):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        b = self.bracket
+        if not (b is None or type(b) is tuple and len(b) == 2 and set(map(type, b)) == {float}):
+            raise ValueError(f"bracket must be a pair of real numbers, got {b!r}")
         # r - kt is O(t) at t = 0 for every k, but at t = pi/G the forcing
         # sin 2(r - t) vanishes at r = k pi/G only if G divides 2(k - 1);
         # otherwise no smooth branch ends there and nothing can be matched.
@@ -300,46 +313,39 @@ _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 
 def _dp_start(accel, start: tuple, t_end: float) -> tuple:
-    """Initial run state (t, r, v, h, k1v, steps) of a DP5(4) run to t_end
-    from a start (t0, r0, v0); r0, v0 and k1v are arrays with a scalar t0
-    for :func:`_integrate_lanes`.
-
-    A start (t0, r0, v0, p0, q0), as :func:`series_start` gives it, carries
-    a tangent: ``accel`` is called in the tangent form of :func:`ode.rhs`
-    and the state gains (p, q, k1q), the tangent (dr, dv) and its first
-    derivative, for :func:`_dp_run` to carry along.
-    """
-    t0, r0, v0, *tangent = start
+    """Initial run state (t, r, v, h, k1v, steps, p, q, k1q) of a DP5(4) run
+    to t_end from a start (t0, r0, v0, p0, q0), as :func:`series_start` gives
+    it, with ``accel`` in the tangent call form of :func:`ode.rhs`: (p, q,
+    k1q) are the tangent (dr, dv) and its first derivative.  r0, v0 and k1v
+    are arrays with a scalar t0 for :func:`_integrate_lanes`."""
+    t0, r0, v0, p0, q0 = start
     direction = 1.0 if t_end >= t0 else -1.0
     h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
-    if not tangent:
-        return (t0, r0, v0, h, accel(t0, r0, v0), 0)
-    k1v, k1q = accel(t0, r0, v0, *tangent)
-    return (t0, r0, v0, h, k1v, 0, *tangent, k1q)
+    k1v, k1q = accel(t0, r0, v0, p0, q0)
+    return (t0, r0, v0, h, k1v, 0, p0, q0, k1q)
+
+
+def _zero_tangent(accel):
+    """``accel(t, r, v)`` in the tangent call form, carrying the zero tangent."""
+    return lambda t, r, v, dr, dv: (accel(t, r, v), 0.0)
 
 
 def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
-    """The DP5(4) step loop, from a run state (t, r, v, h, k1v, steps), to
-    the state at t_end, with the tolerances and blow-up cap of ``config``.
+    """The DP5(4) step loop, from a run state (see :func:`_dp_start`) to the
+    state at t_end, with the tolerances and blow-up cap of ``config``.
 
-    The first-same-as-last derivative k1r is always v (and k1p always q),
-    so it is not stored.  For each accepted step ``record``, if given, gains
-    the row (t, h, r, v, k1r, k1v, k3r, k3v, ..., k7r, k7v) that
-    :func:`_dense_states` interpolates in.
-
-    A state with a tangent (see :func:`_dp_start`) runs the tangent (p, q)
-    through the same stages and steps, and is returned with it: the
-    derivative of the discrete solution along the start tangent.  Step
-    control, error norm and blow-up test read (r, v) only, so (r, v) end
-    bit-identical to a run without the tangent.
+    The tangent (p, q) runs through the same stages and steps as (r, v), so
+    it ends as the derivative of the discrete solution along the start
+    tangent.  Step control, error norm and blow-up test read (r, v) only, so
+    (r, v) end bit-identical whatever the tangent; a run that needs none
+    carries the zero tangent (:func:`_zero_tangent`).  The first-same-as-last
+    derivatives k1r and k1p are v and q, so they are not stored.  For each
+    accepted step ``record``, if given, gains the row (t, h, r, v, k1r, k1v,
+    k3r, k3v, ..., k7r, k7v) that :func:`_dense_states` interpolates in.
     """
-    tangent = len(state) > 6
-    if tangent:
-        t, r, v, h, k1v, steps, p, q, k1q = state
-    else:
-        t, r, v, h, k1v, steps = state
+    t, r, v, h, k1v, steps, p, q, k1q = state
     rel_tol, abs_tol, blowup_cap = config.rel_tol, config.abs_tol, config.blowup_cap
-    k1r = v
+    k1r, k1p = v, q
     sqrt = math.sqrt
     direction = 1.0 if t_end >= t else -1.0
 
@@ -349,64 +355,41 @@ def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
 
         tr = r + h * _A21 * k1r
         tv = v + h * _A21 * k1v
-        if tangent:
-            k1p = q
-            k2p = q + h * _A21 * k1q
-            k2v, k2q = accel(t + _C2 * h, tr, tv, p + h * _A21 * k1p, k2p)
-        else:
-            k2v = accel(t + _C2 * h, tr, tv)
-        k2r = tv
+        tp = p + h * _A21 * k1p
+        tq = q + h * _A21 * k1q
+        k2v, k2q = accel(t + _C2 * h, tr, tv, tp, tq)
+        k2r, k2p = tv, tq
         tr = r + h * (_A31 * k1r + _A32 * k2r)
         tv = v + h * (_A31 * k1v + _A32 * k2v)
-        if tangent:
-            k3p = q + h * (_A31 * k1q + _A32 * k2q)
-            k3v, k3q = accel(t + _C3 * h, tr, tv, p + h * (_A31 * k1p + _A32 * k2p), k3p)
-        else:
-            k3v = accel(t + _C3 * h, tr, tv)
-        k3r = tv
+        tp = p + h * (_A31 * k1p + _A32 * k2p)
+        tq = q + h * (_A31 * k1q + _A32 * k2q)
+        k3v, k3q = accel(t + _C3 * h, tr, tv, tp, tq)
+        k3r, k3p = tv, tq
         tr = r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r)
         tv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        if tangent:
-            k4p = q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q)
-            k4v, k4q = accel(
-                t + _C4 * h, tr, tv, p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p), k4p
-            )
-        else:
-            k4v = accel(t + _C4 * h, tr, tv)
-        k4r = tv
+        tp = p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
+        tq = q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q)
+        k4v, k4q = accel(t + _C4 * h, tr, tv, tp, tq)
+        k4r, k4p = tv, tq
         tr = r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r)
         tv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        if tangent:
-            k5p = q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q)
-            k5v, k5q = accel(
-                t + _C5 * h, tr, tv,
-                p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p), k5p,
-            )
-        else:
-            k5v = accel(t + _C5 * h, tr, tv)
-        k5r = tv
+        tp = p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
+        tq = q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q)
+        k5v, k5q = accel(t + _C5 * h, tr, tv, tp, tq)
+        k5r, k5p = tv, tq
         tr = r + h * (_A61 * k1r + _A62 * k2r + _A63 * k3r + _A64 * k4r + _A65 * k5r)
         tv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        if tangent:
-            k6p = q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q + _A65 * k5q)
-            k6v, k6q = accel(
-                t + h, tr, tv,
-                p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
-                k6p,
-            )
-        else:
-            k6v = accel(t + h, tr, tv)
-        k6r = tv
+        tp = p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p)
+        tq = q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q + _A65 * k5q)
+        k6v, k6q = accel(t + h, tr, tv, tp, tq)
+        k6r, k6p = tv, tq
         r_new = r + h * (_B1 * k1r + _B3 * k3r + _B4 * k4r + _B5 * k5r + _B6 * k6r)
         v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+        p_new = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
+        q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q + _B6 * k6q)
         t_new = t + h
-        if tangent:
-            p_new = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-            q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q + _B6 * k6q)
-            k7v, k7q = accel(t_new, r_new, v_new, p_new, q_new)
-        else:
-            k7v = accel(t_new, r_new, v_new)
-        k7r = v_new
+        k7v, k7q = accel(t_new, r_new, v_new, p_new, q_new)
+        k7r, k7p = v_new, q_new
 
         err_r = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
         err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
@@ -423,10 +406,8 @@ def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
             if record is not None:
                 record.append((t, h, r, v, k1r, k1v, k3r, k3v, k4r, k4v, k5r, k5v, k6r, k6v,
                                k7r, k7v))
-            t, r, v = t_new, r_new, v_new
-            k1r, k1v = k7r, k7v
-            if tangent:
-                p, q, k1q = p_new, q_new, k7q
+            t, r, v, p, q = t_new, r_new, v_new, p_new, q_new
+            k1r, k1v, k1p, k1q = k7r, k7v, k7p, k7q
             if abs(r) > blowup_cap or abs(v) > blowup_cap:
                 raise TrajectoryEscaped(t, r, v)
             factor = _SAFETY * err ** -0.2 if err > 0.0 else _MAX_FACTOR
@@ -443,9 +424,7 @@ def _dp_run(accel, state: tuple, t_end: float, config, record=None) -> tuple:
         steps += 1
         if steps > _MAX_STEPS:
             raise IntegratorStall(t, detail="step budget exhausted")
-    if tangent:
-        return t, r, v, h, k1v, steps, p, q, k1q
-    return t, r, v, h, k1v, steps
+    return t, r, v, h, k1v, steps, p, q, k1q
 
 
 def _dense_states(runs) -> np.ndarray:
@@ -492,15 +471,16 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     its six stages the state part; the last stage reuses the row of t + h.
     A lane leaves the batch where the scalar loop would raise or return.
     Once fewer than _DRAIN_LANES are left, the rest finish on the scalar
-    loop, with :func:`ode.rhs` as looked up at the call, from their current
-    state, so a smaller batch takes only its first derivative on lanes.
+    loop from their current state, with the zero tangent and :func:`ode.rhs`
+    as looked up at the call (:func:`_zero_tangent`), so a smaller batch
+    takes only its first derivative on lanes.
     Returns one outcome per lane, identical to the scalar run's: its final
     (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
     eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
     starts = np.array([series_start(spec, endpoint, float(s), eps) for s in slopes])
     t0, (r0, v0) = float(starts[0, 0]), starts[:, 1:3].T
-    accel, (time_part, state_part) = ode.rhs(spec), ode._rhs_lanes(spec)
+    accel, (time_part, state_part) = _zero_tangent(ode.rhs(spec)), ode._rhs_lanes(spec)
     n = len(r0)
     out: list = [None] * n
     direction = 1.0 if t_end >= t0 else -1.0
@@ -513,9 +493,8 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
         def stage(parts, ty):
             return np.array([ty[1], state_part(parts, ty[0], ty[1])])
 
-        _, r, v, h, k1v, _ = _dp_start(
-            lambda _t, r, v: state_part(time_part(t), r, v), (t0, r0, v0), t_end
-        )
+        lanes_accel = _zero_tangent(lambda _t, r, v: state_part(time_part(t), r, v))
+        _, r, v, h, k1v, *_ = _dp_start(lanes_accel, (t0, r0, v0, 0.0, 0.0), t_end)
         y, k1, h = np.array([r, v]), np.array([v, k1v]), np.full(n, h)  # rows r, v
         while len(lane) >= _DRAIN_LANES:
             h = np.where((t + h - t_end) * direction > 0.0, t_end - t, h)
@@ -571,7 +550,7 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     for j, i in enumerate(lane.tolist()):
         state = (
             float(t[j]), float(y[0, j]), float(y[1, j]),
-            float(h[j]), float(k1[1, j]), int(steps[j]),
+            float(h[j]), float(k1[1, j]), int(steps[j]), 0.0, 0.0, 0.0,
         )
         try:
             out[i] = _dp_run(accel, state, t_end, config)[1:3]
@@ -818,9 +797,9 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
 
     ``shot`` is the :class:`Shot` at its slopes and ``config``, so the
     profile depends on (shot.a, shot.b, config) alone.  Each half continues
-    on the plain step loop from its end at the match point across the blend
-    window, and both are sampled in one pass of their step interpolants
-    (:func:`_dense_states`), smooth whatever the steps.
+    from its end at the match point across the blend window, with the zero
+    tangent (:func:`_zero_tangent`), and both are sampled in one pass of
+    their step interpolants (:func:`_dense_states`), smooth whatever the steps.
 
     The two shooting halves are joined with a C^2 blend over an interior
     overlap window rather than butted at a single node: the converged match
@@ -828,7 +807,7 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     as a kink that finite differencing amplifies by 1/h^2.  Both halves
     solve the ODE, so the blend's residual is of order gap / window^2.
     """
-    accel = ode.rhs(spec)
+    accel = _zero_tangent(ode.rhs(spec))
     match = config.resolved_match(spec)
     L = spec.length
     span = L - config.eps0 - config.eps1
@@ -843,7 +822,7 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
         # a last step clipped to the match point can leave h short, even below _MIN_STEP
         h = math.copysign(max(abs(h), 1e-3 * abs(t_end - t)), h)
         steps = [*rows]
-        _dp_run(accel, (t, r, v, h, k1v, n), t_end, config, steps)
+        _dp_run(accel, (t, r, v, h, k1v, n, 0.0, 0.0, 0.0), t_end, config, steps)
         runs.append((steps, half))
     dense = _dense_states(runs)
     left, right = dense[:i - 1], dense[i - 1:][::-1]     # nodes[1:i], nodes[j:-1]

@@ -172,6 +172,24 @@ class TestRawSums:
         )
         assert ode.raw_tension_so(1, m, m, s) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("raw", [ode.raw_tension_sphere, ode.raw_tension_so])
+    @pytest.mark.parametrize("g, m0, m1, name", [
+        (0, 1, 1, "g"), (-2, 1, 1, "g"), (True, 1, 1, "g"), (2.0, 1, 1, "g"),
+        (2, 0, 2, "m0"), (2, -1, 2, "m0"), (2, np.int64(0), 2, "m0"), (2, 2, False, "m1"),
+        (2, 2, 0, "m1"), (2, 2, "2", "m1"), (2, 2, None, "m1"),
+    ])
+    def test_counts_that_are_not_positive_ints_rejected(self, raw, g, m0, m1, name):
+        # g = 0 divided by zero, g = -2 summed no term and gave 0.0, m0 <= 0
+        # was summed, and a bool was read as 0 or 1
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            raw(g, m0, m1, TensionSample(0.3, 0.2, 1.1, -0.4))
+
+    @pytest.mark.parametrize("raw", [ode.raw_tension_sphere, ode.raw_tension_so])
+    def test_numpy_int_counts_accepted(self, raw):
+        s = TensionSample(0.3, 0.2, 1.1, -0.4)
+        got = raw(np.int64(2), np.int32(1), np.int16(3), s)
+        assert got.hex() == raw(2, 1, 3, s).hex()
+
 
 class TestRhs:
     def test_round_trip(self):

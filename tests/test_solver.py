@@ -25,8 +25,16 @@ from cohom1.solver import Endpoint, ShootingConfig
 
 
 def integrate(accel, t0, r0, v0, t_end, config):
-    """Final (r, v) of one scalar DP5(4) run from (t0, r0, v0) to t_end."""
-    return solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0), t_end), t_end, config)[1:3]
+    """Final (r, v) of one scalar DP5(4) run of the plain closure ``accel``
+    from (t0, r0, v0), with the zero tangent, to t_end."""
+    jet = solver._zero_tangent(accel)
+    start = solver._dp_start(jet, (t0, r0, v0, 0.0, 0.0), t_end)
+    return solver._dp_run(jet, start, t_end, config)[1:3]
+
+
+def run_bits(end):
+    """The bits of a run state's (t, r, v, h, k1v, steps)."""
+    return struct.pack("<5dq", *end[:6])
 
 
 def two_branch_start(spec, endpoint, slope, eps):
@@ -144,8 +152,8 @@ class TestIntegrator:
         # is no stall
         t_end = 0.09204181602313845
         t = math.nextafter(t_end, -direction * math.inf)
-        state = (t, 1.0, 0.0, direction * 1e-3, 0.0, 0)
-        end = solver._dp_run(lambda t, r, v: 0.0, state, t_end, ShootingConfig())
+        state = (t, 1.0, 0.0, direction * 1e-3, 0.0, 0, 0.0, 0.0, 0.0)
+        end = solver._dp_run(lambda t, r, v, dr, dv: (0.0, 0.0), state, t_end, ShootingConfig())
         assert end[:3] == (t_end, 1.0, 0.0) and abs(end[3]) < solver._MIN_STEP
 
     def test_lanes_arrive_after_a_last_step_of_an_ulp(self, monkeypatch):
@@ -264,10 +272,10 @@ class TestDenseOutput:
 
     def recorded_steps(self, endpoint, t_end):
         """Step rows of the half from ``endpoint`` at slope 3 run to t_end."""
-        accel = ode.rhs(self.SPEC)
+        accel = solver._zero_tangent(ode.rhs(self.SPEC))
         t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
         steps = []
-        solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0), t_end), t_end,
+        solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0, 0.0, 0.0), t_end), t_end,
                        ShootingConfig(), steps)
         return steps
 
@@ -304,18 +312,25 @@ class TestDenseOutput:
     @pytest.mark.parametrize("endpoint", [Endpoint.LEFT, Endpoint.RIGHT])
     @pytest.mark.parametrize("tangent", [False, True])
     def test_recording_leaves_the_run_unchanged(self, endpoint, tangent):
+        # recording a run with the start tangent (1, 0), or one with the
+        # zero tangent, leaves it unchanged; the other kind of run takes
+        # the same steps: the same (t, r, v, h, k1v, steps) and step rows
         t_end = 0.2 if endpoint is Endpoint.RIGHT else 2.9
-        accel, start_tangent = ode.rhs(self.SPEC), ()
-        if tangent:
-            accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
         t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
-        start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
-        plain = solver._dp_run(accel, start, t_end, ShootingConfig())
-        steps = []
-        recorded = solver._dp_run(accel, start, t_end, ShootingConfig(), steps)
-        assert struct.pack(f"<{len(plain)}d", *plain) == struct.pack(
-            f"<{len(recorded)}d", *recorded
-        )
+        runs = {}
+        for carried, accel, start_tangent in (
+            (True, ode.rhs_tangent(self.SPEC), (1.0, 0.0)),
+            (False, solver._zero_tangent(ode.rhs(self.SPEC)), (0.0, 0.0)),
+        ):
+            start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
+            steps = []
+            runs[carried] = solver._dp_run(accel, start, t_end, ShootingConfig(), steps), steps
+            if carried is tangent:
+                plain = solver._dp_run(accel, start, t_end, ShootingConfig())
+        (recorded, steps), (other, other_steps) = runs[tangent], runs[not tangent]
+        assert struct.pack("<5dq3d", *plain) == struct.pack("<5dq3d", *recorded)
+        assert run_bits(recorded) == run_bits(other)
+        assert np.array(steps).tobytes() == np.array(other_steps).tobytes()
         # one row per accepted step: each starts where the last one ended,
         # so the ends are strictly monotone and a rejected step has no row
         direction = 1.0 if t_end > t0 else -1.0
@@ -368,14 +383,14 @@ def max_rel_diff(got, want):
 
 
 def half_end(spec, config, endpoint, slope, tangent):
-    """End (r, v) of the half from ``endpoint`` with ``slope``, run by
-    _dp_run to the match point from its series start, with or without the
-    start's tangent."""
-    accel = ode.rhs_tangent(spec) if tangent else ode.rhs(spec)
+    """End run state of the half from ``endpoint`` with ``slope``, run by
+    _dp_run to the match point from its series start, with the start's
+    tangent or with the zero tangent."""
+    accel = ode.rhs_tangent(spec) if tangent else solver._zero_tangent(ode.rhs(spec))
     eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
     start, match = solver.series_start(spec, endpoint, slope, eps), config.resolved_match(spec)
-    state = solver._dp_start(accel, start if tangent else start[:3], match)
-    return solver._dp_run(accel, state, match, config)[1:3]
+    state = solver._dp_start(accel, start if tangent else (*start[:3], 0.0, 0.0), match)
+    return solver._dp_run(accel, state, match, config)
 
 
 def central_jacobian(spec, config, a, b, rel_step=1e-4):
@@ -481,10 +496,8 @@ class TestTangent:
                           for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b))]
                 for tangent in (False, True)
             }
-            assert struct.pack("<4d", *ends[True][0], *ends[True][1]) == struct.pack(
-                "<4d", *ends[False][0], *ends[False][1]
-            )
-            (rl, vl), (rr, vr) = ends[False]
+            assert list(map(run_bits, ends[True])) == list(map(run_bits, ends[False]))
+            (_, rl, vl, *_), (_, rr, vr, *_) = ends[False]
             gap = solver.shoot(spec, config, a, b).gap
             assert struct.pack("<2d", *gap) == struct.pack("<2d", rl - rr, vl - vr)
 
@@ -686,7 +699,7 @@ class TestSharedHalves:
             return shoot(*args, **kwargs)
 
         def counted_run(accel, state, t_end, config, record=None):
-            runs.append((state[0], t_end, len(state)))
+            runs.append((state[0], t_end, state[6:8] != (0.0, 0.0)))
             return dp_run(accel, state, t_end, config, record)
 
         monkeypatch.setattr(solver, "shoot", counted_shoot)
@@ -695,13 +708,13 @@ class TestSharedHalves:
         assert len(shots) > 3
         # two halves per shot, with their tangents, from their end points to
         # the match point, then the accepted shot's halves continue from it
-        # across the blend window on the plain loop, the left one up and the
-        # right one down
+        # across the blend window with the zero tangent, the left one up and
+        # the right one down
         match, n = spec.length / 2.0, 2 * len(shots)
-        assert runs[:n] == [(1e-5, match, 9), (spec.length - 1e-5, match, 9)] * len(shots)
-        (left_from, hi, left_state), (right_from, lo, right_state) = runs[n:]
+        assert runs[:n] == [(1e-5, match, True), (spec.length - 1e-5, match, True)] * len(shots)
+        (left_from, hi, left_tangent), (right_from, lo, right_tangent) = runs[n:]
         assert left_from == right_from == match and lo < match < hi
-        assert left_state == right_state == 6
+        assert not left_tangent and not right_tangent
 
     @pytest.mark.parametrize(
         "spec, config, init", [case[:3] for case in newton_cases() if case[3] is None]
@@ -1183,11 +1196,17 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("eps0", "1e-5"), ("rel_tol", None), ("abs_tol", [1e-12]), ("match_point", "1.3"),
         ("blowup_cap", 1e6 + 0j), ("bracket", ("0", "1")), ("bracket", (0.0, None)),
+        ("eps0", None), ("eps1", "1e-5"), ("eps1", 1e-5 + 0j), ("rel_tol", 1e-10 + 0j),
+        ("abs_tol", True), ("match_point", 1.3 + 0j), ("match_point", True),
+        ("blowup_cap", None), ("bracket", (0, 1, 2)), ("bracket", (False, 1.0)),
+        ("bracket", 5.0),
     ])
     def test_float_fields_not_a_number_rejected_before_integrating(
         self, monkeypatch, name, value
     ):
-        # the bracket took float() of each end, so ("0", "1") was a bracket
+        # the bracket took float() of each end, so ("0", "1") was a bracket;
+        # a string or None met a compare as a TypeError that named no field,
+        # (0, 1, 2) failed to unpack, and a bool was read as 0.0 or 1.0
         spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(**{name: value})
 
         def fail(*args, **kwargs):
@@ -1200,7 +1219,7 @@ class TestConfigValidation:
             lambda: solver.solve(spec, config),
             lambda: solver.sweep(spec, config),
         ):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match=f"^{name} must be a "):
                 call()
 
     @pytest.mark.parametrize("name, value, message", [
