@@ -606,7 +606,7 @@ def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
     and integrated by the same DP5(4) steps), so ``jac`` is the Jacobian of
     the discrete gap, whose columns are the left tangent and minus the
     right one.  Step control reads (r, v) only, so the gap, the step rows
-    and the end states are those of the halves without the tangent.  The
+    and the end states are those of the halves with the zero tangent.  The
     left half runs before the right one.
     """
     config.validate(spec)

@@ -313,21 +313,22 @@ class TestDenseOutput:
     @pytest.mark.parametrize("tangent", [False, True])
     def test_recording_leaves_the_run_unchanged(self, endpoint, tangent):
         # recording a run with the start tangent (1, 0), or one with the
-        # zero tangent, leaves it unchanged; the other kind of run takes
+        # zero tangent, leaves it unchanged, and the other kind of run takes
         # the same steps: the same (t, r, v, h, k1v, steps) and step rows
         t_end = 0.2 if endpoint is Endpoint.RIGHT else 2.9
         t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
-        runs = {}
-        for carried, accel, start_tangent in (
-            (True, ode.rhs_tangent(self.SPEC), (1.0, 0.0)),
-            (False, solver._zero_tangent(ode.rhs(self.SPEC)), (0.0, 0.0)),
-        ):
+
+        def run(carried, record=None):
+            if carried:
+                accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
+            else:
+                accel, start_tangent = solver._zero_tangent(ode.rhs(self.SPEC)), (0.0, 0.0)
             start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
-            steps = []
-            runs[carried] = solver._dp_run(accel, start, t_end, ShootingConfig(), steps), steps
-            if carried is tangent:
-                plain = solver._dp_run(accel, start, t_end, ShootingConfig())
-        (recorded, steps), (other, other_steps) = runs[tangent], runs[not tangent]
+            return solver._dp_run(accel, start, t_end, ShootingConfig(), record)
+
+        steps, other_steps = [], []
+        plain, recorded = run(tangent), run(tangent, steps)
+        other = run(not tangent, other_steps)
         assert struct.pack("<5dq3d", *plain) == struct.pack("<5dq3d", *recorded)
         assert run_bits(recorded) == run_bits(other)
         assert np.array(steps).tobytes() == np.array(other_steps).tobytes()
