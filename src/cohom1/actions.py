@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import InadmissibleJ, InvalidSpace, InvalidTriple
+from .errors import InadmissibleJ, InvalidSpace, InvalidTriple, require_int
 
 
 class Space(enum.Enum):
@@ -147,9 +147,9 @@ def make_action(
     unclassified multiplicity data.
     """
     space = parse_space(space)
-    for name, value in (("g", g), ("m0", m0), ("m1", m1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidTriple(f"{name} must be a positive integer, got {value!r}")
+    g = require_int("g", g, 1, InvalidTriple)
+    m0 = require_int("m0", m0, 1, InvalidTriple)
+    m1 = require_int("m1", m1, 1, InvalidTriple)
     if g not in _VALID_G:
         raise InvalidTriple(f"g must be one of {_VALID_G}, got {g}")
     if g % 2 == 1 and m0 != m1:
@@ -185,8 +185,7 @@ def admissible_k(action: ActionDescriptor, j: int) -> int:
     Every integer j is admissible on spheres and on the Sp(2) lift; the
     lifted actions on rotation groups only carry even j.
     """
-    if isinstance(j, bool) or not isinstance(j, int):
-        raise InadmissibleJ(f"j must be an integer, got {j!r}")
+    j = require_int("j", j, error=InadmissibleJ)
     if j % 2 != 0 and not action.odd_j_allowed:
         raise InadmissibleJ(
             f"odd j={j} is not admissible on {action.ambient} (lifted action)"
@@ -242,6 +241,7 @@ def strict_triples(max_m: int = 9, max_ell: int = 2) -> list[tuple[int, int, int
     with m0 <= m1; validation is symmetric so the swapped order is equally
     valid.
     """
+    max_m, max_ell = require_int("max_m", max_m, 0), require_int("max_ell", max_ell, 0)
     triples: list[tuple[int, int, int]] = []
     triples.extend((1, m, m) for m in range(1, max_m + 1))
     for m0 in range(1, max_m + 1):

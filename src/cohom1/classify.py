@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import actions
 from .actions import ActionDescriptor, Space, Tangential
-from .errors import CohomError
+from .errors import CohomError, InadmissibleJ, require_int
 
 
 def is_linear_solution(G: int, M0: int, M1: int, k: int) -> bool:
@@ -112,6 +112,7 @@ class HarmonicityVerdict:
 
 def is_harmonic_k_map(action: ActionDescriptor, j: int) -> HarmonicityVerdict:
     """Full verdict for the j-th k-map of a classified action."""
+    j = require_int("j", j, error=InadmissibleJ)
     k = actions.admissible_k(action, j)
     g, m0, m1 = action.g, action.m0, action.m1
 
@@ -169,7 +170,7 @@ def classify_range(
 ) -> list[HarmonicityVerdict]:
     """One verdict per admissible j in [jmin, jmax]."""
     out = []
-    for j in range(jmin, jmax + 1):
+    for j in range(require_int("jmin", jmin), require_int("jmax", jmax) + 1):
         if j % 2 != 0 and not action.odd_j_allowed:
             continue
         out.append(is_harmonic_k_map(action, j))

@@ -1,4 +1,23 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and :func:`require_int`, the
+one integer policy of every argument.  Imports no numpy."""
+
+import operator
+from contextlib import suppress
+
+_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def require_int(name: str, value, low: int | None = None, error: type = ValueError) -> int:
+    """``value``, a Python or numpy integer but no bool, as a Python int at
+    least ``low`` (None, 0 or 1); else ``error`` naming ``name``."""
+    # Python ints take one compare: the oracles check thousands of counts.
+    if type(value) is int and (low is None or value >= low):
+        return value
+    with suppress(TypeError):
+        index = operator.index(value)
+        if not isinstance(value, bool) and (low is None or index >= low):
+            return index
+    raise error(f"{name} must be {_KINDS[low]}, got {value!r}")
 
 
 class CohomError(Exception):

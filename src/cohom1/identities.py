@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import OddG
+from .errors import OddG, require_int
 from .ode import TAU, pole_distance, require_regular
 
 #: Seed of the default sampling streams; configurable in every entry point.
@@ -35,14 +35,6 @@ DEFAULT_SAMPLE_MARGIN = 1e-3
 # q >= 1e-3 per draw stays rejected through all of them with chance below
 # 1e-43; at about 10 us a round, a hopeless margin fails within about 1 s.
 _MAX_ROUNDS = 100_000
-
-
-def _positive_int(name: str, value) -> int:
-    # Sums over i = 0..g-1 and sample counts only make sense for positive
-    # ints; a bool is an int to isinstance, and a float is no count.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _check_regular(g: int, t) -> np.ndarray:
@@ -62,7 +54,7 @@ def _shifted_sum(g: int, t, term):
 def _sin_lemma(g, r, t, num):
     """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
     = g ((g-1) num(r-t) + num(r + (g-1) t))."""
-    g = _positive_int("g", g)
+    g = require_int("g", g, 1)
     t = _check_regular(g, t)
     r = np.asarray(r, dtype=float)
     lhs = _shifted_sum(
@@ -84,7 +76,7 @@ def lemma_sin_2r(g, r, t):
 
 def cotangent_identity(g, t):
     """g*cot(gt) against the sum of shifted cotangents."""
-    g = _positive_int("g", g)
+    g = require_int("g", g, 1)
     t = _check_regular(g, t)
     lhs = g * np.cos(np.remainder(g * t, TAU)) / np.sin(np.remainder(g * t, TAU))
     return lhs, _shifted_sum(g, t, lambda i, x: np.cos(x) / np.sin(x))
@@ -92,7 +84,7 @@ def cotangent_identity(g, t):
 
 def half_sum_split(g, m0, m1, t):
     """Alternating cotangent sum against its two-term closed split (even g)."""
-    g = _positive_int("g", g)
+    g = require_int("g", g, 1)
     if g % 2 != 0:
         raise OddG(f"half-sum split requires even g, got {g}")
     t = _check_regular(g, t)
@@ -113,19 +105,20 @@ def mixed_deviation(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 
-def _check_margin(g: int, margin: float) -> None:
+def _check_margin(g: int, margin: float) -> float:
     # Poles are pi/g apart, so no point clears them by pi/(2g) or more.  A
-    # bool is no margin, though it compares as 0 or 1.
+    # bool is no margin, though it compares as 0 or 1; a numpy number is one.
     bound = math.pi / (2 * g)
     if (
         isinstance(margin, bool)
-        or not isinstance(margin, (int, float))
+        or not isinstance(margin, (int, float, np.integer, np.floating))
         or not 0.0 < margin < bound
     ):
         raise ValueError(
             f"margin (--margin) must lie in (0, pi/(2g)) = (0, {bound:.6g}) "
             f"for g = {g}, got {margin!r}"
         )
+    return float(margin)
 
 
 def sample_regular_t(
@@ -137,7 +130,7 @@ def sample_regular_t(
     leave room between the poles, and when _MAX_ROUNDS of redraws leave a
     point within the margin.
     """
-    _check_margin(g, margin)
+    margin = _check_margin(g, margin)
     t = rng.uniform(0.0, math.pi, size=n)
     for _round in range(_MAX_ROUNDS):
         bad = pole_distance(t, g) < margin
@@ -164,11 +157,10 @@ def identity_suite(
     unless g_max and samples are positive ints, seed is a non-negative int
     and margin is a number with 0 < margin < pi/(2 g_max).
     """
-    _positive_int("g_max (--g-max)", g_max)
-    _positive_int("samples (--samples)", samples)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed (--seed) must be a non-negative integer, got {seed!r}")
-    _check_margin(g_max, margin)
+    g_max = require_int("g_max (--g-max)", g_max, 1)
+    samples = require_int("samples (--samples)", samples, 1)
+    seed = require_int("seed (--seed)", seed, 0)
+    margin = _check_margin(g_max, margin)
     rng = np.random.default_rng(seed)
     names = ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity", "half_sum_split")
     dev = {name: 0.0 for name in names}

@@ -45,12 +45,13 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import ode
-from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped
+from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped, require_int
 from .ode import BvpSpec
 
 GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
@@ -87,10 +88,8 @@ _SEED_SWITCH = 100.0
 _log = logging.getLogger("cohom1")
 
 
-def _require_int(name: str, value) -> None:
-    """ValueError unless ``value`` is an int or numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+def _real(x) -> bool:    # a Python or numpy int or float, no bool
+    return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
 
 
 class Endpoint(enum.Enum):
@@ -118,18 +117,14 @@ class ShootingConfig:
         # What is no number (a bool is none), or a count that is no int,
         # validate rejects.
         put = object.__setattr__
-
-        def real(x):
-            return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
-
         for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
-            if real(getattr(self, name)):
+            if _real(getattr(self, name)):
                 put(self, name, float(getattr(self, name)))
-        if isinstance(self.bracket, (tuple, list)) and all(map(real, self.bracket)):
+        if isinstance(self.bracket, (tuple, list)) and all(map(_real, self.bracket)):
             put(self, "bracket", tuple(map(float, self.bracket)))
         for name in ("sweep_points", "max_newton"):
-            if isinstance(getattr(self, name), np.integer):
-                put(self, name, int(getattr(self, name)))
+            with suppress(ValueError):
+                put(self, name, require_int(name, getattr(self, name)))
 
     def validate(self, spec: BvpSpec) -> None:
         for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
@@ -163,12 +158,9 @@ class ShootingConfig:
         lo, hi = self.resolved_bracket(spec)
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"bracket ({lo!r}, {hi!r}) must be finite and non-empty")
-        _require_int("sweep_points", self.sweep_points)
-        _require_int("max_newton", self.max_newton)
-        if self.sweep_points < 2:
+        if require_int("sweep_points", self.sweep_points) < 2:
             raise ValueError("sweep needs at least 2 grid points")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be >= 1")
+        require_int("max_newton", self.max_newton, 1)
 
     def resolved_match(self, spec: BvpSpec) -> float:
         return spec.length / 2.0 if self.match_point is None else self.match_point
@@ -607,9 +599,11 @@ def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
     the discrete gap, whose columns are the left tangent and minus the
     right one.  Step control reads (r, v) only, so the gap, the step rows
     and the end states are those of the halves with the zero tangent.  The
-    left half runs before the right one.
+    left half runs before the right one.  ValueError for a non-finite slope.
     """
     config.validate(spec)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"slopes a, b must be finite, got ({a!r}, {b!r})")
     match = config.resolved_match(spec)
     accel = ode.rhs_tangent(spec)
     halves, sides = [], ((Endpoint.LEFT, a, config.eps0), (Endpoint.RIGHT, b, config.eps1))
@@ -681,17 +675,20 @@ def solve(
     (:func:`_dense_profile`), and the interior residual is measured by
     finite-difference reconstruction of r''.
 
-    Raises ValueError for an invalid config, non-finite ``init`` or a
-    ``profile_points`` that is not an int, and NoConvergence (with the
-    final gaps and iterate), TrajectoryEscaped or IntegratorStall.
+    Raises ValueError for an invalid config, an ``init`` that is no pair of
+    finite real numbers or a ``profile_points`` that is no integer, and
+    NoConvergence (with the final gaps and iterate), TrajectoryEscaped or
+    IntegratorStall.
     """
     config = config or ShootingConfig()
     config.validate(spec)
-    _require_int("profile_points", profile_points)
+    profile_points = require_int("profile_points", profile_points)
     k = spec.k
-    a, b = (float(init[0]), float(init[1])) if init is not None else (float(k), float(k))
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"init slopes must be finite, got ({a!r}, {b!r})")
+    init = (k, k) if init is None else init
+    pair = isinstance(init, (tuple, list)) and len(init) == 2 and all(map(_real, init))
+    if not (pair and all(map(math.isfinite, init))):
+        raise ValueError(f"init must be a pair of finite real numbers, got {init!r}")
+    a, b = map(float, init)
     seed = _seed_config(config)
     shots = [0, 0]      # at seed accuracy, at config
 

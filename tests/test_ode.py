@@ -176,7 +176,9 @@ class TestRawSums:
     @pytest.mark.parametrize("g, m0, m1, name", [
         (0, 1, 1, "g"), (-2, 1, 1, "g"), (True, 1, 1, "g"), (2.0, 1, 1, "g"),
         (2, 0, 2, "m0"), (2, -1, 2, "m0"), (2, np.int64(0), 2, "m0"), (2, 2, False, "m1"),
-        (2, 2, 0, "m1"), (2, 2, "2", "m1"), (2, 2, None, "m1"),
+        (2, 2, 0, "m1"), (2, 2, "2", "m1"), (2, 2, None, "m1"), ("2", 1, 1, "g"),
+        (2, True, 2, "m0"), (2, 2.0, 2, "m0"), (2, "2", 2, "m0"), (2, 2, True, "m1"),
+        (2, 2, 2.0, "m1"),
     ])
     def test_counts_that_are_not_positive_ints_rejected(self, raw, g, m0, m1, name):
         # g = 0 divided by zero, g = -2 summed no term and gave 0.0, m0 <= 0

@@ -235,6 +235,20 @@ class TestShoot:
         assert all(math.isfinite(x) for x in gaps)
         assert abs(gaps[0]) > 1e-4
 
+    @pytest.mark.parametrize("a, b", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf), (1.0, math.nan),
+        (np.float64(math.inf), 1.0),
+    ])
+    def test_non_finite_slope_named_before_integrating(self, monkeypatch, a, b):
+        # an infinity raised "math domain error" from math.remainder in the
+        # right-hand side, and a NaN an IntegratorStall at step underflow
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated a non-finite slope")
+
+        monkeypatch.setattr(solver, "series_start", fail)
+        with pytest.raises(ValueError, match=r"^slopes a, b must be finite, got \("):
+            solver.shoot(BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(), a, b)
+
 
 def scalar_dense_states(steps, nodes):
     """Per-node scalar quartic interpolation in _dp_run's step rows: walk
@@ -1131,7 +1145,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("sweep_points", 64.0), ("sweep_points", True), ("sweep_points", "64"),
         ("max_newton", 2.5), ("max_newton", math.inf), ("max_newton", True),
-        ("max_newton", np.float64(50)), ("max_newton", None),
+        ("max_newton", np.float64(50)), ("max_newton", None), ("max_newton", "50"),
     ])
     def test_counts_not_an_int_rejected_before_integrating(self, monkeypatch, name, value):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -1308,6 +1322,28 @@ class TestSolve:
     def test_non_finite_init_rejected(self, init):
         with pytest.raises(ValueError, match="init"):
             solver.solve(BvpSpec(G=1, M0=2, M1=2, k=1), init=init)
+
+    @pytest.mark.parametrize("init", [
+        (1.0,), (1.0, 1.0, 5.0), ("1", "1"), (True, 1.0), (1.0, np.True_), (1.0, None),
+        (1.0, 1 + 0j), 1.0, "11", (),
+    ])
+    def test_init_not_a_pair_of_numbers_rejected_before_any_shot(self, init, monkeypatch):
+        # (1.0,) raised IndexError, ("1", "1") and (True, 1.0) converged as
+        # (1.0, 1.0), and (1.0, 1.0, 5.0) dropped its third slope
+        def fail(*args, **kwargs):
+            raise AssertionError("shot an invalid init")
+
+        monkeypatch.setattr(solver, "shoot", fail)
+        with pytest.raises(ValueError, match="^init must be a pair of finite real numbers, got "):
+            solver.solve(BvpSpec(G=1, M0=2, M1=2, k=1), init=init)
+
+    def test_numpy_or_list_init_is_the_pair_of_its_floats(self):
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        want = solver.solve(spec, init=(float(np.float32(1.2)), 0.9))
+        for init in ((np.float32(1.2), np.float64(0.9)), [np.float32(1.2), 0.9]):
+            got = solver.solve(spec, init=init)
+            assert (got.slope0.hex(), got.slope1.hex()) == (want.slope0.hex(), want.slope1.hex())
+            assert np.array_equal(got.samples, want.samples)
 
     def test_profile_floor_enforced(self):
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
