@@ -53,15 +53,24 @@ def oracle_scale(G: int, M0: int, M1: int, k: int) -> float:
     return 4.0 * G * (M0 + M1) * (1.0 + abs(k))
 
 
-@functools.cache
-def _unit_chebyshev_nodes():
-    """The 64 open Chebyshev nodes of (0, 2), read-only."""
+@functools.lru_cache(maxsize=256)
+def _oracle_time_parts(G: int, M0: int, M1: int):
+    """(nodes, parts): the 64 open Chebyshev nodes of (0, pi/G), pole-checked
+    once, and their ``ode._time_parts``, every array read-only.  Keyed on the
+    Python ints of a validated ``BvpSpec``; one oracle pass over the
+    classified actions meets 125 distinct triples, so the cache holds them
+    all."""
     import numpy as np
 
+    from . import ode
+
     j = np.arange(64)
-    unit = 1.0 - np.cos((2 * j + 1) * math.pi / 128)
-    unit.flags.writeable = False
-    return unit
+    nodes = math.pi / G * 0.5 * (1.0 - np.cos((2 * j + 1) * math.pi / 128))
+    ode.require_regular(nodes, G)
+    parts = ode._time_parts(G, M0, M1, nodes, np.remainder)
+    for array in parts:
+        array.flags.writeable = False
+    return nodes, parts
 
 
 def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
@@ -69,8 +78,10 @@ def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
     r = k t over 64 Chebyshev points of (0, pi/G).
 
     Open Chebyshev nodes never touch the singular endpoints, so no pole
-    handling is needed.  The only numpy code of this module: numpy and
-    ``ode`` are imported on its first call, so the verdicts and tables
+    handling is needed.  As r'' = 0 the tension is the N of
+    ``ode._state_parts``, evaluated on the cached t-only half
+    :func:`_oracle_time_parts`.  The only numpy code of this module: numpy
+    and ``ode`` are imported on its first call, so the verdicts and tables
     import neither.
     """
     import numpy as np
@@ -78,11 +89,9 @@ def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
     from . import ode
 
     spec = ode.BvpSpec(G=G, M0=M0, M1=M1, k=k)
-    nodes = spec.length * 0.5 * _unit_chebyshev_nodes()
-    values = ode.closed_tension_grid(
-        spec, nodes, k * nodes, np.full_like(nodes, k), np.zeros_like(nodes)
-    )
-    return float(np.max(np.abs(values)))
+    nodes, parts = _oracle_time_parts(spec.G, spec.M0, spec.M1)
+    _A, N = ode._state_parts(spec.G, parts, spec.k * nodes, float(spec.k), np.remainder)
+    return float(np.max(np.abs(N)))
 
 
 @dataclass(frozen=True)

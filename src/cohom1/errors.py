@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by all modules, and :func:`require_int`, the
-one integer policy of every argument.  Imports no numpy."""
+"""Exception taxonomy shared by all modules, :func:`require_int`, the one
+integer policy of every argument, and :func:`is_real`, the one real-number
+policy.  Imports no numpy."""
 
+import numbers
 import operator
 from contextlib import suppress
 
@@ -18,6 +20,20 @@ def require_int(name: str, value, low: int | None = None, error: type = ValueErr
         if not isinstance(value, bool) and (low is None or index >= low):
             return index
     raise error(f"{name} must be {_KINDS[low]}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Is ``value`` a Python or numpy int or float, but no bool?
+
+    Numpy's scalar types register with the ``numbers`` tower, so no numpy
+    is imported; a rational that is no integer, such as a Fraction, is
+    refused, as are Decimal, complex and numpy's bool."""
+    if type(value) is float or type(value) is int:
+        return True
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational)
+    )
 
 
 class CohomError(Exception):

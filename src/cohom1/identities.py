@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import OddG, require_int
+from .errors import OddG, is_real, require_int
 from .ode import TAU, pole_distance, require_regular
 
 #: Seed of the default sampling streams; configurable in every entry point.
@@ -109,11 +109,7 @@ def _check_margin(g: int, margin: float) -> float:
     # Poles are pi/g apart, so no point clears them by pi/(2g) or more.  A
     # bool is no margin, though it compares as 0 or 1; a numpy number is one.
     bound = math.pi / (2 * g)
-    if (
-        isinstance(margin, bool)
-        or not isinstance(margin, (int, float, np.integer, np.floating))
-        or not 0.0 < margin < bound
-    ):
+    if not (is_real(margin) and 0.0 < margin < bound):
         raise ValueError(
             f"margin (--margin) must lie in (0, pi/(2g)) = (0, {bound:.6g}) "
             f"for g = {g}, got {margin!r}"

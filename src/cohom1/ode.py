@@ -63,21 +63,23 @@ def require_regular(t, G: int) -> None:
     least ``DEFAULT_POLE_MARGIN`` from the pole set; an array names its
     first such point.
 
-    A NaN or infinite t is never regular.  A scalar t inside the
-    :func:`regular_window` passes without the distance; outside it, t is
-    checked for finiteness first.
+    A NaN or infinite t is never regular.  A t, scalar or array, inside the
+    :func:`regular_window` passes without the distance (an array's NaN
+    propagates through min and max and fails both compares); outside it, a
+    scalar t is checked for finiteness first.
     """
     margin = DEFAULT_POLE_MARGIN
+    lo, hi = regular_window(G)
     if isinstance(t, np.ndarray):
+        if t.size and lo < t.min() and t.max() < hi:
+            return
         with np.errstate(invalid="ignore"):     # an infinite t has a NaN distance
             far = pole_distance(t, G) >= margin
         if far.all():
             return
         t = float(t[~far][0])
-    else:
-        lo, hi = regular_window(G)
-        if lo < t < hi or (math.isfinite(t) and pole_distance(t, G) >= margin):
-            return
+    elif lo < t < hi or (math.isfinite(t) and pole_distance(t, G) >= margin):
+        return
     raise _pole_error(t, G)
 
 
@@ -293,11 +295,13 @@ def raw_tension_sphere(g: int, m0: int, m1: int, sample: TensionSample) -> float
     total = sample.rddot
     forcing = 0.0
     for i in range(g):
-        x = _reduce(t - i * math.pi / g)
+        shift = i * math.pi / g
+        x = math.remainder(t - shift, TAU)
         sx = math.sin(x)
         mi = m0 if i % 2 == 0 else m1
         total += mi * (math.cos(x) / sx) * sample.rdot
-        forcing += mi * math.sin(_reduce(2.0 * r - 2.0 * i * math.pi / g)) / (sx * sx)
+        # 2.0 * shift is 2.0 * i * pi / g: doubling commutes with rounding.
+        forcing += mi * math.sin(math.remainder(2.0 * r - 2.0 * shift, TAU)) / (sx * sx)
     return total - 0.5 * forcing
 
 
@@ -391,22 +395,18 @@ def _rhs_lanes(spec: BvpSpec):
     ``state(time(t), r, rdot)`` is r'' for 1-d arrays, and ``time`` may
     take all the stage times of a step at once, as rows.
 
-    ``time`` pole-checks every time passed, naming the first near one in
-    row-major order; it runs :func:`require_regular`, the test :func:`rhs`
-    runs, only when some time lies outside the :func:`regular_window`.
-    Failing none, it names the first time where A = 4 sin^2(Gt) underflows
-    to 0, where :func:`rhs` raises too.  Every lane performs the scalar
+    ``time`` pole-checks every time passed with :func:`require_regular`,
+    the test :func:`rhs` runs, naming the first near one in row-major
+    order.  Failing none, it names the first time where A = 4 sin^2(Gt)
+    underflows to 0, where :func:`rhs` raises too.  Every lane performs the scalar
     closure's operations in the same order, with the exact remainder, so it
     equals the scalar value bit for bit.  Where the scalar floats overflow
     silently numpy warns, so callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
-    lo, hi = regular_window(G)
 
     def time(t: np.ndarray) -> tuple:
-        # NaN propagates through min and max and fails both compares.
-        if not (lo < t.min(initial=math.inf) and t.max(initial=-math.inf) < hi):
-            require_regular(t, G)
+        require_regular(t, G)
         parts = _time_parts(G, M0, M1, t, _remainder_exact)
         A = parts[2]
         if not A.all():

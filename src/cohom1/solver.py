@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import ode
-from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped, require_int
+from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped, is_real, require_int
 from .ode import BvpSpec
 
 GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
@@ -88,10 +88,6 @@ _SEED_SWITCH = 100.0
 _log = logging.getLogger("cohom1")
 
 
-def _real(x) -> bool:    # a Python or numpy int or float, no bool
-    return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
-
-
 class Endpoint(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -118,9 +114,9 @@ class ShootingConfig:
         # validate rejects.
         put = object.__setattr__
         for name in ("eps0", "eps1", "rel_tol", "abs_tol", "match_point", "blowup_cap"):
-            if _real(getattr(self, name)):
+            if is_real(getattr(self, name)):
                 put(self, name, float(getattr(self, name)))
-        if isinstance(self.bracket, (tuple, list)) and all(map(_real, self.bracket)):
+        if isinstance(self.bracket, (tuple, list)) and all(map(is_real, self.bracket)):
             put(self, "bracket", tuple(map(float, self.bracket)))
         for name in ("sweep_points", "max_newton"):
             with suppress(ValueError):
@@ -685,7 +681,7 @@ def solve(
     profile_points = require_int("profile_points", profile_points)
     k = spec.k
     init = (k, k) if init is None else init
-    pair = isinstance(init, (tuple, list)) and len(init) == 2 and all(map(_real, init))
+    pair = isinstance(init, (tuple, list)) and len(init) == 2 and all(map(is_real, init))
     if not (pair and all(map(math.isfinite, init))):
         raise ValueError(f"init must be a pair of finite real numbers, got {init!r}")
     a, b = map(float, init)

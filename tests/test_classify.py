@@ -1,8 +1,11 @@
 """Harmonicity decisions, the brute-force linear oracle, example tables."""
 
+import math
+
+import numpy as np
 import pytest
 
-from cohom1 import actions, classify
+from cohom1 import actions, classify, ode
 from cohom1.actions import Space, Tangential
 
 
@@ -59,6 +62,69 @@ class TestLinearResidualOracle:
                     measured = classify.linear_residual_oracle(G, m0, m1, k)
                     threshold = 1e-9 * classify.oracle_scale(G, m0, m1, k)
                     assert predicted is (measured <= threshold), (space, g, m0, m1, k)
+
+
+def criterion_3_pairs():
+    """(G, M0, M1, k) of every classified action with |j| <= 4, in the
+    order of the acceptance test: action by action, j ascending."""
+    acts = [
+        actions.make_action(space, g, m0, m1)
+        for g, m0, m1 in actions.strict_triples(max_m=9, max_ell=2)
+        for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP)
+    ] + [actions.make_action(Space.SP2_LIFT, 6, 1, 1)]
+    return [
+        (a.bvp_g, a.m0, a.m1, actions.admissible_k(a, j))
+        for a in acts
+        for j in range(-4, 5)
+        if j % 2 == 0 or a.odd_j_allowed
+    ]
+
+
+class TestCachedOracle:
+    def test_cached_half_gives_the_grid_tension_bit_for_bit(self):
+        # r = kt has r' = k and r'' = 0, so the oracle is max |N| of the
+        # cached time parts: the max |closed_tension_grid| on the 64 nodes
+        pairs = criterion_3_pairs()
+        assert len(pairs) == 1073 and len({p[:3] for p in pairs}) == 125
+        unit = 1.0 - np.cos((2 * np.arange(64) + 1) * math.pi / 128)
+        want = []
+        for G, M0, M1, k in pairs:
+            nodes = math.pi / G * 0.5 * unit
+            spec = ode.BvpSpec(G, M0, M1, k)
+            grid = ode.closed_tension_grid(spec, nodes, k * nodes, k, 0.0)
+            want.append(float(np.max(np.abs(grid))).hex())
+        runs = []
+        for order in (pairs, pairs[::-1]):
+            classify._oracle_time_parts.cache_clear()
+            runs.append({p: classify.linear_residual_oracle(*p).hex() for p in order})
+        assert runs[0] == runs[1]
+        assert [runs[0][p] for p in pairs] == want
+        assert classify._oracle_time_parts.cache_info().currsize == 125
+
+    def test_cached_arrays_are_read_only(self):
+        nodes, parts = classify._oracle_time_parts(2, 1, 3)
+        assert len(nodes) == 64 and 0.0 < nodes.min() and nodes.max() < math.pi / 2
+        for array in (nodes, *parts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_arguments_are_checked_before_the_cache(self):
+        # True hashes as 1 and 2.0 as 2, so a cache lookup alone would
+        # answer for them with the (1, 1, 1) and (2, 1, 1) entries
+        classify.linear_residual_oracle(1, 1, 1, -1)
+        classify.linear_residual_oracle(2, 1, 1, -1)
+        hits = classify._oracle_time_parts.cache_info().hits
+        assert classify.linear_residual_oracle(np.int64(2), 1, 1, -1) == (
+            classify.linear_residual_oracle(2, 1, 1, -1)
+        )
+        assert classify._oracle_time_parts.cache_info().hits == hits + 2
+        for bad in (True, 2.0, 1.0):
+            with pytest.raises(ValueError, match="^G must be a positive integer"):
+                classify.linear_residual_oracle(bad, 1, 1, -1)
+        with pytest.raises(ValueError, match="^M0 must be a positive integer"):
+            classify.linear_residual_oracle(2, True, 1, -1)
+        assert classify._oracle_time_parts.cache_info().maxsize == 256
 
 
 class TestIsHarmonicKMap:

@@ -1,4 +1,5 @@
-"""The one integer policy, :func:`cohom1.errors.require_int`.
+"""The one integer policy, :func:`cohom1.errors.require_int`, and the one
+real-number policy, :func:`cohom1.errors.is_real`.
 
 Every integer argument of the package takes a Python or numpy integer and
 gives the result of the equal Python int; a bool, a float or a string
@@ -8,16 +9,22 @@ each integer of BvpSpec and make_action.  The rejections of the raw-tension
 counts, the identity functions' arguments, the ``ShootingConfig`` counts
 and ``solve(profile_points=...)`` are pinned by parametrised tests next to
 those functions, so for them the table checks numpy acceptance only.
+
+Every real argument takes a Python or numpy int or float; a bool, numpy's
+bool, a string, None, a complex, a Fraction or a Decimal raises ValueError.
 """
 
+import contextlib
 import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cohom1 import actions, classify, identities, ode, solver
-from cohom1.errors import InadmissibleJ, InvalidTriple, require_int
+from cohom1.errors import InadmissibleJ, InvalidTriple, is_real, require_int
 from cohom1.ode import BvpSpec, TensionSample
 
 T = np.array([0.3, 1.1])
@@ -151,3 +158,56 @@ class TestRequireInt:
     def test_error_type_is_the_callers(self):
         with pytest.raises(InadmissibleJ, match="^j must be an integer, got 1.0$"):
             require_int("j", 1.0, error=InadmissibleJ)
+
+
+class NoShot(Exception):
+    """Raised in place of a shot: the arguments passed validation."""
+
+
+def no_shot(*args):
+    raise NoShot
+
+
+# id: (call(value) with solver.shoot replaced by no_shot, message of the
+# rejection).  Each call takes the value 1 of any accepted type.
+REAL_ARGUMENTS = {
+    "ShootingConfig.blowup_cap": (
+        lambda v: solver.ShootingConfig(blowup_cap=v).validate(SPEC),
+        "^blowup_cap must be a real number, got ",
+    ),
+    "ShootingConfig.bracket": (
+        lambda v: solver.ShootingConfig(bracket=(-1.0, v)).validate(SPEC),
+        "^bracket must be a pair of real numbers, got ",
+    ),
+    "solve.init": (
+        lambda v: solver.solve(SPEC, init=(v, v)),
+        "^init must be a pair of finite real numbers, got ",
+    ),
+    "identity_suite.margin": (
+        lambda v: identities.identity_suite(g_max=1, samples=10, margin=v),
+        "^margin \\(--margin\\) must lie in ",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", [int, float, np.int64, np.float32])
+@pytest.mark.parametrize("key", REAL_ARGUMENTS)
+def test_real_numbers_accepted(key, kind, monkeypatch):
+    monkeypatch.setattr(solver, "shoot", no_shot)
+    call, _ = REAL_ARGUMENTS[key]
+    assert is_real(kind(1))
+    with pytest.raises(NoShot) if key == "solve.init" else contextlib.nullcontext():
+        call(kind(1))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, "1", None, 1 + 0j, Fraction(1), Decimal(1)], ids=repr
+)
+@pytest.mark.parametrize("key", REAL_ARGUMENTS)
+def test_non_real_numbers_rejected(key, bad, monkeypatch):
+    # numbers.Real alone would admit the Fraction
+    monkeypatch.setattr(solver, "shoot", no_shot)
+    call, message = REAL_ARGUMENTS[key]
+    assert not is_real(bad)
+    with pytest.raises(ValueError, match=message):
+        call(bad)

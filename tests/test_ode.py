@@ -172,6 +172,25 @@ class TestRawSums:
         )
         assert ode.raw_tension_so(1, m, m, s) == pytest.approx(expected, rel=1e-13)
 
+    def test_sum_is_the_written_out_loop_bit_for_bit(self):
+        # each shift i pi/g is computed once and doubled for the forcing
+        # argument, which rounds as 2 i pi / g does
+        rng = np.random.default_rng(4051)
+        for _ in range(2000):
+            g = int(rng.integers(1, 25))
+            m0, m1 = (int(m) for m in rng.integers(1, 10, size=2))
+            s = random_sample(g, rng)
+            total, forcing = s.rddot, 0.0
+            for i in range(g):
+                x = math.remainder(s.t - i * math.pi / g, ode.TAU)
+                sx = math.sin(x)
+                mi = m0 if i % 2 == 0 else m1
+                total += mi * (math.cos(x) / sx) * s.rdot
+                forcing += mi * math.sin(
+                    math.remainder(2.0 * s.r - 2.0 * i * math.pi / g, ode.TAU)
+                ) / (sx * sx)
+            assert ode.raw_tension_sphere(g, m0, m1, s).hex() == (total - 0.5 * forcing).hex()
+
     @pytest.mark.parametrize("raw", [ode.raw_tension_sphere, ode.raw_tension_so])
     @pytest.mark.parametrize("g, m0, m1, name", [
         (0, 1, 1, "g"), (-2, 1, 1, "g"), (True, 1, 1, "g"), (2.0, 1, 1, "g"),
@@ -364,6 +383,24 @@ class TestRhs:
             first = [t for t in flat if near(t)] or [t for t in flat if underflows(t)]
             assert named(batch) == (message(first[0]) if first else None)
         assert named(np.empty(0)) is None and named(np.empty((5, 0))) is None
+
+        # require_regular takes an array inside the window at once, and
+        # otherwise names the first near time: inside the window, straddling
+        # it, empty, and with a NaN; without a warning
+        def required(batch):
+            try:
+                ode.require_regular(np.asarray(batch, dtype=float), G)
+            except PoleProximity as exc:
+                return str(exc)
+            return None
+
+        inside = [t for t in finite if lo < t < hi]
+        outside = [t for t in finite if not lo < t < hi]
+        for batch in (inside, inside + outside, outside + inside, [], np.empty((5, 0)),
+                      inside + [math.nan], [math.nan] + inside, times, stacked):
+            flat = np.ravel(batch).tolist()
+            first = [t for t in flat if near(t)]
+            assert required(batch) == (message(first[0]) if first else None)
 
 
 def scalar_pole_checks(spec):
