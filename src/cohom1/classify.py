@@ -19,27 +19,27 @@ the usual |k| <= g exclusion argument does not pin j to {0, -1} when
 g = 1).  The tables are encoded verbatim and that verdict carries the
 reason code "untabulated-reflection".  The G = 2, k = 0 linear solution
 never meets the tables because k = 0 is not an admissible winding number.
+:func:`linear_residual_oracle` checks the linear rule exactly, in integers:
+this module imports no numpy.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 from . import actions
 from .actions import ActionDescriptor, Space, Tangential
-from .errors import CohomError, InadmissibleJ, require_int
+from .errors import CohomError, InadmissibleJ, int_as_float, require_int
 
 
 def is_linear_solution(G: int, M0: int, M1: int, k: int) -> bool:
     """Does r(t) = k t solve the (G, M0, M1, k) boundary value problem?
 
-    Complete over all integers k (checked against the brute-force residual
-    oracle): besides k = 1, the G = 2 problems admit the reflection k = -1
-    and the constant map k = 0 for any multiplicities, and equal
-    multiplicities admit k = 1 - G, which for G = 1 is joined by the
-    reflection k = -1.
+    Complete over all integers k (for every classified G, tests/test_classify.py
+    ``TestLinearRuleProof`` proves it by :func:`linear_residual_oracle`):
+    besides k = 1, the G = 2 problems admit the reflection k = -1 and the
+    constant map k = 0 for any multiplicities, and equal multiplicities
+    admit k = 1 - G, which for G = 1 is joined by the reflection k = -1.
     """
     if k == 1:
         return True
@@ -48,50 +48,46 @@ def is_linear_solution(G: int, M0: int, M1: int, k: int) -> bool:
     return M0 == M1 and (k == 1 - G or (G == 1 and k == -1))
 
 
+def _checked(G, M0, M1, k) -> tuple[int, int, int, int]:
+    """(G, M0, M1, k) as Python ints: G, M0 and M1 positive, k any integer."""
+    return (require_int("G", G, 1), require_int("M0", M0, 1), require_int("M1", M1, 1),
+            require_int("k", k))
+
+
 def oracle_scale(G: int, M0: int, M1: int, k: int) -> float:
-    """Natural magnitude of the cleared-denominator ODE coefficients."""
-    return 4.0 * G * (M0 + M1) * (1.0 + abs(k))
+    """Natural magnitude of the cleared-denominator ODE coefficients,
+    4 G (M0 + M1)(1 + |k|), for a k that converts to a float."""
+    G, M0, M1, k = _checked(G, M0, M1, k)
+    return 4.0 * G * (M0 + M1) * (1.0 + abs(int_as_float("k", k)))
 
 
-@functools.lru_cache(maxsize=256)
-def _oracle_time_parts(G: int, M0: int, M1: int):
-    """(nodes, parts): the 64 open Chebyshev nodes of (0, pi/G), pole-checked
-    once, and their ``ode._time_parts``, every array read-only.  Keyed on the
-    Python ints of a validated ``BvpSpec``; one oracle pass over the
-    classified actions meets 125 distinct triples, so the cache holds them
-    all."""
-    import numpy as np
-
-    from . import ode
-
-    j = np.arange(64)
-    nodes = math.pi / G * 0.5 * (1.0 - np.cos((2 * j + 1) * math.pi / 128))
-    ode.require_regular(nodes, G)
-    parts = ode._time_parts(G, M0, M1, nodes, np.remainder)
-    for array in parts:
-        array.flags.writeable = False
-    return nodes, parts
+def _sine_series(G: int, M0: int, M1: int, k: int) -> dict[int, int]:
+    """{w: c_w}, w > 0, of :func:`linear_residual_oracle`'s series, merged
+    with S(-w) = -S(w) and S(0) = 0; one (w, c) per term, a line per group."""
+    s, d, c, f1 = M0 + M1, M0 - M1, 2 * (k - 1), G * (G - 2)
+    series: dict[int, int] = {}
+    for w, a in (
+        (2 * G, 2 * k * G * s), (G, 4 * k * G * d),
+        (c, -2 * f1 * s), (c + G, -f1 * d), (c - G, -f1 * d),
+        (c + 2 * G, -2 * G * s), (c, -2 * G * s), (c + G, -4 * G * d),
+    ):
+        if w:
+            series[abs(w)] = series.get(abs(w), 0) + (a if w > 0 else -a)
+    return series
 
 
-def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> float:
-    """Brute-force check of the linear candidate: max |closed tension| of
-    r = k t over 64 Chebyshev points of (0, pi/G).
+def linear_residual_oracle(G: int, M0: int, M1: int, k: int) -> int:
+    """Exact check of r = kt: the sum of |c_w| over the integer sine series
+    2N = sum c_w S(w) of its tension, where the product-to-sum rule gives
 
-    Open Chebyshev nodes never touch the singular endpoints, so no pole
-    handling is needed.  As r'' = 0 the tension is the N of
-    ``ode._state_parts``, evaluated on the cached t-only half
-    :func:`_oracle_time_parts`.  The only numpy code of this module: numpy
-    and ``ode`` are imported on its first call, so the verdicts and tables
-    import neither.
+        2N = 2kGs S(2G) + 4kGd S(G) - f1 (2s S(c) + d S(c+G) + d S(c-G))
+               - 2G (s S(c+2G) + s S(c) + 2d S(c+G)),
+
+    S(w) = sin(wt), s = M0 + M1, d = M0 - M1, c = 2(k - 1), f1 = G(G - 2).
+    Sines of distinct frequencies are independent on (0, pi/G), so the int
+    is 0 iff r = kt solves the problem, and never below 2 max_t |N(t, kt)|.
     """
-    import numpy as np
-
-    from . import ode
-
-    spec = ode.BvpSpec(G=G, M0=M0, M1=M1, k=k)
-    nodes, parts = _oracle_time_parts(spec.G, spec.M0, spec.M1)
-    _A, N = ode._state_parts(spec.G, parts, spec.k * nodes, float(spec.k), np.remainder)
-    return float(np.max(np.abs(N)))
+    return sum(map(abs, _sine_series(*_checked(G, M0, M1, k)).values()))
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,8 @@ def classify_range(
     action: ActionDescriptor, jmin: int = -4, jmax: int = 4
 ) -> list[HarmonicityVerdict]:
     """One verdict per admissible j in [jmin, jmax]."""
-    out = []
-    for j in range(require_int("jmin", jmin), require_int("jmax", jmax) + 1):
-        if j % 2 != 0 and not action.odd_j_allowed:
-            continue
-        out.append(is_harmonic_k_map(action, j))
-    return out
+    js = range(require_int("jmin", jmin), require_int("jmax", jmax) + 1)
+    return [is_harmonic_k_map(action, j) for j in js if j % 2 == 0 or action.odd_j_allowed]
 
 
 # The concrete harmonic self-maps highlighted for the rotation groups:
@@ -224,10 +216,6 @@ def format_table(verdicts: list[HarmonicityVerdict]) -> str:
         )
         for v in verdicts
     ]
-    widths = [
-        max([len(header[c])] + [len(r[c]) for r in rows]) for c in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = ("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip() for r in (header, *rows))
     return "\n".join(lines)

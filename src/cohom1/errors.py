@@ -22,6 +22,14 @@ def require_int(name: str, value, low: int | None = None, error: type = ValueErr
     raise error(f"{name} must be {_KINDS[low]}, got {value!r}")
 
 
+def int_as_float(name: str, value: int) -> float:
+    """float(value); ValueError naming ``name`` if it overflows a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must round to a float below 2**1024 in magnitude") from None
+
+
 def is_real(value) -> bool:
     """Is ``value`` a Python or numpy int or float, but no bool?
 

@@ -32,7 +32,8 @@ from typing import Callable
 import numpy as np
 
 from . import actions
-from .errors import PoleProximity, ProfileTooCoarse, UnequalMultiplicities, require_int
+from .errors import PoleProximity, ProfileTooCoarse, UnequalMultiplicities
+from .errors import int_as_float, require_int
 
 TAU = 2.0 * math.pi
 # TAU split in two for :func:`_remainder_exact` (Cody and Waite): the top
@@ -135,7 +136,7 @@ class BvpSpec:
 
     @property
     def boundary(self) -> tuple[float, float]:
-        return (0.0, self.k * self.length)
+        return (0.0, int_as_float("k", self.k) * self.length)
 
     @classmethod
     def from_action(cls, action: actions.ActionDescriptor, j: int) -> "BvpSpec":

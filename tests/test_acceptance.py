@@ -112,6 +112,17 @@ def test_criterion_2_raw_vs_closed_tension():
     assert ok, (worst_sphere, worst_so, elapsed)
 
 
+CHEBYSHEV_UNIT = 1.0 - np.cos((2 * np.arange(64) + 1) * math.pi / 128)
+
+
+def float_linear_residual(G, m0, m1, k):
+    """Brute-force float check of the linear candidate: max |closed tension|
+    of r = kt over the 64 open Chebyshev nodes of (0, pi/G)."""
+    nodes = math.pi / G * 0.5 * CHEBYSHEV_UNIT
+    spec = ode.BvpSpec(G=G, M0=m0, M1=m1, k=k)
+    return float(np.max(np.abs(ode.closed_tension_grid(spec, nodes, k * nodes, k, 0.0))))
+
+
 def test_criterion_3_linear_oracle_agreement():
     t0 = time.perf_counter()
     disagreements = []
@@ -121,19 +132,20 @@ def test_criterion_3_linear_oracle_agreement():
         for j in admissible_js(action):
             k = actions.admissible_k(action, j)
             predicted = classify.is_linear_solution(G, m0, m1, k)
-            measured = classify.linear_residual_oracle(G, m0, m1, k)
+            measured = float_linear_residual(G, m0, m1, k)
             threshold = 1e-9 * classify.oracle_scale(G, m0, m1, k)
+            exact = classify.linear_residual_oracle(G, m0, m1, k)
             checked += 1
-            if predicted is not (measured <= threshold):
-                disagreements.append((action.space.token, G, m0, m1, k, measured))
+            if predicted is not (measured <= threshold) or predicted is not (exact == 0):
+                disagreements.append((action.space.token, G, m0, m1, k, measured, exact))
     elapsed = time.perf_counter() - t0
     ok = not disagreements and elapsed < 10.0
     report(
         3,
         ok,
-        f"linear-solution rule vs brute-force residual oracle on {checked} "
-        f"(triple, k) pairs: {len(disagreements)} disagreements, "
-        f"{elapsed:.2f}s (< 10s)",
+        f"linear-solution rule vs brute-force float residual and exact sine "
+        f"series on {checked} (triple, k) pairs: {len(disagreements)} "
+        f"disagreements, {elapsed:.2f}s (< 10s)",
     )
     assert ok, (disagreements[:10], elapsed)
 

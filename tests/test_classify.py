@@ -1,6 +1,7 @@
-"""Harmonicity decisions, the brute-force linear oracle, example tables."""
+"""Harmonicity decisions, the exact linear oracle, example tables."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -80,51 +81,133 @@ def criterion_3_pairs():
     ]
 
 
-class TestCachedOracle:
-    def test_cached_half_gives_the_grid_tension_bit_for_bit(self):
-        # r = kt has r' = k and r'' = 0, so the oracle is max |N| of the
-        # cached time parts: the max |closed_tension_grid| on the 64 nodes
+def classified_G():
+    """Every G the classification produces: sphere g, lifted 2g, Sp(2) 6."""
+    acts = [
+        actions.make_action(space, g, m0, m1)
+        for g, m0, m1 in actions.strict_triples()
+        for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP)
+    ] + [actions.make_action(Space.SP2_LIFT, 6, 1, 1)]
+    return sorted({a.bvp_g for a in acts})
+
+
+class TestExactOracle:
+    def test_half_series_is_the_grid_tension(self):
+        # the integer form against its float twin: at seeded random interior
+        # t, half the sine series is closed_tension_grid of r = kt, and the
+        # oracle bounds twice its largest value
+        rng = random.Random(31)
+        for G, M0, M1, k in rng.sample(criterion_3_pairs(), 300):
+            t = math.pi / G * np.array([rng.uniform(0.001, 0.999) for _ in range(16)])
+            series = classify._sine_series(G, M0, M1, k)
+            half = 0.5 * sum(c * np.sin(w * t) for w, c in series.items())
+            grid = ode.closed_tension_grid(ode.BvpSpec(G, M0, M1, k), t, k * t, k, 0.0)
+            scale = classify.oracle_scale(G, M0, M1, k)
+            assert np.all(np.abs(half - grid) <= 1e-13 * (scale + np.abs(grid))), (G, M0, M1, k)
+            oracle = classify.linear_residual_oracle(G, M0, M1, k)
+            assert 2.0 * np.max(np.abs(grid)) <= oracle + 1e-13 * scale
+
+    def test_zero_exactly_on_the_solutions(self):
+        # 251 of criterion 3's 1073 pairs are solutions: the oracle is the
+        # int 0 on those and a positive int on the rest, in either order
         pairs = criterion_3_pairs()
-        assert len(pairs) == 1073 and len({p[:3] for p in pairs}) == 125
-        unit = 1.0 - np.cos((2 * np.arange(64) + 1) * math.pi / 128)
-        want = []
-        for G, M0, M1, k in pairs:
-            nodes = math.pi / G * 0.5 * unit
-            spec = ode.BvpSpec(G, M0, M1, k)
-            grid = ode.closed_tension_grid(spec, nodes, k * nodes, k, 0.0)
-            want.append(float(np.max(np.abs(grid))).hex())
-        runs = []
-        for order in (pairs, pairs[::-1]):
-            classify._oracle_time_parts.cache_clear()
-            runs.append({p: classify.linear_residual_oracle(*p).hex() for p in order})
-        assert runs[0] == runs[1]
-        assert [runs[0][p] for p in pairs] == want
-        assert classify._oracle_time_parts.cache_info().currsize == 125
+        assert len(pairs) == 1073
+        values = [classify.linear_residual_oracle(*p) for p in pairs]
+        assert values == [classify.linear_residual_oracle(*p) for p in pairs[::-1]][::-1]
+        assert {type(v) for v in values} == {int}
+        assert [v == 0 for v in values] == [classify.is_linear_solution(*p) for p in pairs]
+        assert sum(v == 0 for v in values) == 251
 
-    def test_cached_arrays_are_read_only(self):
-        nodes, parts = classify._oracle_time_parts(2, 1, 3)
-        assert len(nodes) == 64 and 0.0 < nodes.min() and nodes.max() < math.pi / 2
-        for array in (nodes, *parts):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+    def test_huge_k_is_exact(self):
+        # no float conversion: k = 10**400 gives the int of the sine series,
+        # here (2,1,1) with c = 2(k-1): 2kGs = 8k at 2G = 4 and -2Gs = -8 at
+        # c + 4 and at c, the f1 = 0 and d = 0 terms vanishing
+        k = 10**400
+        assert classify.linear_residual_oracle(2, 1, 1, k) == 8 * k + 16
+        assert classify.linear_residual_oracle(4, 2, 2, -k) > 0
+        assert classify.linear_residual_oracle(np.int64(2), 1, 1, k) == 8 * k + 16
 
-    def test_arguments_are_checked_before_the_cache(self):
-        # True hashes as 1 and 2.0 as 2, so a cache lookup alone would
-        # answer for them with the (1, 1, 1) and (2, 1, 1) entries
-        classify.linear_residual_oracle(1, 1, 1, -1)
-        classify.linear_residual_oracle(2, 1, 1, -1)
-        hits = classify._oracle_time_parts.cache_info().hits
+    def test_huge_k_named_by_the_float_scale(self):
+        with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
+            classify.oracle_scale(2, 1, 1, 10**400)
+        assert classify.oracle_scale(2, 1, 1, 10**300) == 16.0 * (1.0 + 1e300)
+
+    def test_arguments_are_checked(self):
+        # True equals 1 and 2.0 equals 2, yet neither is an integer argument
         assert classify.linear_residual_oracle(np.int64(2), 1, 1, -1) == (
             classify.linear_residual_oracle(2, 1, 1, -1)
         )
-        assert classify._oracle_time_parts.cache_info().hits == hits + 2
         for bad in (True, 2.0, 1.0):
             with pytest.raises(ValueError, match="^G must be a positive integer"):
                 classify.linear_residual_oracle(bad, 1, 1, -1)
         with pytest.raises(ValueError, match="^M0 must be a positive integer"):
             classify.linear_residual_oracle(2, True, 1, -1)
-        assert classify._oracle_time_parts.cache_info().maxsize == 256
+
+
+# Three pairwise non-collinear multiplicity pairs, one of them equal.
+PROOF_PAIRS = ((1, 1), (1, 2), (2, 1))
+
+
+def solution_multiplicities(G, k):
+    """The positive (M0, M1) at which r = kt solves the (G, M0, M1, k)
+    problem, read from the exact sine series: "all", "equal" or "none".
+
+    Each coefficient is x M0 + y M1 for integers x, y that depend on (G, k)
+    only, recovered from the pairs (1, 2) and (2, 1) and checked at (1, 1).
+    The multiplicities that zero every coefficient form the kernel of the
+    rows (x, y): everything if all rows vanish, the line of (y, -x) if the
+    rows are parallel, else 0; the line holds positive pairs iff x y < 0.
+    A line other than M0 = M1 is a solution set the rule cannot state, and
+    fails the assert.
+    """
+    at = {pair: classify._sine_series(G, *pair, k) for pair in PROOF_PAIRS}
+    rows = []
+    for w in set().union(*at.values()):
+        c11, c12, c21 = (at[pair].get(w, 0) for pair in PROOF_PAIRS)
+        x, y = (2 * c21 - c12) // 3, (2 * c12 - c21) // 3
+        assert (x + 2 * y, 2 * x + y, x + y) == (c12, c21, c11), (G, k, w)
+        if x or y:
+            rows.append((x, y))
+    if not rows:
+        return "all"
+    x, y = rows[0]
+    if any(x * y1 - x1 * y for x1, y1 in rows) or x * y >= 0:
+        return "none"       # no positive pair on the kernel line
+    assert x == -y, (G, k, rows)
+    return "equal"
+
+
+class TestLinearRuleProof:
+    """``is_linear_solution`` equals the exact oracle for every integer k and
+    every multiplicity pair, for each G the classification produces.
+
+    With c = 2(k - 1), the k-dependent frequencies are |c|, |c + G|,
+    |c - G| and |c + 2G|; none is 2G unless c lies in G*{-4, ..., 3}.  Off
+    that set the coefficient of sin(2Gt) is 2kG(M0 + M1), nonzero for
+    k != 0, so r = kt solves nothing there, and the rule, whose k are 1,
+    -1 (G <= 2), 0 and 1 - G, all in the set or 0, agrees.  On the set and
+    at k = 0 the coefficients are linear in (M0, M1), so their common zeros
+    are read exactly from three pairs (``solution_multiplicities``).
+    """
+
+    @pytest.mark.parametrize("G", classified_G())
+    def test_rule_is_the_exact_form(self, G):
+        special = {0} | {1 + G * m // 2 for m in range(-4, 4) if G * m % 2 == 0}
+        for k in sorted(special):
+            rule = {pair: classify.is_linear_solution(G, *pair, k) for pair in PROOF_PAIRS}
+            assert rule[(1, 2)] is rule[(2, 1)]
+            expected = "all" if rule[(1, 2)] else "equal" if rule[(1, 1)] else "none"
+            assert solution_multiplicities(G, k) == expected, (G, k)
+            for pair in PROOF_PAIRS:
+                assert (classify.linear_residual_oracle(G, *pair, k) == 0) is rule[pair]
+        for k in range(-8 * G - 8, 8 * G + 9):
+            if k not in special:
+                for M0, M1 in PROOF_PAIRS:
+                    assert classify._sine_series(G, M0, M1, k)[2 * G] == 2 * k * G * (M0 + M1)
+                    assert not classify.is_linear_solution(G, M0, M1, k)
+
+    def test_classified_G(self):
+        assert classified_G() == [1, 2, 3, 4, 6, 8, 12]
 
 
 class TestIsHarmonicKMap:

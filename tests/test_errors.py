@@ -51,6 +51,19 @@ TABLE = {
     "linear_residual_oracle.G": (
         "G", lambda v: classify.linear_residual_oracle(v, 1, 1, -1), ValueError, 2,
     ),
+    "linear_residual_oracle.M0": (
+        "M0", lambda v: classify.linear_residual_oracle(2, v, 3, -1), ValueError, 2,
+    ),
+    "linear_residual_oracle.M1": (
+        "M1", lambda v: classify.linear_residual_oracle(2, 1, v, 3), ValueError, 2,
+    ),
+    "linear_residual_oracle.k": (
+        "k", lambda v: classify.linear_residual_oracle(2, 1, 3, v), ValueError, 3,
+    ),
+    "oracle_scale.G": ("G", lambda v: classify.oracle_scale(v, 1, 1, -1), ValueError, 2),
+    "oracle_scale.M0": ("M0", lambda v: classify.oracle_scale(2, v, 3, -1), ValueError, 2),
+    "oracle_scale.M1": ("M1", lambda v: classify.oracle_scale(2, 1, v, 3), ValueError, 2),
+    "oracle_scale.k": ("k", lambda v: classify.oracle_scale(2, 1, 3, v), ValueError, -3),
     "make_action.g": ("g", lambda v: actions.make_action("so", v, 1, 1), InvalidTriple, 2),
     "make_action.m0": (
         "m0", lambda v: actions.make_action("sphere", 2, v, 3), InvalidTriple, 2,

@@ -562,6 +562,12 @@ class TestBvpSpec:
         assert spec.domain == (0.0, math.pi / 3)
         assert spec.boundary == (0.0, -2 * math.pi / 3)
 
+    def test_huge_k_accepted_and_named_by_the_float_boundary(self):
+        spec = BvpSpec(G=2, M0=1, M1=1, k=10**400)
+        assert spec.to_dict()["k"] == 10**400
+        with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
+            spec.boundary
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             BvpSpec(G=0, M0=1, M1=1, k=1)

@@ -1068,6 +1068,15 @@ class TestConfigDict:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("k", [10**400, -(10**400)])
+    def test_huge_k_named_before_any_float(self, k):
+        # BvpSpec takes any integer k, but the bracket and the right boundary
+        # value are floats: solve and sweep name k instead of overflowing
+        spec = BvpSpec(G=2, M0=1, M1=1, k=k)
+        for call in (ShootingConfig().validate, solver.solve, solver.sweep):
+            with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
+                call(spec)
+
     def test_eps_bounds(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=1)
         with pytest.raises(ValueError):
