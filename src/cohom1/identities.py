@@ -11,8 +11,14 @@ into the compact boundary value problem coefficients:
                  = (g/2) ((m0+m1) cot(gt) + (m0-m1) / sin(gt)),  g even,
 
 all sums over i = 0..g-1 with multiplicities alternating by index parity.
-Both sides are evaluated independently and returned for comparison; the
-deviation |lhs - rhs| <= tol * (1 + |lhs|) is the mixed relative/absolute
+Every sum is one pass over the shifts: each x_i = t - i pi/g is reduced
+modulo 2 pi by :func:`ode.floor_remainder` (the exact ``np.fmod`` plus one
+rounded shift, bit for bit ``np.remainder``), and it and its sine are
+computed once for every identity evaluated at that t, so the suite pays
+one reduction and one sine per shift for the first three.  Within an
+identity both sides are evaluated independently, sharing no intermediate
+value, and returned for comparison; the deviation
+|lhs - rhs| <= tol * (1 + |lhs|) is the mixed relative/absolute
 acceptance everywhere, which copes with magnitudes from ~0 up to the large
 values near the (excluded) poles.
 """
@@ -24,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import OddG, is_real, require_int
-from .ode import TAU, pole_distance, require_regular
+from .ode import TAU, floor_remainder, pole_distance, require_regular
 
 #: Seed of the default sampling streams; configurable in every entry point.
 DEFAULT_SEED = 375011
@@ -43,43 +49,86 @@ def _check_regular(g: int, t) -> np.ndarray:
     return t
 
 
-def _shifted_sum(g: int, t, term):
-    """sum_i term(i, x_i) over i = 0..g-1, x_i = t - i pi/g reduced mod 2 pi."""
-    total = 0.0
+def _sides(g: int, t: np.ndarray, identities) -> list:
+    """Both sides of each identity at the same g and t, in one pass over the
+    shifts i = 0..g-1: x_i = t - i pi/g and gt, reduced mod 2 pi, and their
+    sines are computed once for every identity.
+
+    An identity is a pair (term, close): term(i, i pi/g, x_i, sin x_i) is
+    its summand, and close(sum, gt, sin gt) returns its (lhs, rhs).
+    """
+    sums = [0.0] * len(identities)
     for i in range(g):
-        total = total + term(i, np.remainder(t - i * math.pi / g, TAU))
-    return total
+        off = i * math.pi / g
+        x = floor_remainder(t - off, TAU)
+        sin_x = np.sin(x)
+        for j, (term, _close) in enumerate(identities):
+            sums[j] = sums[j] + term(i, off, x, sin_x)
+    gt = floor_remainder(g * t, TAU)
+    sin_gt = np.sin(gt)
+    return [close(total, gt, sin_gt) for (_term, close), total in zip(identities, sums)]
+
+
+# The numerators of the sin-square and sin-double lemmas.
+def _sin_sq(y):
+    return np.sin(floor_remainder(y, TAU)) ** 2
+
+
+def _sin_2(y):
+    return np.sin(floor_remainder(2.0 * y, TAU))
 
 
 def _sin_lemma(g, r, t, num):
-    """Both sides of sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
-    = g ((g-1) num(r-t) + num(r + (g-1) t))."""
-    g = require_int("g", g, 1)
-    t = _check_regular(g, t)
+    """sum_i num(r - i pi/g) / sin^2(t - i pi/g) * sin^2(gt)
+    = g ((g-1) num(r-t) + num(r + (g-1) t)), as a term and a close."""
     r = np.asarray(r, dtype=float)
-    lhs = _shifted_sum(
-        g, t, lambda i, x: num(r - i * math.pi / g) / np.sin(x) ** 2
-    ) * np.sin(np.remainder(g * t, TAU)) ** 2
-    rhs = g * ((g - 1) * num(r - t) + num(r + (g - 1) * t))
-    return lhs, rhs
+
+    def close(total, gt, sin_gt):
+        return total * sin_gt**2, g * ((g - 1) * num(r - t) + num(r + (g - 1) * t))
+
+    return (lambda i, off, x, sin_x: num(r - off) / sin_x**2), close
+
+
+def _cotangent(g):
+    """g cot(gt) = sum_i cot(t - i pi/g), as a term and a close."""
+
+    def close(total, gt, sin_gt):
+        return g * np.cos(gt) / sin_gt, total
+
+    return (lambda i, off, x, sin_x: np.cos(x) / sin_x), close
+
+
+def _half_sum(g, m0, m1):
+    """sum_i m_i cot(t - i pi/g) = (g/2) ((m0+m1) cot(gt) + (m0-m1) / sin(gt)),
+    as a term and a close."""
+    m0 = np.asarray(m0, dtype=float)
+    m1 = np.asarray(m1, dtype=float)
+
+    def close(direct, gt, sin_gt):
+        return direct, 0.5 * g * ((m0 + m1) * np.cos(gt) / sin_gt + (m0 - m1) / sin_gt)
+
+    return (lambda i, off, x, sin_x: (m0 if i % 2 == 0 else m1) * np.cos(x) / sin_x), close
 
 
 def lemma_sin_sq(g, r, t):
     """Both sides of the sin-square summation identity."""
-    return _sin_lemma(g, r, t, lambda y: np.sin(np.remainder(y, TAU)) ** 2)
+    g = require_int("g", g, 1)
+    t = _check_regular(g, t)
+    return _sides(g, t, [_sin_lemma(g, r, t, _sin_sq)])[0]
 
 
 def lemma_sin_2r(g, r, t):
     """Both sides of the sin-double-angle summation identity."""
-    return _sin_lemma(g, r, t, lambda y: np.sin(np.remainder(2.0 * y, TAU)))
+    g = require_int("g", g, 1)
+    t = _check_regular(g, t)
+    return _sides(g, t, [_sin_lemma(g, r, t, _sin_2)])[0]
 
 
 def cotangent_identity(g, t):
     """g*cot(gt) against the sum of shifted cotangents."""
     g = require_int("g", g, 1)
     t = _check_regular(g, t)
-    lhs = g * np.cos(np.remainder(g * t, TAU)) / np.sin(np.remainder(g * t, TAU))
-    return lhs, _shifted_sum(g, t, lambda i, x: np.cos(x) / np.sin(x))
+    return _sides(g, t, [_cotangent(g)])[0]
 
 
 def half_sum_split(g, m0, m1, t):
@@ -88,14 +137,7 @@ def half_sum_split(g, m0, m1, t):
     if g % 2 != 0:
         raise OddG(f"half-sum split requires even g, got {g}")
     t = _check_regular(g, t)
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    direct = _shifted_sum(
-        g, t, lambda i, x: (m0 if i % 2 == 0 else m1) * np.cos(x) / np.sin(x)
-    )
-    gt = np.remainder(g * t, TAU)
-    split = 0.5 * g * ((m0 + m1) * np.cos(gt) / np.sin(gt) + (m0 - m1) / np.sin(gt))
-    return direct, split
+    return _sides(g, t, [_half_sum(g, m0, m1)])[0]
 
 
 def mixed_deviation(lhs, rhs) -> float:
@@ -170,11 +212,13 @@ def identity_suite(
     even_gs = [g for g in range(1, g_max + 1) if g % 2 == 0]
     per_even = -(-samples // max(len(even_gs), 1))
     for g in range(1, g_max + 1):
-        t = sample_regular_t(g, per_g, rng, margin)
+        # the pole test of the public identities: a margin below
+        # ode.DEFAULT_POLE_MARGIN lets a sample nearer a pole through
+        t = _check_regular(g, sample_regular_t(g, per_g, rng, margin))
         r = rng.uniform(0.0, math.pi, size=per_g)
-        record("lemma_sin_sq", lemma_sin_sq(g, r, t), per_g)
-        record("lemma_sin_2r", lemma_sin_2r(g, r, t), per_g)
-        record("cotangent_identity", cotangent_identity(g, t), per_g)
+        same_t = [_sin_lemma(g, r, t, _sin_sq), _sin_lemma(g, r, t, _sin_2), _cotangent(g)]
+        for name, sides in zip(names, _sides(g, t, same_t)):
+            record(name, sides, per_g)
         if g % 2 == 0:
             th = sample_regular_t(g, per_even, rng, margin)
             m0 = rng.integers(1, 10, size=per_even)

@@ -20,7 +20,10 @@ second name for it).  Its array twin, :func:`_time_parts` and
 reduction.  The equal-multiplicity simplification and the un-simplified
 sums over the curvature directions are independent checks on both.
 
-All trigonometric arguments are reduced modulo 2*pi before evaluation.
+All trigonometric arguments are reduced modulo 2*pi before evaluation:
+scalars by ``math.remainder``, arrays by :func:`floor_remainder` (the floor
+modulo ``np.remainder`` computes, from the exact ``np.fmod``) or, where they
+must equal the scalar closure, by :func:`_remainder_exact`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ DEFAULT_POLE_MARGIN = 1e-8
 def _reduce(x: float) -> float:
     # IEEE remainder is exact, so reduction adds no rounding error.
     return math.remainder(x, TAU)
+
+
+def floor_remainder(x, period: float) -> np.ndarray:
+    """Elementwise ``np.remainder(x, period)`` for a period > 0, bit for bit.
+
+    ``np.fmod`` is exact, so the one rounding is the shift of a negative
+    remainder by the period, the one that ``np.remainder`` makes; the +0.0
+    added to the rest turns the -0.0 of a negative multiple of the period
+    into the +0.0 that ``np.remainder`` returns.  NaN and infinite x give
+    NaN, as there.
+    """
+    f = np.fmod(x, period)
+    return f + np.where(f < 0.0, period, 0.0)
 
 
 def pole_distance(t, G: int):
@@ -136,7 +152,15 @@ class BvpSpec:
 
     @property
     def boundary(self) -> tuple[float, float]:
-        return (0.0, int_as_float("k", self.k) * self.length)
+        """(0, k pi/G); ValueError naming k unless k pi/G and twice it, the
+        size of the angle 2(r - t) that :func:`rhs` reduces, are finite."""
+        right = int_as_float("k", self.k) * self.length
+        if not math.isfinite(2.0 * right):
+            raise ValueError(
+                f"k must keep 2 k pi/G a finite float for G={self.G}, "
+                f"got k ~ {float(self.k):.6g}"
+            )
+        return (0.0, right)
 
     @classmethod
     def from_action(cls, action: actions.ActionDescriptor, j: int) -> "BvpSpec":
@@ -165,9 +189,9 @@ def _time_parts(G, M0, M1, t, rem):
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
     u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments:
-    ``np.remainder``, a floor modulo, serves :func:`closed_tension_grid`,
-    and :func:`_remainder_exact` makes every element equal the closure bit
-    for bit.
+    :func:`floor_remainder`, a floor modulo, serves
+    :func:`closed_tension_grid`, and :func:`_remainder_exact` makes every
+    element equal the closure bit for bit.
     """
     s = M0 + M1
     d = M0 - M1
@@ -249,9 +273,9 @@ def closed_tension_grid(spec: BvpSpec, t, r, rdot, rddot) -> np.ndarray:
 
 def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot) -> np.ndarray:
     """:func:`closed_tension_grid` at float times that passed the pole test."""
-    parts = _time_parts(spec.G, spec.M0, spec.M1, t, np.remainder)
+    parts = _time_parts(spec.G, spec.M0, spec.M1, t, floor_remainder)
     r, rdot = np.asarray(r, dtype=float), np.asarray(rdot, dtype=float)
-    A, N = _state_parts(spec.G, parts, r, rdot, np.remainder)
+    A, N = _state_parts(spec.G, parts, r, rdot, floor_remainder)
     return A * np.asarray(rddot, dtype=float) + N
 
 

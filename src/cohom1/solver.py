@@ -52,7 +52,7 @@ import numpy as np
 
 from . import ode
 from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped
-from .errors import int_as_float, is_real, require_int
+from .errors import is_real, require_int
 from .ode import BvpSpec
 
 GAP_TOL_FACTOR = 1e-9          # convergence: |gaps| <= GAP_TOL_FACTOR*(1+|k|)
@@ -139,7 +139,7 @@ class ShootingConfig:
                 f"k={spec.k} has no smooth branch at the right endpoint of the "
                 f"G={spec.G} problem: G must divide 2(k-1)"
             )
-        int_as_float("k", spec.k)       # the bracket and the right boundary value
+        spec.boundary       # names k where k pi/G or twice it overflows
         quarter = spec.length / 4.0
         if not (0.0 < self.eps0 < quarter and 0.0 < self.eps1 < quarter):
             raise ValueError(

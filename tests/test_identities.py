@@ -208,7 +208,7 @@ def reference_sums(g, r, t, m0, m1):
 
 
 class TestShiftedSum:
-    @pytest.mark.parametrize("g", range(1, 13))
+    @pytest.mark.parametrize("g", range(1, 25))
     def test_oracles_equal_the_written_out_loops_bit_for_bit(self, g):
         rng = np.random.default_rng(g)
         t = identities.sample_regular_t(g, 200, rng, 1e-3)
@@ -222,6 +222,64 @@ class TestShiftedSum:
         if g % 2 == 0:
             direct = identities.half_sum_split(g, m0, m1, t)[0]
             assert direct.tobytes() == half.tobytes()
+
+
+def reference_suite(g_max, samples, seed, margin=identities.DEFAULT_SAMPLE_MARGIN):
+    """The suite body calling the public identity functions one at a time,
+    in the same draw order, as a test-local copy."""
+    rng = np.random.default_rng(seed)
+    names = ("lemma_sin_sq", "lemma_sin_2r", "cotangent_identity", "half_sum_split")
+    dev = {name: 0.0 for name in names}
+    count = {name: 0 for name in names}
+
+    def record(name, sides, n):
+        dev[name] = max(dev[name], identities.mixed_deviation(*sides))
+        count[name] += n
+
+    per_g = -(-samples // g_max)
+    even_gs = [g for g in range(1, g_max + 1) if g % 2 == 0]
+    per_even = -(-samples // max(len(even_gs), 1))
+    for g in range(1, g_max + 1):
+        t = identities.sample_regular_t(g, per_g, rng, margin)
+        r = rng.uniform(0.0, math.pi, size=per_g)
+        record("lemma_sin_sq", identities.lemma_sin_sq(g, r, t), per_g)
+        record("lemma_sin_2r", identities.lemma_sin_2r(g, r, t), per_g)
+        record("cotangent_identity", identities.cotangent_identity(g, t), per_g)
+        if g % 2 == 0:
+            th = identities.sample_regular_t(g, per_even, rng, margin)
+            m0 = rng.integers(1, 10, size=per_even)
+            m1 = rng.integers(1, 10, size=per_even)
+            record("half_sum_split", identities.half_sum_split(g, m0, m1, th), per_even)
+
+    return {
+        name: {"max_mixed_deviation": dev[name], "samples": count[name]}
+        for name in names
+    }
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("g_max", [12, 24])
+    @pytest.mark.parametrize("seed", [identities.DEFAULT_SEED, 1, 7])
+    def test_suite_equals_the_identities_one_at_a_time(self, seed, g_max):
+        got = identities.identity_suite(g_max=g_max, seed=seed)
+        assert got == reference_suite(g_max, 10_000, seed)
+
+    def test_one_reduction_per_shift_and_argument_family(self, monkeypatch):
+        calls = []
+
+        def counting(x, period):
+            calls.append(period)
+            return ode.floor_remainder(x, period)
+
+        monkeypatch.setattr(identities, "floor_remainder", counting)
+        identities.identity_suite(g_max=12, samples=1200)
+        # Per g: t, r and 2r shifted by each i pi/g, gt, and the two closed
+        # arguments of each sin lemma.  Per even g: the half-sum's own t
+        # shifted by each i pi/g, and its gt.
+        same_t = sum(3 * g + 5 for g in range(1, 13))
+        half = sum(g + 1 for g in range(2, 13, 2))
+        assert len(calls) == same_t + half
+        assert set(calls) == {identities.TAU}
 
 
 class TestSamplingBounds:

@@ -556,6 +556,35 @@ class TestResidualNorm:
             ode.residual_norm(spec, profile)
 
 
+class TestFloorRemainder:
+    TAU = ode.TAU
+
+    def assert_is_np_remainder(self, x):
+        got = ode.floor_remainder(x, self.TAU)
+        assert np.array_equal(got.view(np.int64), np.remainder(x, self.TAU).view(np.int64))
+
+    def test_signed_zeros_subnormals_and_multiples_of_the_period(self):
+        # fmod gives -0.0 at a negative multiple of the period, where the
+        # floor modulo gives +0.0; and only a negative fmod is rounded
+        points = [0.0, 5e-324, 2.2250738585072009e-308, math.pi]
+        points += [self.TAU * m for m in range(1, 65)] + [self.TAU * 2.0**e for e in range(7, 60)]
+        x = np.array(points + [-p for p in points])
+        self.assert_is_np_remainder(
+            np.concatenate([x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)])
+        )
+
+    def test_uniform_draws_from_tiny_to_huge_scales(self):
+        rng = np.random.default_rng(20261020)
+        scales = 10.0 ** np.arange(-300, 301, 10)
+        draws = rng.uniform(-1.0, 1.0, (scales.size, 200)) * scales[:, None]
+        self.assert_is_np_remainder(draws.ravel())
+
+    def test_non_finite_give_nan_as_np_remainder(self):
+        x = np.array([math.inf, -math.inf, math.nan, -math.nan])
+        with np.errstate(invalid="ignore"):
+            self.assert_is_np_remainder(x)
+
+
 class TestBvpSpec:
     def test_domain_and_boundary(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-2)
@@ -567,6 +596,15 @@ class TestBvpSpec:
         assert spec.to_dict()["k"] == 10**400
         with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
             spec.boundary
+
+    @pytest.mark.parametrize("G", [1, 2])
+    def test_k_whose_boundary_angle_overflows_is_named(self, G):
+        # 2**1023 + 1 rounds to a finite float, but k pi/G is infinite at
+        # G = 1 and the angle 2(r - t) at r = k pi/G is at G = 2
+        message = f"^k must keep 2 k pi/G a finite float for G={G}"
+        with pytest.raises(ValueError, match=message):
+            BvpSpec(G=G, M0=1, M1=1, k=2**1023 + 1).boundary
+        assert BvpSpec(G=G, M0=1, M1=1, k=2**1021).boundary == (0.0, 2.0**1021 * math.pi / G)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1077,6 +1077,21 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
                 call(spec)
 
+    @pytest.mark.parametrize("G", [1, 2])
+    def test_k_whose_boundary_angle_overflows_is_named(self, G):
+        # with a finite bracket, shoot and solve reduced an infinite angle
+        # and raised a bare "math domain error"
+        spec = BvpSpec(G=G, M0=1, M1=1, k=2**1023 + 1)
+        config = ShootingConfig(bracket=(-1.0, 1.0))
+        message = f"^k must keep 2 k pi/G a finite float for G={G}"
+        for call in (
+            lambda: config.validate(spec),
+            lambda: solver.shoot(spec, config, 0.5, 0.5),
+            lambda: solver.solve(spec, config),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_eps_bounds(self):
         spec = BvpSpec(G=6, M0=1, M1=1, k=1)
         with pytest.raises(ValueError):
