@@ -25,6 +25,7 @@ this module imports no numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import actions
@@ -56,9 +57,12 @@ def _checked(G, M0, M1, k) -> tuple[int, int, int, int]:
 
 def oracle_scale(G: int, M0: int, M1: int, k: int) -> float:
     """Natural magnitude of the cleared-denominator ODE coefficients,
-    4 G (M0 + M1)(1 + |k|), for a k that converts to a float."""
+    4 G (M0 + M1)(1 + |k|); ValueError naming k unless it is a finite float."""
     G, M0, M1, k = _checked(G, M0, M1, k)
-    return 4.0 * G * (M0 + M1) * (1.0 + abs(int_as_float("k", k)))
+    scale = 4.0 * G * (M0 + M1) * (1.0 + abs(int_as_float("k", k)))
+    if not math.isfinite(scale):
+        raise ValueError(f"k must keep 4 G (M0+M1)(1+|k|) finite, got k ~ {float(k):.6g}")
+    return scale
 
 
 def _sine_series(G: int, M0: int, M1: int, k: int) -> dict[int, int]:

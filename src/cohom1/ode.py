@@ -23,7 +23,8 @@ sums over the curvature directions are independent checks on both.
 All trigonometric arguments are reduced modulo 2*pi before evaluation:
 scalars by ``math.remainder``, arrays by :func:`floor_remainder` (the floor
 modulo ``np.remainder`` computes, from the exact ``np.fmod``) or, where they
-must equal the scalar closure, by :func:`_remainder_exact`.
+must equal the scalar closure, by :func:`_remainder_exact`; Gt and 2Gt are
+reduced so only outside the :func:`regular_window`, which bounds them.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ _SPLIT_QUOTIENTS = 2.0**26
 DEFAULT_POLE_MARGIN = 1e-8
 
 
-def _reduce(x: float) -> float:
-    # IEEE remainder is exact, so reduction adds no rounding error.
-    return math.remainder(x, TAU)
-
-
 def floor_remainder(x, period: float) -> np.ndarray:
     """Elementwise ``np.remainder(x, period)`` for a period > 0, bit for bit.
 
@@ -75,10 +71,10 @@ def pole_distance(t, G: int):
     return abs(t - np.rint(t / step) * step)
 
 
-def require_regular(t, G: int) -> None:
+def require_regular(t, G: int) -> bool:
     """Raise :class:`PoleProximity` unless t, a float or an array, stays at
     least ``DEFAULT_POLE_MARGIN`` from the pole set; an array names its
-    first such point.
+    first such point.  Return whether t lies inside the :func:`regular_window`.
 
     A NaN or infinite t is never regular.  A t, scalar or array, inside the
     :func:`regular_window` passes without the distance (an array's NaN
@@ -89,14 +85,14 @@ def require_regular(t, G: int) -> None:
     lo, hi = regular_window(G)
     if isinstance(t, np.ndarray):
         if t.size and lo < t.min() and t.max() < hi:
-            return
+            return True
         with np.errstate(invalid="ignore"):     # an infinite t has a NaN distance
             far = pole_distance(t, G) >= margin
         if far.all():
-            return
+            return False
         t = float(t[~far][0])
     elif lo < t < hi or (math.isfinite(t) and pole_distance(t, G) >= margin):
-        return
+        return lo < t < hi
     raise _pole_error(t, G)
 
 
@@ -119,6 +115,13 @@ def regular_window(G: int) -> tuple[float, float]:
     its rounding hi, so t < hi gives t <= step - 2m, and the distance is at
     least 2m.  Either way it is not below m.  A NaN or infinite t fails a
     compare with the window, so it takes the full test.
+
+    Inside it Gt and x = 2Gt are their own remainders modulo TAU = 2 pi (pi
+    the float), but for x's IEEE one above pi, x - TAU.  Proof: t <= step -
+    2m and G step <= pi (1 + 2**-53) give G t <= pi + 2**-51 - 2Gm < pi -
+    2**-51, a float, as m >= 2**-48, so 0 < Gt < pi, 0 < x < TAU, and the
+    floor quotient is 0; the IEEE one, x/TAU rounded half to even, is 0 up
+    to pi, the tie too, and 1 above, where x - TAU is exact (Sterbenz).
     """
     m = DEFAULT_POLE_MARGIN
     return 2.0 * m, math.pi / G - 2.0 * m
@@ -182,24 +185,26 @@ class TensionSample:
     rddot: float
 
 
-def _time_parts(G, M0, M1, t, rem):
+def _time_parts(G, M0, M1, t, rems):
     """The t-only half of the array twin of the :func:`rhs` closure's
     arithmetic: the tuple (t, Gt, A, P, Q, R), elementwise, with
 
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
-    u = 2(r - t).  ``rem(x, TAU)`` reduces the trigonometric arguments:
-    :func:`floor_remainder`, a floor modulo, serves
-    :func:`closed_tension_grid`, and :func:`_remainder_exact` makes every
-    element equal the closure bit for bit.
+    u = 2(r - t).  ``rems`` reduce Gt and 2Gt by ``rem(x, TAU)``: the floor
+    modulo :func:`floor_remainder` serves :func:`closed_tension_grid`, and
+    :func:`_remainder_exact` makes every element equal the closure bit for
+    bit; inside the :func:`regular_window` None (no reduction) and
+    :func:`_window_remainder` equal them (see there).
     """
+    rem_g, rem_2g = rems
     s = M0 + M1
     d = M0 - M1
     Gt = G * t
-    g = rem(Gt, TAU)
+    g = Gt if rem_g is None else rem_g(Gt, TAU)
     sg = np.sin(g)
     cg = np.cos(g)
-    s2g = np.sin(rem(2.0 * Gt, TAU))
+    s2g = np.sin(2.0 * Gt if rem_2g is None else rem_2g(2.0 * Gt, TAU))
     return t, Gt, 4.0 * sg * sg, G * s * s2g + 2.0 * G * d * sg, s + d * cg, s * cg + d
 
 
@@ -212,9 +217,15 @@ def _state_parts(G, parts, r, rdot, rem):
     return A, P * rdot - G * (G - 2.0) * su * Q - 2.0 * G * sug * R
 
 
+def _window_remainder(x: np.ndarray, period: float) -> np.ndarray:
+    """:func:`_remainder_exact` of 2Gt in the :func:`regular_window`."""
+    return np.where(x > math.pi, x - period, x)
+
+
 def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
     """Elementwise ``math.remainder(x, TAU)``, bit for bit; ``period``
-    must be TAU, the period the split below holds.
+    must be TAU, the period the split below holds (the lanes reduce Gt and
+    2Gt by it only outside the :func:`regular_window`).
 
     With n = rint(x / TAU) and TAU = TAU_HI + TAU_LO, TAU_HI its top 26
     significant bits, f = (x - n TAU_HI) - n TAU_LO.  Proof that f is the
@@ -260,20 +271,20 @@ def closed_tension(spec: BvpSpec, sample: TensionSample) -> float:
     Zero means the normal component of the tension field vanishes there.
     """
     accel = rhs(spec)(sample.t, sample.r, sample.rdot)
-    sg = math.sin(_reduce(spec.G * sample.t))
+    sg = math.sin(math.remainder(spec.G * sample.t, TAU))
     return 4.0 * sg * sg * (sample.rddot - accel)
 
 
 def closed_tension_grid(spec: BvpSpec, t, r, rdot, rddot) -> np.ndarray:
     """Vectorised closed tension over sample arrays."""
     t = np.asarray(t, dtype=float)
-    require_regular(t, spec.G)
-    return _closed_tension_regular(spec, t, r, rdot, rddot)
+    return _closed_tension_regular(spec, t, r, rdot, rddot, require_regular(t, spec.G))
 
 
-def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot) -> np.ndarray:
-    """:func:`closed_tension_grid` at float times that passed the pole test."""
-    parts = _time_parts(spec.G, spec.M0, spec.M1, t, floor_remainder)
+def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot, inside) -> np.ndarray:
+    """:func:`closed_tension_grid` past :func:`require_regular`, which returned ``inside``."""
+    rems = (None, None) if inside else (floor_remainder,) * 2
+    parts = _time_parts(spec.G, spec.M0, spec.M1, t, rems)
     r, rdot = np.asarray(r, dtype=float), np.asarray(rdot, dtype=float)
     A, N = _state_parts(spec.G, parts, r, rdot, floor_remainder)
     return A * np.asarray(rddot, dtype=float) + N
@@ -291,15 +302,15 @@ def closed_tension_equal_m(spec: BvpSpec, sample: TensionSample) -> float:
     require_regular(sample.t, spec.G)
     G, m = spec.G, spec.M0
     t, r = sample.t, sample.r
-    sg = math.sin(_reduce(G * t))
+    sg = math.sin(math.remainder(G * t, TAU))
     return (
         2.0 * sg * sg * sample.rddot
-        + m * G * math.sin(_reduce(2.0 * G * t)) * sample.rdot
+        + m * G * math.sin(math.remainder(2.0 * G * t, TAU)) * sample.rdot
         - m
         * G
         * (
-            (G - 1.0) * math.sin(_reduce(2.0 * (r - t)))
-            + math.sin(_reduce(2.0 * r + 2.0 * (G - 1.0) * t))
+            (G - 1.0) * math.sin(math.remainder(2.0 * (r - t), TAU))
+            + math.sin(math.remainder(2.0 * r + 2.0 * (G - 1.0) * t, TAU))
         )
     )
 
@@ -360,7 +371,7 @@ def rhs(spec: BvpSpec) -> Callable:
     :func:`_time_parts` and :func:`_state_parts`, to it bit for bit, and
     :func:`closed_tension` multiplies its value back by A.  Only a time
     outside the :func:`regular_window` takes the pole test,
-    :func:`require_regular`.
+    :func:`require_regular`, and the general reduction of Gt and 2Gt.
     A time the test lets through where 4 sin^2(Gt) underflows to 0 raises
     PoleProximity too.
     """
@@ -382,18 +393,22 @@ def rhs(spec: BvpSpec) -> Callable:
         sin=math.sin,
         cos=math.cos,
         rem=math.remainder,
+        pi=math.pi,
     ):
-        if not lo < t < hi:
-            require_regular(t, G)
         Gt = G * t
-        g = rem(Gt, TAU)
+        if lo < t < hi:
+            g, g2 = Gt, 2.0 * Gt
+            if g2 > pi:
+                g2 -= TAU
+        else:
+            require_regular(t, G)
+            g, g2 = rem(Gt, TAU), rem(2.0 * Gt, TAU)
         sg = sin(g)
         cg = cos(g)
-        s2g = sin(rem(2.0 * Gt, TAU))
         u = 2.0 * (r - t)
         ur = rem(u, TAU)
         ugr = rem(u + Gt, TAU)
-        P = cs * s2g + cd * sg
+        P = cs * sin(g2) + cd * sg
         Q = s + d * cg
         R = s * cg + d
         N = P * rdot - f1 * sin(ur) * Q - f2 * sin(ugr) * R
@@ -423,16 +438,17 @@ def _rhs_lanes(spec: BvpSpec):
     ``time`` pole-checks every time passed with :func:`require_regular`,
     the test :func:`rhs` runs, naming the first near one in row-major
     order.  Failing none, it names the first time where A = 4 sin^2(Gt)
-    underflows to 0, where :func:`rhs` raises too.  Every lane performs the scalar
-    closure's operations in the same order, with the exact remainder, so it
-    equals the scalar value bit for bit.  Where the scalar floats overflow
-    silently numpy warns, so callers run it under ``np.errstate``.
+    underflows to 0, where :func:`rhs` raises too.  Every lane performs the
+    scalar closure's operations in the same order, with the exact remainder
+    (inside the :func:`regular_window`, its rule), so it equals the scalar
+    value bit for bit.  Where scalar floats overflow silently numpy warns:
+    callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
 
     def time(t: np.ndarray) -> tuple:
-        require_regular(t, G)
-        parts = _time_parts(G, M0, M1, t, _remainder_exact)
+        rems = (None, _window_remainder) if require_regular(t, G) else (_remainder_exact,) * 2
+        parts = _time_parts(G, M0, M1, t, rems)
         A = parts[2]
         if not A.all():
             raise _pole_error(float(t[A == 0.0][0]), G)
@@ -478,7 +494,7 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     # compare, unlike np.diff, does not warn on two infinite times.
     if not (t[1:] > t[:-1]).all():
         raise ValueError("profile samples must be strictly increasing in t")
-    require_regular(t[1:-1], spec.G)
+    inside = require_regular(t[1:-1], spec.G)
     if not np.isfinite(arr[:, 1:]).all():
         raise ValueError("profile r and rdot samples must be finite")
 
@@ -487,7 +503,7 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     rdd = 2.0 * (hm * r[2:] - (hm + hp) * r[1:-1] + hp * r[:-2]) / (
         hm * hp * (hm + hp)
     )
-    values = _closed_tension_regular(spec, t[1:-1], r[1:-1], v[1:-1], rdd)
+    values = _closed_tension_regular(spec, t[1:-1], r[1:-1], v[1:-1], rdd, inside)
     max_abs = float(np.max(np.abs(values)))
 
     slope0 = (r[1] - r[0]) / (t[1] - t[0])

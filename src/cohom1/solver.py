@@ -19,9 +19,9 @@ IntegratorStall.  A half runs either alone, on the one scalar step loop
 output), or in a lane batch that starts its own halves from the spec
 (:func:`_integrate_lanes`), in the same operations and order per lane, so
 each lane ends exactly as its scalar run would.  A lane batch step
-evaluates the t-only part of the right-hand side (pole check, sines and
-cosines of Gt and 2Gt) once for its five distinct stage times, and each of
-its six stages only the part that depends on (r, r').  The lanes left when
+evaluates the t-only part of the right-hand side (sines and cosines of Gt
+and 2Gt; outside :func:`ode.regular_window` pole check and reduction) once
+for its five stage times and each stage the (r, r') part.  The lanes left when
 a batch thins out, or all of a small batch after its first derivative,
 finish on the scalar loop from their state.  A scalar run carries a tangent
 through its steps, which read (r, r') only: a half of a :func:`shoot` its
@@ -131,15 +131,14 @@ class ShootingConfig:
         b = self.bracket
         if not (b is None or type(b) is tuple and len(b) == 2 and set(map(type, b)) == {float}):
             raise ValueError(f"bracket must be a pair of real numbers, got {b!r}")
-        # r - kt is O(t) at t = 0 for every k, but at t = pi/G the forcing
-        # sin 2(r - t) vanishes at r = k pi/G only if G divides 2(k - 1);
-        # otherwise no smooth branch ends there and nothing can be matched.
-        if 2 * (spec.k - 1) % spec.G:
-            raise ValueError(
-                f"k={spec.k} has no smooth branch at the right endpoint of the "
-                f"G={spec.G} problem: G must divide 2(k-1)"
-            )
         spec.boundary       # names k where k pi/G or twice it overflows
+        # At t = pi/G the O(pi/G - t) terms cancel for every slope only if
+        # the phase 2(k - 1)/G is an even integer: else no smooth branch ends there.
+        if (spec.k - 1) % spec.G:
+            raise ValueError(
+                f"k={spec.k} has no smooth branch at the right endpoint of the G={spec.G} "
+                f"problem: phase 2(k-1)/G = {2 * (spec.k - 1) / spec.G:g} is not an even integer"
+            )
         quarter = spec.length / 4.0
         if not (0.0 < self.eps0 < quarter and 0.0 < self.eps1 < quarter):
             raise ValueError(
@@ -453,17 +452,18 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     each of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start`
     to t_end, as one lane batch.
 
-    The lanes advance together as numpy arrays, each with its own t, h,
-    accept/reject decision and step count, through the scalar loop's
-    operations in the same order, on the (time, state) pair of
-    :func:`ode._rhs_lanes`.  Each batch step evaluates the time part once,
-    over its stage times t + c*h for c in (C2, C3, C4, C5, 1), and each of
-    its six stages the state part; the last stage reuses the row of t + h.
-    A lane leaves the batch where the scalar loop would raise or return.
-    Once fewer than _DRAIN_LANES are left, the rest finish on the scalar
-    loop from their current state, with the zero tangent and :func:`ode.rhs`
-    as looked up at the call (:func:`_zero_tangent`), so a smaller batch
-    takes only its first derivative on lanes.
+    The lanes advance together as numpy arrays, each with its own t, h and
+    accept/reject decision, through the scalar loop's operations in the
+    same order, on the (time, state) pair of :func:`ode._rhs_lanes`; each
+    lane starts with the batch and counts its every step, so one int counts
+    them.  Each batch step evaluates the time part once, over its stage
+    times t + c*h for c in (C2, C3, C4, C5, 1), and each of its six stages
+    the state part; the last stage reuses the row of t + h.  A lane leaves
+    the batch where the scalar loop would raise or return.  Once fewer than
+    _DRAIN_LANES are left, the rest finish on the scalar loop from their
+    current state, with the zero tangent and :func:`ode.rhs` as looked up
+    at the call (:func:`_zero_tangent`), so a smaller batch takes only its
+    first derivative on lanes.
     Returns one outcome per lane, identical to the scalar run's: its final
     (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
@@ -476,7 +476,7 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     direction = 1.0 if t_end >= t0 else -1.0
     lane = np.arange(n)
     t = np.full(n, t0)
-    steps = np.zeros(n, dtype=np.int64)
+    steps = 0
     # Escaping lanes overflow and produce NaN as the scalar floats do, silently.
     with np.errstate(all="ignore"):
 
@@ -490,18 +490,19 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
             h = np.where((t + h - t_end) * direction > 0.0, t_end - t, h)
             stage_t = t + _STAGE_C * h
             p2, p3, p4, p5, p6 = zip(*time_part(stage_t))
-            k2 = stage(p2, y + h * _A21 * k1)
-            k3 = stage(p3, y + h * (_A31 * k1 + _A32 * k2))
-            k4 = stage(p4, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = stage(p5, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+            hy = np.array([h, h])      # h in the shape of y: no broadcast per product
+            k2 = stage(p2, y + hy * _A21 * k1)
+            k3 = stage(p3, y + hy * (_A31 * k1 + _A32 * k2))
+            k4 = stage(p4, y + hy * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = stage(p5, y + hy * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
             k6 = stage(
-                p6, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+                p6, y + hy * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
             )
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            y_new = y + hy * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
             t_new = stage_t[4]
             k7 = stage(p6, y_new)
 
-            e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            e = hy * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
             e /= config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err = np.sqrt(0.5 * (e[0] * e[0] + e[1] * e[1]))
 
@@ -517,10 +518,11 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
             factor = np.where(err == 0.0, _MAX_FACTOR, _MIN_FACTOR)
             factor[pos] = _SAFETY * np.float_power(err[pos], -0.2)
             h = h * np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
-            stalled = (np.abs(h) < _MIN_STEP) & ((t_end - t) * direction > 0.0)
+            before = (t_end - t) * direction > 0.0
+            stalled = (np.abs(h) < _MIN_STEP) & before
             steps += 1
             spent = steps > _MAX_STEPS
-            leave = escaped | stalled | spent | ~((t_end - t) * direction > 0.0)
+            leave = escaped | stalled | spent | ~before
             if not leave.any():
                 continue
             for j in np.flatnonzero(leave).tolist():
@@ -529,18 +531,16 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
                     out[lane[j]] = TrajectoryEscaped(tj, rj, vj)
                 elif stalled[j]:
                     out[lane[j]] = IntegratorStall(tj)
-                elif spent[j]:
+                elif spent:
                     out[lane[j]] = IntegratorStall(tj, detail="step budget exhausted")
                 else:
                     out[lane[j]] = (rj, vj)
             keep = ~leave
-            lane, t, y, h, k1, steps = (
-                lane[keep], t[keep], y[:, keep], h[keep], k1[:, keep], steps[keep]
-            )
+            lane, t, y, h, k1 = lane[keep], t[keep], y[:, keep], h[keep], k1[:, keep]
     for j, i in enumerate(lane.tolist()):
         state = (
             float(t[j]), float(y[0, j]), float(y[1, j]),
-            float(h[j]), float(k1[1, j]), int(steps[j]), 0.0, 0.0, 0.0,
+            float(h[j]), float(k1[1, j]), steps, 0.0, 0.0, 0.0,
         )
         try:
             out[i] = _dp_run(accel, state, t_end, config)[1:3]

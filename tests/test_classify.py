@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestExactOracle:
         with pytest.raises(ValueError, match="^k must round to a float below 2\\*\\*1024"):
             classify.oracle_scale(2, 1, 1, 10**400)
         assert classify.oracle_scale(2, 1, 1, 10**300) == 16.0 * (1.0 + 1e300)
+
+    @pytest.mark.parametrize("G", [1, 2])
+    @pytest.mark.parametrize("k", [2**1023, -(2**1023)])
+    def test_k_whose_scale_overflows_is_named(self, G, k):
+        # k converts to a float, but 4 G (M0+M1)(1+|k|) is infinite: the scale
+        # returned inf, and a tolerance of a multiple of it accepted every value
+        with pytest.raises(ValueError, match=re.escape("k must keep 4 G (M0+M1)(1+|k|) finite")):
+            classify.oracle_scale(G, 1, 1, k)
+        # the exact oracle takes the same k: for (G, 1, 1) its series is
+        # 4kG S(2G) - 4G S(2k + 2G - 2) - 4(f1 + G) S(2k - 2), f1 + G = G(G-1)
+        want = {1: 4 * abs(k) + 4, 2: 8 * abs(k) + 16}[G]
+        assert classify.linear_residual_oracle(G, 1, 1, k) == want
 
     def test_arguments_are_checked(self):
         # True equals 1 and 2.0 equals 2, yet neither is an integer argument

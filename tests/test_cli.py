@@ -156,15 +156,22 @@ class TestSolve:
         )
         assert code == 2
 
-    def test_k_without_a_right_smooth_branch_exits_2(self, capsys, tmp_path):
-        # G = 3 does not divide 2(k-1) = 2: rejected before any integration
+    @pytest.mark.parametrize(
+        "g, m0, m1, k, phase",
+        [("3", "2", "2", "2", "0.666667"), ("2", "1", "3", "0", "-1"), ("2", "1", "3", "2", "1")],
+    )
+    def test_k_without_a_right_smooth_branch_exits_2(self, capsys, tmp_path, g, m0, m1, k, phase):
+        # the phase 2(k-1)/G is no integer (2/3) or an odd one (-1, 1):
+        # rejected before any integration
         code, out, err = run(
-            capsys, "solve", "--space", "sphere", "--g", "3", "--m0", "2",
-            "--m1", "2", "--k", "2", "--outdir", str(tmp_path),
+            capsys, "solve", "--space", "sphere", "--g", g, "--m0", m0,
+            "--m1", m1, "--k", k, "--outdir", str(tmp_path),
         )
         assert code == 2 and out == ""
         assert err.startswith("cohom1 solve: ") and "smooth branch" in err
+        assert f"phase 2(k-1)/G = {phase} is not an even integer" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -585,6 +585,74 @@ class TestFloorRemainder:
             self.assert_is_np_remainder(x)
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestWindowReduction:
+    """Inside the regular window Gt is its own remainder, exact or floor,
+    2Gt its own floor remainder and, above pi, 2Gt - TAU its exact one."""
+
+    @staticmethod
+    def window_times(G):
+        lo, hi = ode.regular_window(G)
+        half = math.pi / (2 * G)
+        edges = [math.nextafter(lo, math.inf), math.nextafter(hi, 0.0)]
+        edges += [half, math.nextafter(half, 0.0), math.nextafter(half, math.inf)]
+        rng = np.random.default_rng(G)
+        t = np.concatenate([edges, rng.uniform(lo, hi, 10_000)])
+        assert ((lo < t) & (t < hi)).all()
+        return t
+
+    @pytest.mark.parametrize("G", range(1, 25))
+    def test_fast_reductions_are_the_remainders(self, G):
+        t = self.window_times(G)
+        gt = G * t
+        x = 2.0 * gt
+        # the time parts take None, no reduction, for both floor remainders
+        # and the exact one of Gt, and _window_remainder for that of 2Gt
+        for arg, fast in ((gt, gt), (x, ode._window_remainder(x, ode.TAU))):
+            want = [math.remainder(v, ode.TAU) for v in arg.tolist()]
+            assert np.array_equal(bits(fast), bits(want))
+        for arg in (gt, x):
+            assert np.array_equal(bits(arg), bits(ode.floor_remainder(arg, ode.TAU)))
+        # both sides of the fold at pi are drawn
+        assert (x < math.pi).any() and (x > math.pi).any()
+
+    def test_tie_at_pi_keeps_pi(self):
+        # G = 1, t = pi/2: 2Gt is pi exactly, a tie that rounds to the even
+        # quotient 0, so its remainder is pi itself and not pi - TAU = -pi
+        t = math.pi / 2.0
+        lo, hi = ode.regular_window(1)
+        assert lo < t < hi and 2.0 * t == math.pi
+        assert math.remainder(math.pi, ode.TAU) == math.pi
+        got = ode._window_remainder(np.array([2.0 * t]), ode.TAU)
+        assert bits(got).tolist() == bits([math.pi]).tolist()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BvpSpec(1, 2, 2, 1), BvpSpec(2, 1, 3, -1), BvpSpec(6, 1, 1, -5), BvpSpec(12, 2, 2, 1)],
+    )
+    def test_window_parts_equal_the_general_reduction(self, spec):
+        # the lane time part of in-window stage rows equals the time part
+        # under the exact reduction, and the grid tension equals the one
+        # under the floor modulo, element for element and bit for bit
+        G, M0, M1 = spec.G, spec.M0, spec.M1
+        t = self.window_times(G)[:2500].reshape(5, 500)
+        time_part, _state = ode._rhs_lanes(spec)
+        exact = (ode._remainder_exact, ode._remainder_exact)
+        for got, want in zip(time_part(t), ode._time_parts(G, M0, M1, t, exact)):
+            assert np.array_equal(bits(got), bits(want))
+        rng = np.random.default_rng(G)
+        r, v, a = rng.uniform(-30.0, 30.0, (3, t.size))
+        floor = (ode.floor_remainder, ode.floor_remainder)
+        A, N = ode._state_parts(
+            G, ode._time_parts(G, M0, M1, t.ravel(), floor), r, v, ode.floor_remainder
+        )
+        got = ode.closed_tension_grid(spec, t.ravel(), r, v, a)
+        assert np.array_equal(bits(got), bits(A * a + N))
+
+
 class TestBvpSpec:
     def test_domain_and_boundary(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-2)

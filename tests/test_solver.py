@@ -1125,11 +1125,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ShootingConfig(bracket=(2.0, 2.0)).validate(spec)
 
-    @pytest.mark.parametrize("G, k", [(3, 2), (3, 0), (4, 2), (6, -1), (12, 3)])
+    @pytest.mark.parametrize(
+        "G, k",
+        [(3, 2), (3, 0), (4, 2), (6, -1), (12, 3), (2, 0), (2, 2), (4, 3), (4, -1), (6, 4)],
+    )
     def test_k_without_a_right_smooth_branch_rejected_before_integrating(
         self, monkeypatch, G, k
     ):
-        # G must divide 2(k-1); nothing is series-started or integrated
+        # the phase 2(k-1)/G must be an even integer: the first five are no
+        # integer, the last five odd; nothing is series-started or integrated
         spec = BvpSpec(G=G, M0=2, M1=2, k=k)
         config = ShootingConfig()
 
@@ -1146,22 +1150,43 @@ class TestConfigValidation:
             lambda: solver.sweep(spec, config),
             lambda: solver.refine_brackets(spec, config, points),
         ):
-            with pytest.raises(ValueError, match="smooth branch"):
+            with pytest.raises(ValueError, match="smooth branch") as raised:
                 call()
+            phase = 2 * (k - 1) / G
+            assert f"phase 2(k-1)/G = {phase:g} is not an even integer" in str(raised.value)
+
+    def test_odd_phase_solve_raises_instead_of_returning_a_non_solution(self):
+        # (2,1,3,0) has the phase -1: its O(pi/G - t) terms cancel only for
+        # the right slope 0, and from (0.3, 0.3) solve returned slopes
+        # (1.8e-11, 0.0282) at residual 5.5e-6, which solve no problem
+        spec = BvpSpec(G=2, M0=1, M1=3, k=0)
+        with pytest.raises(ValueError, match=re.escape("phase 2(k-1)/G = -1 is not")):
+            solver.solve(spec, init=(0.3, 0.3))
 
     def test_every_classified_problem_has_a_right_smooth_branch(self):
-        # every admissible k, |j| <= 4, of every classified action: the 209
-        # linear-solution problems among them, and every table row
-        specs = set(table_specs())
-        for g, m0, m1 in actions.strict_triples():
-            for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP):
-                action = actions.make_action(space, g, m0, m1)
-                for j in range(-4, 5):
-                    if j % 2 == 0 or action.odd_j_allowed:
-                        specs.add(BvpSpec.from_action(action, j))
+        # every admissible k, |j| <= 12, of every classified action (2913
+        # pairs, 2537 problems) and every table row; the 209
+        # linear-solution problems are those at |j| <= 4
+        specs, near = set(table_specs()), set()
         sp2 = actions.make_action(Space.SP2_LIFT, 6, 1, 1)
-        specs.update(BvpSpec.from_action(sp2, j) for j in range(-4, 5))
-        linear = [s for s in specs if classify.is_linear_solution(s.G, s.M0, s.M1, s.k)]
+        acts = [
+            actions.make_action(space, g, m0, m1)
+            for g, m0, m1 in actions.strict_triples()
+            for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP)
+        ]
+        pairs = [
+            (action, j)
+            for action in [*acts, sp2]
+            for j in range(-12, 13)
+            if j % 2 == 0 or action.odd_j_allowed
+        ]
+        for action, j in pairs:
+            spec = BvpSpec.from_action(action, j)
+            specs.add(spec)
+            if abs(j) <= 4:
+                near.add(spec)
+        assert (len(pairs), len(specs)) == (2913, 2537)
+        linear = [s for s in near if classify.is_linear_solution(s.G, s.M0, s.M1, s.k)]
         assert len(linear) == 209
         for spec in specs:
             ShootingConfig().validate(spec)
@@ -1586,6 +1611,13 @@ class TestLaneSweep:
                 BvpSpec(G=1, M0=2, M1=2, k=1),
                 dict(bracket=(0.0, 20.0), sweep_points=65, blowup_cap=1e3),
             ),
+            # the start 1.5e-8 lies below the regular window (2e-8, ...) but
+            # clears the pole margin 1e-8: the first derivative takes the
+            # general reduction, the batch steps the window's
+            (
+                BvpSpec(G=1, M0=2, M1=2, k=1),
+                dict(bracket=(0.0, 20.0), sweep_points=64, eps0=1.5e-8),
+            ),
         ],
     )
     def test_equals_scalar_reference(self, spec, options):
@@ -1714,6 +1746,28 @@ class TestLaneSweep:
         calls["time"], calls["state"] = [], 0
         solver.sweep(spec, ShootingConfig(bracket=(0.0, 20.0), sweep_points=17))
         assert calls == {"time": [(17,)], "state": 1}
+
+    @pytest.mark.parametrize("eps0, first", [(1e-5, 0), (1.5e-8, 2)])
+    def test_no_general_reduction_of_in_window_stage_times(self, monkeypatch, eps0, first):
+        # a batch step's stage rows (5, n) lie inside the regular window:
+        # _remainder_exact reduces only the stacked state arguments (2, n),
+        # and Gt and 2Gt of the first derivative (n,) when the start lies
+        # outside the window
+        shapes = []
+        remainder_exact = ode._remainder_exact
+
+        def counted(x, period):
+            shapes.append(x.shape)
+            return remainder_exact(x, period)
+
+        monkeypatch.setattr(ode, "_remainder_exact", counted)
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=64, eps0=eps0)
+        assert (eps0 > ode.regular_window(1)[0]) == (first == 0)
+        solver.sweep(spec, config)
+        states = [s for s in shapes if s[0] == 2 and len(s) == 2]
+        assert len(states) > 60 and shapes.count((64,)) == first
+        assert len(shapes) == len(states) + first
 
     def test_remainder_exact_matches_math_remainder(self):
         def check(x):
