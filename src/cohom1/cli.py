@@ -252,10 +252,16 @@ def cmd_residual(args) -> int:
     from . import ode
 
     spec = _spec_from_args(args)
-    with warnings.catch_warnings():
+    with open(args.profile, encoding="utf-8") as fh, warnings.catch_warnings():
+        header = fh.readline()      # write_csv's; an empty file has no rows (below)
+        found = header.rstrip("\r\n")
+        if header and found != "t,r,rdot":
+            raise ValueError(
+                f"profile {args.profile} must start with the header t,r,rdot, found {found!r}"
+            )
         # numpy warns on a file without data rows; the check below rejects it.
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[0] == 0:
         raise ValueError(f"profile {args.profile} has no sample rows")
     max_abs, boundary = ode.residual_norm(spec, data)

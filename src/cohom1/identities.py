@@ -12,7 +12,7 @@ into the compact boundary value problem coefficients:
 
 all sums over i = 0..g-1 with multiplicities alternating by index parity.
 Every sum is one pass over the shifts: each x_i = t - i pi/g is reduced
-modulo 2 pi by :func:`ode.floor_remainder` (the exact ``np.fmod`` plus one
+modulo 2 pi by :func:`floor_remainder` (the exact ``np.fmod`` plus one
 rounded shift, bit for bit ``np.remainder``), and it and its sine are
 computed once for every identity evaluated at that t, so the suite pays
 one reduction and one sine per shift for the first three.  Within an
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import OddG, is_real, require_int
-from .ode import TAU, floor_remainder, pole_distance, require_regular
+from .ode import TAU, pole_distance, require_regular
 
 #: Seed of the default sampling streams; configurable in every entry point.
 DEFAULT_SEED = 375011
@@ -41,6 +41,19 @@ DEFAULT_SAMPLE_MARGIN = 1e-3
 # q >= 1e-3 per draw stays rejected through all of them with chance below
 # 1e-43; at about 10 us a round, a hopeless margin fails within about 1 s.
 _MAX_ROUNDS = 100_000
+
+
+def floor_remainder(x, period: float) -> np.ndarray:
+    """Elementwise ``np.remainder(x, period)`` for a period > 0, bit for bit.
+
+    ``np.fmod`` is exact, so the one rounding is the shift of a negative
+    remainder by the period, the one that ``np.remainder`` makes; the +0.0
+    added to the rest turns the -0.0 of a negative multiple of the period
+    into the +0.0 that ``np.remainder`` returns.  NaN and infinite x give
+    NaN, as there.
+    """
+    f = np.fmod(x, period)
+    return f + np.where(f < 0.0, period, 0.0)
 
 
 def _check_regular(g: int, t) -> np.ndarray:

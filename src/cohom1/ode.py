@@ -16,15 +16,14 @@ direction (dr, dr') it also returns the derivative of r'' along it, the
 variational equation of an exact shooting Jacobian (``rhs_tangent`` is a
 second name for it).  Its array twin, :func:`_time_parts` and
 :func:`_state_parts`, serves the lanes, :func:`closed_tension_grid` and
-:func:`residual_norm`, and equals it bit for bit under the exact
-reduction.  The equal-multiplicity simplification and the un-simplified
-sums over the curvature directions are independent checks on both.
+:func:`residual_norm`, and equals it bit for bit.  The equal-multiplicity
+simplification and the un-simplified sums over the curvature directions
+are independent checks on both.
 
-All trigonometric arguments are reduced modulo 2*pi before evaluation:
-scalars by ``math.remainder``, arrays by :func:`floor_remainder` (the floor
-modulo ``np.remainder`` computes, from the exact ``np.fmod``) or, where they
-must equal the scalar closure, by :func:`_remainder_exact`; Gt and 2Gt are
-reduced so only outside the :func:`regular_window`, which bounds them.
+All trigonometric arguments are reduced modulo 2*pi before evaluation,
+one way: scalars by ``math.remainder``, arrays by :func:`_remainder_exact`,
+which equals it bit for bit; inside the :func:`regular_window`, which
+bounds Gt and 2Gt, both take its rule instead.
 """
 
 from __future__ import annotations
@@ -50,19 +49,6 @@ _SPLIT_QUOTIENTS = 2.0**26
 #: Evaluation points closer than this to a pole of the coefficients are
 #: rejected; the solver handles the singular endpoints by series starts.
 DEFAULT_POLE_MARGIN = 1e-8
-
-
-def floor_remainder(x, period: float) -> np.ndarray:
-    """Elementwise ``np.remainder(x, period)`` for a period > 0, bit for bit.
-
-    ``np.fmod`` is exact, so the one rounding is the shift of a negative
-    remainder by the period, the one that ``np.remainder`` makes; the +0.0
-    added to the rest turns the -0.0 of a negative multiple of the period
-    into the +0.0 that ``np.remainder`` returns.  NaN and infinite x give
-    NaN, as there.
-    """
-    f = np.fmod(x, period)
-    return f + np.where(f < 0.0, period, 0.0)
 
 
 def pole_distance(t, G: int):
@@ -116,12 +102,13 @@ def regular_window(G: int) -> tuple[float, float]:
     least 2m.  Either way it is not below m.  A NaN or infinite t fails a
     compare with the window, so it takes the full test.
 
-    Inside it Gt and x = 2Gt are their own remainders modulo TAU = 2 pi (pi
-    the float), but for x's IEEE one above pi, x - TAU.  Proof: t <= step -
-    2m and G step <= pi (1 + 2**-53) give G t <= pi + 2**-51 - 2Gm < pi -
-    2**-51, a float, as m >= 2**-48, so 0 < Gt < pi, 0 < x < TAU, and the
-    floor quotient is 0; the IEEE one, x/TAU rounded half to even, is 0 up
-    to pi, the tie too, and 1 above, where x - TAU is exact (Sterbenz).
+    Inside it Gt is its own IEEE remainder modulo TAU = 2 pi (pi the
+    float), and so is x = 2Gt up to pi, the tie included; above pi it is
+    x - TAU.  Proof: t <= step - 2m and G step <= pi (1 + 2**-53) give
+    G t <= pi + 2**-51 - 2Gm < pi - 2**-51, a float, as m >= 2**-48, so
+    0 < Gt < pi and 0 < x < TAU; the quotient x/TAU rounded half to even
+    is 0 up to pi, the tie too, and 1 above, where x - TAU is exact
+    (Sterbenz).
     """
     m = DEFAULT_POLE_MARGIN
     return 2.0 * m, math.pi / G - 2.0 * m
@@ -185,47 +172,46 @@ class TensionSample:
     rddot: float
 
 
-def _time_parts(G, M0, M1, t, rems):
+def _time_parts(G, M0, M1, t):
     """The t-only half of the array twin of the :func:`rhs` closure's
     arithmetic: the tuple (t, Gt, A, P, Q, R), elementwise, with
 
         A = 4 sin^2(Gt),  N = P r' - G(G-2) sin(u) Q - 2G sin(u+Gt) R,
 
-    u = 2(r - t).  ``rems`` reduce Gt and 2Gt by ``rem(x, TAU)``: the floor
-    modulo :func:`floor_remainder` serves :func:`closed_tension_grid`, and
-    :func:`_remainder_exact` makes every element equal the closure bit for
-    bit; inside the :func:`regular_window` None (no reduction) and
-    :func:`_window_remainder` equal them (see there).
+    u = 2(r - t).  It pole-checks t with :func:`require_regular`, naming
+    the first near time in row-major order, and reduces Gt and 2Gt as the
+    closure does: by the :func:`regular_window`'s rule inside it, by
+    :func:`_remainder_exact` outside.  Failing no time, it names the first
+    one where A underflows to 0, where the closure raises too.
     """
-    rem_g, rem_2g = rems
     s = M0 + M1
     d = M0 - M1
     Gt = G * t
-    g = Gt if rem_g is None else rem_g(Gt, TAU)
+    if require_regular(t, G):
+        g, x = Gt, 2.0 * Gt
+        g2 = np.where(x > math.pi, x - TAU, x)
+    else:
+        g, g2 = _remainder_exact(Gt), _remainder_exact(2.0 * Gt)
     sg = np.sin(g)
     cg = np.cos(g)
-    s2g = np.sin(2.0 * Gt if rem_2g is None else rem_2g(2.0 * Gt, TAU))
-    return t, Gt, 4.0 * sg * sg, G * s * s2g + 2.0 * G * d * sg, s + d * cg, s * cg + d
+    A = 4.0 * sg * sg
+    if not A.all():
+        raise _pole_error(float(t[A == 0.0][0]), G)
+    return t, Gt, A, G * s * np.sin(g2) + 2.0 * G * d * sg, s + d * cg, s * cg + d
 
 
-def _state_parts(G, parts, r, rdot, rem):
+def _state_parts(G, parts, r, rdot):
     """(A, N) from the :func:`_time_parts` at t and the state (r, r')."""
     t, Gt, A, P, Q, R = parts
     u = 2.0 * (r - t)
     # One reduction and one sine over the two stacked arguments.
-    su, sug = np.sin(rem(np.array([u, u + Gt]), TAU))
+    su, sug = np.sin(_remainder_exact(np.array([u, u + Gt])))
     return A, P * rdot - G * (G - 2.0) * su * Q - 2.0 * G * sug * R
 
 
-def _window_remainder(x: np.ndarray, period: float) -> np.ndarray:
-    """:func:`_remainder_exact` of 2Gt in the :func:`regular_window`."""
-    return np.where(x > math.pi, x - period, x)
-
-
-def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
-    """Elementwise ``math.remainder(x, TAU)``, bit for bit; ``period``
-    must be TAU, the period the split below holds (the lanes reduce Gt and
-    2Gt by it only outside the :func:`regular_window`).
+def _remainder_exact(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.remainder(x, TAU)``, bit for bit (the twin
+    reduces Gt and 2Gt by it only outside the :func:`regular_window`).
 
     With n = rint(x / TAU) and TAU = TAU_HI + TAU_LO, TAU_HI its top 26
     significant bits, f = (x - n TAU_HI) - n TAU_LO.  Proof that f is the
@@ -248,8 +234,6 @@ def _remainder_exact(x: np.ndarray, period: float) -> np.ndarray:
     scalar path does.  numpy warns on those inputs, so callers run it under
     ``np.errstate``.
     """
-    if period != TAU:
-        raise ValueError(f"the exact reduction is modulo TAU, got period {period!r}")
     n = np.rint(x / TAU)
     f = x - n * _TAU_HI
     f -= n * _TAU_LO
@@ -276,17 +260,11 @@ def closed_tension(spec: BvpSpec, sample: TensionSample) -> float:
 
 
 def closed_tension_grid(spec: BvpSpec, t, r, rdot, rddot) -> np.ndarray:
-    """Vectorised closed tension over sample arrays."""
-    t = np.asarray(t, dtype=float)
-    return _closed_tension_regular(spec, t, r, rdot, rddot, require_regular(t, spec.G))
-
-
-def _closed_tension_regular(spec: BvpSpec, t: np.ndarray, r, rdot, rddot, inside) -> np.ndarray:
-    """:func:`closed_tension_grid` past :func:`require_regular`, which returned ``inside``."""
-    rems = (None, None) if inside else (floor_remainder,) * 2
-    parts = _time_parts(spec.G, spec.M0, spec.M1, t, rems)
+    """Vectorised closed tension A r'' + N over sample arrays, from the
+    :func:`rhs` closure's array twin: (A, N) equal the closure's bit for bit."""
+    parts = _time_parts(spec.G, spec.M0, spec.M1, np.asarray(t, dtype=float))
     r, rdot = np.asarray(r, dtype=float), np.asarray(rdot, dtype=float)
-    A, N = _state_parts(spec.G, parts, r, rdot, floor_remainder)
+    A, N = _state_parts(spec.G, parts, r, rdot)
     return A * np.asarray(rddot, dtype=float) + N
 
 
@@ -435,27 +413,19 @@ def _rhs_lanes(spec: BvpSpec):
     ``state(time(t), r, rdot)`` is r'' for 1-d arrays, and ``time`` may
     take all the stage times of a step at once, as rows.
 
-    ``time`` pole-checks every time passed with :func:`require_regular`,
-    the test :func:`rhs` runs, naming the first near one in row-major
-    order.  Failing none, it names the first time where A = 4 sin^2(Gt)
-    underflows to 0, where :func:`rhs` raises too.  Every lane performs the
-    scalar closure's operations in the same order, with the exact remainder
-    (inside the :func:`regular_window`, its rule), so it equals the scalar
+    ``time`` is :func:`_time_parts`, which raises PoleProximity where
+    :func:`rhs` does.  Every lane performs the scalar closure's operations
+    in the same order and reduces as it does, so it equals the scalar
     value bit for bit.  Where scalar floats overflow silently numpy warns:
     callers run it under ``np.errstate``.
     """
     G, M0, M1 = spec.G, spec.M0, spec.M1
 
     def time(t: np.ndarray) -> tuple:
-        rems = (None, _window_remainder) if require_regular(t, G) else (_remainder_exact,) * 2
-        parts = _time_parts(G, M0, M1, t, rems)
-        A = parts[2]
-        if not A.all():
-            raise _pole_error(float(t[A == 0.0][0]), G)
-        return parts
+        return _time_parts(G, M0, M1, t)
 
     def state(parts, r: np.ndarray, rdot: np.ndarray) -> np.ndarray:
-        A, N = _state_parts(G, parts, r, rdot, _remainder_exact)
+        A, N = _state_parts(G, parts, r, rdot)
         return -N / A
 
     return time, state
@@ -478,8 +448,10 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     boundary targets under the endpoint linearisations r ~ a*t and
     r ~ k*pi/G - b*(pi/G - t), with slopes estimated from the adjacent
     sample pair.  Times that do not increase strictly inside (0, pi/G), a
-    NaN time included, and non-finite r or r' samples raise ValueError; an
-    interior time near a pole raises PoleProximity.
+    NaN time included, non-finite r or r' samples and a k whose target
+    k pi/G :attr:`BvpSpec.boundary` rejects raise ValueError; an interior
+    time near a pole raises PoleProximity.  The interior residual is
+    :func:`closed_tension_grid` at the stencil's r'', after one pole test.
     """
     arr = _as_sample_array(profile)
     t, r, v = arr[:, 0], arr[:, 1], arr[:, 2]
@@ -487,14 +459,14 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
         raise ProfileTooCoarse(
             f"need at least 16 interior samples, got {max(t.shape[0] - 2, 0)}"
         )
-    L = spec.length
+    L, right = spec.length, spec.boundary[1]
     if not (0.0 < t[0] and t[-1] < L):
         raise ValueError("profile must be sampled strictly inside (0, pi/G)")
     # A NaN compares false, so an interior NaN time fails this test; a
     # compare, unlike np.diff, does not warn on two infinite times.
     if not (t[1:] > t[:-1]).all():
         raise ValueError("profile samples must be strictly increasing in t")
-    inside = require_regular(t[1:-1], spec.G)
+    parts = _time_parts(spec.G, spec.M0, spec.M1, t[1:-1])    # the pole test
     if not np.isfinite(arr[:, 1:]).all():
         raise ValueError("profile r and rdot samples must be finite")
 
@@ -503,11 +475,11 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     rdd = 2.0 * (hm * r[2:] - (hm + hp) * r[1:-1] + hp * r[:-2]) / (
         hm * hp * (hm + hp)
     )
-    values = _closed_tension_regular(spec, t[1:-1], r[1:-1], v[1:-1], rdd, inside)
-    max_abs = float(np.max(np.abs(values)))
+    A, N = _state_parts(spec.G, parts, r[1:-1], v[1:-1])
+    max_abs = float(np.max(np.abs(A * rdd + N)))
 
     slope0 = (r[1] - r[0]) / (t[1] - t[0])
     err0 = abs(r[0] - slope0 * t[0])
     slope1 = (r[-1] - r[-2]) / (t[-1] - t[-2])
-    err1 = abs(r[-1] - (spec.k * L - slope1 * (L - t[-1])))
+    err1 = abs(r[-1] - (right - slope1 * (L - t[-1])))
     return max_abs, (float(err0), float(err1))

@@ -562,14 +562,22 @@ def series_start(spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float) ->
     the test suite instead of by algebra.
 
     The two probes take the tangent form of :func:`ode.rhs`, which carries
-    the derivative of the fit in the slope.
+    the derivative of the fit in the slope.  ValueError unless endpoint is
+    an :class:`Endpoint`, slope is finite, 0 < eps < pi/(4G) and, at the
+    right end, ``spec.boundary`` takes k.
     """
     # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
     # is x for every x, signed zeros included, where 0.0 + x is not.
     if endpoint is Endpoint.LEFT:
         sigma, t_b, r_b = 1.0, -0.0, -0.0
+    elif endpoint is Endpoint.RIGHT:
+        sigma, t_b, r_b = -1.0, spec.length, spec.boundary[1]
     else:
-        sigma, t_b, r_b = -1.0, spec.length, spec.k * spec.length
+        raise ValueError(f"endpoint must be an Endpoint, got {endpoint!r}")
+    if not -math.inf < slope < math.inf:
+        raise ValueError(f"slope must be finite, got {slope!r}")
+    if not 0.0 < eps < spec.length / 4.0:
+        raise ValueError(f"eps must lie in (0, pi/(4G)) for G={spec.G}, got {eps!r}")
     s = 2.0 * eps
     tp = t_b + sigma * s
     ray = r_b + sigma * (slope * s)

@@ -258,6 +258,47 @@ class TestResidual:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "cohom1 residual: profile samples must be strictly increasing in t\n"
 
+    @staticmethod
+    def solved_profile(capsys, tmp_path):
+        code, _out, _err = run(
+            capsys, "solve", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        return (tmp_path / "profile.csv").read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("header", [None, "r,t,rdot\n"])
+    def test_profile_without_the_header_exits_2(self, capsys, tmp_path, header):
+        # np.loadtxt(skiprows=1) dropped a headerless file's first sample
+        # and read an r,t,rdot file as t,r,rdot, with exit 0
+        lines = self.solved_profile(capsys, tmp_path)
+        assert lines[0] == "t,r,rdot\n"
+        rows = lines[1:]
+        first = header or rows[0]
+        path = tmp_path / "p.csv"
+        path.write_text("".join(rows if header is None else [header, *rows]))
+        code, out, err = run(
+            capsys, "residual", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", "1", "--profile", str(path),
+        )
+        assert code == 2 and out == ""
+        found = repr(first.rstrip("\n"))
+        assert err == (
+            f"cohom1 residual: profile {path} must start with the header t,r,rdot, found {found}\n"
+        )
+
+    @pytest.mark.parametrize("k", [10**400, 2**1023 + 1])
+    def test_huge_k_exits_2(self, capsys, tmp_path, k):
+        # the right target k pi/G overflowed: a bare OverflowError with
+        # exit 1 at 10**400, an infinite boundary_err at 2**1023 + 1
+        self.solved_profile(capsys, tmp_path)
+        code, out, err = run(
+            capsys, "residual", "--space", "sphere", "--g", "1", "--m0", "2",
+            "--m1", "2", "--k", str(k), "--profile", str(tmp_path / "profile.csv"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cohom1 residual: k must ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("text", ["", "t,r,rdot\n"])
     def test_profile_without_rows_exits_2_under_warnings_as_errors(self, tmp_path, text):
         # numpy warns on a file without data; -W error turned that into a

@@ -266,10 +266,11 @@ class TestOnePass:
 
     def test_one_reduction_per_shift_and_argument_family(self, monkeypatch):
         calls = []
+        floor_remainder = identities.floor_remainder
 
         def counting(x, period):
             calls.append(period)
-            return ode.floor_remainder(x, period)
+            return floor_remainder(x, period)
 
         monkeypatch.setattr(identities, "floor_remainder", counting)
         identities.identity_suite(g_max=12, samples=1200)
@@ -280,6 +281,35 @@ class TestOnePass:
         half = sum(g + 1 for g in range(2, 13, 2))
         assert len(calls) == same_t + half
         assert set(calls) == {identities.TAU}
+
+
+class TestFloorRemainder:
+    TAU = identities.TAU
+
+    def assert_is_np_remainder(self, x):
+        got = identities.floor_remainder(x, self.TAU)
+        assert np.array_equal(got.view(np.int64), np.remainder(x, self.TAU).view(np.int64))
+
+    def test_signed_zeros_subnormals_and_multiples_of_the_period(self):
+        # fmod gives -0.0 at a negative multiple of the period, where the
+        # floor modulo gives +0.0; and only a negative fmod is rounded
+        points = [0.0, 5e-324, 2.2250738585072009e-308, math.pi]
+        points += [self.TAU * m for m in range(1, 65)] + [self.TAU * 2.0**e for e in range(7, 60)]
+        x = np.array(points + [-p for p in points])
+        self.assert_is_np_remainder(
+            np.concatenate([x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)])
+        )
+
+    def test_uniform_draws_from_tiny_to_huge_scales(self):
+        rng = np.random.default_rng(20261020)
+        scales = 10.0 ** np.arange(-300, 301, 10)
+        draws = rng.uniform(-1.0, 1.0, (scales.size, 200)) * scales[:, None]
+        self.assert_is_np_remainder(draws.ravel())
+
+    def test_non_finite_give_nan_as_np_remainder(self):
+        x = np.array([math.inf, -math.inf, math.nan, -math.nan])
+        with np.errstate(invalid="ignore"):
+            self.assert_is_np_remainder(x)
 
 
 class TestSamplingBounds:

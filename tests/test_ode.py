@@ -546,6 +546,20 @@ class TestResidualNorm:
         with pytest.raises(ValueError, match="strictly increasing"):
             ode.residual_norm(spec, profile)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (10**400, "^k must round to a float below 2\\*\\*1024"),
+            (2**1023 + 1, "^k must keep 2 k pi/G a finite float for G=1"),
+        ],
+    )
+    def test_huge_k_named_by_the_boundary(self, k, message):
+        # the right target is spec.boundary's k pi/G: k * L raised a bare
+        # OverflowError at 10**400 and gave an infinite error at 2**1023 + 1
+        profile = linear_profile(BvpSpec(G=1, M0=2, M1=2, k=1))
+        with pytest.raises(ValueError, match=message):
+            ode.residual_norm(BvpSpec(G=1, M0=2, M1=2, k=k), profile)
+
     @pytest.mark.parametrize("row, col", [(0, 1), (100, 1), (-1, 1), (100, 2)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, row, col, value):
@@ -556,42 +570,15 @@ class TestResidualNorm:
             ode.residual_norm(spec, profile)
 
 
-class TestFloorRemainder:
-    TAU = ode.TAU
-
-    def assert_is_np_remainder(self, x):
-        got = ode.floor_remainder(x, self.TAU)
-        assert np.array_equal(got.view(np.int64), np.remainder(x, self.TAU).view(np.int64))
-
-    def test_signed_zeros_subnormals_and_multiples_of_the_period(self):
-        # fmod gives -0.0 at a negative multiple of the period, where the
-        # floor modulo gives +0.0; and only a negative fmod is rounded
-        points = [0.0, 5e-324, 2.2250738585072009e-308, math.pi]
-        points += [self.TAU * m for m in range(1, 65)] + [self.TAU * 2.0**e for e in range(7, 60)]
-        x = np.array(points + [-p for p in points])
-        self.assert_is_np_remainder(
-            np.concatenate([x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)])
-        )
-
-    def test_uniform_draws_from_tiny_to_huge_scales(self):
-        rng = np.random.default_rng(20261020)
-        scales = 10.0 ** np.arange(-300, 301, 10)
-        draws = rng.uniform(-1.0, 1.0, (scales.size, 200)) * scales[:, None]
-        self.assert_is_np_remainder(draws.ravel())
-
-    def test_non_finite_give_nan_as_np_remainder(self):
-        x = np.array([math.inf, -math.inf, math.nan, -math.nan])
-        with np.errstate(invalid="ignore"):
-            self.assert_is_np_remainder(x)
-
-
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestWindowReduction:
-    """Inside the regular window Gt is its own remainder, exact or floor,
-    2Gt its own floor remainder and, above pi, 2Gt - TAU its exact one."""
+    """Inside the regular window Gt is its own IEEE remainder, and so is
+    2Gt up to pi, the tie included; above pi it is 2Gt - TAU.  The time
+    parts take that rule there, and equal the parts under the general
+    reduction, _remainder_exact, bit for bit."""
 
     @staticmethod
     def window_times(G):
@@ -604,53 +591,119 @@ class TestWindowReduction:
         assert ((lo < t) & (t < hi)).all()
         return t
 
+    @staticmethod
+    def general_time_parts(monkeypatch, G, M0, M1, t):
+        # the time parts with the window test answering "outside": Gt and
+        # 2Gt reduced by _remainder_exact
+        with monkeypatch.context() as m:
+            m.setattr(ode, "require_regular", lambda t, G: False)
+            return ode._time_parts(G, M0, M1, t)
+
     @pytest.mark.parametrize("G", range(1, 25))
-    def test_fast_reductions_are_the_remainders(self, G):
+    def test_fast_reductions_are_the_remainders(self, monkeypatch, G):
         t = self.window_times(G)
         gt = G * t
         x = 2.0 * gt
-        # the time parts take None, no reduction, for both floor remainders
-        # and the exact one of Gt, and _window_remainder for that of 2Gt
-        for arg, fast in ((gt, gt), (x, ode._window_remainder(x, ode.TAU))):
+        # the window's rule: no reduction of Gt, one fold of 2Gt above pi
+        for arg, fast in ((gt, gt), (x, np.where(x > math.pi, x - ode.TAU, x))):
             want = [math.remainder(v, ode.TAU) for v in arg.tolist()]
             assert np.array_equal(bits(fast), bits(want))
-        for arg in (gt, x):
-            assert np.array_equal(bits(arg), bits(ode.floor_remainder(arg, ode.TAU)))
         # both sides of the fold at pi are drawn
         assert (x < math.pi).any() and (x > math.pi).any()
+        # and the time parts, which take it, equal the general reduction
+        M0, M1 = (2, 2) if G % 2 else (1, 3)
+        got = ode._time_parts(G, M0, M1, t)
+        for got_part, want in zip(got, self.general_time_parts(monkeypatch, G, M0, M1, t)):
+            assert np.array_equal(bits(got_part), bits(want))
 
-    def test_tie_at_pi_keeps_pi(self):
+    def test_tie_at_pi_keeps_pi(self, monkeypatch):
         # G = 1, t = pi/2: 2Gt is pi exactly, a tie that rounds to the even
-        # quotient 0, so its remainder is pi itself and not pi - TAU = -pi
+        # quotient 0, so its remainder is pi itself and not pi - TAU = -pi;
+        # with M0 = M1 the time part P is G (M0+M1) sin(2Gt), whose sign
+        # tells sin(pi) > 0 from sin(-pi) < 0
         t = math.pi / 2.0
         lo, hi = ode.regular_window(1)
         assert lo < t < hi and 2.0 * t == math.pi
         assert math.remainder(math.pi, ode.TAU) == math.pi
-        got = ode._window_remainder(np.array([2.0 * t]), ode.TAU)
-        assert bits(got).tolist() == bits([math.pi]).tolist()
+        P = ode._time_parts(1, 2, 2, np.array([t]))[3]
+        assert bits(P).tolist() == bits([4.0 * math.sin(math.pi)]).tolist()
+        assert P[0] > 0.0
+        general = self.general_time_parts(monkeypatch, 1, 2, 2, np.array([t]))[3]
+        assert bits(general).tolist() == bits(P).tolist()
 
     @pytest.mark.parametrize(
         "spec",
         [BvpSpec(1, 2, 2, 1), BvpSpec(2, 1, 3, -1), BvpSpec(6, 1, 1, -5), BvpSpec(12, 2, 2, 1)],
     )
-    def test_window_parts_equal_the_general_reduction(self, spec):
+    def test_window_parts_equal_the_general_reduction(self, monkeypatch, spec):
         # the lane time part of in-window stage rows equals the time part
-        # under the exact reduction, and the grid tension equals the one
-        # under the floor modulo, element for element and bit for bit
+        # under the general reduction, and so does the grid tension built
+        # from it, element for element and bit for bit
         G, M0, M1 = spec.G, spec.M0, spec.M1
         t = self.window_times(G)[:2500].reshape(5, 500)
         time_part, _state = ode._rhs_lanes(spec)
-        exact = (ode._remainder_exact, ode._remainder_exact)
-        for got, want in zip(time_part(t), ode._time_parts(G, M0, M1, t, exact)):
+        general = self.general_time_parts(monkeypatch, G, M0, M1, t)
+        for got, want in zip(time_part(t), general):
             assert np.array_equal(bits(got), bits(want))
         rng = np.random.default_rng(G)
         r, v, a = rng.uniform(-30.0, 30.0, (3, t.size))
-        floor = (ode.floor_remainder, ode.floor_remainder)
-        A, N = ode._state_parts(
-            G, ode._time_parts(G, M0, M1, t.ravel(), floor), r, v, ode.floor_remainder
-        )
+        parts = self.general_time_parts(monkeypatch, G, M0, M1, t.ravel())
+        A, N = ode._state_parts(G, parts, r, v)
         got = ode.closed_tension_grid(spec, t.ravel(), r, v, a)
         assert np.array_equal(bits(got), bits(A * a + N))
+
+
+class TestTwinEqualsClosure:
+    """One reduction policy: every array evaluation of the tension takes
+    the closure's (A, N), inside the regular window and outside it, where
+    _remainder_exact reduces Gt and 2Gt, and at states whose angles
+    2(r - t) and 2(r - t) + Gt send _remainder_exact to its fallback."""
+
+    @staticmethod
+    def points(G):
+        lo, hi = ode.regular_window(G)
+        step = math.pi / G
+        rng = np.random.default_rng(100 + G)
+        # outside the window but clear of the pole margin, at both ends
+        # and one period on; then inside it
+        t = np.concatenate([
+            rng.uniform(1.0e-8, lo, 40), [1.5e-8, math.nextafter(lo, 0.0)],
+            step - rng.uniform(1.0e-8, lo, 40), step + rng.uniform(1.0e-8, 1.0, 40),
+            -rng.uniform(1.0e-8, 1.0, 40), rng.uniform(lo, hi, 200),
+        ])
+        n = t.size
+        # r up to +-1e6; r = t and r - t near odd multiples of pi/2 put
+        # 2(r - t) on 0 and near +-pi modulo TAU
+        r = rng.uniform(-1.0e6, 1.0e6, n)
+        odd = 2.0 * rng.integers(-300_000, 300_000, n) + 1.0
+        r[: n // 3] = t[: n // 3] + odd[: n // 3] * (math.pi / 2.0)
+        r[n // 3 : n // 2] = t[n // 3 : n // 2]
+        v, a = rng.uniform(-50.0, 50.0, (2, n))
+        return t, r, v, a
+
+    @pytest.mark.parametrize("G", range(1, 13))
+    def test_grid_tension_and_acceleration_are_the_closures(self, G):
+        M0, M1 = (3, 3) if G % 2 else (1, 4)
+        spec = BvpSpec(G, M0, M1, 1)
+        t, r, v, a = self.points(G)
+        lo, hi = ode.regular_window(G)
+        inside = (lo < t) & (t < hi)
+        assert inside.any() and not inside.all()
+        # the fallback of _remainder_exact occurs: a zero or a |f| >= pi
+        # from the split
+        u = 2.0 * (r - t)
+        n = np.rint(u / ode.TAU)
+        f = (u - n * ode._TAU_HI) - n * ode._TAU_LO
+        assert ((f == 0.0) | (np.abs(f) >= math.pi)).any()
+        # times inside and outside the window run through the twin
+        # together and apart
+        accel = ode.rhs(spec)
+        for mask in (np.ones_like(inside), inside, ~inside):
+            A, N = ode._state_parts(G, ode._time_parts(G, M0, M1, t[mask]), r[mask], v[mask])
+            got = ode.closed_tension_grid(spec, t[mask], r[mask], v[mask], a[mask])
+            assert np.array_equal(bits(got), bits(A * a[mask] + N))
+            want = [accel(*p) for p in zip(t[mask].tolist(), r[mask].tolist(), v[mask].tolist())]
+            assert np.array_equal(bits(-N / A), bits(want))
 
 
 class TestBvpSpec:

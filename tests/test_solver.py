@@ -56,6 +56,43 @@ def two_branch_start(spec, endpoint, slope, eps):
 
 
 class TestSeriesStart:
+    @pytest.mark.parametrize(
+        "endpoint, slope, eps, name",
+        [
+            ("left", 3.0, 1e-5, "endpoint"),
+            (None, 3.0, 1e-5, "endpoint"),
+            (Endpoint.LEFT, math.nan, 1e-5, "slope"),
+            (Endpoint.RIGHT, math.inf, 1e-5, "slope"),
+            (Endpoint.LEFT, -math.inf, 1e-5, "slope"),
+            (Endpoint.LEFT, 3.0, 0.0, "eps"),
+            (Endpoint.RIGHT, 3.0, -1e-5, "eps"),
+            (Endpoint.LEFT, 3.0, math.nan, "eps"),
+            (Endpoint.LEFT, 3.0, math.pi / 4.0, "eps"),
+            (Endpoint.RIGHT, 3.0, math.inf, "eps"),
+        ],
+    )
+    def test_invalid_arguments_named(self, endpoint, slope, eps, name):
+        # "left" took the right end, eps <= 0 a start outside (0, pi/G)
+        # and a NaN slope NaNs; eps must stay below pi/(4G), as
+        # ShootingConfig.validate requires
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            solver.series_start(spec, endpoint, slope, eps)
+
+    @pytest.mark.parametrize("k", [10**400, 2**1023 + 1])
+    def test_huge_k_named_at_the_right_end(self, k):
+        # the right target k pi/G raised a bare OverflowError at 10**400
+        # and a "math domain error" on its infinite angle at 2**1023 + 1
+        spec = BvpSpec(G=1, M0=2, M1=2, k=k)
+        with pytest.raises(ValueError, match="^k must "):
+            solver.series_start(spec, Endpoint.RIGHT, 1.0, 1e-5)
+
+    def test_largest_offset_accepted(self):
+        spec = BvpSpec(G=4, M0=1, M1=3, k=1)
+        eps = math.nextafter(spec.length / 4.0, 0.0)
+        for endpoint in Endpoint:
+            assert all(map(math.isfinite, solver.series_start(spec, endpoint, 1.0, eps)))
+
     def test_left_start_lies_on_exact_linear_solution(self):
         spec = BvpSpec(G=3, M0=2, M1=2, k=-2)
         for eps in (1e-4, 1e-5, 1e-6):
@@ -1725,9 +1762,9 @@ class TestLaneSweep:
         calls = {"time": [], "state": 0}
         time_parts, state_parts = ode._time_parts, ode._state_parts
 
-        def counted_time(G, M0, M1, t, rem):
+        def counted_time(G, M0, M1, t):
             calls["time"].append(t.shape)
-            return time_parts(G, M0, M1, t, rem)
+            return time_parts(G, M0, M1, t)
 
         def counted_state(*args):
             calls["state"] += 1
@@ -1756,9 +1793,9 @@ class TestLaneSweep:
         shapes = []
         remainder_exact = ode._remainder_exact
 
-        def counted(x, period):
+        def counted(x):
             shapes.append(x.shape)
-            return remainder_exact(x, period)
+            return remainder_exact(x)
 
         monkeypatch.setattr(ode, "_remainder_exact", counted)
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
@@ -1771,7 +1808,7 @@ class TestLaneSweep:
 
     def test_remainder_exact_matches_math_remainder(self):
         def check(x):
-            got = ode._remainder_exact(x, ode.TAU)
+            got = ode._remainder_exact(x)
             want = [math.remainder(v, ode.TAU) for v in x.tolist()]
             assert [struct.pack("<d", v) for v in got.tolist()] == [
                 struct.pack("<d", v) for v in want
@@ -1791,7 +1828,7 @@ class TestLaneSweep:
         ]))
         # an infinity raises as math.remainder does
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            ode._remainder_exact(np.array([1.0, math.inf]), ode.TAU)
+            ode._remainder_exact(np.array([1.0, math.inf]))
 
     def test_remainder_split_alone_on_tie_free_batches(self, monkeypatch):
         # no element at a tie, a multiple of 2 pi or beyond 2**26 quotients:
@@ -1811,7 +1848,7 @@ class TestLaneSweep:
 
         monkeypatch.setattr(math, "remainder", no_fallback)
         for x, want in zip(batches, wants):
-            got = ode._remainder_exact(x, ode.TAU)
+            got = ode._remainder_exact(x)
             assert got.shape == x.shape
             assert [v.hex() for v in got.ravel().tolist()] == want
 
@@ -1832,16 +1869,12 @@ class TestLaneSweep:
                 xs += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
         # quotients far beyond 2**26, where n * TAU_HI rounds
         xs += [10.0 ** (8 + 0.37 * i) for i in range(33)] + [1e300, -1e300, 2.0**1000 * tau]
-        got = [ode._remainder_exact(np.array([x]), tau)[0].hex() for x in xs]
+        got = [ode._remainder_exact(np.array([x]))[0].hex() for x in xs]
         assert got == [math.remainder(x, tau).hex() for x in xs]
         # the exact multiples among them have a zero remainder with the sign
         # of x; the split alone gives +0.0 for -4 * 2 pi
         assert "0x0.0p+0" in got and "-0x0.0p+0" in got
-        assert ode._remainder_exact(np.array([-4.0 * tau]), tau)[0].hex() == "-0x0.0p+0"
-
-    def test_remainder_exact_needs_the_split_period(self):
-        with pytest.raises(ValueError, match="modulo TAU"):
-            ode._remainder_exact(np.array([1.0]), math.pi)
+        assert ode._remainder_exact(np.array([-4.0 * tau]))[0].hex() == "-0x0.0p+0"
 
     def test_sweep_never_calls_fmod(self, monkeypatch):
         def no_fmod(*args, **kwargs):
