@@ -46,6 +46,10 @@ _TAU_HI = float.fromhex("0x1.921fb5p+2")
 _TAU_LO = TAU - _TAU_HI
 _SPLIT_QUOTIENTS = 2.0**26
 
+# residual_norm's bound on |r|: 2(r - t) + Gt stays finite, as its
+# reduction needs.
+_MAX_R = 1e300
+
 #: Evaluation points closer than this to a pole of the coefficients are
 #: rejected; the solver handles the singular endpoints by series starts.
 DEFAULT_POLE_MARGIN = 1e-8
@@ -448,8 +452,9 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     boundary targets under the endpoint linearisations r ~ a*t and
     r ~ k*pi/G - b*(pi/G - t), with slopes estimated from the adjacent
     sample pair.  Times that do not increase strictly inside (0, pi/G), a
-    NaN time included, non-finite r or r' samples and a k whose target
-    k pi/G :attr:`BvpSpec.boundary` rejects raise ValueError; an interior
+    NaN time included, non-finite r or r' samples, an r above _MAX_R in
+    magnitude and a k whose target k pi/G :attr:`BvpSpec.boundary` rejects
+    raise ValueError; an interior
     time near a pole raises PoleProximity.  The interior residual is
     :func:`closed_tension_grid` at the stencil's r'', after one pole test.
     """
@@ -469,6 +474,11 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     parts = _time_parts(spec.G, spec.M0, spec.M1, t[1:-1])    # the pole test
     if not np.isfinite(arr[:, 1:]).all():
         raise ValueError("profile r and rdot samples must be finite")
+    if not (np.abs(r) <= _MAX_R).all():
+        raise ValueError(
+            f"profile r samples must not exceed {_MAX_R:g} in magnitude, "
+            "so that the angle 2(r - t) + Gt is finite"
+        )
 
     hm = t[1:-1] - t[:-2]
     hp = t[2:] - t[1:-1]

@@ -2,16 +2,19 @@
 
 Both endpoints of [0, pi/G] are regular-singular: the leading coefficient
 4 sin^2(Gt) vanishes there, and the smooth solution branch through each
-endpoint is a one-parameter family r ~ a*t + c3(a)*t^3 (no quadratic term;
-the linear-order terms of the ODE cancel for every slope a, which is what
-makes the slope a free shooting parameter).  Integration therefore starts a
-small offset eps away from each endpoint on a numerically fitted cubic and
-the two trajectories are matched in the interior, where the problem is as
-well-conditioned as it gets.
+endpoint is a one-parameter family r = a*t + c3(a)*t^3 + c5(a)*t^5 + ...,
+odd about the endpoint (the linear-order terms of the ODE cancel for every
+slope a, which is what makes the slope a free shooting parameter).  Each
+c_n(a) is a polynomial in a with rational coefficients, and
+:mod:`series` tabulates them exactly to order series.ORDER.  So integration
+starts past the singular layer, at the largest offset pi/(16G) 2^-j, at
+least eps0 or eps1, at which the table's last terms are negligible
+(:func:`_start_offset`), and the two trajectories are matched in the
+interior, where the problem is as well-conditioned as it gets.
 
-Every solve, sweep and refinement does one thing per half: series-start it
-at its endpoint (:func:`series_start`) and run an embedded Dormand-Prince
-5(4) pair from that start tuple, with PI-free step control,
+Every solve, sweep and refinement does one thing per half: start it on the
+branch at its offset (:func:`series_start`) and run an embedded
+Dormand-Prince 5(4) pair from that start tuple, with PI-free step control,
 first-same-as-last reuse, a blow-up cap that converts runaway trajectories
 into TrajectoryEscaped and a step-underflow guard that raises
 IntegratorStall.  A half runs either alone, on the one scalar step loop
@@ -27,7 +30,9 @@ finish on the scalar loop from their state.  A scalar run carries a tangent
 through its steps, which read (r, r') only: a half of a :func:`shoot` its
 tangent in its slope (the variational equation, started from the derivative
 of the series start), so Newton reads its Jacobian off the :class:`Shot`
-values it makes, and every other run the zero tangent.  Newton shoots its
+values it makes, and every other run the zero tangent.  Where that
+Jacobian's singular values are more than 1e6 apart, as on the (1,1,1,+-1)
+family, Newton takes the minimum-norm step.  Newton shoots its
 far iterates, a sweep its lanes, and the refinement's seed search its
 halves, at seed accuracy (:func:`_seed_config`).  Newton leaves seed
 accuracy at the first iterate inside its switch, or at the full step to one
@@ -50,7 +55,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import ode
+from . import ode, series
 from .errors import IntegratorStall, NoConvergence, TrajectoryEscaped
 from .errors import is_real, require_int
 from .ode import BvpSpec
@@ -85,6 +90,14 @@ _SEED_REL_TOL = 1e-6
 # another member of the family, and the (4,2,2,-3) solution moves by 2.9e-5.
 # 100 keeps the refinement's seeds and shot count.
 _SEED_SWITCH = 100.0
+# Newton takes the minimum-norm step (u1.g / sigma_1) v1 where the shot's
+# Jacobian has sigma_min / sigma_max below this; there Cramer's step runs
+# along the null direction and damping stalls.  At the converged slopes of
+# the seed 1-3 newton-recover draws of the 209 linear-solution problems the
+# ratio was below 3.3e-10 on the (1,1,1,+-1) family, 1.4e-6 on the
+# third-order root (4,2,2,-3) and 1.9e-3 to 1.0 on every other row; 1e-6,
+# 1e-4 and 1e-3 gave the same 18 misses over the seed 1-10 draws.
+_RANK_RATIO = 1e-6
 
 _log = logging.getLogger("cohom1")
 
@@ -98,8 +111,8 @@ class Endpoint(enum.Enum):
 class ShootingConfig:
     """Knobs of the shooting procedure; defaults suit every classified case."""
 
-    eps0: float = 1e-5          # offset of the left series start
-    eps1: float = 1e-5          # offset of the right series start
+    eps0: float = 1e-5          # least offset of a left start; the profile's first node
+    eps1: float = 1e-5          # least offset of a right start; the profile's last node
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     match_point: float | None = None      # None -> pi/(2G)
@@ -186,6 +199,7 @@ class SolutionProfile:
     slope1: float
     match_gap: tuple[float, float]
     residual: float
+    conditioning: float          # sigma_min / sigma_max of the accepted shot's Jacobian
 
     def max_linear_deviation(self) -> float:
         """max_t |r(t) - k t| over the samples."""
@@ -205,6 +219,7 @@ class SolutionProfile:
             "slope1": float(self.slope1),
             "match_gap": [float(x) for x in self.match_gap],
             "residual": float(self.residual),
+            "conditioning": float(self.conditioning),
             "samples": int(self.samples.shape[0]),
             "config": config.to_dict(self.spec),
         }
@@ -448,9 +463,9 @@ def _dense_states(runs) -> np.ndarray:
 
 
 def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> list:
-    """The halves series-started (:func:`series_start`) from ``endpoint`` with
-    each of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start`
-    to t_end, as one lane batch.
+    """The halves started (:func:`_lane_starts`) from ``endpoint`` with each
+    of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start` to
+    t_end, as one lane batch.
 
     The lanes advance together as numpy arrays, each with its own t, h and
     accept/reject decision, through the scalar loop's operations in the
@@ -467,15 +482,12 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     Returns one outcome per lane, identical to the scalar run's: its final
     (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    starts = np.array([series_start(spec, endpoint, float(s), eps) for s in slopes])
-    t0, (r0, v0) = float(starts[0, 0]), starts[:, 1:3].T
+    t, r0, v0 = _lane_starts(spec, config, endpoint, np.asarray(slopes, dtype=float))
     accel, (time_part, state_part) = _zero_tangent(ode.rhs(spec)), ode._rhs_lanes(spec)
     n = len(r0)
     out: list = [None] * n
-    direction = 1.0 if t_end >= t0 else -1.0
+    direction = np.where(t_end >= t, 1.0, -1.0)
     lane = np.arange(n)
-    t = np.full(n, t0)
     steps = 0
     # Escaping lanes overflow and produce NaN as the scalar floats do, silently.
     with np.errstate(all="ignore"):
@@ -483,9 +495,9 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
         def stage(parts, ty):
             return np.array([ty[1], state_part(parts, ty[0], ty[1])])
 
-        lanes_accel = _zero_tangent(lambda _t, r, v: state_part(time_part(t), r, v))
-        _, r, v, h, k1v, *_ = _dp_start(lanes_accel, (t0, r0, v0, 0.0, 0.0), t_end)
-        y, k1, h = np.array([r, v]), np.array([v, k1v]), np.full(n, h)  # rows r, v
+        # the first derivative and step of _dp_start, lane by lane
+        h = direction * np.minimum(np.abs(t_end - t) * 1e-3, 1e-3)
+        y, k1 = np.array([r0, v0]), np.array([v0, state_part(time_part(t), r0, v0)])  # rows r, v
         while len(lane) >= _DRAIN_LANES:
             h = np.where((t + h - t_end) * direction > 0.0, t_end - t, h)
             stage_t = t + _STAGE_C * h
@@ -537,6 +549,7 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
                     out[lane[j]] = (rj, vj)
             keep = ~leave
             lane, t, y, h, k1 = lane[keep], t[keep], y[:, keep], h[keep], k1[:, keep]
+            direction = direction[keep]
     for j, i in enumerate(lane.tolist()):
         state = (
             float(t[j]), float(y[0, j]), float(y[1, j]),
@@ -549,50 +562,63 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     return out
 
 
+def _end(spec: BvpSpec, endpoint: Endpoint) -> tuple:
+    """(sigma, t_b, r_b, table) of the branch through ``endpoint``: the
+    side sigma, the base point and the :func:`series.table` of the end's
+    multiplicities.  -0.0 + x is x for every x, signed zeros included,
+    where 0.0 + x is not.  ValueError unless endpoint is an
+    :class:`Endpoint` and, at the right end, ``spec.boundary`` takes k."""
+    if endpoint is Endpoint.LEFT:
+        return 1.0, -0.0, -0.0, series.table(spec.G, spec.M0, spec.M1)
+    if endpoint is Endpoint.RIGHT:
+        return -1.0, spec.length, spec.boundary[1], series.table(spec.G, spec.M1, spec.M0)
+    raise ValueError(f"endpoint must be an Endpoint, got {endpoint!r}")
+
+
+def _lane_starts(spec: BvpSpec, config, endpoint: Endpoint, slopes: np.ndarray) -> tuple:
+    """(t, r, rdot) arrays of the starts of the halves from ``endpoint``
+    with ``slopes``: each lane's :func:`_start_offset` and
+    :func:`series_start` there, bit for bit, by numpy."""
+    sigma, t_b, r_b, tab = _end(spec, endpoint)
+    x = series.offsets(tab, slopes, *_reach(spec, config, endpoint))
+    s, v = series.starts(tab, slopes, x)
+    return t_b + sigma * x, r_b + sigma * s, v
+
+
 def series_start(spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float) -> tuple:
     """Smooth-branch starting data (t, r, rdot, dr, drdot) an offset eps off
     an endpoint, with (dr, drdot) = d(r, rdot)/d(slope).
 
-    The cubic coefficient is fitted numerically from the ODE itself: probe
-    the acceleration at 2*eps on the linear ray, read off c3 from
-    r'' ~ 6*c3*t, and refine once with the corrected state.  This keeps the
-    expansion formula-agnostic in (G, M0, M1); the Richardson property of
-    the starts and their leading-order consistency (the O(t) terms cancel
-    for every slope, so the tension at the start is O(eps)) are asserted by
-    the test suite instead of by algebra.
-
-    The two probes take the tangent form of :func:`ode.rhs`, which carries
-    the derivative of the fit in the slope.  ValueError unless endpoint is
-    an :class:`Endpoint`, slope is finite, 0 < eps < pi/(4G) and, at the
-    right end, ``spec.boundary`` takes k.
+    It evaluates the exact Taylor table of the branch (:mod:`series`) to
+    order series.ORDER and calls no right-hand side.  ValueError unless
+    endpoint is an :class:`Endpoint`, slope is finite, 0 < eps < pi/(4G)
+    and, at the right end, ``spec.boundary`` takes k.
     """
-    # One expansion about the base (t_b, r_b) on the side sigma: -0.0 + x
-    # is x for every x, signed zeros included, where 0.0 + x is not.
-    if endpoint is Endpoint.LEFT:
-        sigma, t_b, r_b = 1.0, -0.0, -0.0
-    elif endpoint is Endpoint.RIGHT:
-        sigma, t_b, r_b = -1.0, spec.length, spec.boundary[1]
-    else:
-        raise ValueError(f"endpoint must be an Endpoint, got {endpoint!r}")
+    sigma, t_b, r_b, tab = _end(spec, endpoint)
     if not -math.inf < slope < math.inf:
         raise ValueError(f"slope must be finite, got {slope!r}")
     if not 0.0 < eps < spec.length / 4.0:
         raise ValueError(f"eps must lie in (0, pi/(4G)) for G={spec.G}, got {eps!r}")
-    s = 2.0 * eps
-    tp = t_b + sigma * s
-    ray = r_b + sigma * (slope * s)
-    jet = ode.rhs_tangent(spec)
-    f, df = jet(tp, ray, slope, sigma * s, 1.0)
-    c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
-    f, df = jet(
-        tp, ray + sigma * (c * s**3), slope + 3.0 * c * s * s,
-        sigma * s + sigma * (dc * s**3), 1.0 + 3.0 * dc * s * s,
-    )
-    c, dc = sigma * f / (6.0 * s), sigma * df / (6.0 * s)
-    t = t_b + sigma * eps
-    r = r_b + sigma * (slope * eps) + sigma * (c * eps**3)
-    v = slope + 3.0 * c * eps * eps
-    return t, r, v, sigma * eps + sigma * (dc * eps**3), 1.0 + 3.0 * dc * eps * eps
+    s, v, ds, dv = series.start(tab, slope, eps)
+    return t_b + sigma * eps, r_b + sigma * s, v, sigma * ds, dv
+
+
+def _reach(spec: BvpSpec, config, endpoint: Endpoint) -> tuple[float, float]:
+    """(eps, limit) of the start offsets of the halves from ``endpoint``:
+    its config offset and an eighth of its distance to the match point."""
+    match = config.resolved_match(spec)
+    if endpoint is Endpoint.LEFT:
+        return config.eps0, match / 8.0
+    return config.eps1, (spec.length - match) / 8.0
+
+
+def _start_offset(spec: BvpSpec, config, endpoint: Endpoint, slope: float) -> float:
+    """Offset of the start of the half from ``endpoint`` with ``slope``:
+    the largest pi/(16G) 2^-j, at most an eighth of the way to the match
+    point, at which the last two terms of the branch's slope series meet
+    series.TAIL_TOL (:func:`series.offset`), and at least the config's
+    eps0 or eps1."""
+    return series.offset(_end(spec, endpoint)[3], slope, *_reach(spec, config, endpoint))
 
 
 def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
@@ -605,21 +631,37 @@ def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
     the discrete gap, whose columns are the left tangent and minus the
     right one.  Step control reads (r, v) only, so the gap, the step rows
     and the end states are those of the halves with the zero tangent.  The
-    left half runs before the right one.  ValueError for a non-finite slope.
+    left half runs before the right one.  Each half starts at its
+    :func:`_start_offset` from its endpoint.  ValueError for a non-finite
+    slope.
     """
     config.validate(spec)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"slopes a, b must be finite, got ({a!r}, {b!r})")
     match = config.resolved_match(spec)
     accel = ode.rhs_tangent(spec)
-    halves, sides = [], ((Endpoint.LEFT, a, config.eps0), (Endpoint.RIGHT, b, config.eps1))
-    for endpoint, slope, eps in sides:
+    halves = []
+    for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
+        eps = _start_offset(spec, config, endpoint, slope)
         start, rows = series_start(spec, endpoint, slope, eps), []
         *end, p, q, _ = _dp_run(accel, _dp_start(accel, start, match), match, config, rows)
         halves.append((start[:3], rows, tuple(end), (end[1], end[2], p, q)))
     starts, rows, ends, ((rl, vl, pl, ql), (rr, vr, pr, qr)) = zip(*halves)
     gap = (rl - rr, vl - vr)
     return Shot(a, b, gap, math.hypot(*gap), ((pl, -pr), (ql, -qr)), starts, rows, ends)
+
+
+def _singular_values(jac) -> tuple[float, float, tuple[float, float]]:
+    """(sigma_max, sigma_min, v) of a 2x2 matrix ``jac``, v the unit right
+    singular vector of sigma_max: the top eigenpair of J^T J in closed
+    form, and sigma_min = |det J| / sigma_max (0 if sigma_max is)."""
+    (a, b), (c, d) = jac
+    p, q, s = a * a + c * c, a * b + c * d, b * b + d * d
+    half = 0.5 * (p - s)
+    top = math.sqrt(0.5 * (p + s) + math.hypot(half, q))
+    theta = 0.5 * math.atan2(q, half)
+    bottom = abs(a * d - b * c) / top if top > 0.0 else 0.0
+    return top, bottom, (math.cos(theta), math.sin(theta))
 
 
 def _seed_config(config: ShootingConfig) -> ShootingConfig:
@@ -703,15 +745,22 @@ def solve(
         return shoot(spec, cfg, a, b)
 
     def direction(iterate, iterations):
-        """The full Newton step (da, db) from ``iterate``.  NoConvergence
-        at the cap or at a singular Jacobian."""
+        """The full Newton step (da, db) from ``iterate``: the minimum-norm
+        step where its Jacobian's singular values are more than
+        1/_RANK_RATIO apart, else Cramer's.  NoConvergence at the cap or
+        at a zero or non-finite Jacobian."""
         gap, slopes = iterate.gap, (iterate.a, iterate.b)
         if iterations >= config.max_newton:
             raise NoConvergence(gap, slopes, iterations, "iteration cap reached")
-        (j00, j01), (j10, j11) = iterate.jac
-        det = j00 * j11 - j01 * j10
-        if det == 0.0 or not math.isfinite(det):
+        (j00, j01), (j10, j11) = jac = iterate.jac
+        top, bottom, (v0, v1) = _singular_values(jac)
+        if not 0.0 < top < math.inf:
             raise NoConvergence(gap, slopes, iterations, "singular jacobian")
+        if bottom < _RANK_RATIO * top:
+            w = (v0 * (j00 * gap[0] + j10 * gap[1]) + v1 * (j01 * gap[0] + j11 * gap[1]))
+            w /= top * top
+            return w * v0, w * v1
+        det = j00 * j11 - j01 * j10
         return (j11 * gap[0] - j01 * gap[1]) / det, (j00 * gap[1] - j10 * gap[0]) / det
 
     def step(cfg, iterate, iterations):
@@ -803,6 +852,8 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     from its end at the match point across the blend window, with the zero
     tangent (:func:`_zero_tangent`), and both are sampled in one pass of
     their step interpolants (:func:`_dense_states`), smooth whatever the steps.
+    The nodes between an end's eps and its half's start take the series
+    of the half's branch (:func:`series.nodes`).
 
     The two shooting halves are joined with a C^2 blend over an interior
     overlap window rather than butted at a single node: the converged match
@@ -818,9 +869,12 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     lo, hi = match - half_w, match + half_w
     nodes = np.linspace(config.eps0, L - config.eps1, n_points)
     i, j = nodes.searchsorted(hi, "right"), nodes.searchsorted(lo)  # nodes[j:i] overlap
+    (t_left, *_), (t_right, *_) = shot.starts
+    # nodes[:first] and nodes[last:] lie between an end's eps and its start
+    first, last = nodes.searchsorted(t_left, "right"), nodes.searchsorted(t_right)
     runs = []
     for rows, (t, r, v, h, k1v, n), t_end, half in zip(
-        shot.rows, shot.ends, (hi, lo), (nodes[1:i], nodes[j:-1][::-1])
+        shot.rows, shot.ends, (hi, lo), (nodes[first:i], nodes[j:last][::-1])
     ):
         # a last step clipped to the match point can leave h short, even below _MIN_STEP
         h = math.copysign(max(abs(h), 1e-3 * abs(t_end - t)), h)
@@ -828,13 +882,18 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
         _dp_run(accel, (t, r, v, h, k1v, n, 0.0, 0.0, 0.0), t_end, config, steps)
         runs.append((steps, half))
     dense = _dense_states(runs)
-    left, right = dense[:i - 1], dense[i - 1:][::-1]     # nodes[1:i], nodes[j:-1]
+    left, right = dense[:i - first], dense[i - first:][::-1]     # nodes[first:i], nodes[j:last]
 
     samples = np.empty((n_points, 3))
-    samples[0], samples[-1] = shot.starts
-    samples[1:j] = left[:j - 1]
-    samples[i:-1] = right[i - j:]
-    lseg, rseg = left[j - 1:], right[:i - j]
+    for endpoint, slope, part in ((Endpoint.LEFT, shot.a, np.s_[:first]),
+                                  (Endpoint.RIGHT, shot.b, np.s_[last:])):
+        sigma, t_b, r_b, tab = _end(spec, endpoint)
+        x = sigma * (nodes[part] - t_b)
+        s, v = series.nodes(tab, slope, x)
+        samples[part] = np.column_stack((nodes[part], r_b + sigma * s, v))
+    samples[first:j] = left[:j - first]
+    samples[i:last] = right[i - j:]
+    lseg, rseg = left[j - first:], right[:i - j]
     x = (lseg[:, 0] - lo) / (hi - lo)
     s = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))     # smootherstep
     ds = 30.0 * x * x * (1.0 + x * (-2.0 + x)) / (hi - lo)
@@ -844,6 +903,7 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     samples[j:i, 2] = w * lseg[:, 2] + (1 - w) * rseg[:, 2] + dw * (lseg[:, 1] - rseg[:, 1])
 
     residual = ode.residual_norm(spec, samples)[0]
+    top, bottom, _ = _singular_values(shot.jac)
     return SolutionProfile(
         spec=spec,
         samples=samples,
@@ -851,11 +911,15 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
         slope1=shot.b,
         match_gap=shot.gap,
         residual=residual,
+        conditioning=bottom / top if top > 0.0 else 0.0,
     )
 
 
 def sweep(spec: BvpSpec, config: ShootingConfig | None = None) -> list[SweepPoint]:
     """Single-ended slope sweep over the bracket grid, as one lane batch.
+
+    Its lanes start as the left halves of a :func:`shoot` at ``config``
+    do.
 
     A sweep only brackets, so its lanes run at seed accuracy
     (:func:`_seed_config`; a config with rel_tol >= _SEED_REL_TOL runs as

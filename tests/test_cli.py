@@ -85,6 +85,7 @@ class TestSolve:
         assert len(lines) == payload["samples"] + 1
         on_disk = json.loads(meta_path.read_text())
         assert on_disk["slope0"] == payload["slope0"]
+        assert 1e-3 < on_disk["conditioning"] == payload["conditioning"] <= 1.0
         assert str(csv_path) in on_disk["manifest"]["outputs"]
 
     def test_residual_round_trip(self, capsys, tmp_path):
@@ -257,6 +258,32 @@ class TestResidual:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "cohom1 residual: profile samples must be strictly increasing in t\n"
+
+    def test_huge_finite_r_exits_2_under_warnings_as_errors(self, tmp_path):
+        # r = 1e308 overflowed 2(r - t): two numpy warnings, then a bare
+        # "math domain error"; under -W error a traceback and exit code 1
+        t = np.linspace(0.01, 3.1, 64)
+        r = np.full(64, 1.0)
+        r[30] = 1e308
+        path = tmp_path / "p.csv"
+        np.savetxt(
+            path, np.column_stack([t, r, np.ones_like(t)]),
+            delimiter=",", header="t,r,rdot", comments="",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error", "-m", "cohom1.cli", "residual",
+                "--space", "sphere", "--g", "1", "--m0", "2", "--m1", "2", "--k", "1",
+                "--profile", str(path),
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "cohom1 residual: profile r samples must not exceed 1e+300 in magnitude, "
+            "so that the angle 2(r - t) + Gt is finite\n"
+        )
 
     @staticmethod
     def solved_profile(capsys, tmp_path):

@@ -513,8 +513,10 @@ class TestResidualNorm:
 
     def test_too_coarse_rejected(self):
         spec = BvpSpec(G=1, M0=1, M1=1, k=1)
-        with pytest.raises(ProfileTooCoarse):
+        with pytest.raises(ProfileTooCoarse, match="^need at least 16 interior samples, got 15$"):
             ode.residual_norm(spec, linear_profile(spec, n=17))
+        with pytest.raises(ProfileTooCoarse, match="^need at least 16 interior samples, got 0$"):
+            ode.residual_norm(spec, linear_profile(spec, n=1))
 
     def test_unsorted_rejected(self):
         spec = BvpSpec(G=1, M0=1, M1=1, k=1)
@@ -568,6 +570,20 @@ class TestResidualNorm:
         profile[row, col] = value
         with pytest.raises(ValueError, match="must be finite"):
             ode.residual_norm(spec, profile)
+
+
+    @pytest.mark.parametrize("r", [1e308, -1.7e308, np.nextafter(1e300, np.inf)])
+    def test_huge_finite_r_named(self, r):
+        # 2(r - t) overflowed at r = 1e308: numpy warned twice, then the
+        # remainder's fallback raised a bare "math domain error"
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        t = np.linspace(0.01, 3.1, 64)
+        profile = np.column_stack([t, np.full(64, 1.0), np.ones(64)])
+        profile[30, 1] = r
+        with pytest.raises(ValueError, match="^profile r samples must not exceed 1e\\+300 "):
+            ode.residual_norm(spec, profile)
+        profile[30, 1] = np.copysign(1e300, r)
+        assert math.isfinite(ode.residual_norm(spec, profile)[0])
 
 
 def bits(x):

@@ -7,11 +7,12 @@ import math
 import random
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cohom1 import actions, classify, ode, solver
+from cohom1 import actions, classify, ode, series, solver
 from cohom1.actions import Space
 from cohom1.errors import (
     CohomError,
@@ -38,21 +39,21 @@ def run_bits(end):
 
 
 def two_branch_start(spec, endpoint, slope, eps):
-    """series_start's (t, r, v) as one body per endpoint, the cubic
-    coefficient fitted twice at 2*eps from the endpoint."""
-    accel = ode.rhs(spec)
+    """series_start's (t, r, v) as one body per endpoint, each evaluating
+    the branch table of its end's multiplicities at eps."""
     if endpoint is Endpoint.LEFT:
-        tp = 2.0 * eps
-        c3 = accel(tp, slope * tp, slope) / (6.0 * tp)
-        c3 = accel(tp, slope * tp + c3 * tp**3, slope + 3.0 * c3 * tp * tp) / (6.0 * tp)
-        return eps, slope * eps + c3 * eps**3, slope + 3.0 * c3 * eps * eps
+        s, v, *_ = series.start(series.table(spec.G, spec.M0, spec.M1), slope, eps)
+        return eps, s, v
     L = spec.length
-    r_end = spec.k * L
-    tp = L - 2.0 * eps
-    s = 2.0 * eps
-    d3 = -accel(tp, r_end - slope * s, slope) / (6.0 * s)
-    d3 = -accel(tp, r_end - slope * s - d3 * s**3, slope + 3.0 * d3 * s * s) / (6.0 * s)
-    return L - eps, r_end - slope * eps - d3 * eps**3, slope + 3.0 * d3 * eps * eps
+    s, v, *_ = series.start(series.table(spec.G, spec.M1, spec.M0), slope, eps)
+    return L - eps, spec.k * L - s, v
+
+
+def half_start(spec, config, endpoint, slope):
+    """The start (t, r, v, dr, dv) of a half of a shot or a lane: the
+    series start at the half's offset."""
+    eps = solver._start_offset(spec, config, endpoint, slope)
+    return solver.series_start(spec, endpoint, slope, eps)
 
 
 class TestSeriesStart:
@@ -109,17 +110,23 @@ class TestSeriesStart:
         assert abs(r - (-1.0) * t) <= 1e-12
         assert abs(v - (-1.0)) <= 1e-9
 
-    def test_zero_slope_start_is_pure_cubic(self):
+    def test_linear_rays_start_exactly_on_the_ray(self):
+        # r = j t solves the (1,2,2) equation for j in (-1, 0, 1), whatever
+        # k, so every c_n(j) is 0 and the start lies on the ray up to the
+        # rounding of its sum over the powers of the slope
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        eps = 1e-3
-        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, 0.0, eps)
-        # r = c3 * eps^3 and v = 3 c3 eps^2 for the same c3
-        assert r == pytest.approx(v * eps / 3.0, rel=1e-6, abs=1e-18)
+        for j in (-1.0, 0.0, 1.0):
+            for eps in (1e-5, 1e-3, 0.19):
+                t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, j, eps)
+                assert t == eps
+                assert r == pytest.approx(j * eps, rel=4e-16, abs=1e-300)
+                assert v == pytest.approx(j, rel=4e-16, abs=1e-300)
 
     @pytest.mark.parametrize("G", [1, 2, 3, 4, 6, 12])
     def test_equals_two_branch_expansion_bit_for_bit(self, G):
-        # the one expansion body against a copy of the former left and
-        # right bodies, signed zero slopes included
+        # the one body of series_start against one body per endpoint, each
+        # evaluating the table of its end's multiplicities, signed zero
+        # slopes included
         # problems with smooth branches at both ends: odd G needs M0 == M1
         spec = BvpSpec(G=G, M0=2, M1=2 if G % 2 else 3, k=1 - G if G % 2 else 1 + G)
         rng = random.Random(G)
@@ -158,8 +165,10 @@ class TestSeriesStart:
                             assert abs(dtension) <= 100.0 * eps * scale
 
     def test_richardson_order(self):
-        # the value transported to a fixed interior point converges at
-        # order >= 2 as the start offset is halved
+        # the value transported to a fixed interior point does not depend
+        # on the start offset beyond the integrator's tolerance: from
+        # offsets of 2.5e-4 to 5e-2 it moves by 1.9e-13.  The fitted cubic
+        # start moved it by 5.6e-7 between 1e-3 and 2.5e-4.
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         accel = ode.rhs(spec)
         target = 0.5
@@ -169,11 +178,137 @@ class TestSeriesStart:
             t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, 3.0, eps)
             return integrate(accel, t, r, v, target, tight)[0]
 
-        r1 = transported(1e-3)
-        r2 = transported(5e-4)
-        r3 = transported(2.5e-4)
-        d1, d2 = abs(r1 - r2), abs(r2 - r3)
-        assert d2 < d1 / 3.5 or d2 < 1e-12
+        values = [transported(eps) for eps in (1e-3, 5e-4, 2.5e-4, 1e-2, 5e-2)]
+        assert max(values) - min(values) < 1e-12
+
+
+# The Dormand-Prince 5(4) pair (Hairer, Norsett and Wanner, Solving ODEs I,
+# Table II.5.2) and Shampine's quartic dense output, as exact rationals:
+# the solver's float constants must be their roundings.
+DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), 1, 1]
+DP_A = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176),
+     Fraction(-5103, 18656)],
+]
+DP_B = [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784),
+        Fraction(11, 84), 0]
+DP_E = [Fraction(71, 57600), 0, Fraction(-71, 16695), Fraction(71, 1920),
+        Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40)]
+DP_P = [
+    [1, Fraction(-8048581381, 2820520608), Fraction(8663915743, 2820520608),
+     Fraction(-12715105075, 11282082432)],
+    [0, 0, 0, 0],
+    [0, Fraction(131558114200, 32700410799), Fraction(-68118460800, 10900136933),
+     Fraction(87487479700, 32700410799)],
+    [0, Fraction(-1754552775, 470086768), Fraction(14199869525, 1410260304),
+     Fraction(-10690763975, 1880347072)],
+    [0, Fraction(127303824393, 49829197408), Fraction(-318862633887, 49829197408),
+     Fraction(701980252875, 199316789632)],
+    [0, Fraction(-282668133, 205662961), Fraction(2019193451, 616988883),
+     Fraction(-1453857185, 822651844)],
+    [0, Fraction(40617522, 29380423), Fraction(-110615467, 29380423),
+     Fraction(69997945, 29380423)],
+]
+
+
+def rooted_trees(order):
+    """Rooted trees with at most ``order`` vertices, each as the sorted
+    tuple of its subtrees."""
+    trees = {1: [()]}
+    for n in range(2, order + 1):
+        found = set()
+
+        def grow(left, smallest, children):
+            # children as a non-decreasing sequence of trees, by (size, tree)
+            if left == 0:
+                found.add(tuple(children))
+                return
+            for size in range(1, left + 1):
+                for tree in trees[size]:
+                    if (size, tree) >= smallest:
+                        grow(left - size, (size, tree), children + [tree])
+
+        grow(n - 1, (0, ()), [])
+        trees[n] = sorted(found)
+    return trees
+
+
+def tree_size(tree):
+    return 1 + sum(map(tree_size, tree))
+
+
+def density(tree):
+    """gamma(t) = |t| times the densities of its subtrees."""
+    return tree_size(tree) * math.prod(map(density, tree))
+
+
+def elementary_weights(tree, A):
+    """Phi_i(t) over the stages of the rows A: the product over the subtrees
+    u of sum_j a_ij Phi_j(u)."""
+    below = [elementary_weights(u, A) for u in tree]
+    return [
+        math.prod((sum(a * w[j] for j, a in enumerate(row)) for w in below), start=Fraction(1))
+        for row in A
+    ]
+
+
+class TestTableau:
+    # stage 7, first same as last, is the propagation row at c = 1
+    STAGES = [*DP_A, DP_B[:6]]
+
+    def test_constants_round_the_rationals(self):
+        C = [solver._C2, solver._C3, solver._C4, solver._C5]
+        A = [[solver._A21], [solver._A31, solver._A32], [solver._A41, solver._A42, solver._A43],
+             [solver._A51, solver._A52, solver._A53, solver._A54],
+             [solver._A61, solver._A62, solver._A63, solver._A64, solver._A65]]
+        B = [solver._B1, solver._B3, solver._B4, solver._B5, solver._B6]
+        E = [solver._E1, solver._E3, solver._E4, solver._E5, solver._E6, solver._E7]
+        assert C == [float(c) for c in DP_C[1:5]]
+        assert A == [[float(a) for a in row] for row in DP_A[1:]]
+        assert B == [float(b) for i, b in enumerate(DP_B[:6]) if i != 1]
+        assert E == [float(e) for i, e in enumerate(DP_E) if i != 1]
+        assert [list(row) for row in solver._P] == [[float(p) for p in row] for row in DP_P]
+        assert solver._STAGE_C[:, 0].tolist() == [float(c) for c in DP_C[1:5]] + [1.0]
+
+    def test_nodes_are_row_sums_and_last_is_first(self):
+        assert [sum(row, Fraction(0)) for row in self.STAGES] == DP_C
+        assert sum(DP_B) == 1 and DP_B[6] == 0
+
+    @pytest.mark.parametrize("weights, order", [("propagation", 5), ("embedded", 4)])
+    def test_order_conditions(self, weights, order):
+        # b . Phi(t) = 1 / gamma(t) for every rooted tree t of at most
+        # ``order`` vertices: 17 trees to order 5 and 8 to order 4; the
+        # propagation weights fail one of order 6
+        b = DP_B if weights == "propagation" else [x - e for x, e in zip(DP_B, DP_E)]
+        trees = rooted_trees(order + 1)
+        assert [len(trees[n]) for n in range(1, order + 2)] == [1, 1, 2, 4, 9, 20][:order + 1]
+        for n in range(1, order + 1):
+            for tree in trees[n]:
+                phi = elementary_weights(tree, self.STAGES)
+                assert sum(x * p for x, p in zip(b, phi)) == Fraction(1, density(tree))
+        higher = [sum(x * p for x, p in zip(b, elementary_weights(t, self.STAGES)))
+                  - Fraction(1, density(t)) for t in trees[order + 1]]
+        assert any(higher)
+
+    def test_dense_output_identities(self):
+        # columns sum to (1, 0, 0, 0): linear solutions are interpolated
+        # exactly; row sums are the propagation weights, so u(1) = y_new;
+        # and the interpolant has order 4 at every theta: sum_s
+        # w_s(theta) Phi_s(t) = theta^|t| / gamma(t) for |t| <= 4, as
+        # polynomials in theta
+        assert [sum(col) for col in zip(*DP_P)] == [1, 0, 0, 0]
+        assert [sum(row) for row in DP_P] == DP_B
+        trees = rooted_trees(4)
+        for n in range(1, 5):
+            for tree in trees[n]:
+                phi = elementary_weights(tree, self.STAGES)
+                got = [sum(row[j] * p for row, p in zip(DP_P, phi)) for j in range(4)]
+                assert got == [Fraction(1, density(tree)) if j + 1 == n else 0 for j in range(4)]
 
 
 class TestIntegrator:
@@ -204,8 +339,8 @@ class TestIntegrator:
         lane_rhs = (lambda stage_t: [stage_t], lambda parts, r, v: np.zeros_like(r))
         monkeypatch.setattr(ode, "_rhs_lanes", lambda spec: lane_rhs)
         monkeypatch.setattr(ode, "rhs", lambda spec: lambda t, r, v: 0.0)
-        monkeypatch.setattr(solver, "series_start", lambda *args: (0.0, 1.0, 0.0, 1.0, 0.0))
         n = solver._DRAIN_LANES
+        monkeypatch.setattr(solver, "_lane_starts", lambda *args: (np.zeros(n), np.ones(n), np.zeros(n)))
         out = solver._integrate_lanes(
             BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(), Endpoint.LEFT, np.zeros(n), t_end
         )
@@ -421,6 +556,17 @@ class TestDenseOutput:
         assert np.abs(profile.samples - want.samples).max() < 1e-8
 
 
+def linear_specs():
+    """The linear-solution problems of every classified action, |j| <= 4,
+    by (G, M0, M1, k)."""
+    acts = [actions.make_action(space, *triple) for triple in actions.strict_triples()
+            for space in (Space.SPHERE, Space.ORTHOGONAL_GROUP)]
+    acts.append(actions.make_action(Space.SP2_LIFT, 6, 1, 1))
+    rows = {(a.bvp_g, a.m0, a.m1, actions.admissible_k(a, j))
+            for a in acts for j in range(-4, 5) if j % 2 == 0 or a.odd_j_allowed}
+    return [BvpSpec(*row) for row in sorted(rows) if classify.is_linear_solution(*row)]
+
+
 def table_specs():
     return [
         BvpSpec(G=v.action.bvp_g, M0=v.action.m0, M1=v.action.m1, k=v.k)
@@ -436,11 +582,10 @@ def max_rel_diff(got, want):
 
 def half_end(spec, config, endpoint, slope, tangent):
     """End run state of the half from ``endpoint`` with ``slope``, run by
-    _dp_run to the match point from its series start, with the start's
+    _dp_run to the match point from its start, with the start's
     tangent or with the zero tangent."""
     accel = ode.rhs_tangent(spec) if tangent else solver._zero_tangent(ode.rhs(spec))
-    eps = config.eps0 if endpoint is Endpoint.LEFT else config.eps1
-    start, match = solver.series_start(spec, endpoint, slope, eps), config.resolved_match(spec)
+    start, match = half_start(spec, config, endpoint, slope), config.resolved_match(spec)
     state = solver._dp_start(accel, start if tangent else (*start[:3], 0.0, 0.0), match)
     return solver._dp_run(accel, state, match, config)
 
@@ -573,10 +718,10 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  The (plain, tangent) counts are: the solve (24, 564),
-        # the sweep, at seed accuracy, (24180, 34) and the refinement of its
-        # 2 brackets (5160, 6430).  Series starts take the tangent form, two
-        # evaluations each.  The solve's plain evaluations continue the
+        # catches.  The (plain, tangent) counts are: the solve (12, 356),
+        # the sweep, at seed accuracy, (23514, 0) and the refinement of its
+        # 2 brackets (3858, 4852).  Series starts evaluate the branch table
+        # and call neither form.  The solve's plain evaluations continue the
         # halves of the shot Newton accepts past the match point for its
         # profile.  RHS counts do not depend on the machine.
         counts = {"plain": 0, "tangent": 0}
@@ -605,14 +750,14 @@ class TestRhsFactoryContract:
         spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
         w = 0.05 * (1.0 + abs(spec.k))
         assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
-        assert counts == {"plain": 24, "tangent": 564}
+        assert counts == {"plain": 12, "tangent": 356}
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 24 + 24180, "tangent": 564 + 34}
+        assert counts == {"plain": 12 + 23514, "tangent": 356}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 24 + 24180 + 5160, "tangent": 564 + 34 + 6430}
+        assert counts == {"plain": 12 + 23514 + 3858, "tangent": 356 + 4852}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -625,11 +770,17 @@ def reference_newton(spec, config, a, b, tol, iterations=0):
         if iterations >= config.max_newton:
             raise NoConvergence(gap, (a, b), iterations, "iteration cap reached")
         (j00, j01), (j10, j11) = shot.jac
-        det = j00 * j11 - j01 * j10
-        if det == 0.0 or not math.isfinite(det):
+        top, bottom, (v0, v1) = solver._singular_values(shot.jac)
+        if not 0.0 < top < math.inf:
             raise NoConvergence(gap, (a, b), iterations, "singular jacobian")
-        da = (j11 * gap[0] - j01 * gap[1]) / det
-        db = (j00 * gap[1] - j10 * gap[0]) / det
+        if bottom < 1e-6 * top:     # the minimum-norm step
+            w = (v0 * (j00 * gap[0] + j10 * gap[1]) + v1 * (j01 * gap[0] + j11 * gap[1]))
+            w /= top * top
+            da, db = w * v0, w * v1
+        else:
+            det = j00 * j11 - j01 * j10
+            da = (j11 * gap[0] - j01 * gap[1]) / det
+            db = (j00 * gap[1] - j10 * gap[0]) / det
         lam = 1.0
         for _ in range(20):
             try:
@@ -747,7 +898,7 @@ class TestSharedHalves:
         shoot, dp_run = solver.shoot, solver._dp_run
 
         def counted_shoot(*args, **kwargs):
-            shots.append(args[2:4])
+            shots.append(args[1:4])
             return shoot(*args, **kwargs)
 
         def counted_run(accel, state, t_end, config, record=None):
@@ -758,12 +909,15 @@ class TestSharedHalves:
         monkeypatch.setattr(solver, "_dp_run", counted_run)
         solver.solve(spec, init=(-0.97, -1.04))
         assert len(shots) > 3
-        # two halves per shot, with their tangents, from their end points to
-        # the match point, then the accepted shot's halves continue from it
+        # two halves per shot, with their tangents, from their starts to the
+        # match point, then the accepted shot's halves continue from it
         # across the blend window with the zero tangent, the left one up and
         # the right one down
         match, n = spec.length / 2.0, 2 * len(shots)
-        assert runs[:n] == [(1e-5, match, True), (spec.length - 1e-5, match, True)] * len(shots)
+        assert runs[:n] == [
+            (half_start(spec, config, endpoint, slope)[0], match, True)
+            for config, a, b in shots for endpoint, slope in zip(Endpoint, (a, b))
+        ]
         (left_from, hi, left_tangent), (right_from, lo, right_tangent) = runs[n:]
         assert left_from == right_from == match and lo < match < hi
         assert not left_tangent and not right_tangent
@@ -873,7 +1027,7 @@ class TestTwoPhaseNewton:
         assert lines == [
             f"solve: {seed_shots} shots at seed rel_tol 1e-06, "
             f"{len(configs) - seed_shots} at rel_tol 1e-10; "
-            "hand-over: predicted |gap| 6.75e-07; converged in 3 iterations"
+            "hand-over: predicted |gap| 6.76e-07; converged in 3 iterations"
         ]
         assert seed_shots == 2 and profile.residual <= 1e-6
         # one phase: no shot at seed accuracy
@@ -882,7 +1036,7 @@ class TestTwoPhaseNewton:
         _, lines = solve_lines(caplog, self.SPEC, coarse, self.INIT)
         assert lines == [
             f"solve: 0 shots at seed rel_tol 1e-06, {len(configs)} at rel_tol 1e-06; "
-            "hand-over: none; converged in 6 iterations"
+            "hand-over: none; converged in 3 iterations"
         ]
 
     @pytest.mark.parametrize("config, init, handover", [
@@ -910,41 +1064,40 @@ class TestTwoPhaseNewton:
                 solver.shoot(self.NONLINEAR, config, *init)
             assert str(exc) == str(plain.value)
 
+    # (8,1,3,1) from a start of the seed-1 newton-recover draw: a full seed
+    # step takes |gap| from 0.24 to 5.0e-4, which predicts 2.1e-9 for the
+    # next, and the first shot at config, at the full step from there,
+    # finds 1.8e-9, inside the tolerance 2e-9.  Stopping there leaves the
+    # residual at 3.4e-7; one step at config brings the gap to 1.6e-15 and
+    # the residual to 3.0e-9.
+    PLACED = BvpSpec(G=8, M0=1, M1=3, k=1), (0.911586845993481, 0.9385034867323193)
+
     def test_seed_placed_iterate_takes_one_step_at_the_callers_config(
         self, caplog, monkeypatch
     ):
-        # (8,4,7,1) from a start of the newton-recover draw: a full seed
-        # step takes |gap| from 9.4e-2 to 7.3e-4, which predicts 4.5e-8 for
-        # the next, and the first shot at config, at the full step from
-        # there, finds 1.5e-9, inside the tolerance 2e-9.  Stopping there
-        # left the residual at 2.3e-6; one step at config brings the gap to
-        # 2.4e-12 and the residual to 7.8e-9.
-        spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig()
+        (spec, init), config = self.PLACED, ShootingConfig()
         configs = shot_configs(monkeypatch)
-        profile, lines = solve_lines(
-            caplog, spec, config, (1.0379090647628626, 1.0769999589922035)
-        )
+        profile, lines = solve_lines(caplog, spec, config, init)
         assert lines == [
             "solve: 2 shots at seed rel_tol 1e-06, 2 at rel_tol 1e-10; "
-            "hand-over: predicted |gap| 4.51e-08; converged in 3 iterations"
+            "hand-over: predicted |gap| 2.1e-09; converged in 3 iterations"
         ]
         assert configs[2] is config and configs[3] is config
-        assert math.hypot(*profile.match_gap) <= 1e-11 and profile.residual <= 1e-6
+        assert math.hypot(*profile.match_gap) <= 1e-13 and profile.residual <= 1e-8
 
     def test_step_the_cap_forbids_keeps_the_converged_iterate(self, caplog):
         # the same start with the cap at its two seed-phase steps, the
         # second the predicted one: the first shot at config meets the
         # stop, and solve returns its iterate
-        spec, config = BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig(max_newton=2)
-        init = (1.0379090647628626, 1.0769999589922035)
+        (spec, init), config = self.PLACED, ShootingConfig(max_newton=2)
         profile, lines = solve_lines(caplog, spec, config, init)
         assert lines[0].endswith(
-            "; hand-over: predicted |gap| 4.51e-08; converged in 2 iterations"
+            "; hand-over: predicted |gap| 2.1e-09; converged in 2 iterations"
         )
         assert solve_outcome(solver.solve, spec, config, init) == solve_outcome(
             two_phase_reference, spec, config, init
         )
-        assert profile.residual > 1e-6      # what the step at config avoids
+        assert profile.residual > 1e-7      # what the step at config avoids
 
     @pytest.mark.parametrize(
         "spec, config, init",
@@ -1378,9 +1531,9 @@ class TestSolve:
             return
         assert float(np.max(np.abs(profile.samples[:, 1] + 3.0 * profile.samples[:, 0]))) > 1e-3
 
-    @pytest.mark.parametrize("jac", [((1.0, 2.0), (2.0, 4.0)), ((math.nan, 0.0), (0.0, 1.0))])
+    @pytest.mark.parametrize("jac", [((0.0, 0.0), (0.0, 0.0)), ((math.nan, 0.0), (0.0, 1.0))])
     def test_singular_jacobian_is_no_convergence(self, monkeypatch, jac):
-        # every shot's gap is real, and its Jacobian rank-deficient or NaN:
+        # every shot's gap is real, and its Jacobian zero or NaN:
         # each phase stops at its first Newton step, before any trial shot
         shoot, shots = solver.shoot, []
 
@@ -1396,6 +1549,62 @@ class TestSolve:
         assert len(shots) == 2 and shots[1] is config
         gap = shoot(spec, config, 1.2, 0.9).gap
         assert struct.pack("<2d", *info.value.gaps) == struct.pack("<2d", *gap)
+
+    @pytest.mark.parametrize("jac", [((1.0, 2.0), (2.0, 4.0)), ((1.0, 2.0), (2.0, 4.0 + 1e-7))])
+    def test_rank_deficient_jacobian_takes_the_minimum_norm_step(self, monkeypatch, jac):
+        # sigma_min / sigma_max is 0 and 4e-9: the first trial is the full
+        # step pinv(J) g, orthogonal to J's null direction, where Cramer's
+        # rule divides by a zero or tiny determinant
+        shoot, shots = solver.shoot, []
+
+        def singular(spec, config, a, b):
+            shots.append((a, b))
+            return dataclasses.replace(shoot(spec, config, a, b), jac=jac)
+
+        monkeypatch.setattr(solver, "shoot", singular)
+        spec, config = BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(max_newton=1)
+        with pytest.raises(CohomError):
+            solver.solve(spec, config, init=(1.2, 0.9))
+        gap = shoot(spec, solver._seed_config(config), 1.2, 0.9).gap
+        want = np.linalg.pinv(np.array(jac), rcond=1e-6) @ np.array(gap)
+        assert np.subtract((1.2, 0.9), shots[1]) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_singular_values_equal_numpy_svd(self):
+        rng = np.random.default_rng(4415)
+        cases = [((0.0, 0.0), (0.0, 0.0)), ((1.0, 2.0), (2.0, 4.0)), ((0.0, 3.0), (0.0, 0.0))]
+        cases += [tuple(map(tuple, rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-3, 4)))
+                  for _ in range(200)]
+        for jac in cases:
+            top, bottom, v = solver._singular_values(jac)
+            _, sigma, vt = np.linalg.svd(np.array(jac))
+            assert (top, bottom) == pytest.approx(tuple(sigma), rel=1e-12, abs=1e-14 * sigma[0])
+            if sigma[0] > 0.0:
+                assert abs(np.dot(v, vt[0])) == pytest.approx(1.0, rel=1e-12)
+
+    def test_conditioning_separates_the_family_from_isolated_rows(self):
+        # every linear-solution problem of the classified actions (|j| <=
+        # 4), started 5% of 1 + |k| off (k, k) by random.Random(1):
+        # sigma_min / sigma_max of the accepted shot's Jacobian is below
+        # 1e-6 on the (1,1,1,+-1) family and above 1e-3 on every isolated
+        # row.  The degenerate root (4,2,2,-3), whose Jacobian is singular at
+        # the root, is left out.
+        rng = random.Random(1)
+        family, isolated = [], []
+        for spec in linear_specs():
+            w = 0.05 * (1.0 + abs(spec.k))
+            init = (spec.k + rng.uniform(-w, w), spec.k + rng.uniform(-w, w))
+            profile = solver.solve(spec, init=init)
+            row = (spec.G, spec.M0, spec.M1, spec.k)
+            if row in ((1, 1, 1, 1), (1, 1, 1, -1)):
+                family.append(profile.conditioning)
+            elif row != (4, 2, 2, -3):
+                isolated.append(profile.conditioning)
+            top, bottom, _ = solver._singular_values(solver.shoot(
+                spec, ShootingConfig(), profile.slope0, profile.slope1
+            ).jac)
+            assert profile.conditioning == bottom / top
+        assert len(family) == 2 and max(family) < 1e-6
+        assert len(isolated) == 206 and min(isolated) > 1e-3
 
     def test_deterministic(self):
         spec = BvpSpec(G=2, M0=1, M1=3, k=-1)
@@ -1550,7 +1759,7 @@ class TestSweep:
     def test_seed_accuracy_keeps_the_brackets(self, monkeypatch, criterion_grid, bump_grid):
         # the sweep only brackets: at seed accuracy it flags the same grid
         # intervals as at the caller's tolerances
-        grids = [(criterion_grid, [1, 26, 91, 310]), (bump_grid, [64, 226])]
+        grids = [(criterion_grid, [1, 26, 91, 310]), (bump_grid, [1, 64, 226])]
         for (_, config, points), want in grids:
             assert [i for i, p in enumerate(points) if p.sign_change] == want
         for (spec, config, _), want in grids:
@@ -1569,21 +1778,21 @@ class TestSweep:
         solver.sweep(spec, dataclasses.replace(config, sweep_points=40))
         assert not logging.getLogger("cohom1").handlers
         assert [r.getMessage() for r in caplog.records if r.name == "cohom1"] == [
-            "sweep: 65 lanes at rel_tol 1e-06: 1 arrived, 32 escaped to +inf, "
-            "32 to -inf, 0 stalled",
+            "sweep: 65 lanes at rel_tol 1e-06: 1 arrived, 31 escaped to +inf, "
+            "33 to -inf, 0 stalled",
             "sweep: 40 lanes at rel_tol 1e-06: 0 arrived, 0 escaped to +inf, "
             "0 to -inf, 40 stalled",
         ]
 
 
 def scalar_sweep(spec, config):
-    """Per-point reference: series start, scalar run, linearised gap."""
+    """Per-point reference: half start, scalar run, linearised gap."""
     accel = ode.rhs(spec)
     grid = np.linspace(*config.resolved_bracket(spec), config.sweep_points)
     t_end = spec.length - config.eps1
     gaps = []
     for a in grid:
-        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, float(a), config.eps0)
+        t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, float(a))
         try:
             r_end, v_end = integrate(accel, t, r, v, t_end, config)
         except TrajectoryEscaped as esc:
@@ -1620,7 +1829,7 @@ def scalar_outcomes(spec, config, slopes, t_end):
     """Outcome of a scalar run of each left half, as outcome_key gives it."""
     accel, out = ode.rhs(spec), []
     for a in slopes.tolist():
-        t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+        t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, a)
         try:
             out.append(outcome_key(integrate(accel, t, r, v, t_end, config)))
         except (TrajectoryEscaped, IntegratorStall) as exc:
@@ -1650,10 +1859,11 @@ class TestLaneSweep:
             ),
             # the start 1.5e-8 lies below the regular window (2e-8, ...) but
             # clears the pole margin 1e-8: the first derivative takes the
-            # general reduction, the batch steps the window's
+            # general reduction, the batch steps the window's.  The match
+            # point caps the start offsets at 1.25e-8, below eps0.
             (
                 BvpSpec(G=1, M0=2, M1=2, k=1),
-                dict(bracket=(0.0, 20.0), sweep_points=64, eps0=1.5e-8),
+                dict(bracket=(0.0, 20.0), sweep_points=64, eps0=1.5e-8, match_point=1e-7),
             ),
         ],
     )
@@ -1687,10 +1897,11 @@ class TestLaneSweep:
             assert signs.count(1.0) == signs.count(-1.0) == 32 and len(lanes) == 65
 
     def test_step_underflow_in_the_batch_equals_scalar_runs(self, monkeypatch):
-        # with a minimum step of 1e-5, 3 of 65 lanes stall at t = 2e-5,
-        # while every lane is still in the batch; one more stalls near the
-        # right pole and 61 escape
-        monkeypatch.setattr(solver, "_MIN_STEP", 1e-5)
+        # with a minimum step of 1e-3, the first step of the lanes, 21 of 65
+        # stall at their start or one step after it, below t = 0.02, while
+        # every lane is still in the batch; the other 44 stall near the
+        # right pole
+        monkeypatch.setattr(solver, "_MIN_STEP", 1e-3)
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(blowup_cap=1e3)
         t_end = spec.length - config.eps1
@@ -1699,7 +1910,7 @@ class TestLaneSweep:
         keys = [outcome_key(o) for o in lanes]
         assert keys == scalar_outcomes(spec, config, slopes, t_end)
         stalls = [o for o in lanes if isinstance(o, IntegratorStall)]
-        assert len(stalls) == 4 and sum(o.t < 1e-4 for o in stalls) == 3
+        assert len(stalls) == 65 and sum(o.t < 0.02 for o in stalls) == 21
         assert all("step size underflow" in str(o) for o in stalls)
 
     @pytest.mark.parametrize("budget", [1, 4, 9])
@@ -1714,7 +1925,7 @@ class TestLaneSweep:
         slopes = np.linspace(0.0, 20.0, solver._DRAIN_LANES + 8)
         lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
         for a, lane in zip(slopes.tolist(), lanes):
-            t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, a, config.eps0)
+            t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, a)
             with pytest.raises(IntegratorStall, match="step budget exhausted") as scalar:
                 integrate(accel, t, r, v, t_end, config)
             assert isinstance(lane, IntegratorStall)
@@ -1789,7 +2000,8 @@ class TestLaneSweep:
         # a batch step's stage rows (5, n) lie inside the regular window:
         # _remainder_exact reduces only the stacked state arguments (2, n),
         # and Gt and 2Gt of the first derivative (n,) when the start lies
-        # outside the window
+        # outside the window.  With eps0 1.5e-8 a match point at 1e-7 caps
+        # the left start offsets at 1.25e-8, so the lanes start at eps0.
         shapes = []
         remainder_exact = ode._remainder_exact
 
@@ -1799,7 +2011,9 @@ class TestLaneSweep:
 
         monkeypatch.setattr(ode, "_remainder_exact", counted)
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
-        config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=64, eps0=eps0)
+        config = ShootingConfig(
+            bracket=(0.0, 20.0), sweep_points=64, eps0=eps0, match_point=1e-7 if first else None
+        )
         assert (eps0 > ode.regular_window(1)[0]) == (first == 0)
         solver.sweep(spec, config)
         states = [s for s in shapes if s[0] == 2 and len(s) == 2]
@@ -2107,14 +2321,14 @@ class TestRefineBrackets:
         assert [p.slope0 for p in profiles] == [pytest.approx(12.1254021, abs=1e-6)]
 
     def test_summary_counts_the_halves_that_escape(self, caplog):
-        # a blow-up cap of 12.2 stops the left half at 12.25 and 6 of the
-        # 18 right halves (4 coarse over +/-31.25, 14 in 6 rounds) before
-        # the match point
+        # a blow-up cap of 12.1 stops the left half at 12.25, whose start
+        # has r' = 12.14, and 6 of the 18 right halves (4 coarse over
+        # +/-31.25, 14 in 6 rounds) before the match point
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
         points = solver.sweep(spec, config)
         caplog.set_level(logging.DEBUG, logger="cohom1")
-        capped = dataclasses.replace(config, blowup_cap=12.2)
+        capped = dataclasses.replace(config, blowup_cap=12.1)
         assert solver.refine_brackets(spec, capped, points) == []
         messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
         assert messages[-1] == (
@@ -2260,10 +2474,14 @@ class TestRefineBrackets:
         ]
 
     def test_degree_zero_bump_from_a_half_line_grid(self, bump_grid):
-        # the bump's right slope -3.5377 has the other sign from every grid slope
+        # the bump's right slope -3.5377 has the other sign from every grid
+        # slope.  The grid's first point is the constant map r = 0, a linear
+        # solution, whose gap of -5.5e-7 against +inf at the next point
+        # brackets it too.
         profiles = solver.refine_brackets(*bump_grid)
         assert [(p.slope0, p.slope1) for p in profiles] == [
-            (pytest.approx(3.5377035, abs=1e-6), pytest.approx(-3.5377035, abs=1e-6))
+            (pytest.approx(0.0, abs=1e-12), pytest.approx(0.0, abs=1e-12)),
+            (pytest.approx(3.5377035, abs=1e-6), pytest.approx(-3.5377035, abs=1e-6)),
         ]
 
     def test_mirror_pair_order_does_not_depend_on_seed_accuracy(self, monkeypatch):
@@ -2303,7 +2521,45 @@ class TestRefineBrackets:
             assert abs(prof.slope0 * prof.slope1 - 1.0) <= 1e-6
 
 
+def tight_root(spec, a, b, eps=1e-3):
+    """A test-side reference root of the gap: each half series-started at
+    the fixed offset eps, integrated with its tangent at rel_tol 1e-13 to
+    pi/(2G), and Newton from (a, b) until its step is below 1e-13
+    relative."""
+    tight, match = ShootingConfig(rel_tol=1e-13, abs_tol=1e-15), spec.length / 2.0
+    accel = ode.rhs_tangent(spec)
+    for _ in range(8):
+        halves = []
+        for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
+            start = solver.series_start(spec, endpoint, slope, eps)
+            end = solver._dp_run(accel, solver._dp_start(accel, start, match), match, tight)
+            halves.append((end[1], end[2], end[6], end[7]))
+        (rl, vl, pl, ql), (rr, vr, pr, qr) = halves
+        g0, g1 = rl - rr, vl - vr
+        det = -pl * qr + pr * ql
+        da, db = (-qr * g0 + pr * g1) / det, (pl * g1 - ql * g0) / det
+        a, b = a - da, b - db
+        if max(abs(da), abs(db)) <= 1e-13 * (abs(a) + abs(b)):
+            return a, b
+    raise AssertionError("the reference Newton did not settle")
+
+
 class TestNonlinearSolutions:
+    @pytest.mark.parametrize("row, init", [
+        ((1, 2, 2, 1), (12.1254, 12.1254)), ((2, 1, 3, 1), (-0.0954, 13.0473)),
+        ((1, 2, 2, 0), (3.5377, -3.5377)), ((3, 1, 1, 4), (5.4, 5.5)),
+    ])
+    def test_slopes_within_5e_9_of_a_tight_reference(self, row, init):
+        # the four nonlinear profiles, each converged to a gap below 1e-11:
+        # what is left of their slope error is the start's and the
+        # integrator's, 2.1e-9 at most (2.0e-8 and 5.5e-8 with the cubic
+        # start fitted at 1e-5)
+        spec = BvpSpec(*row)
+        profile = solver.solve(spec, init=init)
+        assert math.hypot(*profile.match_gap) < 1e-11
+        a, b = tight_root(spec, profile.slope0, profile.slope1)
+        assert abs(profile.slope0 - a) <= 5e-9 and abs(profile.slope1 - b) <= 5e-9
+
     def test_degree_one_residual_is_second_order_in_the_grid(self):
         # the residual of the 12.1254 profile (1.23e-3 at 513 points) is the
         # O(h^2) error of the finite-difference r'' in ode.residual_norm,
