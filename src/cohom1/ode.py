@@ -46,8 +46,9 @@ _TAU_HI = float.fromhex("0x1.921fb5p+2")
 _TAU_LO = TAU - _TAU_HI
 _SPLIT_QUOTIENTS = 2.0**26
 
-# residual_norm's bound on |r|: 2(r - t) + Gt stays finite, as its
-# reduction needs.
+# residual_norm's bound on |r| and |r'|: 2(r - t) + Gt stays finite, as its
+# reduction needs, and so does the tension's term P r' while |P| is below
+# 1.7e8 (it is at most 3 G max(M0, M1)).
 _MAX_R = 1e300
 
 #: Evaluation points closer than this to a pole of the coefficients are
@@ -452,9 +453,9 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
     boundary targets under the endpoint linearisations r ~ a*t and
     r ~ k*pi/G - b*(pi/G - t), with slopes estimated from the adjacent
     sample pair.  Times that do not increase strictly inside (0, pi/G), a
-    NaN time included, non-finite r or r' samples, an r above _MAX_R in
-    magnitude and a k whose target k pi/G :attr:`BvpSpec.boundary` rejects
-    raise ValueError; an interior
+    NaN time included, non-finite r or r' samples, an r or r' above _MAX_R
+    in magnitude and a k whose target k pi/G :attr:`BvpSpec.boundary`
+    rejects raise ValueError; an interior
     time near a pole raises PoleProximity.  The interior residual is
     :func:`closed_tension_grid` at the stencil's r'', after one pole test.
     """
@@ -478,6 +479,11 @@ def residual_norm(spec: BvpSpec, profile) -> tuple[float, tuple[float, float]]:
         raise ValueError(
             f"profile r samples must not exceed {_MAX_R:g} in magnitude, "
             "so that the angle 2(r - t) + Gt is finite"
+        )
+    if not (np.abs(v) <= _MAX_R).all():
+        raise ValueError(
+            f"profile rdot samples must not exceed {_MAX_R:g} in magnitude, "
+            "so that the tension's term P r' is finite"
         )
 
     hm = t[1:-1] - t[:-2]

@@ -14,12 +14,15 @@ interior, where the problem is as well-conditioned as it gets.
 
 Every solve, sweep and refinement does one thing per half: start it on the
 branch at its offset (:func:`series_start`) and run an embedded
-Dormand-Prince 5(4) pair from that start tuple, with PI-free step control,
-first-same-as-last reuse, a blow-up cap that converts runaway trajectories
-into TrajectoryEscaped and a step-underflow guard that raises
-IntegratorStall.  A half runs either alone, on the one scalar step loop
-(:func:`_dp_run`, which records each accepted step for quartic dense
-output), or in a lane batch that starts its own halves from the spec
+Dormand-Prince 5(4) pair from that start tuple, with PI-free step control
+whose first step is the offset itself (the table showed the branch smooth
+on that scale, :func:`_dp_start`), first-same-as-last reuse, a blow-up cap
+that converts runaway trajectories into TrajectoryEscaped and a
+step-underflow guard that raises IntegratorStall.  A half runs either
+alone, on the one scalar step loop (:func:`_dp_run`, which records each
+accepted step for dense output: a quartic in theta whose coefficients are
+summed once per step and evaluated by Horner's rule, :func:`_dense_states`),
+or in a lane batch that starts its own halves from the spec
 (:func:`_integrate_lanes`), in the same operations and order per lane, so
 each lane ends exactly as its scalar run would.  A lane batch step
 evaluates the t-only part of the right-hand side (sines and cosines of Gt
@@ -191,7 +194,15 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class SolutionProfile:
-    """A converged solution sampled on [eps0, pi/G - eps1]."""
+    """A converged solution sampled on [eps0, pi/G - eps1].
+
+    Of ``conditioning`` only the order of magnitude is meaningful, which is
+    how Newton's minimum-norm rule reads it (below 1e-6): the tangent runs
+    outside step control, so on a near-linear solution, whose steps are
+    long, the Jacobian is coarse: against central differences at rel_tol
+    1e-12 its relative error had median 4.4e-3 and maximum 2.7 at the
+    converged slopes of the seed-1 newton-recover draws.
+    """
 
     spec: BvpSpec
     samples: np.ndarray          # (n, 3) columns t, r, rdot
@@ -242,14 +253,15 @@ class SweepPoint:
 @dataclass(frozen=True)
 class Shot:
     """One :func:`shoot` from the slopes (a, b); per half, left then right,
-    its series start, :func:`_dp_run` step rows and end run state."""
+    its series start and offset, :func:`_dp_run` step rows and end run
+    state."""
 
     a: float
     b: float
     gap: tuple[float, float]    # (r, r') of the left half minus the right one
     norm: float                 # hypot(*gap)
     jac: tuple                  # ((dg0/da, dg0/db), (dg1/da, dg1/db))
-    starts: tuple               # (t, r, v)
+    starts: tuple               # (t, r, v, x)
     rows: tuple                 # lists of step rows (see _dense_states)
     ends: tuple                 # (t, r, v, h, k1v, steps)
 
@@ -301,6 +313,10 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+# The rows of _P for the stages of a step row (all but the zero row of k2),
+# each P[s][j] shaped (4, 1, 1) against a stage's (r, v) rows over the steps
+# in :func:`_dense_states`.
+_P_STAGES = np.array((_P[0], *_P[2:]))[:, :, None, None]
 
 _MIN_STEP = 1e-14
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
@@ -316,15 +332,18 @@ _DRAIN_LANES = 32
 _STAGE_C = np.array([_C2, _C3, _C4, _C5, 1.0])[:, None]
 
 
-def _dp_start(accel, start: tuple, t_end: float) -> tuple:
+def _dp_start(accel, start: tuple, t_end: float, x: float) -> tuple:
     """Initial run state (t, r, v, h, k1v, steps, p, q, k1q) of a DP5(4) run
-    to t_end from a start (t0, r0, v0, p0, q0), as :func:`series_start` gives
-    it, with ``accel`` in the tangent call form of :func:`ode.rhs`: (p, q,
-    k1q) are the tangent (dr, dv) and its first derivative.  r0, v0 and k1v
-    are arrays with a scalar t0 for :func:`_integrate_lanes`."""
+    to t_end from a start (t0, r0, v0, p0, q0) an offset x off its endpoint,
+    as :func:`series_start` gives it, with ``accel`` in the tangent call form
+    of :func:`ode.rhs`: (p, q, k1q) are the tangent (dr, dv) and its first
+    derivative.  The first step is x toward t_end, at most the whole span:
+    the branch table's tail is negligible out to x (:func:`_start_offset`),
+    so the solution varies on that scale and step control starts there
+    rather than climbing to it from a fixed small step."""
     t0, r0, v0, p0, q0 = start
     direction = 1.0 if t_end >= t0 else -1.0
-    h = direction * min(abs(t_end - t0) * 1e-3, 1e-3)
+    h = direction * min(x, abs(t_end - t0))
     k1v, k1q = accel(t0, r0, v0, p0, q0)
     return (t0, r0, v0, h, k1v, 0, p0, q0, k1q)
 
@@ -438,34 +457,42 @@ def _dense_states(runs) -> np.ndarray:
 
     A node belongs to the first step of its run whose end t + h reaches it,
     ties included, as the step loop meets it, and has theta = (node - t) / h.
-    The quartic interpolant u = y + h * sum_s w_s(theta) k_s is evaluated
-    for the nodes of all runs at once, with the operations and order of a
-    per-node scalar loop (theta powers, then w_s and u += h * w_s * k_s
-    stage by stage), so elementwise IEEE arithmetic makes it equal that loop bit for bit.
+    The quartic interpolant u = y + h * sum_s w_s(theta) k_s is
+    y + theta (d0 + theta (d1 + theta (d2 + theta d3))), where
+    d_j = h * sum_s P[s][j] k_s.  Each recorded step's d_j are summed once,
+    stage by stage, and each node takes Horner's rule in theta, all with
+    elementwise IEEE arithmetic in the operations and order of a per-node
+    scalar loop, so the two agree bit for bit.
     """
-    picked = []
+    rows = np.array([row for steps, _ in runs for row in steps]).T     # a column per step
+    k = rows[4:].reshape(6, 1, 2, -1)       # stage, then the rows r, v
+    d = _P_STAGES[0] * k[0]
+    for s in range(1, 6):
+        d = d + _P_STAGES[s] * k[s]
+    # per step: t, h, r, v, then d_j for r and for v, j = 0 .. 3
+    table = np.concatenate((rows[:4], (rows[1] * d).reshape(8, -1)))
+    picked, first = [], 0
     for steps, nodes in runs:
-        rows = np.array(steps, dtype=float)
-        sign = 1.0 if rows[0, 1] > 0.0 else -1.0
-        picked.append(rows[np.searchsorted(sign * (rows[:, 0] + rows[:, 1]), sign * nodes)])
-    rows, nodes = np.concatenate(picked), np.concatenate([nodes for _, nodes in runs])
-    h = rows[:, 1]
-    th = (nodes - rows[:, 0]) / h
-    th2 = th * th
-    th3 = th2 * th
-    th4 = th3 * th
-    ur, uv = rows[:, 2], rows[:, 3]
-    for col, p in zip(range(4, 16, 2), (_P[0], *_P[2:])):
-        w = p[0] * th + p[1] * th2 + p[2] * th3 + p[3] * th4
-        ur = ur + h * w * rows[:, col]
-        uv = uv + h * w * rows[:, col + 1]
-    return np.column_stack((nodes, ur, uv))
+        t, h = rows[:2, first:first + len(steps)]
+        sign = 1.0 if h[0] > 0.0 else -1.0
+        picked.append(first + np.searchsorted(sign * (t + h), sign * nodes))
+        first += len(steps)
+    nodes = np.concatenate([nodes for _, nodes in runs])
+    per_node = table.take(np.concatenate(picked), axis=1)     # its step's column
+    th = (nodes - per_node[0]) / per_node[1]
+    d = per_node[4:].reshape(4, 2, -1)
+    u = d[3] * th + d[2]
+    u = u * th + d[1]
+    u = u * th + d[0]
+    r, v = per_node[2:4] + u * th
+    return np.column_stack((nodes, r, v))
 
 
 def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> list:
     """The halves started (:func:`_lane_starts`) from ``endpoint`` with each
     of ``slopes``, each run by :func:`_dp_run` from :func:`_dp_start` to
-    t_end, as one lane batch.
+    t_end, as one lane batch: each lane's first step is its own start
+    offset x, at most its span, as a scalar run's.
 
     The lanes advance together as numpy arrays, each with its own t, h and
     accept/reject decision, through the scalar loop's operations in the
@@ -482,7 +509,7 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
     Returns one outcome per lane, identical to the scalar run's: its final
     (r, v), or the TrajectoryEscaped or IntegratorStall the run raised.
     """
-    t, r0, v0 = _lane_starts(spec, config, endpoint, np.asarray(slopes, dtype=float))
+    t, r0, v0, x = _lane_starts(spec, config, endpoint, np.asarray(slopes, dtype=float))
     accel, (time_part, state_part) = _zero_tangent(ode.rhs(spec)), ode._rhs_lanes(spec)
     n = len(r0)
     out: list = [None] * n
@@ -496,7 +523,7 @@ def _integrate_lanes(spec, config, endpoint: Endpoint, slopes, t_end: float) -> 
             return np.array([ty[1], state_part(parts, ty[0], ty[1])])
 
         # the first derivative and step of _dp_start, lane by lane
-        h = direction * np.minimum(np.abs(t_end - t) * 1e-3, 1e-3)
+        h = direction * np.minimum(x, np.abs(t_end - t))
         y, k1 = np.array([r0, v0]), np.array([v0, state_part(time_part(t), r0, v0)])  # rows r, v
         while len(lane) >= _DRAIN_LANES:
             h = np.where((t + h - t_end) * direction > 0.0, t_end - t, h)
@@ -576,13 +603,13 @@ def _end(spec: BvpSpec, endpoint: Endpoint) -> tuple:
 
 
 def _lane_starts(spec: BvpSpec, config, endpoint: Endpoint, slopes: np.ndarray) -> tuple:
-    """(t, r, rdot) arrays of the starts of the halves from ``endpoint``
-    with ``slopes``: each lane's :func:`_start_offset` and
-    :func:`series_start` there, bit for bit, by numpy."""
+    """(t, r, rdot, x) arrays of the starts of the halves from ``endpoint``
+    with ``slopes``: each lane's :func:`series_start` at its offset x, the
+    :func:`_start_offset`, bit for bit, by numpy."""
     sigma, t_b, r_b, tab = _end(spec, endpoint)
     x = series.offsets(tab, slopes, *_reach(spec, config, endpoint))
     s, v = series.starts(tab, slopes, x)
-    return t_b + sigma * x, r_b + sigma * s, v
+    return t_b + sigma * x, r_b + sigma * s, v, x
 
 
 def series_start(spec: BvpSpec, endpoint: Endpoint, slope: float, eps: float) -> tuple:
@@ -644,8 +671,8 @@ def shoot(spec: BvpSpec, config: ShootingConfig, a: float, b: float) -> Shot:
     for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
         eps = _start_offset(spec, config, endpoint, slope)
         start, rows = series_start(spec, endpoint, slope, eps), []
-        *end, p, q, _ = _dp_run(accel, _dp_start(accel, start, match), match, config, rows)
-        halves.append((start[:3], rows, tuple(end), (end[1], end[2], p, q)))
+        *end, p, q, _ = _dp_run(accel, _dp_start(accel, start, match, eps), match, config, rows)
+        halves.append(((*start[:3], eps), rows, tuple(end), (end[1], end[2], p, q)))
     starts, rows, ends, ((rl, vl, pl, ql), (rr, vr, pr, qr)) = zip(*halves)
     gap = (rl - rr, vl - vr)
     return Shot(a, b, gap, math.hypot(*gap), ((pl, -pr), (ql, -qr)), starts, rows, ends)
@@ -873,11 +900,12 @@ def _dense_profile(spec, config, shot: Shot, n_points) -> SolutionProfile:
     # nodes[:first] and nodes[last:] lie between an end's eps and its start
     first, last = nodes.searchsorted(t_left, "right"), nodes.searchsorted(t_right)
     runs = []
-    for rows, (t, r, v, h, k1v, n), t_end, half in zip(
-        shot.rows, shot.ends, (hi, lo), (nodes[first:i], nodes[j:last][::-1])
+    for (*_, x), rows, (t, r, v, h, k1v, n), t_end, half in zip(
+        shot.starts, shot.rows, shot.ends, (hi, lo), (nodes[first:i], nodes[j:last][::-1])
     ):
-        # a last step clipped to the match point can leave h short, even below _MIN_STEP
-        h = math.copysign(max(abs(h), 1e-3 * abs(t_end - t)), h)
+        # a last step clipped to the match point can leave h short, even
+        # below _MIN_STEP: the continuation steps at least as _dp_start would
+        h = math.copysign(max(abs(h), min(x, abs(t_end - t))), h)
         steps = [*rows]
         _dp_run(accel, (t, r, v, h, k1v, n, 0.0, 0.0, 0.0), t_end, config, steps)
         runs.append((steps, half))

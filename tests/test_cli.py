@@ -285,6 +285,30 @@ class TestResidual:
             "so that the angle 2(r - t) + Gt is finite\n"
         )
 
+    def test_huge_finite_rdot_exits_2_under_warnings_as_errors(self, tmp_path):
+        # r' = 1e308 on every sample overflowed P r': under -W error a
+        # RuntimeWarning traceback and exit code 1
+        t = np.linspace(0.01, 3.1, 64)
+        path = tmp_path / "p.csv"
+        np.savetxt(
+            path, np.column_stack([t, t, np.full(64, 1e308)]),
+            delimiter=",", header="t,r,rdot", comments="",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error", "-m", "cohom1.cli", "residual",
+                "--space", "sphere", "--g", "1", "--m0", "2", "--m1", "2", "--k", "1",
+                "--profile", str(path),
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "cohom1 residual: profile rdot samples must not exceed 1e+300 in magnitude, "
+            "so that the tension's term P r' is finite\n"
+        )
+
     @staticmethod
     def solved_profile(capsys, tmp_path):
         code, _out, _err = run(

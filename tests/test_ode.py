@@ -585,6 +585,20 @@ class TestResidualNorm:
         profile[30, 1] = np.copysign(1e300, r)
         assert math.isfinite(ode.residual_norm(spec, profile)[0])
 
+    @pytest.mark.parametrize("v", [1e308, -1.7e308, np.nextafter(1e300, np.inf)])
+    def test_huge_finite_rdot_named(self, v):
+        # P r' overflowed at r' = 1e308 on every sample: numpy warned, and
+        # under -W error raised RuntimeWarning
+        spec = BvpSpec(G=1, M0=2, M1=2, k=1)
+        t = np.linspace(0.01, 3.1, 64)
+        profile = np.column_stack([t, t, np.full(64, v)])
+        named = "^profile rdot samples must not exceed 1e\\+300 "
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=named):
+                ode.residual_norm(spec, profile)
+            profile[:, 2] = np.copysign(1e300, v)
+            assert math.isfinite(ode.residual_norm(spec, profile)[0])
+
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)

@@ -25,11 +25,12 @@ from cohom1.ode import BvpSpec
 from cohom1.solver import Endpoint, ShootingConfig
 
 
-def integrate(accel, t0, r0, v0, t_end, config):
+def integrate(accel, t0, r0, v0, t_end, config, x):
     """Final (r, v) of one scalar DP5(4) run of the plain closure ``accel``
-    from (t0, r0, v0), with the zero tangent, to t_end."""
+    from (t0, r0, v0), a start x off its endpoint, with the zero tangent,
+    to t_end."""
     jet = solver._zero_tangent(accel)
-    start = solver._dp_start(jet, (t0, r0, v0, 0.0, 0.0), t_end)
+    start = solver._dp_start(jet, (t0, r0, v0, 0.0, 0.0), t_end, x)
     return solver._dp_run(jet, start, t_end, config)[1:3]
 
 
@@ -50,10 +51,10 @@ def two_branch_start(spec, endpoint, slope, eps):
 
 
 def half_start(spec, config, endpoint, slope):
-    """The start (t, r, v, dr, dv) of a half of a shot or a lane: the
-    series start at the half's offset."""
+    """The start (t, r, v, dr, dv) of a half of a shot or a lane and its
+    offset: the series start at the half's offset."""
     eps = solver._start_offset(spec, config, endpoint, slope)
-    return solver.series_start(spec, endpoint, slope, eps)
+    return solver.series_start(spec, endpoint, slope, eps), eps
 
 
 class TestSeriesStart:
@@ -176,7 +177,7 @@ class TestSeriesStart:
 
         def transported(eps):
             t, r, v, *_ = solver.series_start(spec, Endpoint.LEFT, 3.0, eps)
-            return integrate(accel, t, r, v, target, tight)[0]
+            return integrate(accel, t, r, v, target, tight, eps)[0]
 
         values = [transported(eps) for eps in (1e-3, 5e-4, 2.5e-4, 1e-2, 5e-2)]
         assert max(values) - min(values) < 1e-12
@@ -315,7 +316,7 @@ class TestIntegrator:
     def test_stall_on_nan_dynamics(self):
         bad = lambda t, r, v: math.nan
         with pytest.raises(IntegratorStall):
-            integrate(bad, 0.1, 0.0, 1.0, 1.0, ShootingConfig())
+            integrate(bad, 0.1, 0.0, 1.0, 1.0, ShootingConfig(), 0.1)
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_last_step_of_an_ulp_arrives(self, direction):
@@ -331,7 +332,8 @@ class TestIntegrator:
     def test_lanes_arrive_after_a_last_step_of_an_ulp(self, monkeypatch):
         # with no acceleration every step is accepted and the next one is 5
         # times longer; the sixth ends one ulp short of t_end.  The lanes
-        # start at (0, 1, 0) and take both right-hand sides from ode.
+        # start at (0, 1, 0), an offset 1e-3 off their endpoint, so their
+        # first step is 1e-3, and take both right-hand sides from ode.
         t, h = 0.0, 1e-3
         for _ in range(6):
             t, h = t + h, h * 5.0
@@ -340,12 +342,16 @@ class TestIntegrator:
         monkeypatch.setattr(ode, "_rhs_lanes", lambda spec: lane_rhs)
         monkeypatch.setattr(ode, "rhs", lambda spec: lambda t, r, v: 0.0)
         n = solver._DRAIN_LANES
-        monkeypatch.setattr(solver, "_lane_starts", lambda *args: (np.zeros(n), np.ones(n), np.zeros(n)))
+        monkeypatch.setattr(
+            solver, "_lane_starts",
+            lambda *args: (np.zeros(n), np.ones(n), np.zeros(n), np.full(n, 1e-3)),
+        )
         out = solver._integrate_lanes(
             BvpSpec(G=1, M0=2, M1=2, k=1), ShootingConfig(), Endpoint.LEFT, np.zeros(n), t_end
         )
         assert out == [(1.0, 0.0)] * n
-        assert integrate(lambda t, r, v: 0.0, 0.0, 1.0, 0.0, t_end, ShootingConfig()) == (1.0, 0.0)
+        zero = lambda t, r, v: 0.0
+        assert integrate(zero, 0.0, 1.0, 0.0, t_end, ShootingConfig(), 1e-3) == (1.0, 0.0)
 
     def test_profile_half_ending_an_ulp_short(self):
         # (12,2,2,1) from a start of the newton-recover draw: Newton
@@ -360,7 +366,7 @@ class TestIntegrator:
         accel = ode.rhs(spec)
         t0, r0, v0, *_ = solver.series_start(spec, Endpoint.LEFT, 10.0, 1e-5)
         with pytest.raises(TrajectoryEscaped) as info:
-            integrate(accel, t0, r0, v0, math.pi - 1e-5, ShootingConfig(blowup_cap=100.0))
+            integrate(accel, t0, r0, v0, math.pi - 1e-5, ShootingConfig(blowup_cap=100.0), 1e-5)
         assert 0 < info.value.t < math.pi
         assert max(abs(info.value.r), abs(info.value.rdot)) > 100.0
 
@@ -382,7 +388,7 @@ class TestIntegrator:
             for t_node, r_node, v_node in nodes:
                 if abs(t_node - start[0]) > 0.75 * spec.length:
                     break
-                r, v = integrate(accel, t, r, v, t_node, tight)
+                r, v = integrate(accel, t, r, v, t_node, tight, 1e-5)
                 t = t_node
                 assert r_node == pytest.approx(r, abs=5e-9)
                 assert v_node == pytest.approx(v, abs=5e-8)
@@ -407,6 +413,21 @@ class TestShoot:
         assert all(math.isfinite(x) for x in gaps)
         assert abs(gaps[0]) > 1e-4
 
+    def test_halves_take_their_first_step_at_the_start_offset(self):
+        # On (k, k) of each table row the error estimate is 0, so only the
+        # growth cap of 5 limits a step.  Each half starts at the offset
+        # x = pi/(16G), 7x short of the match point, and steps x, 5x and
+        # the last x; a ramp from a first step of 1e-3 took 6 steps.  Of
+        # each left half 1% off (k, k) at seed accuracy, as Newton's far
+        # iterates shoot, at most 10 steps are accepted (12 after a ramp).
+        seed = solver._seed_config(ShootingConfig())
+        for spec in table_specs():
+            for config in (ShootingConfig(), seed):
+                shot = solver.shoot(spec, config, spec.k, spec.k)
+                assert [len(rows) for rows in shot.rows] == [3, 3]
+            w = 0.01 * (1.0 + abs(spec.k))
+            assert len(solver.shoot(spec, seed, spec.k + w, spec.k + w).rows[0]) <= 10
+
     @pytest.mark.parametrize("a, b", [
         (math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf), (1.0, math.nan),
         (np.float64(math.inf), 1.0),
@@ -425,25 +446,32 @@ class TestShoot:
 def scalar_dense_states(steps, nodes):
     """Per-node scalar quartic interpolation in _dp_run's step rows: walk
     the steps and the nodes in order, and give each node to the first step
-    whose end t + h reaches it, as the step loop meets it."""
+    whose end t + h reaches it, as the step loop meets it.  Its step's
+    coefficients d_j = h * sum_s P[s][j] k_s are summed stage by stage,
+    then u = y + theta (d0 + theta (d1 + theta (d2 + theta d3)))."""
     out = []
     rows = iter(steps)
     t, h, r, v, *ks = next(rows)
     direction = 1.0 if h > 0.0 else -1.0
+    stages = (solver._P[0], *solver._P[2:])
     for node in nodes:
         node = float(node)
         while (t + h - node) * direction < 0.0:
             t, h, r, v, *ks = next(rows)
         th = (node - t) / h
-        th2 = th * th
-        th3 = th2 * th
-        th4 = th3 * th
-        ur, uv = r, v
-        for s, row in enumerate((solver._P[0], *solver._P[2:])):
-            w = row[0] * th + row[1] * th2 + row[2] * th3 + row[3] * th4
-            ur += h * w * ks[2 * s]
-            uv += h * w * ks[2 * s + 1]
-        out.append((node, ur, uv))
+        state = [node]
+        for y, k in ((r, ks[0::2]), (v, ks[1::2])):
+            d = []
+            for j in range(4):
+                acc = stages[0][j] * k[0]
+                for p, k_s in zip(stages[1:], k[1:]):
+                    acc = acc + p[j] * k_s
+                d.append(h * acc)
+            u = d[3] * th + d[2]
+            u = u * th + d[1]
+            u = u * th + d[0]
+            state.append(y + u * th)
+        out.append(state)
     return np.array(out)
 
 
@@ -461,7 +489,7 @@ class TestDenseOutput:
         accel = solver._zero_tangent(ode.rhs(self.SPEC))
         t0, r0, v0, *_ = solver.series_start(self.SPEC, endpoint, 3.0, 1e-5)
         steps = []
-        solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0, 0.0, 0.0), t_end), t_end,
+        solver._dp_run(accel, solver._dp_start(accel, (t0, r0, v0, 0.0, 0.0), t_end, 1e-5), t_end,
                        ShootingConfig(), steps)
         return steps
 
@@ -509,7 +537,7 @@ class TestDenseOutput:
                 accel, start_tangent = ode.rhs_tangent(self.SPEC), (1.0, 0.0)
             else:
                 accel, start_tangent = solver._zero_tangent(ode.rhs(self.SPEC)), (0.0, 0.0)
-            start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end)
+            start = solver._dp_start(accel, (t0, r0, v0, *start_tangent), t_end, 1e-5)
             return solver._dp_run(accel, start, t_end, ShootingConfig(), record)
 
         steps, other_steps = [], []
@@ -585,8 +613,8 @@ def half_end(spec, config, endpoint, slope, tangent):
     _dp_run to the match point from its start, with the start's
     tangent or with the zero tangent."""
     accel = ode.rhs_tangent(spec) if tangent else solver._zero_tangent(ode.rhs(spec))
-    start, match = half_start(spec, config, endpoint, slope), config.resolved_match(spec)
-    state = solver._dp_start(accel, start if tangent else (*start[:3], 0.0, 0.0), match)
+    (start, x), match = half_start(spec, config, endpoint, slope), config.resolved_match(spec)
+    state = solver._dp_start(accel, start if tangent else (*start[:3], 0.0, 0.0), match, x)
     return solver._dp_run(accel, state, match, config)
 
 
@@ -630,7 +658,7 @@ class TestTangent:
 
         t0, r0, v0, *_ = solver.series_start(self.NONLINEAR, Endpoint.LEFT, 10.0, 1e-5)
         with pytest.raises(TrajectoryEscaped):
-            integrate(recorded, t0, r0, v0, math.pi - 1e-5, ShootingConfig())
+            integrate(recorded, t0, r0, v0, math.pi - 1e-5, ShootingConfig(), 1e-5)
         assert len(states) > 100 and max(abs(v) for _t, _r, v in states) > 1e5
         for t, r, v in states:
             assert jet(t, r, v, 1.0, -0.5)[0].hex() == accel(t, r, v).hex()
@@ -718,9 +746,9 @@ class TestRhsFactoryContract:
         # a factory whose closures take exactly (t, r, r'), so tangent
         # callers take the closure as ode.rhs_tangent.  A closure called
         # with another arity raises TypeError, which no solver path
-        # catches.  The (plain, tangent) counts are: the solve (12, 356),
-        # the sweep, at seed accuracy, (23514, 0) and the refinement of its
-        # 2 brackets (3858, 4852).  Series starts evaluate the branch table
+        # catches.  The (plain, tangent) counts are: the solve (12, 224),
+        # the sweep, at seed accuracy, (23394, 0) and the refinement of its
+        # 2 brackets (3792, 4714).  Series starts evaluate the branch table
         # and call neither form.  The solve's plain evaluations continue the
         # halves of the shot Newton accepts past the match point for its
         # profile.  RHS counts do not depend on the machine.
@@ -750,14 +778,14 @@ class TestRhsFactoryContract:
         spec = BvpSpec(G=6, M0=2, M1=2, k=-5)
         w = 0.05 * (1.0 + abs(spec.k))
         assert solver.solve(spec, init=(spec.k + 0.6 * w, spec.k - 0.3 * w)).residual <= 1e-6
-        assert counts == {"plain": 12, "tangent": 356}
+        assert counts == {"plain": 12, "tangent": 224}
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(0.0, 20.0), sweep_points=17)
         points = solver.sweep(spec, config)
         assert sum(p.sign_change for p in points) == 2
-        assert counts == {"plain": 12 + 23514, "tangent": 356}
+        assert counts == {"plain": 12 + 23394, "tangent": 224}
         assert len(solver.refine_brackets(spec, config, points)) == 1
-        assert counts == {"plain": 12 + 23514 + 3858, "tangent": 356 + 4852}
+        assert counts == {"plain": 12 + 23394 + 3792, "tangent": 224 + 4714}
 
 
 def reference_newton(spec, config, a, b, tol, iterations=0):
@@ -861,7 +889,7 @@ def newton_cases():
         (BvpSpec(G=8, M0=4, M1=7, k=1), ShootingConfig(),
          (1.0379090647628626, 1.0769999589922035), None),
         (nonlinear, ShootingConfig(max_newton=2), (1.4, 0.7), "iteration cap reached"),
-        (nonlinear, capped, (10.0, 1.0), "damping failed to reduce gap"),
+        (nonlinear, capped, (9.75, -0.5), "damping failed to reduce gap"),
         (nonlinear, capped, (10.5, 1.0), "trajectory escaped"),
         (nonlinear, ShootingConfig(), (12.1, 12.2), None),
     ]
@@ -915,7 +943,7 @@ class TestSharedHalves:
         # the right one down
         match, n = spec.length / 2.0, 2 * len(shots)
         assert runs[:n] == [
-            (half_start(spec, config, endpoint, slope)[0], match, True)
+            (half_start(spec, config, endpoint, slope)[0][0], match, True)
             for config, a, b in shots for endpoint, slope in zip(Endpoint, (a, b))
         ]
         (left_from, hi, left_tangent), (right_from, lo, right_tangent) = runs[n:]
@@ -1027,7 +1055,7 @@ class TestTwoPhaseNewton:
         assert lines == [
             f"solve: {seed_shots} shots at seed rel_tol 1e-06, "
             f"{len(configs) - seed_shots} at rel_tol 1e-10; "
-            "hand-over: predicted |gap| 6.76e-07; converged in 3 iterations"
+            "hand-over: predicted |gap| 6.74e-07; converged in 3 iterations"
         ]
         assert seed_shots == 2 and profile.residual <= 1e-6
         # one phase: no shot at seed accuracy
@@ -1041,9 +1069,9 @@ class TestTwoPhaseNewton:
 
     @pytest.mark.parametrize("config, init, handover", [
         (ShootingConfig(max_newton=2), (1.4, 0.7), "no convergence .*: iteration cap reached"),
-        (ShootingConfig(blowup_cap=10.0), (10.0, 1.0),
+        (ShootingConfig(blowup_cap=10.0), (9.75, -0.5),
          "no convergence .*: damping failed to reduce gap"),
-        (ShootingConfig(blowup_cap=10.0), (10.5, 1.0), r"trajectory escaped at t=[^;]*"),
+        (ShootingConfig(blowup_cap=10.0), (11.0, 1.0), r"trajectory escaped at t=[^;]*"),
     ])
     def test_hand_over_raises_from_the_callers_config(
         self, caplog, monkeypatch, config, init, handover
@@ -1792,9 +1820,9 @@ def scalar_sweep(spec, config):
     t_end = spec.length - config.eps1
     gaps = []
     for a in grid:
-        t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, float(a))
+        (t, r, v, *_), x = half_start(spec, config, Endpoint.LEFT, float(a))
         try:
-            r_end, v_end = integrate(accel, t, r, v, t_end, config)
+            r_end, v_end = integrate(accel, t, r, v, t_end, config, x)
         except TrajectoryEscaped as esc:
             gaps.append(math.copysign(math.inf, esc.r if esc.r != 0.0 else 1.0))
         except IntegratorStall:
@@ -1829,9 +1857,9 @@ def scalar_outcomes(spec, config, slopes, t_end):
     """Outcome of a scalar run of each left half, as outcome_key gives it."""
     accel, out = ode.rhs(spec), []
     for a in slopes.tolist():
-        t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, a)
+        (t, r, v, *_), x = half_start(spec, config, Endpoint.LEFT, a)
         try:
-            out.append(outcome_key(integrate(accel, t, r, v, t_end, config)))
+            out.append(outcome_key(integrate(accel, t, r, v, t_end, config, x)))
         except (TrajectoryEscaped, IntegratorStall) as exc:
             out.append(outcome_key(exc))
     return out
@@ -1858,8 +1886,9 @@ class TestLaneSweep:
                 dict(bracket=(0.0, 20.0), sweep_points=65, blowup_cap=1e3),
             ),
             # the start 1.5e-8 lies below the regular window (2e-8, ...) but
-            # clears the pole margin 1e-8: the first derivative takes the
-            # general reduction, the batch steps the window's.  The match
+            # clears the pole margin 1e-8: the first derivative and the
+            # first batch step, of 1.5e-8, take the general reduction, the
+            # later batch steps the window's.  The match
             # point caps the start offsets at 1.25e-8, below eps0.
             (
                 BvpSpec(G=1, M0=2, M1=2, k=1),
@@ -1925,9 +1954,9 @@ class TestLaneSweep:
         slopes = np.linspace(0.0, 20.0, solver._DRAIN_LANES + 8)
         lanes = solver._integrate_lanes(spec, config, Endpoint.LEFT, slopes, t_end)
         for a, lane in zip(slopes.tolist(), lanes):
-            t, r, v, *_ = half_start(spec, config, Endpoint.LEFT, a)
+            (t, r, v, *_), x = half_start(spec, config, Endpoint.LEFT, a)
             with pytest.raises(IntegratorStall, match="step budget exhausted") as scalar:
-                integrate(accel, t, r, v, t_end, config)
+                integrate(accel, t, r, v, t_end, config, x)
             assert isinstance(lane, IntegratorStall)
             assert (str(lane), lane.t.hex()) == (str(scalar.value), scalar.value.t.hex())
 
@@ -1997,11 +2026,14 @@ class TestLaneSweep:
 
     @pytest.mark.parametrize("eps0, first", [(1e-5, 0), (1.5e-8, 2)])
     def test_no_general_reduction_of_in_window_stage_times(self, monkeypatch, eps0, first):
-        # a batch step's stage rows (5, n) lie inside the regular window:
+        # a batch step's stage rows (5, n) inside the regular window:
         # _remainder_exact reduces only the stacked state arguments (2, n),
-        # and Gt and 2Gt of the first derivative (n,) when the start lies
-        # outside the window.  With eps0 1.5e-8 a match point at 1e-7 caps
-        # the left start offsets at 1.25e-8, so the lanes start at eps0.
+        # and Gt and 2Gt of the first derivative (n,) and of the first
+        # step's stage rows when the start lies outside the window.  With
+        # eps0 1.5e-8 a match point at 1e-7 caps the left start offsets at
+        # 1.25e-8, so the lanes start at eps0 and their first step, of
+        # eps0, has its first stage time at 1.8e-8; the second step starts
+        # at 3e-8, inside the window.
         shapes = []
         remainder_exact = ode._remainder_exact
 
@@ -2017,8 +2049,8 @@ class TestLaneSweep:
         assert (eps0 > ode.regular_window(1)[0]) == (first == 0)
         solver.sweep(spec, config)
         states = [s for s in shapes if s[0] == 2 and len(s) == 2]
-        assert len(states) > 60 and shapes.count((64,)) == first
-        assert len(shapes) == len(states) + first
+        assert len(states) > 60 and shapes.count((64,)) == shapes.count((5, 64)) == first
+        assert len(shapes) == len(states) + 2 * first
 
     def test_remainder_exact_matches_math_remainder(self):
         def check(x):
@@ -2321,14 +2353,15 @@ class TestRefineBrackets:
         assert [p.slope0 for p in profiles] == [pytest.approx(12.1254021, abs=1e-6)]
 
     def test_summary_counts_the_halves_that_escape(self, caplog):
-        # a blow-up cap of 12.1 stops the left half at 12.25, whose start
-        # has r' = 12.14, and 6 of the 18 right halves (4 coarse over
-        # +/-31.25, 14 in 6 rounds) before the match point
+        # a blow-up cap of 11.95 stops the left half at 12.25, whose start
+        # has r' = 12.14 and whose first step ends at r' = 11.97, and 6 of
+        # the 18 right halves (4 coarse over +/-31.25, 14 in 6 rounds)
+        # before the match point
         spec = BvpSpec(G=1, M0=2, M1=2, k=1)
         config = ShootingConfig(bracket=(11.5, 12.5), sweep_points=17)
         points = solver.sweep(spec, config)
         caplog.set_level(logging.DEBUG, logger="cohom1")
-        capped = dataclasses.replace(config, blowup_cap=12.1)
+        capped = dataclasses.replace(config, blowup_cap=11.95)
         assert solver.refine_brackets(spec, capped, points) == []
         messages = [r.getMessage() for r in caplog.records if r.name == "cohom1"]
         assert messages[-1] == (
@@ -2532,7 +2565,7 @@ def tight_root(spec, a, b, eps=1e-3):
         halves = []
         for endpoint, slope in ((Endpoint.LEFT, a), (Endpoint.RIGHT, b)):
             start = solver.series_start(spec, endpoint, slope, eps)
-            end = solver._dp_run(accel, solver._dp_start(accel, start, match), match, tight)
+            end = solver._dp_run(accel, solver._dp_start(accel, start, match, eps), match, tight)
             halves.append((end[1], end[2], end[6], end[7]))
         (rl, vl, pl, ql), (rr, vr, pr, qr) = halves
         g0, g1 = rl - rr, vl - vr
