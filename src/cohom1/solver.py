@@ -35,15 +35,15 @@ tangent in its slope (the variational equation, started from the derivative
 of the series start), so Newton reads its Jacobian off the :class:`Shot`
 values it makes, and every other run the zero tangent.  Where that
 Jacobian's singular values are more than 1e6 apart, as on the (1,1,1,+-1)
-family, Newton takes the minimum-norm step.  Newton shoots its
-far iterates, a sweep its lanes, and the refinement's seed search its
-halves, at seed accuracy (:func:`_seed_config`).  Newton leaves seed
-accuracy at the first iterate inside its switch, or at the full step to one
-that its last undamped step predicts inside it, shot at the caller's
-tolerances only; every converged gap comes from a shot at the caller's
-tolerances, and its profile from that shot's step rows.  The seed search
-traces the right half-curve with a coarse lane batch and then bisects it, a
-batch per round, only where it can meet a left polyline
+family, Newton takes the minimum-norm step and stops on the gap; elsewhere
+it stops on its own step.  Newton shoots its far iterates, a sweep its
+lanes, and the refinement's seed search its halves, at seed accuracy
+(:func:`_seed_config`).  Newton's one loop leaves seed accuracy at the
+first iterate inside its switch, or at the step from one whose undamped
+step predicts the next inside it; every converged gap comes from a shot at
+the caller's tolerances, and its profile from that shot's step rows.  The
+seed search traces the right half-curve with a coarse lane batch and then
+bisects it, a batch per round, only where it can meet a left polyline
 (:func:`_right_curve`).  Everything is plain-float arithmetic in a fixed
 order, so identical inputs give bit-identical results on a fixed platform.
 """
@@ -68,7 +68,7 @@ MIN_PROFILE_POINTS = 257
 DUPLICATE_SLOPE_TOL = 1e-6     # refined profiles this close in both slopes are one
 _MAX_STEPS = 5_000_000
 # Relative tolerance floor of seed accuracy (see _seed_config): of a sweep's
-# lanes, of the seed search's halves and of solve's seed phase.  A bracket,
+# lanes, of the seed search's halves and of solve's far iterates.  A bracket,
 # a crossing or a far Newton iterate only seeds what follows, and ``solve``
 # converges and integrates every profile at the caller's tolerances.
 # Refining the 512-point (1,2,2,1) sweep over [0, 20] took 1.18M lane RHS
@@ -81,25 +81,24 @@ _MAX_STEPS = 5_000_000
 # host); eight gave the same brackets and bit-identical refined profiles,
 # and the (1,1,1,1) family kept 2 of its 4 brackets and 1 of its 2 members.
 _SEED_REL_TOL = 1e-6
-# solve's seed phase ends at |gap| <= _SEED_SWITCH * _SEED_REL_TOL * (1+|k|),
-# met or predicted.  Over five draws of the 209 linear-solution problems from
-# 5% off (k, k), factors 1, 10, 100 and 1000 leave none of them at residuals
-# above 1e-6 that a solve at the solution tolerance meets, at 1316, 1438,
-# 1537 and 1963 tangent RHS evaluations per solve (medians 954 at 1, 972 at
-# 100) against 2693 with no seed phase.  Factor 1 misses fewer: 4 against 10
-# residuals above 1e-6 (0 against 3 on isolated solutions), and 8 against 12
-# on draws from random.Random(s).  The family refinement pays for it: the
-# default (1,1,1,1) grid takes 395 shots instead of 3 and converges to
-# another member of the family, and the (4,2,2,-3) solution moves by 2.9e-5.
-# 100 keeps the refinement's seeds and shot count.
+# solve's Newton loop leaves seed accuracy at an iterate with |gap| <=
+# _SEED_SWITCH * _SEED_REL_TOL * (1+|k|), or one whose undamped step predicts
+# the next there.  Over five draws of the 209 linear-solution problems from
+# 5% off (k, k), factors 1, 10, 100 and 1000 took 1316, 1438, 1537 and 1963
+# tangent RHS evaluations per solve against 2693 with every shot at the
+# solution tolerance.  Factor 1 costs the default (1,1,1,1) refinement 395
+# shots instead of 3, converging to another member of the family, and moves
+# the (4,2,2,-3) solution by 2.9e-5; 100 keeps the refinement's seeds and
+# shot count.
 _SEED_SWITCH = 100.0
-# Newton takes the minimum-norm step (u1.g / sigma_1) v1 where the shot's
-# Jacobian has sigma_min / sigma_max below this; there Cramer's step runs
-# along the null direction and damping stalls.  At the converged slopes of
-# the seed 1-3 newton-recover draws of the 209 linear-solution problems the
-# ratio was below 3.3e-10 on the (1,1,1,+-1) family, 1.4e-6 on the
-# third-order root (4,2,2,-3) and 1.9e-3 to 1.0 on every other row; 1e-6,
-# 1e-4 and 1e-3 gave the same 18 misses over the seed 1-10 draws.
+# Where the shot's Jacobian has sigma_min / sigma_max below this, Newton
+# takes the minimum-norm step (u1.g / sigma_1) v1, since Cramer's step runs
+# along the null direction and damping stalls, and stops on the gap, since
+# the step says nothing of the error along that direction.  At the converged
+# slopes of the seed 1-3 newton-recover draws of the 209 linear-solution
+# problems the ratio was below 3.3e-10 on the (1,1,1,+-1) family, 1.4e-6 on
+# the third-order root (4,2,2,-3) and 1.9e-3 to 1.0 on every other row;
+# 1e-6, 1e-4 and 1e-3 gave the same 13 misses over the seed 1-10 draws.
 _RANK_RATIO = 1e-6
 
 _log = logging.getLogger("cohom1")
@@ -713,37 +712,32 @@ def solve(
     Starts from ``init`` or from the linear candidate (k, k).  Each iterate
     is a :class:`Shot`, whose halves carry their tangents (see :func:`shoot`),
     so its Jacobian comes from the shot that produced it, with no extra
-    integration.  Steps are halved up to 20 times until the gap norm
-    decreases, and an escape or stall of a damped trial counts as a trial
-    that did not decrease it.
+    integration.  The full Newton step is the minimum-norm one where the
+    Jacobian's sigma_min / sigma_max is below _RANK_RATIO, else Cramer's;
+    it is halved up to 20 times until the gap norm decreases, and an escape
+    or stall of a trial counts as a trial that did not decrease it.
 
-    Newton runs in two phases.  The seed phase shoots at seed accuracy
-    (:func:`_seed_config`) until the gap norm is at most the switch
-    _SEED_SWITCH * _SEED_REL_TOL * (1 + |k|).  The final phase shoots the
-    same iterate again at ``config`` and continues to
-    |gap| <= GAP_TOL_FACTOR * (1 + |k|).  A seed iterate of gap norm n
-    reached by an undamped step from one of norm n' predicts n (n/n')^2
-    for the next (Newton's quadratic contraction).  If that is at most the
-    switch, the full step from it, an iteration like any other, places the
-    final phase's first iterate, which is shot at ``config`` only; if that
-    shot escapes, stalls or does not lower the norm below n, the seed phase
-    resumes at the seed iterate with its damped step, so a wrong prediction
-    costs one shot.  If the seed phase stops otherwise
-    (its first shot escapes or stalls, the Jacobian is singular, damping
-    fails or the cap is reached), the final phase starts from its last
-    iterate, or from the start if there is none.  ``config.max_newton``
-    caps the iterations of both phases together.  If the final phase's
-    first shot already meets its stop at an iterate placed by seed steps,
-    one more damped step is taken at ``config`` and kept if a trial lowers
-    the gap norm (none at the cap or a singular Jacobian): such an iterate
-    can sit just inside the gap tolerance, which at large G leaves the
-    residual above 1e-6.  With config.rel_tol >= _SEED_REL_TOL there is no
-    seed phase.  So every converged gap and every
-    failure comes from a shot at ``config``: an escape or stall of the
-    final phase's first shot surfaces as TrajectoryEscaped or
-    IntegratorStall.  One DEBUG line on the ``cohom1`` logger gives the
-    shots of each phase, the hand-over reason (the seed phase's exception
-    or the predicted norm) if any, and the outcome.
+    One loop runs over the iterates.  They are shot at seed accuracy
+    (:func:`_seed_config`) until one has gap norm at most the switch
+    _SEED_SWITCH * _SEED_REL_TOL * (1 + |k|), whose slopes are shot again at
+    ``config``, or an undamped step from norm n' to n predicts n (n/n')^2
+    (Newton's quadratic contraction) at most the switch, whose next step
+    is shot at ``config``.  An escape or stall of the first shot, a singular
+    Jacobian, failed damping or the iteration cap at seed accuracy shoots
+    the last slopes again at ``config``; with config.rel_tol >=
+    _SEED_REL_TOL every shot is at ``config``.  Newton stops at an iterate
+    shot at ``config`` with gap norm at most GAP_TOL_FACTOR * (1 + |k|): on
+    the gap if its Jacobian is rank-deficient, on the step if the full
+    step's max |delta| is within that tolerance too (a gap just inside it
+    can leave the residual above 1e-6 at large G), and it keeps such an
+    iterate where the cap forbids its step or no trial lowers its norm.
+    ``config.max_newton`` caps the iterations at both accuracies together.
+    So every converged gap and every failure comes from a shot at
+    ``config``.  One DEBUG line on the ``cohom1`` logger gives the shots at
+    each accuracy, the hand-over reason (a seed-accuracy exception or the
+    predicted norm) if any, and the exception or the iterations and the
+    stop: on the step with its max |delta|, on the gap with the rank ratio,
+    or the iterate kept, and why.
 
     On convergence the profile is sampled at max(profile_points,
     MIN_PROFILE_POINTS) nodes from the steps of the shot Newton accepted
@@ -765,106 +759,82 @@ def solve(
         raise ValueError(f"init must be a pair of finite real numbers, got {init!r}")
     a, b = map(float, init)
     seed = _seed_config(config)
+    tol = GAP_TOL_FACTOR * (1.0 + abs(k))
+    switch = _SEED_SWITCH * _SEED_REL_TOL * (1.0 + abs(k))
     shots = [0, 0]      # at seed accuracy, at config
 
     def shot(cfg, a, b):
         shots[cfg is config] += 1
         return shoot(spec, cfg, a, b)
 
-    def direction(iterate, iterations):
-        """The full Newton step (da, db) from ``iterate``: the minimum-norm
-        step where its Jacobian's singular values are more than
-        1/_RANK_RATIO apart, else Cramer's.  NoConvergence at the cap or
-        at a zero or non-finite Jacobian."""
-        gap, slopes = iterate.gap, (iterate.a, iterate.b)
-        if iterations >= config.max_newton:
-            raise NoConvergence(gap, slopes, iterations, "iteration cap reached")
-        (j00, j01), (j10, j11) = jac = iterate.jac
-        top, bottom, (v0, v1) = _singular_values(jac)
+    def direction(iterate):
+        """(delta, ratio): the full Newton step (da, db) from ``iterate``
+        and its Jacobian's sigma_min / sigma_max, the minimum-norm step
+        where the ratio is below _RANK_RATIO, else Cramer's; delta None and
+        ratio 0 at a zero or non-finite Jacobian."""
+        gap, ((j00, j01), (j10, j11)) = iterate.gap, iterate.jac
+        top, bottom, (v0, v1) = _singular_values(iterate.jac)
         if not 0.0 < top < math.inf:
-            raise NoConvergence(gap, slopes, iterations, "singular jacobian")
-        if bottom < _RANK_RATIO * top:
+            return None, 0.0
+        if (ratio := bottom / top) < _RANK_RATIO:
             w = (v0 * (j00 * gap[0] + j10 * gap[1]) + v1 * (j01 * gap[0] + j11 * gap[1]))
             w /= top * top
-            return w * v0, w * v1
+            return (w * v0, w * v1), ratio
         det = j00 * j11 - j01 * j10
-        return (j11 * gap[0] - j01 * gap[1]) / det, (j00 * gap[1] - j10 * gap[0]) / det
+        return ((j11 * gap[0] - j01 * gap[1]) / det, (j00 * gap[1] - j10 * gap[0]) / det), ratio
 
-    def step(cfg, iterate, iterations):
-        """One damped Newton step from ``iterate``, shooting at cfg: the
-        next iterate and whether it is the full step.  NoConvergence as
-        :func:`direction`, or if no trial lowers the gap norm."""
-        (a, b), (da, db) = (iterate.a, iterate.b), direction(iterate, iterations)
-        lam = 1.0
-        for _ in range(20):
-            try:
+    def step(cfg, iterate, delta):
+        """The first of the trials iterate - lam * delta, lam = 1, 1/2, ...
+        1/2^19, shot at cfg, whose gap norm is below the iterate's, and its
+        lam; (None, 0.0) if none is."""
+        (a, b), (da, db) = (iterate.a, iterate.b), delta
+        for j in range(20):
+            lam = 0.5 ** j
+            with suppress(TrajectoryEscaped, IntegratorStall):
                 trial = shot(cfg, a - lam * da, b - lam * db)
-            except (TrajectoryEscaped, IntegratorStall):
-                lam *= 0.5
+                if trial.norm < iterate.norm:
+                    return trial, lam
+        return None, 0.0
+
+    cfg, iterate, previous, iterations, handover, outcome = seed, None, None, 0, "none", None
+    while True:
+        try:
+            if iterate is None:
+                iterate = shot(cfg, a, b)
+            a, b, norm = iterate.a, iterate.b, iterate.norm
+            if cfg is not config and norm <= switch:
+                cfg, iterate = config, None         # its slopes, shot again at config
                 continue
-            if trial.norm < iterate.norm:
-                return trial, lam == 1.0
-            lam *= 0.5
-        raise NoConvergence(iterate.gap, (a, b), iterations, "damping failed to reduce gap")
-
-    def seed_newton(a, b, switch):
-        """The seed phase from (a, b): (iterate, iterations, predicted).
-        Either ``predicted`` is a norm at most ``switch`` that an undamped
-        seed step predicted, and ``iterate`` the full step after it, shot
-        at ``config``; or ``predicted`` is None and ``iterate`` the first
-        seed iterate with norm at most ``switch``."""
-        iterate, iterations, previous = shot(seed, a, b), 0, None
-        while iterate.norm > switch:
-            norm = iterate.norm
-            predicted = None if previous is None else norm * (norm / previous) ** 2
-            if predicted is not None and predicted <= switch:
-                da, db = direction(iterate, iterations)
-                try:
-                    first = shot(config, iterate.a - da, iterate.b - db)
-                except (TrajectoryEscaped, IntegratorStall):
-                    first = None
-                if first is not None and first.norm < norm:
-                    return first, iterations + 1, predicted
-            iterate, full = step(seed, iterate, iterations)
-            previous = norm if full else None
-            iterations += 1
-        return iterate, iterations, None
-
-    iterations, handover, outcome, iterate = 0, "none", None, None
-    try:
-        if seed is not config:
-            switch = _SEED_SWITCH * _SEED_REL_TOL * (1.0 + abs(k))
-            try:
-                iterate, iterations, predicted = seed_newton(a, b, switch)
-            except NoConvergence as exc:
-                (a, b), iterations, handover = exc.iterate, exc.iterations, exc
-            except (TrajectoryEscaped, IntegratorStall) as exc:   # its first shot
-                handover = exc
-            else:
-                if predicted is None:       # a seed iterate: shot again at config
-                    a, b, iterate = iterate.a, iterate.b, None
-                else:
-                    handover = f"predicted |gap| {predicted:.3g}"
-        seed_steps = iterations
-        if iterate is None:
-            iterate = shot(config, a, b)
-        tol = GAP_TOL_FACTOR * (1.0 + abs(k))
-        while iterate.norm > tol:
-            iterate, _ = step(config, iterate, iterations)
-            iterations += 1
-        if iterations == seed_steps > 0:
-            # seed steps alone placed the iterate: one step at config
-            try:
-                iterate, _ = step(config, iterate, iterations)
-                iterations += 1
-            except NoConvergence:
-                pass
-    except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
-        outcome = exc
+            delta, ratio = direction(iterate)
+            inside = cfg is config and norm <= tol
+            if inside and (ratio < _RANK_RATIO or max(map(abs, delta)) <= tol):
+                stop = (f"stopped on the gap: rank ratio {ratio:.3g}" if ratio < _RANK_RATIO
+                        else f"stopped on the step: max|delta| {max(map(abs, delta)):.3g}")
+                break
+            if iterations < config.max_newton and delta is not None:
+                at, predicted = cfg, math.inf if previous is None else norm * (norm / previous) ** 2
+                if cfg is not config and predicted <= switch:
+                    at, handover = config, f"predicted |gap| {predicted:.3g}"
+                trial, lam = step(at, iterate, delta)
+                if trial is not None:
+                    iterate, cfg, iterations = trial, at, iterations + 1
+                    previous = norm if lam == 1.0 else None
+                    continue
+            why = ("iteration cap reached" if iterations >= config.max_newton else
+                   "singular jacobian" if delta is None else "damping failed to reduce gap")
+            if not inside:
+                raise NoConvergence(iterate.gap, (a, b), iterations, why)
+            stop = f"kept the iterate: {why}"
+            break
+        except (NoConvergence, TrajectoryEscaped, IntegratorStall) as exc:
+            if cfg is config:
+                outcome = exc
+                break
+            cfg, iterate, handover = config, None, exc
     _log.debug(
         "solve: %d shots at seed rel_tol %g, %d at rel_tol %g; hand-over: %s; %s",
         shots[0], seed.rel_tol, shots[1], config.rel_tol, handover,
-        outcome or f"converged in {iterations} iterations",
+        outcome or f"converged in {iterations} iterations, {stop}",
     )
     if outcome is not None:
         raise outcome

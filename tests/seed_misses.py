@@ -6,7 +6,8 @@ within 5% of 1 + |k| of (k, k)) and solved by ``solver.solve`` at the
 default config.  A miss is a ``CohomError`` or a residual above
 ``workloads.RESIDUAL_TOL``, as the benchmark counts it.  Prints one line
 per seed with its misses, each as its row (G, M0, M1, k) and its kind,
-then the total.  pytest does not collect this file.
+then the total, and exits 1 if a row outside ``DEGENERATE`` missed.
+pytest does not collect this file.
 
     PYTHONPATH=src python tests/seed_misses.py [first_seed last_seed]
 """
@@ -22,6 +23,11 @@ import workloads  # noqa: E402
 
 from cohom1 import solver  # noqa: E402
 from cohom1.errors import CohomError  # noqa: E402
+
+# Rows whose misses the solver does not yet rule out: the degenerate
+# linear solutions (4,2,2,-3) and (3,3,3,-2), and the (1,1,1,+-1) family,
+# whose rank-deficient Jacobian leaves Newton to stop on the gap alone.
+DEGENERATE = ("(4,2,2,-3)", "(3,3,3,-2)", "(1,1,1,1)", "(1,1,1,-1)")
 
 
 def misses(inputs, seed: int) -> list[str]:
@@ -43,17 +49,22 @@ def misses(inputs, seed: int) -> list[str]:
     return out
 
 
+def isolated(found: list[str]) -> list[str]:
+    """The misses of ``found`` on rows outside ``DEGENERATE``."""
+    return [m for m in found if m.split()[0] not in DEGENERATE]
+
+
 def main(argv: list[str]) -> int:
     first, last = map(int, argv) if argv else (1, 10)
     inputs = workloads.build_inputs()
-    total, start = 0, time.perf_counter()
+    total, outside, start = 0, 0, time.perf_counter()
     for seed in range(first, last + 1):
         found = misses(inputs, seed)
-        total += len(found)
+        total, outside = total + len(found), outside + len(isolated(found))
         print(f"seed {seed}: {len(found)}" + "".join(f"; {m}" for m in found))
     print(f"total {total} misses over seeds {first}-{last} "
-          f"in {time.perf_counter() - start:.1f} s")
-    return 0
+          f"in {time.perf_counter() - start:.1f} s; {outside} outside {', '.join(DEGENERATE)}")
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":
